@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -197,7 +196,7 @@ void BM_ForestBatchInterpreted(benchmark::State& state) {
   cfg.num_threads = 1;
   ml::RandomForest rf(cfg);
   util::Rng rng(4);
-  rf.fit(f.train_ds, rng);  // no compile(): stays on the pointer walk
+  rf.fit(f.train_ds, rng);
   const ml::DataSet data =
       replicate_rows(f.train_ds, static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -219,8 +218,8 @@ BENCHMARK(BM_ForestBatchInterpreted)
 
 // The compiled flat-arena engine on the same rows x trees grid (also
 // single-threaded -- the CI gate tracks engine speed, not pool scaling).
-// `bit_identical` replays the batch against the interpreted walk; in
-// double-threshold mode every vote fraction must match exactly.
+// `bit_identical` replays the batch against the interpreted walk; every
+// vote fraction must match exactly.
 void BM_CompiledForestBatch(benchmark::State& state) {
   auto& f = Fixture::get();
   ml::RandomForestConfig cfg;
@@ -244,124 +243,12 @@ void BM_CompiledForestBatch(benchmark::State& state) {
       static_cast<double>(compiled.arena_bytes()) / 1024.0;
   state.counters["bit_identical"] =
       compiled.vote_fractions_batch(data) == rf.vote_fractions_batch(data);
-  // Which kernel actually served the batch -- the gate prints this, so a
-  // baseline refresh on a different runner is explainable.
-  state.SetLabel(util::simd::isa_name(compiled.dispatch_isa()));
 }
 BENCHMARK(BM_CompiledForestBatch)
     ->Args({256, 20})
     ->Args({256, 60})
     ->Args({1024, 60})
     ->Args({4096, 60})
-    ->Unit(benchmark::kMicrosecond)
-    ->UseRealTime();
-
-ml::ThresholdPrecision precision_arg(std::int64_t v) {
-  switch (v) {
-    case 1: return ml::ThresholdPrecision::kFloat;
-    case 2: return ml::ThresholdPrecision::kInt16;
-    default: return ml::ThresholdPrecision::kDouble;
-  }
-}
-
-// Map every feature onto an integer grid of `levels` steps across its
-// observed range. kInt16 compilation (correctly) rejects forests whose
-// thresholds sit closer together than its quantization step, which a
-// forest trained on raw continuous readings rarely avoids; firmware
-// front-ends shipping integer-quantized readings do. Integer grid values
-// keep the trees' midpoint thresholds exact in floating point (halves of
-// integer sums), so mathematically-equal thresholds from different value
-// pairs stay bit-identical instead of landing one ulp apart — the
-// reduced-precision grid points bench the workload those modes are built
-// for.
-ml::DataSet grid_quantize(const ml::DataSet& src, int levels) {
-  const std::size_t nf = src.num_features();
-  std::vector<double> lo(nf, std::numeric_limits<double>::infinity());
-  std::vector<double> hi(nf, -std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    const auto row = src.row(i);
-    for (std::size_t f = 0; f < nf; ++f) {
-      lo[f] = std::min(lo[f], row[f]);
-      hi[f] = std::max(hi[f], row[f]);
-    }
-  }
-  ml::DataSet out(nf);
-  out.reserve(src.size());
-  std::vector<double> q(nf);
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    const auto row = src.row(i);
-    for (std::size_t f = 0; f < nf; ++f) {
-      const double span = hi[f] - lo[f];
-      q[f] = span > 0.0 ? std::round((row[f] - lo[f]) / span * levels)
-                        : 0.0;
-    }
-    out.add(q, src.label(i));
-  }
-  return out;
-}
-
-// The dispatched traversal kernels against the forced-scalar group walk on
-// one serving-shaped grid point. Args = {rows, trees, precision (0=double,
-// 1=float, 2=int16), force_scalar}; the scalar rows are the denominators
-// of the SIMD speedup the CI gate tracks, and the label records the
-// dispatched ISA. `votes_match` replays the batch argmax against the
-// double-mode scalar walk -- the cross-precision tolerance contract in
-// ml/compiled_forest.h -- and `bit_identical` checks dispatch vs forced
-// scalar within the same precision, which must match exactly.
-void BM_SimdForestBatch(benchmark::State& state) {
-  auto& f = Fixture::get();
-  ml::RandomForestConfig cfg;
-  cfg.num_trees = static_cast<int>(state.range(1));
-  cfg.num_threads = 1;
-  ml::RandomForest rf(cfg);
-  util::Rng rng(4);
-  ml::CompiledForestConfig ccfg;
-  ccfg.precision = precision_arg(state.range(2));
-  // Both reduced-precision grid points run on the grid-quantized workload
-  // they are built for: integer grid values keep the trees' midpoint
-  // thresholds exactly representable, so kInt16 compiles (no ordering
-  // collapse) and kFloat narrows rows without one-ulp flips — votes_match
-  // must come back 1. kDouble stays on the raw continuous readings.
-  const bool reduced = ccfg.precision != ml::ThresholdPrecision::kDouble;
-  const ml::DataSet train =
-      reduced ? grid_quantize(f.train_ds, 512) : f.train_ds;
-  rf.fit(train, rng);
-  const ml::CompiledForest compiled(rf, ccfg);
-  const ml::DataSet data =
-      replicate_rows(train, static_cast<std::size_t>(state.range(0)));
-  std::optional<util::simd::ScopedForceScalar> guard;
-  if (state.range(3) != 0) guard.emplace();
-  state.SetLabel(util::simd::isa_name(compiled.dispatch_isa()));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compiled.vote_fractions_batch(data));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.counters["rows_per_s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          static_cast<double>(state.range(0)),
-      benchmark::Counter::kIsRate);
-  state.counters["arena_kb"] =
-      static_cast<double>(compiled.arena_bytes()) / 1024.0;
-  const std::vector<ml::Label> dispatched = compiled.predict_batch(data);
-  state.counters["votes_match"] = [&] {
-    const ml::CompiledForest reference(rf);  // kDouble
-    util::simd::ScopedForceScalar scalar;
-    return dispatched == reference.predict_batch(data);
-  }();
-  const std::vector<std::vector<double>> fracs =
-      compiled.vote_fractions_batch(data);
-  state.counters["bit_identical"] = [&] {
-    util::simd::ScopedForceScalar scalar;
-    return fracs == compiled.vote_fractions_batch(data);
-  }();
-}
-BENCHMARK(BM_SimdForestBatch)
-    ->Args({4096, 60, 0, 0})
-    ->Args({4096, 60, 0, 1})
-    ->Args({4096, 60, 1, 0})
-    ->Args({4096, 60, 1, 1})
-    ->Args({4096, 60, 2, 0})
-    ->Args({4096, 60, 2, 1})
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 

@@ -110,13 +110,9 @@ void LibraClassifier::train_labeled(const ml::DataSet& rows, util::Rng& rng) {
     }
   }
   forest_.fit(rows, rng);
-  // Freeze the freshly fitted trees for serving: every classify /
-  // classify_batch (and therefore the fleet's batched decide phase) rides
-  // the flat arena from here on. OnlineLibra's sliding-window retrain and
-  // the fleet trainer's candidate fits ride this same path, so a
-  // hot-swapped model is recompiled automatically -- and never compiled
-  // when compile_inference is off.
-  if (cfg_.compile_inference) forest_.compile(cfg_.compiled);
+  // OnlineLibra's sliding-window retrain and the fleet trainer's candidate
+  // fits ride this same path, so every refit model is recompiled here.
+  compiled_ = ml::CompiledForest(forest_);
   trained_ = true;
 }
 
@@ -147,32 +143,9 @@ trace::Action LibraClassifier::verdict_from_votes(
 
 trace::Action LibraClassifier::classify(const trace::FeatureVector& features,
                                         util::Rng& rng) const {
-  if (!trained_) throw std::logic_error("classifier not trained");
-  ClassifierMetrics& metrics = classifier_metrics();
-  metrics.classifies.inc();
-  if (!all_finite(features)) {
-    metrics.rejected_rows.inc();
-    if (cfg_.non_finite_policy == NonFiniteFeaturePolicy::kReject) {
-      throw std::invalid_argument("classify: non-finite feature vector");
-    }
-    return trace::Action::kNA;  // graceful degradation: do nothing
-  }
-  const trace::FeatureVector noisy = add_window_noise(features, rng);
-  if (cfg_.backend != nullptr) {
-    // Single-row ride through the backend: one-row batch, same votes as
-    // vote_fractions (fractions are exact tree counts / num_trees).
-    ml::DataSet row(trace::FeatureVector::kDim);
-    row.add(noisy.v, 0);
-    const std::vector<std::vector<double>> votes =
-        cfg_.backend->vote_batch(row);
-    if (votes.size() != 1 || votes[0].empty()) {
-      throw BackendOutageError(
-          std::string("classify: backend '") + std::string(cfg_.backend->name()) +
-          "' returned " + std::to_string(votes.size()) + " vote rows for 1");
-    }
-    return verdict_from_votes(votes[0]);
-  }
-  return verdict_from_votes(forest_.vote_fractions(noisy.v));
+  classifier_metrics().classifies.inc();
+  util::Rng* const stream = &rng;
+  return classify_batch({&features, 1}, {&stream, 1}).front();
 }
 
 std::vector<trace::Action> LibraClassifier::classify_batch(
@@ -199,8 +172,7 @@ std::vector<trace::Action> LibraClassifier::classify_batch(
   // stream, so the batch boundary never changes what any link draws.
   // Non-finite rows never reach the forest: under kReject the whole call
   // throws naming the row; under kFallbackNA the row is demoted to kNA
-  // (consuming no draws -- identical to what classify() would have done on
-  // that link's own stream).
+  // (consuming no draws from that link's stream).
   ml::DataSet rows(trace::FeatureVector::kDim);
   rows.reserve(features.size());
   std::vector<std::size_t> forest_row(features.size(),
@@ -238,7 +210,7 @@ std::vector<trace::Action> LibraClassifier::classify_batch(
           std::to_string(rows.size()));
     }
   } else {
-    votes = forest_.vote_fractions_batch(rows);
+    votes = compiled_.vote_fractions_batch(rows, forest_.pool());
   }
   std::vector<trace::Action> verdicts(features.size(), trace::Action::kNA);
   for (std::size_t i = 0; i < verdicts.size(); ++i) {

@@ -7,12 +7,20 @@
 // data applies instead: with the current MCS below 6 BA is the right choice
 // 92% of the time, so trigger BA; at MCS >= 6 the classes are balanced, so
 // the choice follows the BA overhead (BA first when it is cheap).
+//
+// Serving: every (re)train fits the ml::RandomForest and freezes it into
+// one ml::CompiledForest, and every verdict -- classify() is a one-row
+// classify_batch() -- is decided from that compiled engine's vote
+// fractions (or from an attached DecisionBackend's). The compiled engine
+// makes exactly the pointer walk's comparisons, so the verdicts are the
+// pointer-walk verdicts bit for bit.
 #pragma once
 
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "ml/compiled_forest.h"
 #include "ml/random_forest.h"
 #include "trace/dataset.h"
 
@@ -46,12 +54,6 @@ struct LibraClassifierConfig {
   // rate search, doing nothing costs one more observation window. 0
   // disables the gate (the paper's plain arg-max behavior).
   double min_confidence = 0.0;
-  // Freeze the forest into a flat-arena CompiledForest after every (re)train
-  // and serve inference through it (see ml/compiled_forest.h). With the
-  // default double-precision thresholds verdicts are bit-identical to the
-  // interpreted pointer walk; OFF keeps the legacy per-tree heap walk.
-  bool compile_inference = true;
-  ml::CompiledForestConfig compiled{};
   // Policy for NaN/Inf feature rows (see NonFiniteFeaturePolicy). The
   // default is to reject loudly: a non-finite feature reaching inference is
   // a caller bug unless the caller opted into graceful degradation.
@@ -81,23 +83,24 @@ class LibraClassifier {
              util::Rng& rng);
   // Fit directly on pre-labeled feature rows -- the single fit path shared
   // by train(), OnlineLibra's sliding-window retrain, and the fleet
-  // trainer's candidate fits (core/trainer.h). Freezes the forest into its
-  // compiled flat-arena form when compile_inference is on. Throws
-  // std::invalid_argument on an empty set, a row width other than
-  // FeatureVector::kDim, or an out-of-range label.
+  // trainer's candidate fits (core/trainer.h). Freezes the fitted forest
+  // into the compiled serving engine. Throws std::invalid_argument on an
+  // empty set, a row width other than FeatureVector::kDim, or an
+  // out-of-range label.
   void train_labeled(const ml::DataSet& rows, util::Rng& rng);
 
   // Classify an observation-window feature vector (BA / RA / NA). Window
-  // noise is added internally to model the short observation window.
+  // noise is added internally to model the short observation window. A
+  // one-row classify_batch() on `rng`.
   trace::Action classify(const trace::FeatureVector& features,
                          util::Rng& rng) const;
 
   // Batched classification for fleet serving: row i draws its
   // observation-window jitter from rngs[i] (each link's own stream, in row
-  // order), then every row rides one RandomForest::vote_fractions_batch
-  // call on the forest's thread pool. Per-row min_confidence gating applies
-  // exactly as in classify(); verdicts are bit-identical to N independent
-  // classify() calls consuming the same per-link streams.
+  // order), then every row rides one CompiledForest::vote_fractions_batch
+  // call on the forest's thread pool, then min_confidence gates each row.
+  // Verdicts are bit-identical to N one-row calls consuming the same
+  // per-link streams.
   std::vector<trace::Action> classify_batch(
       std::span<const trace::FeatureVector> features,
       std::span<util::Rng* const> rngs) const;
@@ -115,7 +118,9 @@ class LibraClassifier {
                               double ba_overhead_ms) const;
 
   bool trained() const { return trained_; }
+  // The fitted model (pointer walk) and its compiled serving form.
   const ml::RandomForest& forest() const { return forest_; }
+  const ml::CompiledForest& compiled() const { return compiled_; }
 
   // Swap the decision backend after construction (e.g. attach an
   // rpc::RemoteBackend once the daemon address is known). Non-owning;
@@ -136,12 +141,12 @@ class LibraClassifier {
   // Jitter the window-sensitive features in place from `rng` (3 draws).
   trace::FeatureVector add_window_noise(const trace::FeatureVector& features,
                                         util::Rng& rng) const;
-  // Arg-max + confidence gate over per-class vote fractions; the single
-  // verdict path shared by classify() and classify_batch().
+  // Arg-max + confidence gate over per-class vote fractions.
   trace::Action verdict_from_votes(std::span<const double> votes) const;
 
   LibraClassifierConfig cfg_;
   ml::RandomForest forest_;
+  ml::CompiledForest compiled_;
   bool trained_ = false;
 };
 

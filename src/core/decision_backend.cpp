@@ -1,24 +1,6 @@
 #include "core/decision_backend.h"
 
-#include <limits>
-#include <stdexcept>
-
 namespace libra::core {
-
-LocalBackend::LocalBackend(const ml::RandomForest* forest) : forest_(forest) {
-  if (forest_ == nullptr) {
-    throw std::invalid_argument("LocalBackend: null forest");
-  }
-}
-
-double LocalBackend::deadline_ms() const {
-  return std::numeric_limits<double>::infinity();
-}
-
-std::vector<std::vector<double>> LocalBackend::vote_batch(
-    const ml::DataSet& rows) {
-  return forest_->vote_fractions_batch(rows);
-}
 
 obs::Counter& outage_fallback_counter() {
   static obs::Counter& c =

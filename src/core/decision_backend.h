@@ -3,7 +3,8 @@
 // LibraClassifier owns the decision *policy* -- window-noise jitter,
 // non-finite row filtering, arg-max + confidence gating -- but the
 // per-class vote fractions themselves can be computed anywhere: by the
-// in-process forest (LocalBackend, today's behavior bit for bit) or by a
+// classifier's own compiled forest (no backend attached), by the fleet
+// trainer's hot-swappable model slot (SwapBackend, core/trainer.h) or by a
 // standalone inference daemon reached over a socket (rpc::RemoteBackend,
 // src/rpc/client.h). This seam is what enables the controller/minion
 // topology of ROADMAP item 2: jitter is drawn client-side from each link's
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "ml/data.h"
-#include "ml/random_forest.h"
 #include "obs/metrics.h"
 
 namespace libra::core {
@@ -53,7 +53,7 @@ class DecisionBackend {
  public:
   virtual ~DecisionBackend() = default;
 
-  // Backend kind for logs and error messages ("local", "remote").
+  // Backend kind for logs and error messages ("swap", "remote").
   virtual std::string_view name() const = 0;
 
   // True when votes are computed in-process: transport faults (kRpcDrop /
@@ -77,25 +77,6 @@ class DecisionBackend {
   // BackendOutageError when the backend cannot answer.
   virtual std::vector<std::vector<double>> vote_batch(
       const ml::DataSet& rows) = 0;
-};
-
-// The in-process backend: forwards to RandomForest::vote_fractions_batch on
-// a borrowed fitted forest (compiled or interpreted, whatever the forest
-// serves). Never unavailable, never throws BackendOutageError.
-class LocalBackend final : public DecisionBackend {
- public:
-  // `forest` is borrowed and must outlive the backend.
-  explicit LocalBackend(const ml::RandomForest* forest);
-
-  std::string_view name() const override { return "local"; }
-  bool local() const override { return true; }
-  bool available() override { return true; }
-  double deadline_ms() const override;
-  std::vector<std::vector<double>> vote_batch(
-      const ml::DataSet& rows) override;
-
- private:
-  const ml::RandomForest* forest_;  // non-owning
 };
 
 // Decisions resolved through the rung-2 fallback because the backend was

@@ -12,9 +12,9 @@
 // window. Each retrain rides LibraClassifier::train_labeled -- the same
 // fit path the fleet-scale background trainer (core/trainer.h) uses for
 // its candidate models -- so the deployed model is re-frozen into its
-// compiled flat-arena form exactly when compile_inference says so, and the
-// labeled seed rows are cached once instead of re-copied and re-labeled on
-// every retrain (the window is small; the seed campaign is not).
+// compiled serving form on every retrain, and the labeled seed rows are
+// cached once instead of re-copied and re-labeled on every retrain (the
+// window is small; the seed campaign is not).
 #pragma once
 
 #include <deque>

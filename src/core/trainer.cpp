@@ -288,7 +288,7 @@ FleetTrainer::~FleetTrainer() { stop(); }
 
 void FleetTrainer::seed_model(const ml::RandomForest& forest) {
   const std::uint64_t gen =
-      slot_.install(ml::CompiledForest(forest, cfg_.compiled));
+      slot_.install(ml::CompiledForest(forest));
   trainer_metrics().generation.set(static_cast<double>(gen));
 }
 
@@ -482,8 +482,6 @@ FleetTrainer::FitOutcome FleetTrainer::train_once_locked(bool force) {
   }
   LibraClassifierConfig cand_cfg;
   cand_cfg.forest = cfg_.forest;
-  cand_cfg.compile_inference = true;
-  cand_cfg.compiled = cfg_.compiled;
   LibraClassifier candidate(cand_cfg);
   util::Rng fit_stream = fit_rng_.fork();
   {
@@ -495,10 +493,10 @@ FleetTrainer::FitOutcome FleetTrainer::train_once_locked(bool force) {
   metrics.fits.inc();
   outcome.fitted = true;
 
-  const ml::CompiledForest* compiled = candidate.forest().compiled();
+  const ml::CompiledForest& compiled = candidate.compiled();
   const std::shared_ptr<const ModelSlot::Model> incumbent = slot_.pin();
   if (holdout_.size() >= cfg_.min_holdout_rows) {
-    outcome.candidate_acc = holdout_accuracy(*compiled, holdout_);
+    outcome.candidate_acc = holdout_accuracy(compiled, holdout_);
     outcome.incumbent_acc =
         incumbent ? holdout_accuracy(incumbent->forest, holdout_) : 0.0;
     metrics.candidate_acc.set(outcome.candidate_acc);
@@ -534,7 +532,7 @@ FleetTrainer::FitOutcome FleetTrainer::train_once_locked(bool force) {
   }
 
   const obs::StopWatch swap_watch;
-  outcome.generation = slot_.install(ml::CompiledForest(*compiled));
+  outcome.generation = slot_.install(ml::CompiledForest(compiled));
   if (remote_push_) {
     metrics.remote_pushes.inc();
     if (!remote_push_(candidate.forest())) {

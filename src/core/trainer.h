@@ -153,9 +153,9 @@ class ModelSlot {
 
 // DecisionBackend over a ModelSlot: the fleet serves through whatever model
 // the trainer last shipped. vote_batch pins the slot exactly once, so every
-// batch is answered wholly by one generation. In kDouble compile mode the
-// votes are exact tree counts / num_trees -- a slot seeded from the same
-// forest a classifier serves is bit-identical to in-process serving.
+// batch is answered wholly by one generation. The votes are exact tree
+// counts / num_trees -- a slot seeded from the same forest a classifier
+// serves is bit-identical to in-process serving.
 class SwapBackend final : public DecisionBackend {
  public:
   explicit SwapBackend(const ModelSlot* slot) : slot_(slot) {}
@@ -231,9 +231,8 @@ struct FleetTrainerConfig {
   // at least this margin to ship.
   double min_accuracy_gain = 0.02;
   DriftDetectorConfig drift{};
-  // Candidate model family + compile mode (kDouble = bit-exact serving).
+  // Candidate model family.
   ml::RandomForestConfig forest{};
-  ml::CompiledForestConfig compiled{};
   // Free-running cadence: the background thread ingests this often and fits
   // once fit_every_rows new rows have arrived since the last fit.
   double train_period_ms = 250.0;

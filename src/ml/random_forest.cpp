@@ -24,31 +24,6 @@ obs::Counter& batch_rows_counter() {
   static obs::Counter& c = obs::Registry::global().counter("forest.batch_rows");
   return c;
 }
-obs::Counter& compiles_counter() {
-  static obs::Counter& c = obs::Registry::global().counter("forest.compiles");
-  return c;
-}
-obs::Counter& compiled_batch_rows_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("forest.compiled_batch_rows");
-  return c;
-}
-obs::Histogram& compile_latency_hist() {
-  static obs::Histogram& h =
-      obs::Registry::global().histogram("forest.compile_latency_us");
-  return h;
-}
-// Compiled vs. interpreted batch latency, separable in one scrape.
-obs::Histogram& compiled_batch_latency_hist() {
-  static obs::Histogram& h =
-      obs::Registry::global().histogram("forest.batch_compiled_latency_us");
-  return h;
-}
-obs::Histogram& interpreted_batch_latency_hist() {
-  static obs::Histogram& h =
-      obs::Registry::global().histogram("forest.batch_interpreted_latency_us");
-  return h;
-}
 }  // namespace
 
 RandomForest::RandomForest(RandomForestConfig cfg) : cfg_(cfg) {}
@@ -72,7 +47,6 @@ void RandomForest::fit(const DataSet& train, util::Rng& rng) {
   OBS_SPAN("forest.fit", &fit_latency_hist());
   trees_trained_counter().inc(static_cast<std::uint64_t>(
       std::max(0, cfg_.num_trees)));
-  compiled_.reset();  // stale the moment the trees change
   trees_.clear();
   num_classes_ = std::max(train.num_classes(), 2);
 
@@ -147,27 +121,15 @@ void RandomForest::import_model(std::vector<DecisionTree> trees,
           std::to_string(importances.size()));
     }
   }
-  compiled_.reset();
   trees_ = std::move(trees);
   importances_ = std::move(importances);
   num_classes_ = num_classes;
-}
-
-const CompiledForest& RandomForest::compile(CompiledForestConfig compile_cfg) {
-  if (trees_.empty()) {
-    throw std::logic_error("RandomForest::compile: forest is not fitted");
-  }
-  OBS_SPAN("forest.compile", &compile_latency_hist());
-  compiles_counter().inc();
-  compiled_ = std::make_shared<const CompiledForest>(*this, compile_cfg);
-  return *compiled_;
 }
 
 Label RandomForest::predict(std::span<const double> features) const {
   if (trees_.empty()) {
     throw std::logic_error("RandomForest::predict: forest is not fitted");
   }
-  if (compiled_) return compiled_->predict(features);
   std::vector<int> votes(static_cast<std::size_t>(num_classes_), 0);
   for (const DecisionTree& tree : trees_) {
     ++votes[static_cast<std::size_t>(tree.predict(features))];
@@ -180,7 +142,6 @@ std::vector<double> RandomForest::vote_fractions(
     std::span<const double> features) const {
   std::vector<double> fractions(static_cast<std::size_t>(num_classes_), 0.0);
   if (trees_.empty()) return fractions;
-  if (compiled_) return compiled_->vote_fractions(features);
   for (const DecisionTree& tree : trees_) {
     fractions[static_cast<std::size_t>(tree.predict(features))] += 1.0;
   }
@@ -191,12 +152,6 @@ std::vector<double> RandomForest::vote_fractions(
 std::vector<Label> RandomForest::predict_batch(const DataSet& data) const {
   OBS_SPAN("forest.predict_batch");
   batch_rows_counter().inc(data.size());
-  if (compiled_) {
-    OBS_SPAN("forest.batch_compiled", &compiled_batch_latency_hist());
-    compiled_batch_rows_counter().inc(data.size());
-    return compiled_->predict_batch(data, pool());
-  }
-  OBS_SPAN("forest.batch_interpreted", &interpreted_batch_latency_hist());
   std::vector<Label> out(data.size());
   util::parallel_for(pool(), data.size(),
                      [&](std::size_t i) { out[i] = predict(data.row(i)); });
@@ -207,12 +162,6 @@ std::vector<std::vector<double>> RandomForest::vote_fractions_batch(
     const DataSet& data) const {
   OBS_SPAN("forest.vote_fractions_batch");
   batch_rows_counter().inc(data.size());
-  if (compiled_) {
-    OBS_SPAN("forest.batch_compiled", &compiled_batch_latency_hist());
-    compiled_batch_rows_counter().inc(data.size());
-    return compiled_->vote_fractions_batch(data, pool());
-  }
-  OBS_SPAN("forest.batch_interpreted", &interpreted_batch_latency_hist());
   std::vector<std::vector<double>> out(data.size());
   util::parallel_for(pool(), data.size(), [&](std::size_t i) {
     out[i] = vote_fractions(data.row(i));

@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "ml/compiled_forest.h"
 #include "ml/decision_tree.h"
 #include "util/thread_pool.h"
 
@@ -44,41 +43,32 @@ class RandomForest : public Classifier {
 
   // Batched inference over every row, parallel across rows on the forest's
   // pool. Row order (and therefore the result) is independent of threading.
+  // These walk the per-tree node heaps: the fit-time predictor and the test
+  // oracle for the serving engine, ml::CompiledForest.
   std::vector<Label> predict_batch(const DataSet& data) const;
   std::vector<std::vector<double>> vote_fractions_batch(
       const DataSet& data) const;
 
-  // Freeze the fitted forest into a flat-arena CompiledForest (see
-  // ml/compiled_forest.h) and dispatch every subsequent predict /
-  // vote_fractions / *_batch call through it. In kDouble mode (the default)
-  // the compiled path is bit-identical to the pointer walk. fit() and
-  // import_model() drop the compiled form (it would be stale). Throws
-  // std::logic_error when unfitted. Returns the compiled forest, which
-  // copies of this forest share.
-  const CompiledForest& compile(CompiledForestConfig compile_cfg = {});
-  // The active compiled form, or nullptr when serving interpreted.
-  const CompiledForest* compiled() const { return compiled_.get(); }
-
   // Share an external pool (e.g. the cross-validation pool) instead of the
   // lazily created owned one; pass nullptr to revert. Not owned.
   void set_thread_pool(util::ThreadPool* pool) { external_pool_ = pool; }
+  // The pool fit() and the batch paths run on: the external one when set,
+  // else a lazily created owned one; nullptr when serial.
+  util::ThreadPool* pool() const;
 
   const std::vector<double>& feature_importances() const {
     return importances_;
   }
   const std::vector<DecisionTree>& trees() const { return trees_; }
   int num_classes() const { return num_classes_; }
-  // Restore a forest from serialized state (replaces any fit model, drops
-  // any compiled form). Validates the deserialized state -- every tree's
-  // classes within num_classes, importance sizes consistent across trees
-  // and the forest -- and throws std::invalid_argument instead of trusting
-  // the file.
+  // Restore a forest from serialized state (replaces any fit model).
+  // Validates the deserialized state -- every tree's classes within
+  // num_classes, importance sizes consistent across trees and the forest --
+  // and throws std::invalid_argument instead of trusting the file.
   void import_model(std::vector<DecisionTree> trees,
                     std::vector<double> importances, int num_classes);
 
  private:
-  util::ThreadPool* pool() const;
-
   RandomForestConfig cfg_;
   std::vector<DecisionTree> trees_;
   std::vector<double> importances_;
@@ -86,8 +76,6 @@ class RandomForest : public Classifier {
   util::ThreadPool* external_pool_ = nullptr;
   // shared_ptr keeps the forest copyable (copies share the workers).
   mutable std::shared_ptr<util::ThreadPool> owned_pool_;
-  // Frozen flat-arena form; shared by copies (immutable once built).
-  std::shared_ptr<const CompiledForest> compiled_;
 };
 
 }  // namespace libra::ml

@@ -18,6 +18,7 @@
 
 #include "core/decision_backend.h"
 #include "ml/data.h"
+#include "ml/random_forest.h"
 #include "rpc/wire.h"
 
 namespace libra::rpc {

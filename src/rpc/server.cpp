@@ -102,7 +102,7 @@ void DecisionServer::set_forest(const ml::RandomForest& forest) {
   auto model = std::make_shared<ServingModel>();
   // Compile a private snapshot: the server must not share mutable state
   // with the caller's forest (which may refit concurrently).
-  model->compiled = ml::CompiledForest(forest, cfg_.compiled);
+  model->compiled = ml::CompiledForest(forest);
   model->num_features = forest.feature_importances().size();
   model->num_trees = static_cast<std::uint32_t>(model->compiled.num_trees());
   model->num_classes = model->compiled.num_classes();
@@ -393,7 +393,7 @@ Frame DecisionServer::handle_model_push(const Frame& request) {
     const obs::StopWatch swap_watch;
     const ml::RandomForest pushed = ml::load_forest(in);
     auto model = std::make_shared<ServingModel>();
-    model->compiled = ml::CompiledForest(pushed, cfg_.compiled);
+    model->compiled = ml::CompiledForest(pushed);
     model->num_features = pushed.feature_importances().size();
     model->num_trees = static_cast<std::uint32_t>(model->compiled.num_trees());
     model->num_classes = model->compiled.num_classes();

@@ -31,9 +31,6 @@ const Detection& detect() {
     out.force_scalar_env = env_truthy(std::getenv("LIBRA_FORCE_SCALAR"));
 #if LIBRA_SIMD_X86
     if (__builtin_cpu_supports("avx2")) out.hardware = Isa::kAvx2;
-#elif LIBRA_SIMD_NEON
-    // NEON is architecturally guaranteed on aarch64.
-    out.hardware = Isa::kNeon;
 #endif
     return out;
   }();
@@ -51,16 +48,9 @@ Isa active_isa() {
   return d.hardware;
 }
 
-const char* isa_name(Isa isa) {
-  switch (isa) {
-    case Isa::kAvx2: return "avx2";
-    case Isa::kNeon: return "neon";
-    case Isa::kScalar: break;
-  }
-  return "scalar";
+const char* active_isa_name() {
+  return active_isa() == Isa::kAvx2 ? "avx2" : "scalar";
 }
-
-const char* active_isa_name() { return isa_name(active_isa()); }
 
 bool force_scalar_env() { return detect().force_scalar_env; }
 

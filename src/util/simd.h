@@ -1,16 +1,15 @@
 // Runtime SIMD dispatch for the serving hot paths.
 //
-// The repo's vectorized kernels (ml/forest_kernels.h, util/fft.cpp,
-// util/stats.cpp) all pick their implementation through active_isa():
+// The repo's vectorized kernels (the CSI FFT in util/fft.cpp, the Pearson
+// similarity and CDF lookups in util/stats.cpp) all pick their
+// implementation through active_isa():
 //
 //   kScalar   the portable reference path. Always compiled, always
 //             correct, and -- by construction -- bit-identical to the
-//             vector paths (see "bit-parity discipline" below).
-//   kAvx2     AVX2 gather/compare kernels, selected on x86-64 when the
-//             CPU reports AVX2 and the build compiled the kernels in.
-//   kNeon     guarded NEON variants on aarch64 (forest traversal only;
-//             the FP kernels stay scalar there so the compiler cannot
-//             contract mul+add into FMA behind our back).
+//             vector paths (see "bit-parity discipline" below). The only
+//             path off x86-64.
+//   kAvx2     AVX2 kernels, selected on x86-64 when the CPU reports AVX2
+//             and the build compiled the kernels in.
 //
 // Selection order (first match wins):
 //   1. -DLIBRA_SIMD=OFF at configure time -> kScalar (kernels not built).
@@ -19,22 +18,22 @@
 //      and without this knob and fails on any mismatch, so the scalar
 //      fallback can never silently rot.
 //   3. ScopedForceScalar active (tests) -> kScalar.
-//   4. CPU capability: AVX2 on x86-64, NEON on aarch64, else kScalar.
+//   4. CPU capability: AVX2 on x86-64, else kScalar.
 //
 // Bit-parity discipline: every dispatched kernel must produce results
-// bit-identical to its scalar reference. Integer/compare-only kernels
-// (forest traversal, CDF binary search) get this for free. Floating-point
-// kernels get it by fixing the summation schedule: the scalar reference is
-// written in the same blocked/lane form the vector code uses (same
-// per-lane accumulation, same horizontal combine order, same elementwise
-// formulas, no FMA -- neither baseline x86-64 nor target("avx2") can
-// contract mul+add). Anything that cannot honor this contract must not
-// dispatch.
+// bit-identical to its scalar reference. Compare-only kernels (the CDF
+// binary search) get this for free. Floating-point kernels get it by fixing
+// the summation schedule: the scalar reference is written in the same
+// blocked/lane form the vector code uses (same per-lane accumulation, same
+// horizontal combine order, same elementwise formulas, no FMA -- neither
+// baseline x86-64 nor target("avx2") can contract mul+add). Anything that
+// cannot honor this contract must not dispatch.
 #pragma once
 
-// LIBRA_SIMD_X86 / LIBRA_SIMD_NEON gate the kernel *definitions*; callers
-// additionally consult active_isa() at runtime. LIBRA_SIMD_ENABLED comes
-// from CMake (option LIBRA_SIMD + compiler capability check).
+// LIBRA_SIMD_X86 gates the kernel *definitions*; callers additionally
+// consult active_isa() at runtime. LIBRA_SIMD_ENABLED comes from CMake
+// (option LIBRA_SIMD + compiler capability check); on other architectures
+// it is ignored and every kernel runs its scalar reference.
 #if defined(LIBRA_SIMD_ENABLED) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
 #define LIBRA_SIMD_X86 1
@@ -42,23 +41,15 @@
 #define LIBRA_SIMD_X86 0
 #endif
 
-#if defined(LIBRA_SIMD_ENABLED) && defined(__aarch64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define LIBRA_SIMD_NEON 1
-#else
-#define LIBRA_SIMD_NEON 0
-#endif
-
 namespace libra::util::simd {
 
-enum class Isa { kScalar, kAvx2, kNeon };
+enum class Isa { kScalar, kAvx2 };
 
 // The ISA the dispatched kernels will use right now. Cheap (one atomic
 // load past the first call); safe to consult per batch.
 Isa active_isa();
 
-const char* isa_name(Isa isa);
-// Shorthand for isa_name(active_isa()) -- what benches print as the
+// The active ISA's name ("avx2" or "scalar") -- what benches print as the
 // dispatch label and tools log next to digests.
 const char* active_isa_name();
 

@@ -9,10 +9,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
 #include "core/controller.h"
+#include "core/decision_backend.h"
 #include "env/registry.h"
 #include "json_mini.h"
 #include "obs/span.h"
@@ -27,9 +29,8 @@ using libra::testing::make_record;
 
 // A trained 3-class classifier over clearly separated synthetic cases,
 // with a multi-threaded forest: the fleet contract must hold under
-// parallel batched inference. `compiled` picks the flat-arena serving path
-// vs. the legacy pointer walk (both train the identical forest).
-core::LibraClassifier make_fleet_classifier(bool compiled) {
+// parallel batched inference.
+core::LibraClassifier make_fleet_classifier() {
   trace::Dataset ds;
   for (int i = 0; i < 40; ++i) {
     trace::CaseRecord ba = make_record(4, -1, 4);
@@ -51,7 +52,6 @@ core::LibraClassifier make_fleet_classifier(bool compiled) {
   }
   core::LibraClassifierConfig cfg;
   cfg.forest.num_threads = 4;  // num_threads = K in the fleet contract
-  cfg.compile_inference = compiled;
   core::LibraClassifier c(cfg);
   util::Rng rng(1);
   c.train(ds, {}, rng);
@@ -59,8 +59,7 @@ core::LibraClassifier make_fleet_classifier(bool compiled) {
 }
 
 const core::LibraClassifier& fleet_classifier() {
-  static const core::LibraClassifier clf =
-      make_fleet_classifier(/*compiled=*/true);
+  static const core::LibraClassifier clf = make_fleet_classifier();
   return clf;
 }
 
@@ -192,7 +191,7 @@ TEST(Fleet, BitIdenticalToIndependentSessions) {
 std::vector<sim::SessionResult> run_build_stations_fleet(
     const array::Codebook* codebook, std::uint64_t seed,
     const core::LibraClassifier* clf = &fleet_classifier(), int shards = 0,
-    int num_threads = 1) {
+    int num_threads = 1, core::DecisionBackend* backend = nullptr) {
   auto stations = build_stations(codebook, clf);
   std::vector<sim::FleetLink> members;
   for (auto& s : stations) {
@@ -203,6 +202,7 @@ std::vector<sim::SessionResult> run_build_stations_fleet(
   cfg.keep_frame_logs = true;
   cfg.shards = shards;
   cfg.num_threads = num_threads;
+  cfg.backend = backend;
   return sim::run_fleet(members, cfg).links;
 }
 
@@ -327,50 +327,57 @@ TEST(Fleet, TelemetryOnOffBitIdentical) {
   }
 }
 
-// Compiled flat-arena inference is a pure serving-path optimization: a
-// fleet served by the compiled forest must be bit-identical, frame for
-// frame, to the same fleet served by the interpreted pointer walk. (In
-// double-threshold mode the two engines evaluate the exact same
-// comparisons; only the memory layout differs.)
-TEST(Fleet, CompiledInferenceOnOffBitIdentical) {
-  const array::Codebook codebook;
-  const core::LibraClassifier compiled_clf =
-      make_fleet_classifier(/*compiled=*/true);
-  const core::LibraClassifier interpreted_clf =
-      make_fleet_classifier(/*compiled=*/false);
-  ASSERT_NE(compiled_clf.forest().compiled(), nullptr);
-  ASSERT_EQ(interpreted_clf.forest().compiled(), nullptr);
+// Votes from the pointer walk: each tree of the fitted forest predicts,
+// and the fractions are the summed votes / num_trees.
+class TreeVoteBackend final : public core::DecisionBackend {
+ public:
+  explicit TreeVoteBackend(const ml::RandomForest* forest) : forest_(forest) {}
 
-  const std::vector<sim::SessionResult> compiled =
-      run_build_stations_fleet(&codebook, 77, &compiled_clf);
-  const std::vector<sim::SessionResult> interpreted =
-      run_build_stations_fleet(&codebook, 77, &interpreted_clf);
-
-  ASSERT_EQ(compiled.size(), interpreted.size());
-  for (std::size_t i = 0; i < compiled.size(); ++i) {
-    const sim::SessionResult& a = compiled[i];
-    const sim::SessionResult& b = interpreted[i];
-    EXPECT_EQ(a.frames, b.frames) << "link " << i;
-    EXPECT_EQ(a.bytes_mb, b.bytes_mb) << "link " << i;
-    EXPECT_EQ(a.avg_goodput_mbps, b.avg_goodput_mbps) << "link " << i;
-    EXPECT_EQ(a.adaptations_ba, b.adaptations_ba) << "link " << i;
-    EXPECT_EQ(a.adaptations_ra, b.adaptations_ra) << "link " << i;
-    EXPECT_EQ(a.outages, b.outages) << "link " << i;
-    EXPECT_EQ(a.total_outage_ms, b.total_outage_ms) << "link " << i;
-    ASSERT_EQ(a.frame_log.size(), b.frame_log.size()) << "link " << i;
-    for (std::size_t f = 0; f < a.frame_log.size(); ++f) {
-      ASSERT_EQ(a.frame_log[f].t_ms, b.frame_log[f].t_ms)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(a.frame_log[f].mcs, b.frame_log[f].mcs)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(a.frame_log[f].goodput_mbps, b.frame_log[f].goodput_mbps)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(a.frame_log[f].ack, b.frame_log[f].ack)
-          << "link " << i << " frame " << f;
-      ASSERT_EQ(a.frame_log[f].action, b.frame_log[f].action)
-          << "link " << i << " frame " << f;
-    }
+  std::string_view name() const override { return "tree-vote"; }
+  bool local() const override { return true; }
+  bool available() override { return true; }
+  double deadline_ms() const override {
+    return std::numeric_limits<double>::infinity();
   }
+  std::vector<std::vector<double>> vote_batch(
+      const ml::DataSet& rows) override {
+    ++batches;
+    const std::vector<ml::DecisionTree>& trees = forest_->trees();
+    std::vector<std::vector<double>> out(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      std::vector<int> votes(
+          static_cast<std::size_t>(forest_->num_classes()), 0);
+      for (const ml::DecisionTree& tree : trees) {
+        ++votes[static_cast<std::size_t>(tree.predict(rows.row(i)))];
+      }
+      for (const int v : votes) {
+        out[i].push_back(static_cast<double>(v) /
+                         static_cast<double>(trees.size()));
+      }
+    }
+    return out;
+  }
+
+  int batches = 0;
+
+ private:
+  const ml::RandomForest* forest_;
+};
+
+// The compiled forest is a pure layout change: a fleet served by the
+// classifier's compiled engine must be bit-identical, frame for frame, to
+// the same fleet served by a plain per-tree pointer walk of the same
+// forest.
+TEST(Fleet, CompiledForestMatchesTreeWalkBackendBitIdentical) {
+  const array::Codebook codebook;
+  TreeVoteBackend tree_walk(&fleet_classifier().forest());
+  const std::vector<sim::SessionResult> compiled =
+      run_build_stations_fleet(&codebook, 77);
+  const std::vector<sim::SessionResult> walked = run_build_stations_fleet(
+      &codebook, 77, &fleet_classifier(), /*shards=*/0, /*num_threads=*/1,
+      &tree_walk);
+  ASSERT_GT(tree_walk.batches, 0);
+  expect_links_identical(compiled, walked, "tree-walk backend");
 }
 
 #if LIBRA_OBS_ENABLED

@@ -900,7 +900,6 @@ core::LibraClassifier make_fleet_classifier() {
   }
   core::LibraClassifierConfig cfg;
   cfg.forest.num_threads = 4;
-  cfg.compile_inference = true;
   core::LibraClassifier c(cfg);
   util::Rng rng(1);
   c.train(ds, {}, rng);
