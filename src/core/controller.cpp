@@ -285,24 +285,6 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
   return request;
 }
 
-trace::Action LinkController::decide(const DecisionRequest& request,
-                                     util::Rng& rng) const {
-  if (request.needs_inference()) {
-    try {
-      return request.classifier->classify(request.features, rng);
-    } catch (const BackendOutageError&) {
-      // Rung 2 at decide time: the decision backend died mid-request
-      // (timeout, disconnect, malformed reply). The jitter draws are spent
-      // either way, so substituting the plan-time fallback keeps the run
-      // deterministic -- and the link degraded instead of crashed.
-      verdict_counters().degraded_decisions.inc();
-      outage_fallback_counter().inc();
-      return request.outage_fallback;
-    }
-  }
-  return request.resolved_without_inference();
-}
-
 void LinkController::note_verdict(trace::Action, const DecisionRequest&) {}
 
 void LinkController::apply(trace::Action verdict, DecisionRequest& request,
@@ -352,13 +334,6 @@ void LinkController::apply(trace::Action verdict, DecisionRequest& request,
       break;
     }
   }
-}
-
-FrameReport LinkController::step(util::Rng& rng) {
-  DecisionRequest request = observe(rng);
-  const trace::Action verdict = decide(request, rng);
-  apply(verdict, request, rng);
-  return request.report;
 }
 
 // ---------- LiBRA ----------

@@ -11,15 +11,14 @@
 //              Tx-initiated, metrics via ACKs + channel reciprocity), and
 //              emit a DecisionRequest describing what the policy must rule
 //              on -- or that no decision is due (RA walk in progress).
-//   decide()   resolve the request into a verdict. Requests that need
-//              classifier inference run it here on the caller's Rng; a
-//              fleet instead gathers many links' requests and resolves them
-//              through one LibraClassifier::classify_batch() call.
+//   decide     not a controller method: sim::run_fleet's decide phase
+//              (sim/fleet.h) resolves every link's request, serving the
+//              ones that need inference through one
+//              LibraClassifier::classify_batch() call per classifier.
 //   apply()    act on the verdict: run BA, enter the RA walk, or let the
 //              upward prober spend the frame.
 //
-// step() is the single-link compatibility wrapper: observe -> decide ->
-// apply on one Rng, bit-identical to the pre-split monolithic step.
+// A single link runs the same loop as a one-link fleet (sim::run_session).
 //
 //   LibraController    - Algorithm 1: 3-class classifier every other frame,
 //                        missing-ACK rule otherwise.
@@ -76,8 +75,8 @@ struct FrameReport {
   trace::Action action = trace::Action::kNA;  // adaptation fired this frame
 };
 
-// Everything observe() learned this frame and decide() needs to rule on it.
-// Exactly one of three shapes:
+// Everything observe() learned this frame and the decide phase needs to rule
+// on it. Exactly one of three shapes:
 //   - decision_due == false: the RA walk consumed the frame, no policy runs;
 //   - classifier != nullptr: the verdict requires classifier inference over
 //     `features` (the batching boundary -- a fleet funnels all rows sharing
@@ -100,12 +99,12 @@ struct DecisionRequest {
   // timeout, disconnect, malformed reply -> BackendOutageError). It is the
   // same missing-ACK rule a plan-time outage precomputes, frozen here
   // because the rule reads controller state (the ACK-loss EWMA) that the
-  // fleet's decide phase -- possibly on another thread -- must not touch.
+  // decide phase -- possibly on another thread -- must not touch.
   trace::Action outage_fallback = trace::Action::kNA;
 
   bool needs_inference() const { return decision_due && classifier != nullptr; }
-  // The verdict when no inference is needed (what decide() returns without
-  // touching a classifier).
+  // The verdict when no inference is needed: the precomputed one on a
+  // decision-due frame, kNA on an RA-walk frame.
   trace::Action resolved_without_inference() const {
     return decision_due ? precomputed : trace::Action::kNA;
   }
@@ -125,16 +124,11 @@ class LinkController {
 
   // Phase 1: transmit one frame, advance time, produce the request.
   DecisionRequest observe(util::Rng& rng);
-  // Phase 2: resolve the request serially (inference on the caller's Rng).
-  trace::Action decide(const DecisionRequest& request, util::Rng& rng) const;
   // Phase 3: act on the verdict and stamp it into the request's report.
   void apply(trace::Action verdict, DecisionRequest& request, util::Rng& rng);
 
-  // Single-link compatibility wrapper: observe -> decide -> apply.
-  FrameReport step(util::Rng& rng);
-
   // Attach a deterministic fault source (faults/faults.h) to the
-  // observe/decide/apply seams, or detach with nullptr. Non-owning; with no
+  // observe/plan/apply seams, or detach with nullptr. Non-owning; with no
   // injector (or an inert one) every code path is bit-identical to an
   // un-faulted controller.
   void set_fault_injector(faults::FaultInjector* injector) {

@@ -88,98 +88,13 @@ struct Shard {
   std::int64_t link_frames = 0;
   std::int64_t trainer_rows = 0;
 };
-}  // namespace
 
-FleetResult run_fleet(std::span<const FleetLink> links,
-                      const FleetConfig& cfg) {
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    if (!links[i].environment || !links[i].link || !links[i].controller) {
-      throw std::invalid_argument("run_fleet: null member in fleet link " +
-                                  std::to_string(i));
-    }
-  }
-  if (cfg.shards < 0) {
-    throw std::invalid_argument("run_fleet: shards must be >= 0, got " +
-                                std::to_string(cfg.shards));
-  }
-  if (cfg.num_threads < 0) {
-    throw std::invalid_argument("run_fleet: num_threads must be >= 0, got " +
-                                std::to_string(cfg.num_threads));
-  }
-  if (cfg.scrape_port < 0 || cfg.scrape_port > 65535) {
-    throw std::invalid_argument("run_fleet: scrape_port must be in [0, 65535], got " +
-                                std::to_string(cfg.scrape_port));
-  }
-  cfg.faults.validate();
+// The per-frame observe -> decide -> apply loop of Algorithm 1, shared by
+// run_fleet (streams forked off the fleet seed) and run_session (a one-link
+// span over the caller's stream). Link i draws only from rngs[i].
+FleetResult run_links(std::span<const FleetLink> links,
+                      std::span<util::Rng> rngs, const FleetConfig& cfg) {
   FleetMetrics& metrics = fleet_metrics();
-
-  // Live observability for this run: an aggregator rolling the registry
-  // (and the daemon's StatsPush-merged snapshots when the backend has a
-  // peer) into time series, scraped over HTTP. Strictly observation-only --
-  // the roll-up thread reads shards and clocks, never Rng or link state --
-  // so the digest is bit-identical with or without it.
-  std::unique_ptr<obs::Aggregator> aggregator;
-  std::unique_ptr<obs::ScrapeServer> scrape_server;
-  if (cfg.scrape_port > 0) {
-    obs::AggregatorConfig agg_cfg;
-    agg_cfg.rollup_period_ms = cfg.scrape_rollup_ms;
-    agg_cfg.local_origin = "controller";
-    aggregator = std::make_unique<obs::Aggregator>(agg_cfg);
-    if (cfg.backend != nullptr) {
-      core::DecisionBackend* backend = cfg.backend;
-      // Peers are labeled by the origin the daemon itself reports
-      // (ServerConfig::stats_origin, default "daemon").
-      aggregator->add_source(
-          [backend]() -> std::optional<obs::LabeledSnapshot> {
-            std::optional<core::PeerStats> stats = backend->peer_stats();
-            if (!stats.has_value()) return std::nullopt;
-            return obs::LabeledSnapshot{std::move(stats->origin),
-                                        std::move(stats->snapshot)};
-          });
-    }
-    aggregator->rollup_now();  // first collection point before tick 0
-    aggregator->start();
-    obs::ScrapeConfig scrape_cfg;
-    scrape_cfg.port = cfg.scrape_port;
-    scrape_server = std::make_unique<obs::ScrapeServer>(*aggregator, scrape_cfg);
-    scrape_server->start();
-  }
-
-  // Fork every link's stream up front, in GLOBAL link order: neither the
-  // shard layout nor the thread schedule can perturb what an individual
-  // link draws. This line is the whole determinism proof -- everything
-  // after it only ever touches rngs[i] from link i's own gather / decide
-  // row / scatter, which live on exactly one shard.
-  util::Rng fleet_rng(cfg.seed);
-  std::vector<util::Rng> rngs;
-  rngs.reserve(links.size());
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    rngs.push_back(fleet_rng.fork());
-  }
-
-  // Fault streams are forked off the *fault* seed, again in global link
-  // order -- never off the simulation streams, so attaching a plan perturbs
-  // nothing but the faults it injects, and an empty plan attaches nothing
-  // at all. The guard detaches every injector on any exit path
-  // (controllers are non-owning and may outlive this call).
-  struct InjectorGuard {
-    std::span<const FleetLink> links;
-    std::vector<faults::FaultInjector> injectors;
-    ~InjectorGuard() {
-      for (std::size_t i = 0; i < injectors.size(); ++i) {
-        links[i].controller->set_fault_injector(nullptr);
-      }
-    }
-  } guard{links, {}};
-  if (!cfg.faults.empty()) {
-    util::Rng fault_rng(cfg.faults.seed);
-    guard.injectors.reserve(links.size());
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      guard.injectors.emplace_back(&cfg.faults, fault_rng.fork());
-      links[i].controller->set_fault_injector(&guard.injectors[i]);
-    }
-  }
-
   std::vector<SessionDriver> drivers;
   drivers.reserve(links.size());
   for (const FleetLink& l : links) {
@@ -313,10 +228,12 @@ FleetResult run_fleet(std::span<const FleetLink> links,
         // with (in-process by default).
         core::DecisionBackend* backend =
             cfg.backend != nullptr ? cfg.backend : group.key->backend();
-        std::vector<trace::Action> batch;
         try {
-          batch = group.key->classify_batch(group.rows, group.row_rngs,
-                                            backend);
+          const std::vector<trace::Action> batch =
+              group.key->classify_batch(group.rows, group.row_rngs, backend);
+          for (std::size_t m = 0; m < batch.size(); ++m) {
+            shard.verdicts[group.row_slot[m]] = batch[m];
+          }
         } catch (const core::BackendOutageError&) {
           // The jitter draws for this batch are already consumed, so the
           // per-link streams stay aligned with a healthy run. Substitute
@@ -328,12 +245,6 @@ FleetResult run_fleet(std::span<const FleetLink> links,
           for (const std::size_t slot : group.row_slot) {
             shard.verdicts[slot] = shard.requests[slot].outage_fallback;
           }
-          shard.batched_rows += static_cast<std::int64_t>(group.rows.size());
-          metrics.batched_rows.inc(group.rows.size());
-          continue;
-        }
-        for (std::size_t m = 0; m < batch.size(); ++m) {
-          shard.verdicts[group.row_slot[m]] = batch[m];
         }
         shard.batched_rows += static_cast<std::int64_t>(group.rows.size());
         metrics.batched_rows.inc(group.rows.size());
@@ -408,8 +319,113 @@ FleetResult run_fleet(std::span<const FleetLink> links,
   for (SessionDriver& driver : drivers) {
     result.links.push_back(driver.finish());
   }
+  return result;
+}
+
+}  // namespace
+
+FleetResult run_fleet(std::span<const FleetLink> links,
+                      const FleetConfig& cfg) {
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    if (!links[i].environment || !links[i].link || !links[i].controller) {
+      throw std::invalid_argument("run_fleet: null member in fleet link " +
+                                  std::to_string(i));
+    }
+  }
+  if (cfg.shards < 0) {
+    throw std::invalid_argument("run_fleet: shards must be >= 0, got " +
+                                std::to_string(cfg.shards));
+  }
+  if (cfg.num_threads < 0) {
+    throw std::invalid_argument("run_fleet: num_threads must be >= 0, got " +
+                                std::to_string(cfg.num_threads));
+  }
+  if (cfg.scrape_port < 0 || cfg.scrape_port > 65535) {
+    throw std::invalid_argument("run_fleet: scrape_port must be in [0, 65535], got " +
+                                std::to_string(cfg.scrape_port));
+  }
+  cfg.faults.validate();
+
+  // Live observability for this run: an aggregator rolling the registry
+  // (and the daemon's StatsPush-merged snapshots when the backend has a
+  // peer) into time series, scraped over HTTP. Strictly observation-only --
+  // the roll-up thread reads shards and clocks, never Rng or link state --
+  // so the digest is bit-identical with or without it.
+  std::unique_ptr<obs::Aggregator> aggregator;
+  std::unique_ptr<obs::ScrapeServer> scrape_server;
+  if (cfg.scrape_port > 0) {
+    obs::AggregatorConfig agg_cfg;
+    agg_cfg.rollup_period_ms = cfg.scrape_rollup_ms;
+    agg_cfg.local_origin = "controller";
+    aggregator = std::make_unique<obs::Aggregator>(agg_cfg);
+    if (cfg.backend != nullptr) {
+      core::DecisionBackend* backend = cfg.backend;
+      // Peers are labeled by the origin the daemon itself reports
+      // (ServerConfig::stats_origin, default "daemon").
+      aggregator->add_source(
+          [backend]() -> std::optional<obs::LabeledSnapshot> {
+            std::optional<core::PeerStats> stats = backend->peer_stats();
+            if (!stats.has_value()) return std::nullopt;
+            return obs::LabeledSnapshot{std::move(stats->origin),
+                                        std::move(stats->snapshot)};
+          });
+    }
+    aggregator->rollup_now();  // first collection point before tick 0
+    aggregator->start();
+    obs::ScrapeConfig scrape_cfg;
+    scrape_cfg.port = cfg.scrape_port;
+    scrape_server = std::make_unique<obs::ScrapeServer>(*aggregator, scrape_cfg);
+    scrape_server->start();
+  }
+
+  // Fork every link's stream up front, in GLOBAL link order: neither the
+  // shard layout nor the thread schedule can perturb what an individual
+  // link draws. This line is the whole determinism proof -- everything
+  // after it only ever touches rngs[i] from link i's own gather / decide
+  // row / scatter, which live on exactly one shard.
+  util::Rng fleet_rng(cfg.seed);
+  std::vector<util::Rng> rngs;
+  rngs.reserve(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    rngs.push_back(fleet_rng.fork());
+  }
+
+  // Fault streams are forked off the *fault* seed, again in global link
+  // order -- never off the simulation streams, so attaching a plan perturbs
+  // nothing but the faults it injects, and an empty plan attaches nothing
+  // at all. The guard detaches every injector on any exit path
+  // (controllers are non-owning and may outlive this call).
+  struct InjectorGuard {
+    std::span<const FleetLink> links;
+    std::vector<faults::FaultInjector> injectors;
+    ~InjectorGuard() {
+      for (std::size_t i = 0; i < injectors.size(); ++i) {
+        links[i].controller->set_fault_injector(nullptr);
+      }
+    }
+  } guard{links, {}};
+  if (!cfg.faults.empty()) {
+    util::Rng fault_rng(cfg.faults.seed);
+    guard.injectors.reserve(links.size());
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      guard.injectors.emplace_back(&cfg.faults, fault_rng.fork());
+      links[i].controller->set_fault_injector(&guard.injectors[i]);
+    }
+  }
+
+  FleetResult result = run_links(links, rngs, cfg);
   result.metrics = obs::Registry::global().snapshot();
   return result;
+}
+
+SessionResult run_session(env::Environment& environment, channel::Link& link,
+                          core::LinkController& controller,
+                          const SessionScript& script, util::Rng& rng,
+                          bool keep_frame_log) {
+  const FleetLink member{&environment, &link, &controller, script};
+  FleetConfig cfg;
+  cfg.keep_frame_logs = keep_frame_log;
+  return std::move(run_links({&member, 1}, {&rng, 1}, cfg).links.front());
 }
 
 }  // namespace libra::sim

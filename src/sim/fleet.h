@@ -24,14 +24,18 @@
 // gather and drained by its decide/scatter with no fleet-wide barrier
 // between the phases -- only the tick boundary synchronizes.
 //
-// Determinism contract (same discipline as the PR 1 thread-pool work): link
-// i draws only from its own stream, forked off the fleet seed in global
-// link order before any stepping, and classify_batch jitters rows serially
-// in link order from those same streams. Shard boundaries and the thread
-// schedule therefore never touch the randomness: a fleet run is
-// bit-identical, link for link, to N independent run_session() calls fed
-// the same forked streams -- for ANY (shards, num_threads, forest thread
-// count) combination. tests/fleet_test.cpp proves this end to end.
+// Determinism contract: link i draws only from its own stream, forked off
+// the fleet seed in global link order before any stepping, and
+// classify_batch jitters rows serially in link order from those same
+// streams. Shard boundaries and the thread schedule therefore never touch
+// the randomness: a fleet run is bit-identical for ANY (shards,
+// num_threads, forest thread count) combination.
+//
+// The tick loop is the only decide path in the library: run_session()
+// (sim/session.h) runs it as a one-link fleet on the caller's stream, so a
+// fleet run equals, link for link, N run_session() calls fed the same
+// forked streams -- and both equal a hand-driven serial observe ->
+// LibraClassifier::classify() -> apply oracle (tests/fleet_test.cpp).
 #pragma once
 
 #include <cstdint>

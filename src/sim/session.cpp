@@ -157,35 +157,4 @@ SessionResult SessionDriver::finish() {
   return std::move(result_);
 }
 
-SessionResult run_session(env::Environment& environment, channel::Link& link,
-                          core::LinkController& controller,
-                          const SessionScript& script, util::Rng& rng,
-                          bool keep_frame_log,
-                          const faults::FaultPlan* faults) {
-  // Attach/detach the injector around the run on every exit path; the
-  // stream is the first fork of Rng(seed), matching a 1-link fleet.
-  struct InjectorGuard {
-    core::LinkController* controller = nullptr;
-    std::optional<faults::FaultInjector> injector;
-    ~InjectorGuard() {
-      if (controller != nullptr) controller->set_fault_injector(nullptr);
-    }
-  } guard;
-  if (faults != nullptr && !faults->empty()) {
-    faults->validate();
-    util::Rng fault_rng(faults->seed);
-    guard.injector.emplace(faults, fault_rng.fork());
-    guard.controller = &controller;
-    controller.set_fault_injector(&*guard.injector);
-  }
-  SessionDriver driver(environment, link, controller, script, keep_frame_log);
-  driver.start(rng);
-  while (!driver.done()) {
-    core::DecisionRequest request = driver.observe(rng);
-    const trace::Action verdict = controller.decide(request, rng);
-    driver.apply(verdict, request, rng);
-  }
-  return driver.finish();
-}
-
 }  // namespace libra::sim

@@ -5,7 +5,8 @@
 // replaying collected (initial, impaired) state pairs, a Session evolves the
 // channel continuously and lets a LinkController (Algorithm 1 or a
 // heuristic) adapt in closed loop -- the deployment scenario the paper's
-// framework targets.
+// framework targets. A session is a one-link fleet: run_session() and
+// sim::run_fleet() (sim/fleet.h) share one observe -> decide -> apply loop.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,6 @@
 #include "channel/fading.h"
 #include "core/controller.h"
 #include "env/environment.h"
-#include "faults/faults.h"
 
 namespace libra::sim {
 
@@ -97,12 +97,12 @@ struct SessionResult {
 };
 
 // One link's scripted session, advanced tick by tick: scripted dynamics and
-// fading before each frame, outage/goodput accounting after. run_session()
-// drives one of these to completion; sim::run_fleet() (sim/fleet.h) drives
-// N of them in lockstep with a batched decision phase between observe and
-// apply. Mutates the environment's blockers and the link's interferer per
-// the episodes and moves the Rx along the trajectory. Throws
-// std::invalid_argument on a script with duration_ms <= 0.
+// fading before each frame, outage/goodput accounting after. The fleet loop
+// behind sim::run_fleet() and run_session() drives one of these per link,
+// with its batched decision phase between observe and apply. Mutates the
+// environment's blockers and the link's interferer per the episodes and
+// moves the Rx along the trajectory. Throws std::invalid_argument on a
+// script with duration_ms <= 0.
 class SessionDriver {
  public:
   SessionDriver(env::Environment& environment, channel::Link& link,
@@ -140,17 +140,15 @@ class SessionDriver {
   double last_t_ms_ = 0.0;
 };
 
-// Drive a controller through the script. The session mutates the
-// environment's blockers and the link's interferer according to the
-// episodes and moves the Rx along the trajectory. When `faults` is
-// non-null (and non-empty), a FaultInjector whose stream is the first fork
-// of Rng(faults->seed) is attached for the duration of the run -- exactly
-// the stream a 1-link fleet would hand the same controller, so single-link
-// and fleet faulted runs agree bit-for-bit.
+// Drive a controller through the script as a one-link fleet (defined in
+// fleet.cpp): start, observe, the one-row classify_batch jitter and apply
+// all draw from the caller's `rng`, in that order, so the result equals
+// link i of a run_fleet whose i-th forked stream is `rng`. The run feeds the
+// fleet.* telemetry series like any fleet run; FleetConfig's faults,
+// backend override, trainer and scrape tier are run_fleet-only.
 SessionResult run_session(env::Environment& environment, channel::Link& link,
                           core::LinkController& controller,
                           const SessionScript& script, util::Rng& rng,
-                          bool keep_frame_log = false,
-                          const faults::FaultPlan* faults = nullptr);
+                          bool keep_frame_log = false);
 
 }  // namespace libra::sim

@@ -155,8 +155,7 @@ LIBRA_AVX2_FN inline __m128i pd_mask_to_epi32(__m256d m) {
 // LATENCY-bound (each level's gather waits on the previous level's `lo`),
 // which on gather-slow cores loses to the scalar search; walking kChains
 // independent blocks through each level together keeps that many gathers
-// in flight and hides the chain latency, exactly like the forest kernel's
-// in-flight row groups.
+// in flight and hides the chain latency.
 LIBRA_AVX2_FN void at_many_avx2(const double* sorted, std::size_t n,
                                 const double* xs, double* out,
                                 std::size_t m) {

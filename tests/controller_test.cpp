@@ -109,13 +109,40 @@ TEST_F(LiveFixture, StartTrainsBeamsAndPicksWorkingMcs) {
   EXPECT_GE(em.expected_throughput_mbps(ctrl.mcs(), snr), 150.0);
 }
 
+// Start time of frame i of a scripted session under the default config:
+// association charges one 5 ms sector sweep, then each frame takes 10 ms
+// (until the first BA adds another sweep). Sessions that count frames
+// after a BA run frame_t(n + kSlack) and index their windows by frame.
+constexpr double frame_t(int i) { return 5.0 + 10.0 * i; }
+constexpr int kSlack = 20;
+
+// Index of the first logged frame starting at or after t_ms.
+std::size_t first_frame_at(const sim::SessionResult& r, double t_ms) {
+  std::size_t i = 0;
+  while (i < r.frame_log.size() && r.frame_log[i].t_ms < t_ms) ++i;
+  return i;
+}
+
+// A session in the fixture's geometry, optionally with one blocker over
+// [block_from, block_to).
+sim::SessionScript scripted(double duration_ms, double block_from = 0.0,
+                            double block_to = 0.0,
+                            env::Blocker blocker = {}) {
+  sim::SessionScript script;
+  script.duration_ms = duration_ms;
+  if (block_to > block_from) {
+    script.blockage.push_back({block_from, block_to, blocker});
+  }
+  return script;
+}
+
 TEST_F(LiveFixture, SteadyStateDelivers) {
   core::RaFirstController ctrl(&link, &em, {});
   util::Rng rng(2);
-  ctrl.start(rng);
-  double goodput = 0.0;
-  for (int i = 0; i < 100; ++i) goodput += ctrl.step(rng).goodput_mbps;
-  EXPECT_GT(goodput / 100, 500.0);
+  const auto r =
+      sim::run_session(lobby, link, ctrl, scripted(frame_t(100)), rng, true);
+  ASSERT_EQ(r.frame_log.size(), 100u);
+  EXPECT_GT(r.avg_goodput_mbps, 500.0);
 }
 
 TEST_F(LiveFixture, TimeAdvancesByFat) {
@@ -123,23 +150,26 @@ TEST_F(LiveFixture, TimeAdvancesByFat) {
   cfg.fat_ms = 2.0;
   core::RaFirstController ctrl(&link, &em, cfg);
   util::Rng rng(3);
-  ctrl.start(rng);
-  const double t0 = ctrl.time_ms();
-  ctrl.step(rng);
-  EXPECT_NEAR(ctrl.time_ms() - t0, 2.0, 1e-9);
+  const auto r = sim::run_session(lobby, link, ctrl, scripted(6.0), rng, true);
+  ASSERT_EQ(r.frame_log.size(), 1u);
+  EXPECT_NEAR(ctrl.time_ms() - r.frame_log[0].t_ms, 2.0, 1e-9);
 }
 
 TEST_F(LiveFixture, BlockageMakesRaFirstWalkDown) {
   core::RaFirstController ctrl(&link, &em, {});
   util::Rng rng(4);
-  ctrl.start(rng);
-  for (int i = 0; i < 20; ++i) ctrl.step(rng);
-  const phy::McsIndex before = ctrl.mcs();
-  // Partial blockage: initial MCS breaks but a lower one still works.
-  lobby.add_blocker({{6, 6}, 0.25, 12.0});
+  // Partial blockage from frame 20 on: the initial MCS breaks but a lower
+  // one still works.
+  const auto r = sim::run_session(
+      lobby, link, ctrl,
+      scripted(frame_t(80), frame_t(20), frame_t(80), {{6, 6}, 0.25, 12.0}),
+      rng, true);
+  const std::size_t blocked = first_frame_at(r, frame_t(20));
+  ASSERT_LT(blocked, r.frame_log.size());
+  const phy::McsIndex before = r.frame_log[blocked].mcs;
   bool triggered_ra = false;
-  for (int i = 0; i < 60; ++i) {
-    triggered_ra |= ctrl.step(rng).action == trace::Action::kRA;
+  for (std::size_t i = blocked; i < r.frame_log.size(); ++i) {
+    triggered_ra |= r.frame_log[i].action == trace::Action::kRA;
   }
   EXPECT_TRUE(triggered_ra);
   EXPECT_LT(ctrl.mcs(), before);
@@ -148,35 +178,43 @@ TEST_F(LiveFixture, BlockageMakesRaFirstWalkDown) {
 TEST_F(LiveFixture, HardBlockageMakesBaFirstSwitchBeams) {
   core::BaFirstController ctrl(&link, &em, {});
   util::Rng rng(5);
-  ctrl.start(rng);
-  for (int i = 0; i < 10; ++i) ctrl.step(rng);
-  const auto before_tx = ctrl.tx_beam();
-  lobby.add_blocker({{6, 6}, 0.3, 35.0});
+  // Hard blockage from frame 10 to the end of the session.
+  const auto r = sim::run_session(
+      lobby, link, ctrl,
+      scripted(frame_t(120 + kSlack), frame_t(10), frame_t(120 + kSlack),
+               {{6, 6}, 0.3, 35.0}),
+      rng, true);
+  const std::size_t blocked = first_frame_at(r, frame_t(10));
+  ASSERT_GE(r.frame_log.size(), blocked + 60 + 50);
   bool triggered_ba = false;
-  for (int i = 0; i < 60; ++i) {
-    triggered_ba |= ctrl.step(rng).action == trace::Action::kBA;
+  for (std::size_t i = blocked; i < blocked + 60; ++i) {
+    triggered_ba |= r.frame_log[i].action == trace::Action::kBA;
   }
   EXPECT_TRUE(triggered_ba);
   // The LOS is gone: the controller must have re-trained onto another pair
   // (or at minimum changed something and recovered some goodput).
   double goodput = 0.0;
-  for (int i = 0; i < 50; ++i) goodput += ctrl.step(rng).goodput_mbps;
+  for (std::size_t i = blocked + 60; i < blocked + 60 + 50; ++i) {
+    goodput += r.frame_log[i].goodput_mbps;
+  }
   EXPECT_GT(goodput / 50, 150.0);
-  (void)before_tx;
 }
 
 TEST_F(LiveFixture, RaFirstFallsBackToBaWhenNothingWorks) {
   core::RaFirstController ctrl(&link, &em, {});
   util::Rng rng(6);
-  ctrl.start(rng);
-  for (int i = 0; i < 10; ++i) ctrl.step(rng);
-  // Full blockage: no MCS works on the old pair; Algorithm 1's RA walk must
-  // fall back to BA and recover via a reflection.
-  lobby.add_blocker({{6, 6}, 0.3, 40.0});
+  // Full blockage from frame 10 on: no MCS works on the old pair;
+  // Algorithm 1's RA walk must fall back to BA and recover via a reflection.
+  const auto r = sim::run_session(
+      lobby, link, ctrl,
+      scripted(frame_t(310 + kSlack), frame_t(10), frame_t(310 + kSlack),
+               {{6, 6}, 0.3, 40.0}),
+      rng, true);
+  const std::size_t blocked = first_frame_at(r, frame_t(10));
+  ASSERT_GE(r.frame_log.size(), blocked + 300);
   double late_goodput = 0.0;
-  for (int i = 0; i < 300; ++i) {
-    const auto r = ctrl.step(rng);
-    if (i >= 250) late_goodput += r.goodput_mbps;
+  for (std::size_t i = blocked + 250; i < blocked + 300; ++i) {
+    late_goodput += r.frame_log[i].goodput_mbps;
   }
   EXPECT_GT(late_goodput / 50, 150.0);
 }
@@ -184,14 +222,16 @@ TEST_F(LiveFixture, RaFirstFallsBackToBaWhenNothingWorks) {
 TEST_F(LiveFixture, UpProbingRecoversAfterBlockerLeaves) {
   core::RaFirstController ctrl(&link, &em, {});
   util::Rng rng(7);
-  ctrl.start(rng);
-  for (int i = 0; i < 10; ++i) ctrl.step(rng);
-  const phy::McsIndex healthy = ctrl.mcs();
-  lobby.add_blocker({{6, 6}, 0.25, 12.0});
-  for (int i = 0; i < 80; ++i) ctrl.step(rng);
-  EXPECT_LT(ctrl.mcs(), healthy);
-  lobby.clear_blockers();
-  for (int i = 0; i < 400; ++i) ctrl.step(rng);
+  // Partial blockage over frames [10, 90), then 400 clear frames.
+  const auto r = sim::run_session(
+      lobby, link, ctrl,
+      scripted(frame_t(490), frame_t(10), frame_t(90), {{6, 6}, 0.25, 12.0}),
+      rng, true);
+  const std::size_t blocked = first_frame_at(r, frame_t(10));
+  const std::size_t cleared = first_frame_at(r, frame_t(90));
+  ASSERT_LT(cleared, r.frame_log.size());
+  const phy::McsIndex healthy = r.frame_log[blocked].mcs;
+  EXPECT_LT(r.frame_log[cleared].mcs, healthy);
   EXPECT_GE(ctrl.mcs(), healthy - 1);
 }
 
@@ -205,54 +245,6 @@ TEST_F(LiveFixture, ConfigRejectsNonPositiveFat) {
                std::invalid_argument);
 }
 
-// The compatibility contract of the observe/decide/apply split: driving the
-// phases by hand is bit-identical to step(), frame for frame, through
-// steady state, a blockage, the RA walk and the fallback BA.
-TEST(ObserveDecideApply, PhasesMatchStepBitForBit) {
-  phy::McsTable table;
-  phy::ErrorModel em(&table);
-  array::Codebook codebook;
-
-  env::Environment env_a = env::make_lobby();
-  env::Environment env_b = env::make_lobby();
-  array::PhasedArray tx_a({2, 6}, 0.0, &codebook), tx_b({2, 6}, 0.0, &codebook);
-  array::PhasedArray rx_a({10, 6}, 180.0, &codebook),
-      rx_b({10, 6}, 180.0, &codebook);
-  channel::Link link_a(&env_a, &tx_a, &rx_a);
-  channel::Link link_b(&env_b, &tx_b, &rx_b);
-  core::LibraController stepped(&link_a, &em, &test_classifier(), {});
-  core::LibraController phased(&link_b, &em, &test_classifier(), {});
-
-  util::Rng rng_a(21), rng_b(21);
-  stepped.start(rng_a);
-  phased.start(rng_b);
-  for (int i = 0; i < 150; ++i) {
-    if (i == 40) {
-      // Same impairment in both worlds, mid-run: exercises the decision,
-      // the walk and the recovery paths of both drivers.
-      env_a.add_blocker({{6, 6}, 0.3, 35.0});
-      env_b.add_blocker({{6, 6}, 0.3, 35.0});
-    }
-    const core::FrameReport a = stepped.step(rng_a);
-    core::DecisionRequest request = phased.observe(rng_b);
-    const trace::Action verdict = phased.decide(request, rng_b);
-    phased.apply(verdict, request, rng_b);
-    const core::FrameReport& b = request.report;
-
-    ASSERT_EQ(a.t_ms, b.t_ms) << "frame " << i;
-    ASSERT_EQ(a.duration_ms, b.duration_ms) << "frame " << i;
-    ASSERT_EQ(a.tx_beam, b.tx_beam) << "frame " << i;
-    ASSERT_EQ(a.rx_beam, b.rx_beam) << "frame " << i;
-    ASSERT_EQ(a.mcs, b.mcs) << "frame " << i;
-    ASSERT_EQ(a.goodput_mbps, b.goodput_mbps) << "frame " << i;
-    ASSERT_EQ(a.ack, b.ack) << "frame " << i;
-    ASSERT_EQ(a.action, b.action) << "frame " << i;
-  }
-  EXPECT_EQ(stepped.mcs(), phased.mcs());
-  EXPECT_EQ(stepped.tx_beam(), phased.tx_beam());
-  EXPECT_EQ(stepped.time_ms(), phased.time_ms());
-}
-
 TEST_F(LiveFixture, WalkFramesCarryNoDecision) {
   core::RaFirstController ctrl(&link, &em, {});
   util::Rng rng(22);
@@ -263,7 +255,7 @@ TEST_F(LiveFixture, WalkFramesCarryNoDecision) {
   bool saw_walk_frame = false;
   for (int i = 0; i < 40; ++i) {
     core::DecisionRequest request = ctrl.observe(rng);
-    const trace::Action verdict = ctrl.decide(request, rng);
+    const trace::Action verdict = request.resolved_without_inference();
     if (!request.decision_due) {
       saw_walk_frame = true;
       EXPECT_FALSE(request.needs_inference());
@@ -282,16 +274,23 @@ TEST_F(LiveFixture, LibraControllerNeedsClassifier) {
 TEST_F(LiveFixture, LibraControllerRunsAndAdapts) {
   core::LibraController ctrl(&link, &em, &test_classifier(), {});
   util::Rng rng(8);
-  ctrl.start(rng);
-  for (int i = 0; i < 20; ++i) ctrl.step(rng);
-  lobby.add_blocker({{6, 6}, 0.3, 35.0});
+  // Hard blockage from frame 20 to the end of the session.
+  const auto r = sim::run_session(
+      lobby, link, ctrl,
+      scripted(frame_t(170 + kSlack), frame_t(20), frame_t(170 + kSlack),
+               {{6, 6}, 0.3, 35.0}),
+      rng, true);
+  const std::size_t blocked = first_frame_at(r, frame_t(20));
+  ASSERT_GE(r.frame_log.size(), blocked + 100 + 50);
   int adaptations = 0;
-  for (int i = 0; i < 100; ++i) {
-    adaptations += ctrl.step(rng).action != trace::Action::kNA;
+  for (std::size_t i = blocked; i < blocked + 100; ++i) {
+    adaptations += r.frame_log[i].action != trace::Action::kNA;
   }
   EXPECT_GT(adaptations, 0);
   double goodput = 0.0;
-  for (int i = 0; i < 50; ++i) goodput += ctrl.step(rng).goodput_mbps;
+  for (std::size_t i = blocked + 100; i < blocked + 100 + 50; ++i) {
+    goodput += r.frame_log[i].goodput_mbps;
+  }
   EXPECT_GT(goodput / 50, 150.0);
 }
 

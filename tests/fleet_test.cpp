@@ -132,61 +132,6 @@ std::vector<std::unique_ptr<Station>> build_stations(
   return stations;
 }
 
-TEST(Fleet, BitIdenticalToIndependentSessions) {
-  const array::Codebook codebook;
-  constexpr std::uint64_t kSeed = 77;
-
-  // Fleet run: lockstep ticks, batched inference.
-  auto fleet_stations = build_stations(&codebook);
-  std::vector<sim::FleetLink> members;
-  for (auto& s : fleet_stations) {
-    members.push_back({&s->env, &s->link, s->controller.get(), s->script});
-  }
-  sim::FleetConfig cfg;
-  cfg.seed = kSeed;
-  cfg.keep_frame_logs = true;
-  const sim::FleetResult fleet = sim::run_fleet(members, cfg);
-  ASSERT_EQ(fleet.links.size(), fleet_stations.size());
-  EXPECT_GT(fleet.ticks, 0);
-  EXPECT_GT(fleet.batched_rows, 0);  // the LiBRA stations used the engine
-  EXPECT_EQ(fleet.tick_latency_us.count(),
-            static_cast<std::size_t>(fleet.ticks));
-
-  // Serial reference: independent sessions on the same forked streams.
-  auto serial_stations = build_stations(&codebook);
-  util::Rng fleet_rng(kSeed);
-  for (std::size_t i = 0; i < serial_stations.size(); ++i) {
-    util::Rng link_rng = fleet_rng.fork();
-    Station& s = *serial_stations[i];
-    const sim::SessionResult serial = sim::run_session(
-        s.env, s.link, *s.controller, s.script, link_rng,
-        /*keep_frame_log=*/true);
-    const sim::SessionResult& batched = fleet.links[i];
-
-    EXPECT_EQ(batched.frames, serial.frames) << "link " << i;
-    EXPECT_EQ(batched.bytes_mb, serial.bytes_mb) << "link " << i;
-    EXPECT_EQ(batched.avg_goodput_mbps, serial.avg_goodput_mbps)
-        << "link " << i;
-    EXPECT_EQ(batched.adaptations_ba, serial.adaptations_ba) << "link " << i;
-    EXPECT_EQ(batched.adaptations_ra, serial.adaptations_ra) << "link " << i;
-    EXPECT_EQ(batched.outages, serial.outages) << "link " << i;
-    EXPECT_EQ(batched.total_outage_ms, serial.total_outage_ms)
-        << "link " << i;
-    ASSERT_EQ(batched.frame_log.size(), serial.frame_log.size())
-        << "link " << i;
-    for (std::size_t fidx = 0; fidx < serial.frame_log.size(); ++fidx) {
-      const core::FrameReport& a = batched.frame_log[fidx];
-      const core::FrameReport& b = serial.frame_log[fidx];
-      ASSERT_EQ(a.t_ms, b.t_ms) << "link " << i << " frame " << fidx;
-      ASSERT_EQ(a.mcs, b.mcs) << "link " << i << " frame " << fidx;
-      ASSERT_EQ(a.goodput_mbps, b.goodput_mbps)
-          << "link " << i << " frame " << fidx;
-      ASSERT_EQ(a.ack, b.ack) << "link " << i << " frame " << fidx;
-      ASSERT_EQ(a.action, b.action) << "link " << i << " frame " << fidx;
-    }
-  }
-}
-
 // Per-link results from one fleet run, flattened for comparison.
 std::vector<sim::SessionResult> run_build_stations_fleet(
     const array::Codebook* codebook, std::uint64_t seed,
@@ -237,6 +182,68 @@ void expect_links_identical(const std::vector<sim::SessionResult>& a,
       ASSERT_EQ(x.action, y.action) << tag << " link " << i << " frame " << f;
     }
   }
+}
+
+// The serial oracle the fleet loop must reproduce: one link driven by hand
+// through SessionDriver, each request resolved on its own --
+// LibraClassifier::classify() when it needs inference, else
+// resolved_without_inference() -- and every draw taken from `rng`.
+sim::SessionResult run_serial_oracle(Station& s, util::Rng& rng) {
+  sim::SessionDriver driver(s.env, s.link, *s.controller, s.script,
+                            /*keep_frame_log=*/true);
+  driver.start(rng);
+  while (!driver.done()) {
+    core::DecisionRequest request = driver.observe(rng);
+    const trace::Action verdict =
+        request.needs_inference()
+            ? request.classifier->classify(request.features, rng)
+            : request.resolved_without_inference();
+    driver.apply(verdict, request, rng);
+  }
+  return driver.finish();
+}
+
+TEST(Fleet, BitIdenticalToIndependentSessions) {
+  const array::Codebook codebook;
+  constexpr std::uint64_t kSeed = 77;
+
+  // Fleet run: lockstep ticks, batched inference.
+  auto fleet_stations = build_stations(&codebook);
+  std::vector<sim::FleetLink> members;
+  for (auto& s : fleet_stations) {
+    members.push_back({&s->env, &s->link, s->controller.get(), s->script});
+  }
+  sim::FleetConfig cfg;
+  cfg.seed = kSeed;
+  cfg.keep_frame_logs = true;
+  const sim::FleetResult fleet = sim::run_fleet(members, cfg);
+  ASSERT_EQ(fleet.links.size(), fleet_stations.size());
+  EXPECT_GT(fleet.ticks, 0);
+  EXPECT_GT(fleet.batched_rows, 0);  // the LiBRA stations used the engine
+  EXPECT_EQ(fleet.tick_latency_us.count(),
+            static_cast<std::size_t>(fleet.ticks));
+
+  // References on the same forked streams, each in a fresh world: one
+  // run_session per link, and the hand-driven serial oracle.
+  auto session_stations = build_stations(&codebook);
+  auto oracle_stations = build_stations(&codebook);
+  std::vector<sim::SessionResult> sessions;
+  std::vector<sim::SessionResult> oracle;
+  util::Rng fleet_rng(kSeed);
+  for (std::size_t i = 0; i < fleet_stations.size(); ++i) {
+    util::Rng session_rng = fleet_rng.fork();
+    util::Rng oracle_rng = session_rng;
+    Station& s = *session_stations[i];
+    sessions.push_back(sim::run_session(s.env, s.link, *s.controller,
+                                        s.script, session_rng,
+                                        /*keep_frame_log=*/true));
+    oracle.push_back(run_serial_oracle(*oracle_stations[i], oracle_rng));
+    // run_session draws from the caller's stream, exactly as the oracle
+    // does -- not from a fork of it.
+    EXPECT_EQ(session_rng.engine()(), oracle_rng.engine()()) << "link " << i;
+  }
+  expect_links_identical(fleet.links, sessions, "fleet vs run_session");
+  expect_links_identical(fleet.links, oracle, "fleet vs serial oracle");
 }
 
 // The sharding contract on the mixed 4-station fleet: ANY (shards,

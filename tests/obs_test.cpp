@@ -34,12 +34,6 @@ namespace {
 using libra::testing::JsonValue;
 using libra::testing::parse_json;
 
-std::uint64_t counter_value(const obs::MetricsSnapshot& snap,
-                            std::string_view name) {
-  const auto* c = snap.find_counter(name);
-  return c ? c->value : 0;
-}
-
 // ---- histogram merge / snapshot delta (pure data, no registry) -------------
 
 obs::HistogramData make_hist(std::initializer_list<double> samples) {
@@ -306,6 +300,12 @@ TEST(ObsRegistry, HandlesAreFindOrRegister) {
 }
 
 #if LIBRA_OBS_ENABLED
+
+std::uint64_t counter_value(const obs::MetricsSnapshot& snap,
+                            std::string_view name) {
+  const auto* c = snap.find_counter(name);
+  return c ? c->value : 0;
+}
 
 TEST(ObsRegistry, ConcurrentCounterSumsExactly) {
   obs::Registry& reg = obs::Registry::global();
