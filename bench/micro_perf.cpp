@@ -878,44 +878,6 @@ void BM_PearsonSimilarity(benchmark::State& state) {
 }
 BENCHMARK(BM_PearsonSimilarity)->Arg(0)->Arg(1);
 
-// Batched CDF queries: 1024 lookups (P(X <= x)) plus 1024 inverse-CDF
-// interpolations against a 4096-sample empirical CDF per iteration -- the
-// per-metric CDF math of the analysis/eval figures in one shot.
-void BM_CdfBatch(benchmark::State& state) {
-  std::optional<util::simd::ScopedForceScalar> guard;
-  if (state.range(0) != 0) guard.emplace();
-  state.SetLabel(util::simd::active_isa_name());
-  std::vector<double> samples(4096);
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    samples[i] = std::sin(0.37 * static_cast<double>(i)) * 40.0 - 60.0;
-  }
-  const util::EmpiricalCdf cdf(std::move(samples));
-  std::vector<double> xs(1024), qs(1024);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = -100.0 + 0.08 * static_cast<double>(i);
-    qs[i] = static_cast<double>(i) / 1023.0;
-  }
-  std::vector<double> probs(xs.size()), values(qs.size());
-  for (auto _ : state) {
-    cdf.at_many(xs, probs);
-    cdf.quantile_many(qs, values);
-    benchmark::DoNotOptimize(probs.data());
-    benchmark::DoNotOptimize(values.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(xs.size() + qs.size()));
-  cdf.at_many(xs, probs);
-  cdf.quantile_many(qs, values);
-  state.counters["bit_identical"] = [&] {
-    util::simd::ScopedForceScalar scalar;
-    std::vector<double> p2(xs.size()), v2(qs.size());
-    cdf.at_many(xs, p2);
-    cdf.quantile_many(qs, v2);
-    return probs == p2 && values == v2;
-  }();
-}
-BENCHMARK(BM_CdfBatch)->Arg(0)->Arg(1);
-
 void BM_SimulatedEvent(benchmark::State& state) {
   auto& f = Fixture::get();
   const sim::EventSimulator simulator(&f.classifier);

@@ -150,12 +150,6 @@ trace::Action LibraClassifier::classify(const trace::FeatureVector& features,
 
 std::vector<trace::Action> LibraClassifier::classify_batch(
     std::span<const trace::FeatureVector> features,
-    std::span<util::Rng* const> rngs) const {
-  return classify_batch(features, rngs, cfg_.backend);
-}
-
-std::vector<trace::Action> LibraClassifier::classify_batch(
-    std::span<const trace::FeatureVector> features,
     std::span<util::Rng* const> rngs, DecisionBackend* backend) const {
   if (!trained_) throw std::logic_error("classifier not trained");
   if (features.size() != rngs.size()) {
@@ -195,7 +189,7 @@ std::vector<trace::Action> LibraClassifier::classify_batch(
     rows.add(add_window_noise(features[i], *rngs[i]).v, 0);
   }
   // One pooled pass over every link's (finite) row: through the backend
-  // when one is attached (possibly a socket round trip), else the
+  // when one is given (possibly a socket round trip), else the
   // in-process forest. The jitter above has already consumed each link's
   // draws either way, so a BackendOutageError thrown here leaves the
   // streams exactly where a successful batch would have.

@@ -11,9 +11,10 @@
 // Serving: every (re)train fits the ml::RandomForest and freezes it into
 // one ml::CompiledForest, and every verdict -- classify() is a one-row
 // classify_batch() -- is decided from that compiled engine's vote
-// fractions (or from an attached DecisionBackend's). The compiled engine
-// makes exactly the pointer walk's comparisons, so the verdicts are the
-// pointer-walk verdicts bit for bit.
+// fractions, or from the DecisionBackend the fleet engine passes in from
+// FleetConfig::backend. The compiled engine makes exactly the pointer
+// walk's comparisons, so the verdicts are the pointer-walk verdicts bit
+// for bit.
 #pragma once
 
 #include <memory>
@@ -58,14 +59,6 @@ struct LibraClassifierConfig {
   // default is to reject loudly: a non-finite feature reaching inference is
   // a caller bug unless the caller opted into graceful degradation.
   NonFiniteFeaturePolicy non_finite_policy = NonFiniteFeaturePolicy::kReject;
-  // Where vote fractions are computed (core/decision_backend.h). Null (the
-  // default) serves through this classifier's own forest -- exactly the
-  // pre-backend behavior; a remote backend ships the jittered rows to an
-  // inference daemon instead. Non-owning; jitter/filtering/gating always
-  // stay on this side, so a loopback remote backend serving the same forest
-  // is bit-identical to null. On BackendOutageError callers substitute
-  // DecisionRequest::outage_fallback (degradation-ladder rung 2).
-  DecisionBackend* backend = nullptr;
 };
 
 class LibraClassifier {
@@ -97,21 +90,20 @@ class LibraClassifier {
 
   // Batched classification for fleet serving: row i draws its
   // observation-window jitter from rngs[i] (each link's own stream, in row
-  // order), then every row rides one CompiledForest::vote_fractions_batch
-  // call on the forest's thread pool, then min_confidence gates each row.
+  // order), then every row's vote fractions come from one pass, then
+  // min_confidence gates each row. The pass is `backend`'s vote_batch when
+  // one is given (the fleet engine passes FleetConfig::backend), else one
+  // CompiledForest::vote_fractions_batch call on the forest's thread pool.
+  // Jitter, filtering and gating always stay on this side, so a loopback
+  // remote backend serving the same forest is bit-identical to null.
   // Verdicts are bit-identical to N one-row calls consuming the same
-  // per-link streams.
+  // per-link streams. Throws BackendOutageError when the backend cannot
+  // answer -- after the per-row jitter draws have been consumed, so a
+  // retried frame replays deterministically.
   std::vector<trace::Action> classify_batch(
       std::span<const trace::FeatureVector> features,
-      std::span<util::Rng* const> rngs) const;
-  // Same, with an explicit backend overriding cfg_.backend (null = serve
-  // through the classifier's own forest). The fleet engine uses this for
-  // FleetConfig::backend. Throws BackendOutageError when the backend
-  // cannot answer -- after the per-row jitter draws have been consumed, so
-  // a retried frame replays deterministically.
-  std::vector<trace::Action> classify_batch(
-      std::span<const trace::FeatureVector> features,
-      std::span<util::Rng* const> rngs, DecisionBackend* backend) const;
+      std::span<util::Rng* const> rngs,
+      DecisionBackend* backend = nullptr) const;
 
   // The missing-ACK fallback rule.
   trace::Action no_ack_action(phy::McsIndex current_mcs,
@@ -121,12 +113,6 @@ class LibraClassifier {
   // The fitted model (pointer walk) and its compiled serving form.
   const ml::RandomForest& forest() const { return forest_; }
   const ml::CompiledForest& compiled() const { return compiled_; }
-
-  // Swap the decision backend after construction (e.g. attach an
-  // rpc::RemoteBackend once the daemon address is known). Non-owning;
-  // nullptr restores in-process serving.
-  void set_backend(DecisionBackend* backend) { cfg_.backend = backend; }
-  DecisionBackend* backend() const { return cfg_.backend; }
 
   // Share an external worker pool for (re)training instead of the forest's
   // own lazily created one (e.g. one pool across many live sessions).

@@ -396,8 +396,7 @@ void LibraController::plan(DecisionRequest& request, util::Rng& rng) {
 }
 
 bool LibraController::backend_unreachable(double t_ms) {
-  DecisionBackend* backend = classifier_->backend();
-  if (backend == nullptr || backend->local()) return false;
+  if (backend_ == nullptr || backend_->backend->local()) return false;
   // Injected transport faults fire at this seam -- the moment the
   // controller would commit to a remote round trip. Checked before the
   // health probe, and a 100%-probability window consumes no draws, so a
@@ -409,12 +408,13 @@ bool LibraController::backend_unreachable(double t_ms) {
     }
     const faults::FaultInjector::Verdict delayed =
         faults_->query(faults::FaultKind::kRpcDelay, t_ms);
-    if (delayed.fired && delayed.magnitude >= backend->deadline_ms()) {
+    if (delayed.fired &&
+        delayed.magnitude >= backend_->backend->deadline_ms()) {
       outage_fallback_counter().inc();
       return true;
     }
   }
-  if (!backend->available()) {
+  if (!backend_->available) {
     outage_fallback_counter().inc();
     return true;
   }

@@ -32,6 +32,7 @@
 #include <optional>
 
 #include "core/classifier.h"
+#include "core/decision_backend.h"
 #include "core/rate_adaptation.h"
 #include "faults/faults.h"
 #include "mac/ack.h"
@@ -134,6 +135,13 @@ class LinkController {
   void set_fault_injector(faults::FaultInjector* injector) {
     faults_ = injector;
   }
+  // Attach the backend the fleet's decide phase serves this link's rows
+  // through (FleetConfig::backend) with its per-tick health, or detach
+  // with nullptr, so the plan seam can check the transport before
+  // committing to a request. Non-owning; sim::run_fleet is the only caller.
+  void set_decision_backend(const AttachedBackend* backend) {
+    backend_ = backend;
+  }
 
   double time_ms() const { return t_ms_; }
   array::BeamId tx_beam() const { return tx_beam_; }
@@ -195,6 +203,7 @@ class LinkController {
   double ack_loss_ewma_ = 0.0;
 
   faults::FaultInjector* faults_ = nullptr;  // non-owning; nullptr = clean
+  const AttachedBackend* backend_ = nullptr;  // non-owning; nullptr = none
   // Last clean observation, replayed by kStalePhy faults.
   std::optional<phy::PhyObservation> last_clean_obs_;
 
@@ -214,12 +223,13 @@ class LibraController : public LinkController {
                     const DecisionRequest& request) override;
 
  private:
-  // Degradation ladder rung 2, transport flavor: true when the classifier
-  // serves through a *remote* decision backend that cannot answer this
-  // frame -- an injected kRpcDrop, a kRpcDelay at/past the backend's
-  // deadline, or a failed health probe (daemon down, reconnect pending).
-  // Always false for in-process backends. Queries the fault stream in a
-  // fixed order (drop, then delay) so faulted runs replay bit-for-bit.
+  // Degradation ladder rung 2, transport flavor: true when the attached
+  // decision backend is *remote* and cannot answer this frame -- an
+  // injected kRpcDrop, a kRpcDelay at/past the backend's deadline, or a
+  // failed health probe this tick (daemon down, reconnect pending).
+  // Always false with no backend or an in-process one. Queries the fault
+  // stream in a fixed order (drop, then delay) so faulted runs replay
+  // bit-for-bit.
   bool backend_unreachable(double t_ms);
 
   const LibraClassifier* classifier_;  // non-owning

@@ -269,8 +269,8 @@ class FleetTrainer {
   // the forest is unfitted or unpackable.
   void seed_model(const ml::RandomForest& forest);
 
-  // Serving access: point FleetConfig::backend (or a classifier's backend)
-  // here and every batch rides the trainer's current generation.
+  // Serving access: point FleetConfig::backend here and every batch rides
+  // the trainer's current generation.
   DecisionBackend* backend() { return &backend_; }
   const ModelSlot& slot() const { return slot_; }
   std::uint64_t generation() const { return slot_.generation(); }

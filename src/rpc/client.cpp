@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -66,15 +67,19 @@ bool send_all(int fd, std::span<const std::uint8_t> bytes) {
   return true;
 }
 
+// +inf (no deadline) stays the zero timeval, which setsockopt reads as
+// "block forever"; the constructor rejects NaN and non-positive values.
+// A finite deadline rounds up to whole microseconds, so a tiny one is at
+// least 1 us rather than the zero timeval, and clamps at kMaxDeadlineUs
+// (~31 years) so a huge one cannot overflow the conversion.
 timeval deadline_to_timeval(double deadline_ms) {
+  constexpr double kMaxDeadlineUs = 1e15;
   timeval tv{};
-  if (deadline_ms > 0.0 && std::isfinite(deadline_ms)) {
-    const long total_us = static_cast<long>(deadline_ms * 1000.0);
-    tv.tv_sec = total_us / 1000000;
-    tv.tv_usec = total_us % 1000000;
-    // A zero timeval means "block forever" to setsockopt; round a tiny
-    // deadline up to 1us so it still behaves as a deadline.
-    if (tv.tv_sec == 0 && tv.tv_usec == 0) tv.tv_usec = 1;
+  if (std::isfinite(deadline_ms)) {
+    const auto total_us = static_cast<std::int64_t>(
+        std::min(std::ceil(deadline_ms * 1000.0), kMaxDeadlineUs));
+    tv.tv_sec = static_cast<time_t>(total_us / 1000000);
+    tv.tv_usec = static_cast<suseconds_t>(total_us % 1000000);
   }
   return tv;
 }
@@ -127,6 +132,11 @@ DecisionClient::DecisionClient(ClientConfig cfg) : cfg_(std::move(cfg)) {
       cfg_.unix_socket.size() >= sizeof(sockaddr_un{}.sun_path)) {
     throw std::invalid_argument("DecisionClient: unix socket path too long: " +
                                 cfg_.unix_socket);
+  }
+  if (!(cfg_.deadline_ms > 0.0)) {  // also rejects NaN
+    throw std::invalid_argument(
+        "DecisionClient: deadline_ms must be > 0 (+inf for none), got " +
+        std::to_string(cfg_.deadline_ms));
   }
 }
 

@@ -1,13 +1,14 @@
 // Client side of the decision wire protocol: a blocking request/reply
 // socket client (DecisionClient) plus the core::DecisionBackend adapter
-// (RemoteBackend) that plugs it into LibraClassifier / the fleet engine.
+// (RemoteBackend) that plugs it into the fleet engine as
+// sim::FleetConfig::backend.
 //
 // Failure contract: every transport problem -- connect refused, send/recv
 // error, per-request deadline expiry, malformed or mismatched reply --
 // surfaces as core::BackendOutageError from RemoteBackend::vote_batch().
-// The controller catches that and falls back to the rung-2 RA-first rule
-// (the same rung as faults::kClassifierOutage), so a dead or flaky daemon
-// degrades the fleet instead of crashing it.
+// The fleet's decide phase catches that and falls back to the rung-2
+// RA-first rule (the same rung as faults::kClassifierOutage), so a dead or
+// flaky daemon degrades the fleet instead of crashing it.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +30,9 @@ struct ClientConfig {
   std::string host = "127.0.0.1";
   int port = 0;
   // Per-request deadline (SO_RCVTIMEO/SO_SNDTIMEO). A reply slower than
-  // this is an outage, matching the faults::kRpcDelay semantics.
+  // this is an outage, matching the faults::kRpcDelay semantics. Must be
+  // > 0; +inf means no deadline. DecisionClient throws
+  // std::invalid_argument on NaN or <= 0.
   double deadline_ms = 250.0;
   // After a transport error the client retries the request once on a
   // fresh connection before declaring an outage.
@@ -48,6 +51,8 @@ ClientConfig parse_remote_addr(const std::string& addr);
 // BackendOutageError).
 class DecisionClient {
  public:
+  // Throws std::invalid_argument on a TCP port outside [1, 65535], an
+  // over-long unix socket path, or a NaN / non-positive deadline_ms.
   explicit DecisionClient(ClientConfig cfg);
   ~DecisionClient();
 
@@ -107,9 +112,9 @@ class DecisionClient {
 
 // core::DecisionBackend over a DecisionClient: the "remote:" side of
 // --backend. vote_batch() throws core::BackendOutageError on any failure;
-// available() probes the connection (with reconnect) so the controller's
-// plan-time transport check can pre-declare the outage before any verdict
-// is needed.
+// available() probes the connection (with reconnect); run_fleet calls it
+// once per tick so the controllers' plan-time transport check can
+// pre-declare the outage before any verdict is needed.
 class RemoteBackend final : public core::DecisionBackend {
  public:
   explicit RemoteBackend(ClientConfig cfg);

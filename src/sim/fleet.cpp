@@ -91,9 +91,12 @@ struct Shard {
 
 // The per-frame observe -> decide -> apply loop of Algorithm 1, shared by
 // run_fleet (streams forked off the fleet seed) and run_session (a one-link
-// span over the caller's stream). Link i draws only from rngs[i].
+// span over the caller's stream). Link i draws only from rngs[i]. A
+// non-null `attached` (run_fleet's, wrapping cfg.backend) gets its health
+// refreshed once per tick.
 FleetResult run_links(std::span<const FleetLink> links,
-                      std::span<util::Rng> rngs, const FleetConfig& cfg) {
+                      std::span<util::Rng> rngs, const FleetConfig& cfg,
+                      core::AttachedBackend* attached) {
   FleetMetrics& metrics = fleet_metrics();
   std::vector<SessionDriver> drivers;
   drivers.reserve(links.size());
@@ -223,14 +226,9 @@ FleetResult run_links(std::span<const FleetLink> links,
       OBS_SPAN("fleet.decide", &metrics.decide_us);
       for (Group& group : shard.groups) {
         if (group.rows.empty()) continue;
-        // FleetConfig::backend overrides every classifier's own backend;
-        // null falls through to whatever the classifier was configured
-        // with (in-process by default).
-        core::DecisionBackend* backend =
-            cfg.backend != nullptr ? cfg.backend : group.key->backend();
         try {
-          const std::vector<trace::Action> batch =
-              group.key->classify_batch(group.rows, group.row_rngs, backend);
+          const std::vector<trace::Action> batch = group.key->classify_batch(
+              group.rows, group.row_rngs, cfg.backend);
           for (std::size_t m = 0; m < batch.size(); ++m) {
             shard.verdicts[group.row_slot[m]] = batch[m];
           }
@@ -287,6 +285,14 @@ FleetResult run_links(std::span<const FleetLink> links,
   while (any_active) {
     const obs::StopWatch tick_watch;
     OBS_SPAN("fleet.tick");
+    // The plan seam's health probe, taken here in the serial region so
+    // every link of the tick reads the same value: a shard whose failed
+    // batch closes the shared connection mid-tick cannot turn a later
+    // shard's links into plan-time fallbacks, and the result does not
+    // depend on the (shards, threads) grid or the thread schedule.
+    if (attached != nullptr && !attached->backend->local()) {
+      attached->available = attached->backend->available();
+    }
     util::parallel_for(pool, shards.size(), [&](std::size_t s) {
       if (!shards[s].finished) tick_shard(s, tick);
     });
@@ -390,30 +396,40 @@ FleetResult run_fleet(std::span<const FleetLink> links,
     rngs.push_back(fleet_rng.fork());
   }
 
-  // Fault streams are forked off the *fault* seed, again in global link
-  // order -- never off the simulation streams, so attaching a plan perturbs
-  // nothing but the faults it injects, and an empty plan attaches nothing
-  // at all. The guard detaches every injector on any exit path
+  // Every controller sees cfg.backend (with its per-tick health) at its
+  // plan seam, so a remote backend's health probe and the
+  // kRpcDrop/kRpcDelay faults fire before a request is made. Fault streams
+  // are forked off the *fault* seed, again in global link order -- never
+  // off the simulation streams, so attaching a plan perturbs nothing but
+  // the faults it injects, and an empty plan attaches no injector at all.
+  // The guard detaches the backend and every injector on any exit path
   // (controllers are non-owning and may outlive this call).
+  core::AttachedBackend attached{cfg.backend};  // outlives the guard
+  core::AttachedBackend* const seam =
+      cfg.backend != nullptr ? &attached : nullptr;
   struct InjectorGuard {
     std::span<const FleetLink> links;
     std::vector<faults::FaultInjector> injectors;
     ~InjectorGuard() {
-      for (std::size_t i = 0; i < injectors.size(); ++i) {
-        links[i].controller->set_fault_injector(nullptr);
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        links[i].controller->set_decision_backend(nullptr);
+        if (i < injectors.size()) {
+          links[i].controller->set_fault_injector(nullptr);
+        }
       }
     }
   } guard{links, {}};
-  if (!cfg.faults.empty()) {
-    util::Rng fault_rng(cfg.faults.seed);
-    guard.injectors.reserve(links.size());
-    for (std::size_t i = 0; i < links.size(); ++i) {
+  util::Rng fault_rng(cfg.faults.seed);
+  if (!cfg.faults.empty()) guard.injectors.reserve(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    links[i].controller->set_decision_backend(seam);
+    if (!cfg.faults.empty()) {
       guard.injectors.emplace_back(&cfg.faults, fault_rng.fork());
       links[i].controller->set_fault_injector(&guard.injectors[i]);
     }
   }
 
-  FleetResult result = run_links(links, rngs, cfg);
+  FleetResult result = run_links(links, rngs, cfg, seam);
   result.metrics = obs::Registry::global().snapshot();
   return result;
 }
@@ -425,7 +441,8 @@ SessionResult run_session(env::Environment& environment, channel::Link& link,
   const FleetLink member{&environment, &link, &controller, script};
   FleetConfig cfg;
   cfg.keep_frame_logs = keep_frame_log;
-  return std::move(run_links({&member, 1}, {&rng, 1}, cfg).links.front());
+  return std::move(
+      run_links({&member, 1}, {&rng, 1}, cfg, nullptr).links.front());
 }
 
 }  // namespace libra::sim

@@ -77,16 +77,20 @@ struct FleetConfig {
   // bit-identical for any value. Throws std::invalid_argument on negative
   // shards/num_threads.
   int num_threads = 1;
-  // Decision backend override for the decide phase (core/decision_backend.h).
-  // Null (the default) leaves every classifier serving through its own
-  // config -- in-process unless the classifier itself carries a backend. A
-  // remote backend here ships every shard's jittered rows to an inference
+  // Where the decide phase's vote fractions come from
+  // (core/decision_backend.h) -- the only way to choose. Null (the
+  // default) serves every classifier through its own compiled forest. A
+  // remote backend ships every shard's jittered rows to an inference
   // daemon; a loopback daemon serving the same forest is bit-identical to
-  // local for any (shards, num_threads). When the backend cannot answer
-  // (BackendOutageError), every row of the failed batch falls back to its
-  // plan-time rung-2 verdict (DecisionRequest::outage_fallback -- the same
-  // RA-first rule as a classifier outage) and rpc.outage_fallbacks counts
-  // the rows. Non-owning.
+  // local for any (shards, num_threads). run_fleet also attaches it to
+  // every controller for the run, so a remote backend's plan-time checks
+  // (a health probe taken once per tick for the whole fleet, kRpcDrop,
+  // kRpcDelay past the deadline) degrade a decision before it is
+  // requested. When the backend fails at decide
+  // time (BackendOutageError), every row of the failed batch falls back
+  // to its plan-time rung-2 verdict (DecisionRequest::outage_fallback --
+  // the same RA-first rule as a classifier outage). rpc.outage_fallbacks
+  // counts both kinds. Non-owning.
   core::DecisionBackend* backend = nullptr;
   // Deterministic fault schedule (faults/faults.h). Every link gets its own
   // fault stream, forked off Rng(faults.seed) in link order -- disjoint

@@ -42,17 +42,6 @@ class EmpiricalCdf {
   // Inverse CDF; q in [0,1]. Linear interpolation between order statistics.
   double quantile(double q) const;
 
-  // Batched queries for the per-metric CDF math on the serving path: one
-  // lane-parallel branchless binary search per query (fixed trip count, so
-  // the AVX2 path runs the same comparisons and the results are
-  // bit-identical to the scalar loop on every ISA). at_many counts NaN
-  // queries as 0 (no sample is <= NaN); at() keeps upper_bound's historic
-  // NaN-goes-last answer, the one place the two differ. out must match
-  // the query span's length.
-  void at_many(std::span<const double> xs, std::span<double> out) const;
-  // Elementwise quantile(); same interpolation formula, bit-identical
-  // across ISAs. Throws like quantile() when the CDF is empty.
-  void quantile_many(std::span<const double> qs, std::span<double> out) const;
   std::size_t size() const { return sorted_.size(); }
   const std::vector<double>& sorted() const { return sorted_; }
 

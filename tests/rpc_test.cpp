@@ -465,6 +465,37 @@ TEST(RpcClient, ParseRemoteAddrForms) {
   EXPECT_THROW(rpc::parse_remote_addr(":9000"), std::invalid_argument);
 }
 
+// A NaN or non-positive deadline would leave the socket blocking forever
+// while the plan seam counted every injected kRpcDelay as past it; +inf is
+// the one way to ask for no deadline. Every accepted finite value, down to
+// a sub-microsecond one and up to one far past any socket timeout, must
+// also connect (the socket timeout is set on connect).
+TEST(RpcClient, DeadlineMustBePositiveOrInfinite) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  rpc::ClientConfig cfg;
+  cfg.unix_socket = unique_socket_path();
+  for (const double bad :
+       {0.0, -0.0, -1.0, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.deadline_ms = bad;
+    EXPECT_THROW(rpc::DecisionClient client(cfg), std::invalid_argument)
+        << "deadline_ms=" << bad;
+    EXPECT_THROW(rpc::RemoteBackend backend(cfg), std::invalid_argument)
+        << "deadline_ms=" << bad;
+  }
+  rpc::ServerConfig scfg;
+  scfg.unix_socket = cfg.unix_socket;
+  rpc::DecisionServer server(scfg);
+  server.start();
+  for (const double good : {5e-4, 1e-3, 250.0, 1e300, kInf}) {
+    cfg.deadline_ms = good;
+    EXPECT_NO_THROW({
+      rpc::DecisionClient client(cfg);
+      EXPECT_TRUE(client.connect()) << "deadline_ms=" << good;
+    }) << "deadline_ms=" << good;
+  }
+  server.stop();
+}
+
 // ---------- server/client loopback ----------
 
 TEST(RpcLoopback, HelloPingClassifyMatchInProcessBitExact) {
@@ -982,8 +1013,8 @@ TEST(RpcFleet, DeadBackendFromStartEqualsFullClassifierOutage) {
   dead.deadline_ms = 50.0;
   rpc::RemoteBackend backend(dead);
   core::LibraClassifier remote_clf = make_classifier();
-  remote_clf.set_backend(&backend);  // plan-time transport check sees it
-  const sim::FleetResult degraded = run_station_fleet(&remote_clf, kSeed);
+  const sim::FleetResult degraded =
+      run_station_fleet(&remote_clf, kSeed, &backend);
 
   expect_frame_logs_identical(outaged, degraded);
 #if LIBRA_OBS_ENABLED
@@ -1018,13 +1049,12 @@ TEST(RpcFleet, FullRpcDropEqualsFullClassifierOutage) {
   rpc::ClientConfig ccfg;
   ccfg.unix_socket = scfg.unix_socket;
   rpc::RemoteBackend backend(ccfg);
-  remote_clf.set_backend(&backend);
 
   faults::FaultPlan drop;
   drop.seed = kFaultSeed;
   drop.add(faults::FaultKind::kRpcDrop, 1.0);
   const sim::FleetResult dropped =
-      run_station_fleet(&remote_clf, kSeed, nullptr, 0, 1, drop);
+      run_station_fleet(&remote_clf, kSeed, &backend, 0, 1, drop);
   server.stop();
 
   expect_frame_logs_identical(outaged, dropped);
@@ -1046,7 +1076,6 @@ TEST(RpcFleet, RpcDelayPastDeadlineIsAnOutageBelowItIsNot) {
   ccfg.unix_socket = scfg.unix_socket;
   ccfg.deadline_ms = 250.0;
   rpc::RemoteBackend backend(ccfg);
-  clf.set_backend(&backend);
 
   // Slow (at the deadline) == a full classifier outage.
   core::LibraClassifier outage_clf = make_classifier();
@@ -1061,17 +1090,17 @@ TEST(RpcFleet, RpcDelayPastDeadlineIsAnOutageBelowItIsNot) {
   slow.add(faults::FaultKind::kRpcDelay, 1.0, 0.0, faults::kForever,
            /*magnitude=*/250.0);
   const sim::FleetResult delayed =
-      run_station_fleet(&clf, kSeed, nullptr, 0, 1, slow);
+      run_station_fleet(&clf, kSeed, &backend, 0, 1, slow);
   expect_frame_logs_identical(outaged, delayed);
 
   // Fast (under the deadline) == a clean loopback run.
-  const sim::FleetResult clean = run_station_fleet(&clf, kSeed);
+  const sim::FleetResult clean = run_station_fleet(&clf, kSeed, &backend);
   faults::FaultPlan mild;
   mild.seed = kFaultSeed;
   mild.add(faults::FaultKind::kRpcDelay, 1.0, 0.0, faults::kForever,
            /*magnitude=*/10.0);
   const sim::FleetResult mildly_delayed =
-      run_station_fleet(&clf, kSeed, nullptr, 0, 1, mild);
+      run_station_fleet(&clf, kSeed, &backend, 0, 1, mild);
   server.stop();
   expect_frame_logs_identical(clean, mildly_delayed);
 }
@@ -1079,13 +1108,17 @@ TEST(RpcFleet, RpcDelayPastDeadlineIsAnOutageBelowItIsNot) {
 // Kill the daemon under a fleet that is mid-run via FleetConfig::backend:
 // the decide-phase BackendOutageError path substitutes every affected
 // row's plan-time fallback verdict. The run must complete every link, not
-// crash, count its fallbacks, and stay deterministic (two identical
-// dead-server runs produce the same digest).
+// crash, count its fallbacks, and stay deterministic: two identical
+// dead-server runs, and runs on other (shards, threads) grids, produce the
+// same frames and batch the same rows. The grid points matter because the
+// health probe reads socket state that every shard shares: a shard whose
+// failed batch closes the connection must not turn a later shard's links
+// in the same tick into plan-time fallbacks.
 TEST(RpcFleet, ServerKilledBeforeDecideDegradesAndStaysDeterministic) {
   constexpr std::uint64_t kSeed = 77;
   const core::LibraClassifier clf = make_classifier();
 
-  auto run_against_killed_server = [&] {
+  auto run_against_killed_server = [&](int shards, int threads) {
     rpc::ServerConfig scfg;
     scfg.unix_socket = unique_socket_path();
     rpc::DecisionServer server(scfg);
@@ -1096,12 +1129,12 @@ TEST(RpcFleet, ServerKilledBeforeDecideDegradesAndStaysDeterministic) {
     ccfg.deadline_ms = 100.0;
     rpc::RemoteBackend backend(ccfg);
     // Establish the connection the fleet will try to use, then kill the
-    // daemon: every classify hits a dead socket at decide time -- the
-    // rung-2 check cannot pre-empt it because FleetConfig::backend is
-    // invisible at plan time (that asymmetry is the point of this test).
+    // daemon. The plan-time probe still sees the open connection, so the
+    // first classify hits the dead socket at decide time -- the path this
+    // test is about; the probe pre-empts the ticks after it.
     EXPECT_TRUE(backend.available());
     server.stop();
-    return run_station_fleet(&clf, kSeed, &backend);
+    return run_station_fleet(&clf, kSeed, &backend, shards, threads);
   };
 
 #if LIBRA_OBS_ENABLED
@@ -1111,14 +1144,28 @@ TEST(RpcFleet, ServerKilledBeforeDecideDegradesAndStaysDeterministic) {
   const std::uint64_t fallbacks_before =
       before != nullptr ? before->value : 0;
 #endif
-  const sim::FleetResult first = run_against_killed_server();
+  const sim::FleetResult first = run_against_killed_server(0, 1);
   EXPECT_GT(first.batched_rows, 0);
-  const sim::FleetResult second = run_against_killed_server();
+  const sim::FleetResult second = run_against_killed_server(0, 1);
   ASSERT_EQ(first.links.size(), 4u);
   for (const sim::SessionResult& link : first.links) {
     EXPECT_GT(link.frames, 0);
   }
   expect_frame_logs_identical(first, second);
+  const struct {
+    int shards;
+    int threads;
+  } grid[] = {{1, 1}, {3, 1}, {2, 4}};
+  for (const auto& g : grid) {
+    SCOPED_TRACE("shards=" + std::to_string(g.shards) +
+                 " threads=" + std::to_string(g.threads));
+    const sim::FleetResult other =
+        run_against_killed_server(g.shards, g.threads);
+    expect_frame_logs_identical(first, other);
+    // Rows shipped to the backend: each one consumed its link's jitter
+    // draws, so every grid must ship the same ones.
+    EXPECT_EQ(first.batched_rows, other.batched_rows);
+  }
 #if LIBRA_OBS_ENABLED
   const obs::MetricsSnapshot snap_after = obs::Registry::global().snapshot();
   const auto* after = snap_after.find_counter("rpc.outage_fallbacks");

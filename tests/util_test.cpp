@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <limits>
 #include <numbers>
 #include <stdexcept>
 #include <vector>
@@ -502,33 +501,6 @@ TEST(Fft, MagnitudeSpectrumEmptyInput) {
 // scalar loops, so fleet digests cannot move with the dispatched ISA.
 // These run the same inputs through the auto dispatch and the forced-scalar
 // override and require exact equality.
-
-TEST(SimdParity, CdfBatchQueriesBitIdenticalToScalar) {
-  Rng rng(7);
-  std::vector<double> samples(257);  // odd size: exercises remainder lanes
-  for (auto& s : samples) s = rng.gaussian(0, 5);
-  const EmpiricalCdf cdf(samples);
-  std::vector<double> xs(131), qs(131);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.gaussian(0, 8);
-    qs[i] = rng.uniform(-0.2, 1.2);  // quantile_many clamps out-of-range
-  }
-  xs[3] = std::numeric_limits<double>::quiet_NaN();  // counted below min
-  std::vector<double> at_auto(xs.size()), q_auto(qs.size());
-  cdf.at_many(xs, at_auto);
-  cdf.quantile_many(qs, q_auto);
-  // Batched queries agree with the one-at-a-time reference API.
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (std::isnan(xs[i])) continue;
-    EXPECT_EQ(at_auto[i], cdf.at(xs[i])) << "i=" << i;
-  }
-  simd::ScopedForceScalar scalar;
-  std::vector<double> at_ref(xs.size()), q_ref(qs.size());
-  cdf.at_many(xs, at_ref);
-  cdf.quantile_many(qs, q_ref);
-  EXPECT_EQ(at_auto, at_ref);
-  EXPECT_EQ(q_auto, q_ref);
-}
 
 TEST(SimdParity, PearsonBitIdenticalToScalar) {
   Rng rng(8);
