@@ -4,6 +4,7 @@
 // (from which the PHY layer synthesizes the PDP and the ToF).
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -53,6 +54,16 @@ class Link {
   // Total received power: non-coherent sum over paths. Returns a very low
   // floor (-200 dBm) when no path exists.
   double rx_power_dbm(array::BeamId tx_beam, array::BeamId rx_beam) const;
+  // The same total from contributions() already evaluated for a beam pair,
+  // so a caller that needs both pays for one channel pass.
+  double rx_power_dbm(
+      const std::vector<PathContribution>& contributions) const;
+
+  // rx_power_dbm() for every Tx x Rx codebook beam pair, tb-major (entry
+  // tb * n_rx + rb), each bit-identical to rx_power_dbm(tb, rb). The
+  // beam-independent path terms and the per-beam gain tables are computed
+  // once for the whole grid -- the kernel of an exhaustive sector sweep.
+  std::vector<double> rx_power_grid_dbm() const;
 
   // SINR over the effective noise floor seen by this Rx beam while the
   // interferer (if any) is transmitting (thermal + flat rise + interferer
@@ -62,7 +73,10 @@ class Link {
   // SNR excluding the burst interferer (between bursts).
   double snr_clean_db(array::BeamId tx_beam, array::BeamId rx_beam) const;
 
-  double thermal_floor_dbm() const { return thermal_floor_dbm_; }
+  // Noise floor between interference bursts: thermal plus the flat rise.
+  double clean_floor_dbm() const {
+    return thermal_floor_dbm_ + interference_rise_db_;
+  }
   // Effective noise floor for a given Rx beam. With kQuasiOmni this is what
   // a COTS device would report as its noise level.
   double noise_floor_dbm(array::BeamId rx_beam = array::kQuasiOmni) const;
@@ -76,7 +90,6 @@ class Link {
   void set_interference_rise_db(double rise_db) {
     interference_rise_db_ = rise_db;
   }
-  double interference_rise_db() const { return interference_rise_db_; }
 
   // Directional hidden-terminal interferer; coupling depends on the Rx beam.
   void set_interferer(std::optional<Interferer> interferer);
@@ -94,6 +107,25 @@ class Link {
   const LinkBudgetConfig& budget() const { return cfg_; }
 
  private:
+  // The beam-independent terms of one path's received power.
+  struct PathTerms {
+    double path_loss_db;
+    double reflection_loss_db;
+    double blockage_db;  // summed over the path's legs
+  };
+  PathTerms path_terms(const Path& p) const;
+  // The per-path power formula every query shares. The left-to-right order
+  // is part of the bit-exactness contract: pre-summing the losses would
+  // round differently.
+  double path_power_dbm(const PathTerms& t, double tx_gain_dbi,
+                        double rx_gain_dbi) const {
+    return cfg_.tx_power_dbm + tx_gain_dbi + rx_gain_dbi - t.path_loss_db -
+           t.reflection_loss_db - t.blockage_db;
+  }
+  // Non-coherent sum of n per-path powers (dBm) plus the fade.
+  template <typename PowerAt>
+  double sum_power_dbm(std::size_t n, PowerAt power_at) const;
+
   const env::Environment* env_;  // non-owning
   array::PhasedArray* tx_;       // non-owning
   array::PhasedArray* rx_;       // non-owning

@@ -131,7 +131,7 @@ void LinkController::start(util::Rng& rng) {
   phy::McsIndex best = 0;
   for (phy::McsIndex m = top; m >= 0; --m) {
     const phy::PhyObservation obs =
-        sampler_.observe(*link_, tx_beam_, rx_beam_, m, rng);
+        sampler_.observe_rate(*link_, tx_beam_, rx_beam_, m, rng);
     if (is_working(obs.cdr, obs.throughput_mbps) &&
         obs.throughput_mbps > best_tput) {
       best_tput = obs.throughput_mbps;
@@ -321,7 +321,7 @@ void LinkController::apply(trace::Action verdict, DecisionRequest& request,
       view.cdr[cur] = request.obs.cdr;
       view.throughput_mbps[cur] = request.obs.throughput_mbps;
       if (mcs_ < error_model_->table().max_mcs()) {
-        const phy::PhyObservation up = sampler_.observe(
+        const phy::PhyObservation up = sampler_.observe_rate(
             *link_, tx_beam_, rx_beam_, mcs_ + 1, rng);
         view.cdr[cur + 1] = up.cdr;
         view.throughput_mbps[cur + 1] = up.throughput_mbps;

@@ -1,6 +1,7 @@
 #include "mac/beam_training.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace libra::mac {
 
@@ -17,9 +18,18 @@ SweepResult BeamTrainer::exhaustive(const channel::Link& link,
   best.snr_db = -1e9;
   const int n_tx = link.tx().codebook().size();
   const int n_rx = link.rx().codebook().size();
+  // The channel side of every probe, evaluated once per sweep; only the
+  // per-probe jitter is drawn per pair, in the same tb-major order.
+  const std::vector<double> rx_power = link.rx_power_grid_dbm();
+  std::vector<double> noise_floor(static_cast<std::size_t>(n_rx));
+  for (array::BeamId rb = 0; rb < n_rx; ++rb) {
+    noise_floor[static_cast<std::size_t>(rb)] = link.noise_floor_dbm(rb);
+  }
   for (array::BeamId tb = 0; tb < n_tx; ++tb) {
     for (array::BeamId rb = 0; rb < n_rx; ++rb) {
-      const double snr = sampler.measure_snr_db(link, tb, rb, rng);
+      const double snr = sampler.measure_snr_db(
+          link, rx_power[static_cast<std::size_t>(tb * n_rx + rb)],
+          noise_floor[static_cast<std::size_t>(rb)], rng);
       ++best.measurements;
       if (snr > best.snr_db) {
         best.snr_db = snr;

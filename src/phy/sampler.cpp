@@ -3,49 +3,93 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/units.h"
 
 namespace libra::phy {
 
+namespace {
+void require_positive(double v, const char* field) {
+  if (!(std::isfinite(v) && v > 0.0)) {
+    throw std::invalid_argument(std::string("SamplerConfig: ") + field +
+                                " must be finite and > 0, got " +
+                                std::to_string(v));
+  }
+}
+}  // namespace
+
 PhySampler::PhySampler(const ErrorModel* error_model, SamplerConfig cfg)
     : error_model_(error_model), cfg_(cfg) {
   if (!error_model_) throw std::invalid_argument("null error model");
+  require_positive(cfg_.snr_jitter_db, "snr_jitter_db");
+  require_positive(cfg_.noise_jitter_db, "noise_jitter_db");
+  require_positive(cfg_.pdp_tap_jitter, "pdp_tap_jitter");
+  require_positive(cfg_.cdr_jitter, "cdr_jitter");
+  if (cfg_.pdp.num_taps <= 0) {
+    throw std::invalid_argument(
+        "SamplerConfig: pdp.num_taps must be > 0, got " +
+        std::to_string(cfg_.pdp.num_taps));
+  }
+  require_positive(cfg_.pdp.tap_spacing_ns, "pdp.tap_spacing_ns");
+  require_positive(cfg_.pdp.noise_floor_mw, "pdp.noise_floor_mw");
 }
 
 PhyObservation PhySampler::observe(const channel::Link& link,
                                    array::BeamId tx_beam,
                                    array::BeamId rx_beam, McsIndex mcs,
                                    util::Rng& rng) const {
+  return sample(link, tx_beam, rx_beam, mcs, rng, /*with_pdp=*/true);
+}
+
+PhyObservation PhySampler::observe_rate(const channel::Link& link,
+                                        array::BeamId tx_beam,
+                                        array::BeamId rx_beam, McsIndex mcs,
+                                        util::Rng& rng) const {
+  return sample(link, tx_beam, rx_beam, mcs, rng, /*with_pdp=*/false);
+}
+
+PhyObservation PhySampler::sample(const channel::Link& link,
+                                  array::BeamId tx_beam,
+                                  array::BeamId rx_beam, McsIndex mcs,
+                                  util::Rng& rng, bool with_pdp) const {
   PhyObservation obs;
   obs.mcs = mcs;
+
+  // One channel pass: the clean and jammed SNRs and the PDP all derive
+  // from these contributions.
+  const std::vector<channel::PathContribution> contributions =
+      link.contributions(tx_beam, rx_beam);
+  const double rx_dbm = link.rx_power_dbm(contributions);
+  const double clean_floor = link.clean_floor_dbm();
+  const double beam_floor = link.noise_floor_dbm(rx_beam);
 
   // A bursty interferer jams `duty` of the frames; per-frame logs average
   // the clean and jammed regimes.
   const double duty =
       link.interferer() ? link.interferer()->duty_cycle : 0.0;
-  const double snr_clean = link.snr_clean_db(tx_beam, rx_beam);
-  const double snr_jam = link.snr_db(tx_beam, rx_beam);
+  const double snr_clean = rx_dbm - clean_floor;
+  const double snr_jam = rx_dbm - beam_floor;
   const double true_snr = (1.0 - duty) * snr_clean + duty * snr_jam;
   obs.snr_db = true_snr + rng.gaussian(0.0, cfg_.snr_jitter_db);
-  const double clean_floor =
-      link.thermal_floor_dbm() + link.interference_rise_db();
-  const double avg_floor = (1.0 - duty) * clean_floor +
-                           duty * link.noise_floor_dbm(rx_beam);
+  const double avg_floor = (1.0 - duty) * clean_floor + duty * beam_floor;
   obs.noise_dbm = avg_floor + rng.gaussian(0.0, cfg_.noise_jitter_db);
 
-  auto contributions = link.contributions(tx_beam, rx_beam);
-  // Taps are detectable only above the receiver's effective noise floor;
-  // this is what makes X60 report ToF = infinity for very weak signals.
-  PdpConfig pdp_cfg = cfg_.pdp;
-  pdp_cfg.noise_floor_mw =
-      libra::util::dbm_to_mw(link.noise_floor_dbm(rx_beam) - 6.0);
-  obs.pdp = synthesize_pdp(contributions, pdp_cfg);
-  for (double& tap : obs.pdp) {
-    tap *= std::exp(rng.gaussian(0.0, cfg_.pdp_tap_jitter));
+  if (with_pdp) {
+    // Taps are detectable only above the receiver's effective noise floor;
+    // this is what makes X60 report ToF = infinity for very weak signals.
+    PdpConfig pdp_cfg = cfg_.pdp;
+    pdp_cfg.noise_floor_mw = libra::util::dbm_to_mw(beam_floor - 6.0);
+    obs.pdp = synthesize_pdp(contributions, pdp_cfg);
+    for (double& tap : obs.pdp) {
+      tap *= std::exp(rng.gaussian(0.0, cfg_.pdp_tap_jitter));
+    }
+    obs.tof_ns = time_of_flight_ns(obs.pdp, pdp_cfg);
+    obs.csi = csi_from_pdp(obs.pdp);
+  } else {
+    // Keep the stream aligned with observe(): one jitter draw per tap.
+    rng.skip_gaussians(static_cast<std::size_t>(cfg_.pdp.num_taps));
   }
-  obs.tof_ns = time_of_flight_ns(obs.pdp, pdp_cfg);
-  obs.csi = csi_from_pdp(obs.pdp);
 
   const double expected_cdr =
       (1.0 - duty) * error_model_->expected_cdr(mcs, snr_clean) +
@@ -61,10 +105,17 @@ double PhySampler::measure_snr_db(const channel::Link& link,
                                   array::BeamId tx_beam,
                                   array::BeamId rx_beam,
                                   util::Rng& rng) const {
+  return measure_snr_db(link, link.rx_power_dbm(tx_beam, rx_beam),
+                        link.noise_floor_dbm(rx_beam), rng);
+}
+
+double PhySampler::measure_snr_db(const channel::Link& link,
+                                  double rx_power_dbm, double noise_floor_dbm,
+                                  util::Rng& rng) const {
   const double duty =
       link.interferer() ? link.interferer()->duty_cycle : 0.0;
-  const double avg = (1.0 - duty) * link.snr_clean_db(tx_beam, rx_beam) +
-                     duty * link.snr_db(tx_beam, rx_beam);
+  const double avg = (1.0 - duty) * (rx_power_dbm - link.clean_floor_dbm()) +
+                     duty * (rx_power_dbm - noise_floor_dbm);
   return avg + rng.gaussian(0.0, cfg_.snr_jitter_db);
 }
 

@@ -36,6 +36,9 @@ struct SamplerConfig {
 
 class PhySampler {
  public:
+  // Throws std::invalid_argument on a null error model or an invalid
+  // config: every jitter, the tap count, the tap spacing and the tap noise
+  // floor must be finite and > 0.
   PhySampler(const ErrorModel* error_model, SamplerConfig cfg = {});
 
   // Full observation of the link through a beam pair at an MCS.
@@ -43,14 +46,32 @@ class PhySampler {
                          array::BeamId rx_beam, McsIndex mcs,
                          util::Rng& rng) const;
 
+  // Rate-only observation, for callers that read only the CDR and the
+  // throughput (MCS probes). It consumes exactly observe()'s Rng draws and
+  // equals it in snr_db, noise_dbm, cdr, throughput_mbps and mcs, but
+  // skips the PDP, the ToF and the CSI (left empty / nullopt).
+  PhyObservation observe_rate(const channel::Link& link,
+                              array::BeamId tx_beam, array::BeamId rx_beam,
+                              McsIndex mcs, util::Rng& rng) const;
+
   // Quick SNR-only measurement, as used during a sector sweep.
   double measure_snr_db(const channel::Link& link, array::BeamId tx_beam,
                         array::BeamId rx_beam, util::Rng& rng) const;
+  // The same measurement from the pair's received power and the Rx beam's
+  // noise floor, already evaluated (Link::rx_power_grid_dbm(),
+  // Link::noise_floor_dbm()); a sweep evaluates those once per grid.
+  double measure_snr_db(const channel::Link& link, double rx_power_dbm,
+                        double noise_floor_dbm, util::Rng& rng) const;
 
   const ErrorModel& error_model() const { return *error_model_; }
   const SamplerConfig& config() const { return cfg_; }
 
  private:
+  // The one sampler body: observe() is observe_rate() plus the PDP/CSI.
+  PhyObservation sample(const channel::Link& link, array::BeamId tx_beam,
+                        array::BeamId rx_beam, McsIndex mcs, util::Rng& rng,
+                        bool with_pdp) const;
+
   const ErrorModel* error_model_;  // non-owning
   SamplerConfig cfg_;
 };

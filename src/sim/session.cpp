@@ -91,15 +91,25 @@ void SessionDriver::apply_dynamics(double t_ms) {
       environment_->add_blocker(ep.blocker);
     }
   }
-  bool interferer_set = false;
-  for (const InterferenceEpisode& ep : script_.interference) {
+  int active = kNoInterference;
+  for (std::size_t i = 0; i < script_.interference.size(); ++i) {
+    const InterferenceEpisode& ep = script_.interference[i];
     if (t_ms >= ep.start_ms && t_ms < ep.end_ms) {
-      link_->set_interferer(ep.interferer);
-      interferer_set = true;
+      active = static_cast<int>(i);
       break;
     }
   }
-  if (!interferer_set) link_->set_interferer(std::nullopt);
+  // Setting the interferer re-traces its paths, so do it only when the
+  // active episode changes; refresh() re-traces them when the Rx moves.
+  if (active != active_interference_) {
+    std::optional<channel::Interferer> interferer;
+    if (active != kNoInterference) {
+      interferer =
+          script_.interference[static_cast<std::size_t>(active)].interferer;
+    }
+    link_->set_interferer(interferer);
+    active_interference_ = active;
+  }
   if (moved) link_->refresh();
 }
 

@@ -138,6 +138,12 @@ class SessionDriver {
   int dead_frames_ = 0;
   double outage_start_ = 0.0;
   double last_t_ms_ = 0.0;
+  // Index into script_.interference of the episode whose interferer the
+  // link carries, or kNoInterference. Starts at kUnsetInterference so the
+  // first apply_dynamics() sets the link whatever it carried before.
+  static constexpr int kNoInterference = -1;
+  static constexpr int kUnsetInterference = -2;
+  int active_interference_ = kUnsetInterference;
 };
 
 // Drive a controller through the script as a one-link fleet (defined in

@@ -7,7 +7,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -26,8 +29,20 @@ class Rng {
   double uniform(double lo, double hi) {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
+  // One draw of libstdc++'s std::normal_distribution<double>(mean, stddev)
+  // from a fresh distribution, bit for bit: the Marsaglia polar method,
+  // returning the y variate (the x variate the distribution would cache
+  // dies with it).
   double gaussian(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    const Polar p = polar();
+    const double mult = std::sqrt(-2 * std::log(p.r2) / p.r2);
+    const double ret = p.y * mult;
+    return ret * stddev + mean;
+  }
+  // Advance the engine exactly as `n` gaussian() calls would, without
+  // computing the variates (same rejection loop, no log/sqrt).
+  void skip_gaussians(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) polar();
   }
   // Uniform integer in [lo, hi] inclusive.
   int uniform_int(int lo, int hi) {
@@ -49,6 +64,28 @@ class Rng {
   std::mt19937_64& engine() { return engine_; }
 
  private:
+  struct Polar {
+    double y;
+    double r2;
+  };
+  // The polar method's rejection loop: a point uniform in the unit disc
+  // (minus the origin), from the same canonical uniforms
+  // std::normal_distribution draws.
+  Polar polar() {
+    double x, y, r2;
+    do {
+      x = 2.0 * canonical() - 1.0;
+      y = 2.0 * canonical() - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    return {y, r2};
+  }
+  double canonical() {
+    return std::generate_canonical<double,
+                                   std::numeric_limits<double>::digits>(
+        engine_);
+  }
+
   std::mt19937_64 engine_;
   std::uint64_t seed_;
   std::uint64_t fork_count_ = 0;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "channel/fading.h"
 #include "channel/link.h"
@@ -244,6 +247,55 @@ TEST_F(LinkFixture, NoPathsYieldsFloorPower) {
   // Tx sits inside the cage: no LOS, and the cage participates in
   // reflections but every LOS leg is cut.
   EXPECT_LT(caged_link.rx_power_dbm(12, 12), link.rx_power_dbm(12, 12));
+}
+
+// The sweep grid is the per-pair query evaluated with hoisted path terms
+// and gain tables; it must not move a single bit. A 5-beam Tx against the
+// 25-beam Rx keeps the tb-major indexing honest.
+TEST_F(LinkFixture, PowerGridMatchesPerPairQueries) {
+  const array::Codebook small_codebook(array::CodebookConfig{.num_beams = 5});
+  array::PhasedArray small_tx({2, 5}, 0.0, &small_codebook);
+  Link mixed(&environment, &small_tx, &rx);
+  const auto expect_grid_exact = [](const Link& l, const char* what) {
+    const std::vector<double> grid = l.rx_power_grid_dbm();
+    const int n_tx = l.tx().codebook().size();
+    const int n_rx = l.rx().codebook().size();
+    ASSERT_EQ(grid.size(), static_cast<std::size_t>(n_tx * n_rx)) << what;
+    for (array::BeamId tb = 0; tb < n_tx; ++tb) {
+      for (array::BeamId rb = 0; rb < n_rx; ++rb) {
+        const double pair = l.rx_power_dbm(tb, rb);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                      grid[static_cast<std::size_t>(tb * n_rx + rb)]),
+                  std::bit_cast<std::uint64_t>(pair))
+            << what << " tb " << tb << " rb " << rb;
+        // The contributions-based total is the same sum.
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                      l.rx_power_dbm(l.contributions(tb, rb))),
+                  std::bit_cast<std::uint64_t>(pair))
+            << what << " tb " << tb << " rb " << rb;
+      }
+    }
+  };
+  const auto check_both = [&](const char* what) {
+    expect_grid_exact(link, what);
+    expect_grid_exact(mixed, what);
+  };
+  check_both("clean");
+  environment.add_blocker({{10, 5}, 0.25, 28.0});
+  environment.add_blocker({{6, 8}, 0.4, 12.0});
+  check_both("blocked");
+  link.set_interferer(Interferer{{10, 2}, 40.0, 0.5});
+  mixed.set_interferer(Interferer{{10, 2}, 40.0, 0.5});
+  check_both("blocked + interferer");
+  link.set_fade_db(-4.25);
+  mixed.set_fade_db(3.5);
+  check_both("blocked + interferer + fade");
+  tx.set_boresight_deg(17.0);
+  small_tx.set_boresight_deg(-23.0);
+  rx.set_boresight_deg(151.0);
+  link.refresh();
+  mixed.refresh();
+  check_both("blocked + interferer + fade + rotated");
 }
 
 TEST_F(LinkFixture, FadeOffsetsSignalNotNoise) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "env/registry.h"
 #include "mac/ack.h"
 #include "mac/beacon_interval.h"
@@ -265,6 +268,81 @@ TEST_F(TrainerFixture, SweepTracksRotatedRx) {
   const SweepResult r = trainer.exhaustive(link, sampler, rng);
   // The Tx->Rx arrival is at world 180; array frame 180-135=45 -> beam 21.
   EXPECT_NEAR(r.rx_beam, 21, 1);
+}
+
+// The sweep as it was written before its kernel was hoisted: one
+// measure_snr_db() per pair, tb-major. Kept as the oracle the hoisted
+// exhaustive() must equal bit for bit, Rng state included.
+SweepResult reference_exhaustive(const channel::Link& link,
+                                 const phy::PhySampler& sampler,
+                                 util::Rng& rng,
+                                 const BeamTrainerConfig& cfg) {
+  SweepResult best;
+  best.snr_db = -1e9;
+  for (array::BeamId tb = 0; tb < link.tx().codebook().size(); ++tb) {
+    for (array::BeamId rb = 0; rb < link.rx().codebook().size(); ++rb) {
+      const double snr = sampler.measure_snr_db(link, tb, rb, rng);
+      ++best.measurements;
+      if (snr > best.snr_db) {
+        best.snr_db = snr;
+        best.tx_beam = tb;
+        best.rx_beam = rb;
+      }
+    }
+  }
+  best.duration_ms =
+      static_cast<double>(best.measurements) * cfg.probe_us / 1000.0;
+  return best;
+}
+
+void expect_sweeps_identical(const channel::Link& link,
+                             const phy::PhySampler& sampler,
+                             std::uint64_t seed) {
+  const BeamTrainer trainer({37.5});
+  util::Rng rng(seed);
+  util::Rng oracle_rng(seed);
+  const SweepResult got = trainer.exhaustive(link, sampler, rng);
+  const SweepResult want =
+      reference_exhaustive(link, sampler, oracle_rng, trainer.config());
+  EXPECT_EQ(got.tx_beam, want.tx_beam);
+  EXPECT_EQ(got.rx_beam, want.rx_beam);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.snr_db),
+            std::bit_cast<std::uint64_t>(want.snr_db));
+  EXPECT_EQ(got.measurements, want.measurements);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.duration_ms),
+            std::bit_cast<std::uint64_t>(want.duration_ms));
+  EXPECT_TRUE(rng.engine() == oracle_rng.engine());
+}
+
+TEST_F(TrainerFixture, ExhaustiveMatchesPerPairOracle) {
+  // The default per-probe jitter, so the argmax genuinely depends on the
+  // draws.
+  const phy::PhySampler noisy(&em);
+  const array::Codebook five(array::CodebookConfig{.num_beams = 5});
+  array::PhasedArray tx5({2, 5}, 0.0, &five);
+  array::PhasedArray rx5({18, 5}, 180.0, &five);
+  channel::Link link5(&environment, &tx5, &rx5);
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    SCOPED_TRACE(seed);
+    expect_sweeps_identical(link, noisy, seed);
+    expect_sweeps_identical(link5, noisy, seed);
+    expect_sweeps_identical(link, sampler, seed);
+  }
+  // Blocked LOS, a bursty interferer (so every Rx beam has its own floor),
+  // a fade and rotated arrays.
+  environment.add_blocker({{10, 5}, 0.3, 20.0});
+  link.set_interferer(channel::Interferer{{12, 1}, 45.0, 0.4});
+  link5.set_interferer(channel::Interferer{{12, 1}, 45.0, 0.4});
+  link.set_fade_db(-3.0);
+  rx.set_boresight_deg(150.0);
+  rx5.set_boresight_deg(200.0);
+  link.refresh();
+  link5.refresh();
+  for (const std::uint64_t seed : {4ULL, 5ULL}) {
+    SCOPED_TRACE(seed);
+    expect_sweeps_identical(link, noisy, seed);
+    expect_sweeps_identical(link5, noisy, seed);
+  }
 }
 
 }  // namespace

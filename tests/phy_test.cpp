@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <string>
 
 #include "channel/link.h"
 #include "env/registry.h"
@@ -293,8 +298,118 @@ TEST_F(SamplerFixture, SweepSnrAveragesDuty) {
   EXPECT_NEAR(measured, 0.5 * clean + 0.5 * jam, 2.0);
 }
 
+// observe_rate() is observe() without the PDP/CSI: the same scalar fields,
+// bit for bit, and the same Rng draws, so a caller can swap one for the
+// other without moving any later draw.
+TEST_F(SamplerFixture, RateObservationMatchesFullObservation) {
+  struct Case {
+    const char* name;
+    array::BeamId tx_beam;
+    array::BeamId rx_beam;
+    std::function<void()> setup;
+  };
+  const Case cases[] = {
+      {"clean", 12, 12, [] {}},
+      {"blocked", 12, 12,
+       [&] { environment.add_blocker({{7, 5}, 0.3, 25.0}); }},
+      {"jammed", 12, 12,
+       [&] { link.set_interferer(channel::Interferer{{12, 1}, 60.0, 0.4}); }},
+      {"faded", 12, 12, [&] { link.set_fade_db(-7.5); }},
+      {"quasi_omni", 12, array::kQuasiOmni, [] {}},
+  };
+  for (const Case& c : cases) {
+    environment.clear_blockers();
+    link.set_interferer(std::nullopt);
+    link.set_fade_db(0.0);
+    c.setup();
+    for (const std::uint64_t seed : {1ULL, 2ULL, 99ULL}) {
+      util::Rng full_rng(seed);
+      util::Rng rate_rng(seed);
+      for (McsIndex mcs = 0; mcs < table.size(); ++mcs) {
+        const PhyObservation full =
+            sampler.observe(link, c.tx_beam, c.rx_beam, mcs, full_rng);
+        const PhyObservation rate =
+            sampler.observe_rate(link, c.tx_beam, c.rx_beam, mcs, rate_rng);
+        SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed) +
+                     " mcs " + std::to_string(mcs));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(rate.snr_db),
+                  std::bit_cast<std::uint64_t>(full.snr_db));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(rate.noise_dbm),
+                  std::bit_cast<std::uint64_t>(full.noise_dbm));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(rate.cdr),
+                  std::bit_cast<std::uint64_t>(full.cdr));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(rate.throughput_mbps),
+                  std::bit_cast<std::uint64_t>(full.throughput_mbps));
+        EXPECT_EQ(rate.mcs, full.mcs);
+        EXPECT_TRUE(rate_rng.engine() == full_rng.engine());
+        EXPECT_TRUE(rate.pdp.empty());
+        EXPECT_TRUE(rate.csi.empty());
+        EXPECT_FALSE(rate.tof_ns.has_value());
+        EXPECT_EQ(full.pdp.size(),
+                  static_cast<std::size_t>(sampler.config().pdp.num_taps));
+      }
+    }
+  }
+}
+
 TEST(Sampler, NullErrorModelThrows) {
   EXPECT_THROW(PhySampler(nullptr), std::invalid_argument);
+}
+
+// SamplerConfig is validated at construction, one field at a time: a zero
+// or negative jitter is not a distribution, and a non-positive tap count,
+// spacing or floor is not a PDP.
+struct SamplerConfigValidation : ::testing::Test {
+  // Every bad value of one double field must be rejected.
+  void expect_rejected(
+      const std::function<void(SamplerConfig&, double)>& set_field) {
+    for (const double bad : {0.0, -1.0, std::nan(""),
+                             std::numeric_limits<double>::infinity()}) {
+      SamplerConfig cfg;
+      set_field(cfg, bad);
+      EXPECT_THROW(PhySampler(&em, cfg), std::invalid_argument) << bad;
+    }
+  }
+  McsTable table;
+  ErrorModel em{&table};
+};
+
+TEST_F(SamplerConfigValidation, DefaultConfigIsValid) {
+  EXPECT_NO_THROW(PhySampler(&em, SamplerConfig{}));
+}
+
+TEST_F(SamplerConfigValidation, SnrJitterMustBePositive) {
+  expect_rejected([](SamplerConfig& c, double v) { c.snr_jitter_db = v; });
+}
+
+TEST_F(SamplerConfigValidation, NoiseJitterMustBePositive) {
+  expect_rejected([](SamplerConfig& c, double v) { c.noise_jitter_db = v; });
+}
+
+TEST_F(SamplerConfigValidation, PdpTapJitterMustBePositive) {
+  expect_rejected([](SamplerConfig& c, double v) { c.pdp_tap_jitter = v; });
+}
+
+TEST_F(SamplerConfigValidation, CdrJitterMustBePositive) {
+  expect_rejected([](SamplerConfig& c, double v) { c.cdr_jitter = v; });
+}
+
+TEST_F(SamplerConfigValidation, NumTapsMustBePositive) {
+  for (const int bad : {0, -1, -256}) {
+    SamplerConfig cfg;
+    cfg.pdp.num_taps = bad;
+    EXPECT_THROW(PhySampler(&em, cfg), std::invalid_argument) << bad;
+  }
+}
+
+TEST_F(SamplerConfigValidation, TapSpacingMustBePositive) {
+  expect_rejected(
+      [](SamplerConfig& c, double v) { c.pdp.tap_spacing_ns = v; });
+}
+
+TEST_F(SamplerConfigValidation, TapNoiseFloorMustBePositive) {
+  expect_rejected(
+      [](SamplerConfig& c, double v) { c.pdp.noise_floor_mw = v; });
 }
 
 }  // namespace

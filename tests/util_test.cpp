@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <utility>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -83,6 +87,59 @@ TEST(Rng, GaussianMoments) {
   for (int i = 0; i < 20000; ++i) s.add(rng.gaussian(3.0, 2.0));
   EXPECT_NEAR(s.mean(), 3.0, 0.1);
   EXPECT_NEAR(s.stddev(), 2.0, 0.1);
+}
+
+// gaussian() replays std::normal_distribution<double>(mean, stddev) drawn
+// from a fresh distribution -- the stream every stochastic component and
+// the golden fleet digest were recorded with -- in value bits and in the
+// engine state it leaves. 5 seeds x 5 (mean, stddev) x 40000 = 10^6 draws.
+TEST(Rng, GaussianMatchesStdNormalDistribution) {
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {0.0, 0.4}, {-3.5, 2.0}, {1e3, 1e-3}, {7.25, 0.08}};
+  std::int64_t mismatches = 0;
+  for (const std::uint64_t seed : {1ULL, 2ULL, 77ULL, 12345ULL, ~0ULL}) {
+    for (const auto& [mean, stddev] : params) {
+      Rng rng(seed);
+      std::mt19937_64 reference(seed);
+      for (int i = 0; i < 40000; ++i) {
+        const double got = rng.gaussian(mean, stddev);
+        const double want =
+            std::normal_distribution<double>(mean, stddev)(reference);
+        if (std::bit_cast<std::uint64_t>(got) !=
+            std::bit_cast<std::uint64_t>(want)) {
+          ++mismatches;
+        }
+      }
+      EXPECT_TRUE(rng.engine() == reference)
+          << "seed " << seed << " mean " << mean << " stddev " << stddev;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// skip_gaussians(n) leaves the engine exactly where n gaussian() calls
+// would. Random skip lengths interleaved with real draws, ~10^6 skipped.
+TEST(Rng, SkipGaussiansMatchesDrawing) {
+  std::int64_t skipped = 0;
+  for (const std::uint64_t seed : {3ULL, 9ULL, 2024ULL, 0ULL}) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    Rng lengths(seed + 1000);
+    for (int round = 0; round < 1000; ++round) {
+      const int n = lengths.uniform_int(0, 500);
+      rng.skip_gaussians(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        std::normal_distribution<double>(0.0, 1.0)(reference);
+      }
+      skipped += n;
+      ASSERT_TRUE(rng.engine() == reference)
+          << "seed " << seed << " round " << round;
+      // A real draw right after a skip sees the same stream.
+      ASSERT_EQ(rng.gaussian(1.5, 0.3),
+                std::normal_distribution<double>(1.5, 0.3)(reference));
+    }
+  }
+  EXPECT_GE(skipped, 900000);
 }
 
 TEST(Rng, BernoulliRate) {
