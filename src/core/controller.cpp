@@ -154,6 +154,10 @@ trace::FeatureVector LinkController::features_against_baseline(
     const phy::PhyObservation& obs) const {
   trace::FeatureVector f;
   if (!baseline_) return f;
+  if (obs.deferred() || baseline_->deferred()) {
+    throw std::logic_error(
+        "features_against_baseline: PHY observation not materialized");
+  }
   f.v[0] = baseline_->snr_db - obs.snr_db;
   if (baseline_->tof_ns && obs.tof_ns) {
     f.v[1] = *baseline_->tof_ns - *obs.tof_ns;
@@ -179,8 +183,10 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
   // prober may spend the frame probing one MCS higher.
   const phy::McsIndex frame_mcs = mcs_;
   // Window-averaged observation (what the classifier and the settle logic
-  // consume).
-  request.obs = sampler_.observe(*link_, tx_beam_, rx_beam_, frame_mcs, rng);
+  // consume). Its PDP, CSI and ToF are read only by classifier features and
+  // the fault mutators, so they stay pending until one of them asks.
+  request.obs =
+      sampler_.observe_deferred(*link_, tx_beam_, rx_beam_, frame_mcs, rng);
   const phy::PhyObservation& obs = request.obs;
 
   // This specific frame either collides with an interference burst or not;
@@ -271,6 +277,11 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
   }
 
   // Steady state: ask the policy what this frame's verdict needs.
+  plan_frame(request, rng);
+  return request;
+}
+
+void LinkController::plan_frame(DecisionRequest& request, util::Rng& rng) {
   request.decision_due = true;
   // Degradation ladder rung 3: the observation is unusable and ACKs still
   // flow (persistent loss has its own obs-free rule in every policy) --
@@ -279,10 +290,9 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
   if (!observation_usable(request.obs) && !persistent_ack_loss()) {
     verdict_counters().held_decisions.inc();
     request.hold_last_mcs = true;
-    return request;
+    return;
   }
   plan(request, rng);
-  return request;
 }
 
 void LinkController::note_verdict(trace::Action, const DecisionRequest&) {}
@@ -379,6 +389,7 @@ void LibraController::plan(DecisionRequest& request, util::Rng& rng) {
   // Rung 2 again, for stale inputs: a non-finite feature (poisoned PDP/CSI
   // taps can slip past the scalar usability check) must never reach the
   // forest -- classify{,_batch} would reject it. Fall back instead.
+  request.obs.materialize();
   const trace::FeatureVector features =
       features_against_baseline(request.obs);
   for (const double v : features.v) {

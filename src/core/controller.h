@@ -149,6 +149,9 @@ class LinkController {
   phy::McsIndex mcs() const { return mcs_; }
 
  protected:
+  // Steady state, once the frame is observed: mark the decision due, hold
+  // the last safe MCS on an unusable observation, or plan().
+  void plan_frame(DecisionRequest& request, util::Rng& rng);
   // Fill the request on a steady-state frame: either set `precomputed` or
   // point `classifier` + `features` at the inference to run. Called once
   // per decision-due frame, so per-frame counters live here.
@@ -177,6 +180,8 @@ class LinkController {
   // Snapshot the current observation as the reference "initial state" the
   // feature deltas are computed against.
   void rebaseline(const phy::PhyObservation& obs);
+  // Throws std::logic_error when `obs` or the baseline is still deferred
+  // (phy::PhyObservation::materialize() not called).
   trace::FeatureVector features_against_baseline(
       const phy::PhyObservation& obs) const;
 

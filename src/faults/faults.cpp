@@ -117,6 +117,7 @@ FaultInjector::Verdict FaultInjector::query(FaultKind kind, double t_ms) {
 
 void corrupt_observation(phy::PhyObservation& obs) {
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  obs.materialize();  // a pending PDP would later materialize clean
   obs.snr_db = kNan;
   obs.noise_dbm = std::numeric_limits<double>::infinity();
   obs.tof_ns = std::nullopt;
@@ -128,6 +129,7 @@ void corrupt_observation(phy::PhyObservation& obs) {
 
 void truncate_observation(phy::PhyObservation& obs, double keep_fraction) {
   const double f = std::clamp(keep_fraction, 0.0, 1.0);
+  obs.materialize();
   const auto keep = [f](std::vector<double>& v) {
     if (v.empty()) return;
     const auto n = static_cast<std::size_t>(

@@ -131,6 +131,8 @@ void corrupt_observation(phy::PhyObservation& obs);
 
 // Keep only the first ceil(keep_fraction * size) taps of the PDP and CSI
 // vectors (at least one tap survives when the vector was non-empty).
+// Both mutators materialize a deferred observation first, so the fault
+// lands on the PDP and CSI it would have had eagerly.
 void truncate_observation(phy::PhyObservation& obs, double keep_fraction);
 
 // Truncate a trace record's per-MCS CDR vector (and only it) to `keep`

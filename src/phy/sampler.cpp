@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/units.h"
 
@@ -17,7 +18,29 @@ void require_positive(double v, const char* field) {
                                 std::to_string(v));
   }
 }
+
+// Synthesize the PDP, jitter every tap with one Gaussian draw from `rng`,
+// then derive the ToF and the CSI: the eager and the deferred path both
+// run exactly this.
+void fill_pdp(PhyObservation& obs,
+              const std::vector<channel::PathContribution>& contributions,
+              const PdpConfig& pdp_cfg, double tap_jitter, util::Rng& rng) {
+  obs.pdp = synthesize_pdp(contributions, pdp_cfg);
+  for (double& tap : obs.pdp) {
+    tap *= std::exp(rng.gaussian(0.0, tap_jitter));
+  }
+  obs.tof_ns = time_of_flight_ns(obs.pdp, pdp_cfg);
+  obs.csi = csi_from_pdp(obs.pdp);
+}
 }  // namespace
+
+void PhyObservation::materialize() {
+  if (!pending) return;
+  util::Rng rng = pending->rng;
+  fill_pdp(*this, pending->contributions, pending->pdp, pending->tap_jitter,
+           rng);
+  pending.reset();
+}
 
 PhySampler::PhySampler(const ErrorModel* error_model, SamplerConfig cfg)
     : error_model_(error_model), cfg_(cfg) {
@@ -39,26 +62,34 @@ PhyObservation PhySampler::observe(const channel::Link& link,
                                    array::BeamId tx_beam,
                                    array::BeamId rx_beam, McsIndex mcs,
                                    util::Rng& rng) const {
-  return sample(link, tx_beam, rx_beam, mcs, rng, /*with_pdp=*/true);
+  return sample(link, tx_beam, rx_beam, mcs, rng, PdpMode::kEager);
+}
+
+PhyObservation PhySampler::observe_deferred(const channel::Link& link,
+                                            array::BeamId tx_beam,
+                                            array::BeamId rx_beam,
+                                            McsIndex mcs,
+                                            util::Rng& rng) const {
+  return sample(link, tx_beam, rx_beam, mcs, rng, PdpMode::kDeferred);
 }
 
 PhyObservation PhySampler::observe_rate(const channel::Link& link,
                                         array::BeamId tx_beam,
                                         array::BeamId rx_beam, McsIndex mcs,
                                         util::Rng& rng) const {
-  return sample(link, tx_beam, rx_beam, mcs, rng, /*with_pdp=*/false);
+  return sample(link, tx_beam, rx_beam, mcs, rng, PdpMode::kNone);
 }
 
 PhyObservation PhySampler::sample(const channel::Link& link,
                                   array::BeamId tx_beam,
                                   array::BeamId rx_beam, McsIndex mcs,
-                                  util::Rng& rng, bool with_pdp) const {
+                                  util::Rng& rng, PdpMode mode) const {
   PhyObservation obs;
   obs.mcs = mcs;
 
   // One channel pass: the clean and jammed SNRs and the PDP all derive
   // from these contributions.
-  const std::vector<channel::PathContribution> contributions =
+  std::vector<channel::PathContribution> contributions =
       link.contributions(tx_beam, rx_beam);
   const double rx_dbm = link.rx_power_dbm(contributions);
   const double clean_floor = link.clean_floor_dbm();
@@ -75,18 +106,19 @@ PhyObservation PhySampler::sample(const channel::Link& link,
   const double avg_floor = (1.0 - duty) * clean_floor + duty * beam_floor;
   obs.noise_dbm = avg_floor + rng.gaussian(0.0, cfg_.noise_jitter_db);
 
-  if (with_pdp) {
+  if (mode != PdpMode::kNone) {
     // Taps are detectable only above the receiver's effective noise floor;
     // this is what makes X60 report ToF = infinity for very weak signals.
     PdpConfig pdp_cfg = cfg_.pdp;
     pdp_cfg.noise_floor_mw = libra::util::dbm_to_mw(beam_floor - 6.0);
-    obs.pdp = synthesize_pdp(contributions, pdp_cfg);
-    for (double& tap : obs.pdp) {
-      tap *= std::exp(rng.gaussian(0.0, cfg_.pdp_tap_jitter));
+    if (mode == PdpMode::kEager) {
+      fill_pdp(obs, contributions, pdp_cfg, cfg_.pdp_tap_jitter, rng);
+    } else {
+      obs.pending = std::make_shared<const PendingPdp>(PendingPdp{
+          std::move(contributions), pdp_cfg, cfg_.pdp_tap_jitter, rng});
     }
-    obs.tof_ns = time_of_flight_ns(obs.pdp, pdp_cfg);
-    obs.csi = csi_from_pdp(obs.pdp);
-  } else {
+  }
+  if (mode != PdpMode::kEager) {
     // Keep the stream aligned with observe(): one jitter draw per tap.
     rng.skip_gaussians(static_cast<std::size_t>(cfg_.pdp.num_taps));
   }

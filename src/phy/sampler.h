@@ -3,6 +3,7 @@
 // throughput, averaged over a trace, with realistic measurement noise.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -14,6 +15,15 @@
 
 namespace libra::phy {
 
+// What a deferred observation needs to compute its PDP, CSI and ToF later,
+// exactly as observe() computes them now.
+struct PendingPdp {
+  std::vector<channel::PathContribution> contributions;
+  PdpConfig pdp;            // with the Rx beam's detection floor applied
+  double tap_jitter = 0.0;  // SamplerConfig::pdp_tap_jitter
+  util::Rng rng;            // the caller's stream just before the taps
+};
+
 struct PhyObservation {
   double snr_db = 0.0;
   double noise_dbm = 0.0;                // measured noise level
@@ -23,6 +33,14 @@ struct PhyObservation {
   double cdr = 0.0;                      // at the observed MCS
   double throughput_mbps = 0.0;          // MAC throughput at the observed MCS
   McsIndex mcs = 0;
+  // Set by PhySampler::observe_deferred(): tof_ns, pdp and csi are not
+  // computed yet. Copies share the handle and materialize to the same bits.
+  std::shared_ptr<const PendingPdp> pending;
+
+  bool deferred() const { return pending != nullptr; }
+  // Compute tof_ns, pdp and csi from the pending handle and drop it; a
+  // no-op on an eager or already materialized observation.
+  void materialize();
 };
 
 struct SamplerConfig {
@@ -46,6 +64,15 @@ class PhySampler {
                          array::BeamId rx_beam, McsIndex mcs,
                          util::Rng& rng) const;
 
+  // observe() with the PDP, the CSI and the ToF left pending until
+  // PhyObservation::materialize(), for callers that rarely read them. It
+  // consumes exactly observe()'s Rng draws, and materializing it gives
+  // observe()'s observation bit for bit.
+  PhyObservation observe_deferred(const channel::Link& link,
+                                  array::BeamId tx_beam,
+                                  array::BeamId rx_beam, McsIndex mcs,
+                                  util::Rng& rng) const;
+
   // Rate-only observation, for callers that read only the CDR and the
   // throughput (MCS probes). It consumes exactly observe()'s Rng draws and
   // equals it in snr_db, noise_dbm, cdr, throughput_mbps and mcs, but
@@ -67,10 +94,12 @@ class PhySampler {
   const SamplerConfig& config() const { return cfg_; }
 
  private:
-  // The one sampler body: observe() is observe_rate() plus the PDP/CSI.
+  enum class PdpMode { kNone, kEager, kDeferred };
+  // The one sampler body: observe() is observe_rate() plus the PDP/CSI,
+  // and observe_deferred() is observe() with them left pending.
   PhyObservation sample(const channel::Link& link, array::BeamId tx_beam,
                         array::BeamId rx_beam, McsIndex mcs, util::Rng& rng,
-                        bool with_pdp) const;
+                        PdpMode mode) const;
 
   const ErrorModel* error_model_;  // non-owning
   SamplerConfig cfg_;

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <random>
 #include <vector>
 
@@ -26,8 +25,12 @@ class Rng {
 
   std::uint64_t seed() const { return seed_; }
 
+  // uniform, bernoulli and exponential are libstdc++'s
+  // std::uniform_real_distribution, std::bernoulli_distribution and
+  // std::exponential_distribution, bit for bit: the same formulas over the
+  // same canonical() draw.
   double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    return canonical() * (hi - lo) + lo;
   }
   // One draw of libstdc++'s std::normal_distribution<double>(mean, stddev)
   // from a fresh distribution, bit for bit: the Marsaglia polar method,
@@ -48,12 +51,28 @@ class Rng {
   int uniform_int(int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(engine_);
   }
-  bool bernoulli(double p) {
-    return std::bernoulli_distribution(p)(engine_);
-  }
-  // Exponentially distributed with the given mean (> 0).
+  bool bernoulli(double p) { return canonical() < p; }
+  // Exponentially distributed with the given mean (> 0). The division by
+  // the rate, not a multiplication by the mean: the two round differently.
   double exponential(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+    return -std::log(1.0 - canonical()) / (1.0 / mean);
+  }
+
+  // A uniform double in [0, 1): std::generate_canonical<double, 53> on
+  // this 64-bit engine, bit for bit.
+  double canonical() { return canonical_from(engine_()); }
+  // libstdc++ converts the 64-bit word as an unsigned integer, which
+  // compiles to a branch on its (random) top bit. Converting the two
+  // 32-bit halves is branch-free: both are exact and the sum rounds once,
+  // to the same double. A word at or above 2^64 - 2^10 rounds to 1.0,
+  // which generate_canonical replaces with the largest double below 1.
+  static double canonical_from(std::uint64_t word) {
+    const double hi =
+        static_cast<double>(static_cast<std::int64_t>(word >> 32));
+    const double lo =
+        static_cast<double>(static_cast<std::int64_t>(word & 0xffffffffULL));
+    const double c = (hi * 0x1p32 + lo) * 0x1p-64;
+    return c < 1.0 ? c : std::nextafter(1.0, 0.0);
   }
 
   template <typename T>
@@ -79,11 +98,6 @@ class Rng {
       r2 = x * x + y * y;
     } while (r2 > 1.0 || r2 == 0.0);
     return {y, r2};
-  }
-  double canonical() {
-    return std::generate_canonical<double,
-                                   std::numeric_limits<double>::digits>(
-        engine_);
   }
 
   std::mt19937_64 engine_;

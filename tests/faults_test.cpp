@@ -10,13 +10,19 @@
 //     runs are invariant to the forest thread count;
 //   - a golden digest pins the canonical faulted run against regressions;
 //   - non-finite inputs are rejected (or demoted, per policy) at every
-//     layer: extract_features, classify, classify_batch.
+//     layer: extract_features, classify, classify_batch;
+//   - the PHY mutators and the stale replay plan a deferred observation
+//     exactly like an eager one.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/controller.h"
@@ -475,6 +481,134 @@ TEST(FaultsValidation, HelpersPoisonAndTruncateObservations) {
   faults::truncate_observation(chopped, 0.0);  // at least one tap survives
   EXPECT_EQ(chopped.pdp.size(), 1u);
   EXPECT_EQ(chopped.csi.size(), 1u);
+}
+
+// A LiBRA controller whose steady-state planning seam is callable on a
+// hand-built request, so one frame can be planned from an eager and from a
+// deferred observation of the same draws.
+class PlanProbe : public core::LibraController {
+ public:
+  using core::LibraController::LibraController;
+  void plan_request(core::DecisionRequest& request, util::Rng& rng) {
+    plan_frame(request, rng);
+  }
+  trace::FeatureVector features(const phy::PhyObservation& obs) const {
+    return features_against_baseline(obs);
+  }
+};
+
+struct PlanProbeWorld {
+  array::Codebook codebook;
+  env::Environment env = env::make_lobby();
+  array::PhasedArray ap{{2, 6}, 0.0, &codebook};
+  array::PhasedArray client{{10, 6}, 180.0, &codebook};
+  channel::Link link{&env, &ap, &client};
+  phy::PhySampler sampler{&shared_error_model()};
+
+  std::unique_ptr<PlanProbe> started_controller() {
+    core::ControllerConfig cfg;
+    cfg.decision_period_frames = 1;  // every planned frame decides
+    auto c = std::make_unique<PlanProbe>(&link, &shared_error_model(),
+                                         &shared_classifier(), cfg);
+    util::Rng rng(5);
+    c->start(rng);
+    return c;
+  }
+};
+
+// The PHY fault mutators and the stale replay act on a deferred
+// observation exactly as on an eager one: the planned request -- features,
+// verdict, hold_last_mcs -- is the same bit for bit. A mutator that did not
+// materialize first would let a corrupted observation later materialize
+// as clean data.
+TEST(FaultsDeferredPhy, MutatedDeferredObservationPlansLikeEager) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  PlanProbeWorld world;
+  const faults::FaultKind kinds[] = {faults::FaultKind::kGarbagePhy,
+                                     faults::FaultKind::kTruncateFeatures,
+                                     faults::FaultKind::kStalePhy};
+  int inferred = 0;
+  for (const faults::FaultKind kind : kinds) {
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL}) {
+      SCOPED_TRACE(std::string(faults::to_string(kind)) + " seed " +
+                   std::to_string(seed));
+      std::unique_ptr<PlanProbe> eager_ctl = world.started_controller();
+      std::unique_ptr<PlanProbe> deferred_ctl = world.started_controller();
+      const array::BeamId tx = eager_ctl->tx_beam();
+      const array::BeamId rx = eager_ctl->rx_beam();
+      const phy::McsIndex mcs = eager_ctl->mcs();
+      util::Rng eager_rng(seed);
+      util::Rng deferred_rng(seed);
+      // The clean frame kStalePhy replays, then this frame's observation.
+      const phy::PhyObservation eager_prev =
+          world.sampler.observe(world.link, tx, rx, mcs, eager_rng);
+      const phy::PhyObservation deferred_prev =
+          world.sampler.observe_deferred(world.link, tx, rx, mcs,
+                                         deferred_rng);
+      core::DecisionRequest eager;
+      core::DecisionRequest deferred;
+      eager.obs = world.sampler.observe(world.link, tx, rx, mcs, eager_rng);
+      deferred.obs =
+          world.sampler.observe_deferred(world.link, tx, rx, mcs,
+                                         deferred_rng);
+      ASSERT_TRUE(deferred.obs.deferred());
+      const double keep = 0.1 * static_cast<double>(seed);
+      switch (kind) {
+        case faults::FaultKind::kGarbagePhy:
+          faults::corrupt_observation(eager.obs);
+          faults::corrupt_observation(deferred.obs);
+          ASSERT_FALSE(deferred.obs.deferred());
+          for (const double tap : deferred.obs.pdp) {
+            ASSERT_TRUE(std::isnan(tap));
+          }
+          break;
+        case faults::FaultKind::kTruncateFeatures:
+          faults::truncate_observation(eager.obs, keep);
+          faults::truncate_observation(deferred.obs, keep);
+          ASSERT_FALSE(deferred.obs.deferred());
+          EXPECT_EQ(deferred.obs.pdp.size(), eager.obs.pdp.size());
+          break;
+        default:
+          eager.obs = eager_prev;
+          deferred.obs = deferred_prev;
+          break;
+      }
+      eager_ctl->plan_request(eager, eager_rng);
+      deferred_ctl->plan_request(deferred, deferred_rng);
+
+      EXPECT_EQ(deferred.hold_last_mcs, eager.hold_last_mcs);
+      EXPECT_EQ(deferred.precomputed, eager.precomputed);
+      EXPECT_EQ(deferred.outage_fallback, eager.outage_fallback);
+      ASSERT_EQ(deferred.needs_inference(), eager.needs_inference());
+      for (std::size_t i = 0; i < eager.features.v.size(); ++i) {
+        EXPECT_EQ(bits(deferred.features.v[i]), bits(eager.features.v[i]))
+            << "feature " << i;
+      }
+      trace::Action eager_verdict = eager.resolved_without_inference();
+      trace::Action deferred_verdict = deferred.resolved_without_inference();
+      if (eager.needs_inference()) {
+        ++inferred;
+        util::Rng e(seed + 100), d(seed + 100);
+        eager_verdict = eager.classifier->classify(eager.features, e);
+        deferred_verdict = deferred.classifier->classify(deferred.features, d);
+      }
+      EXPECT_EQ(deferred_verdict, eager_verdict);
+      EXPECT_TRUE(deferred_rng.engine() == eager_rng.engine());
+    }
+  }
+  EXPECT_GT(inferred, 0);  // the comparison reached the classifier
+}
+
+// Features are never computed from a PDP that was not materialized.
+TEST(FaultsDeferredPhy, FeaturesRejectPendingObservation) {
+  PlanProbeWorld world;
+  std::unique_ptr<PlanProbe> ctl = world.started_controller();
+  util::Rng rng(9);
+  phy::PhyObservation obs = world.sampler.observe_deferred(
+      world.link, ctl->tx_beam(), ctl->rx_beam(), ctl->mcs(), rng);
+  EXPECT_THROW(ctl->features(obs), std::logic_error);
+  obs.materialize();
+  EXPECT_NO_THROW(ctl->features(obs));
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "channel/link.h"
 #include "env/registry.h"
@@ -347,6 +349,86 @@ TEST_F(SamplerFixture, RateObservationMatchesFullObservation) {
         EXPECT_FALSE(rate.tof_ns.has_value());
         EXPECT_EQ(full.pdp.size(),
                   static_cast<std::size_t>(sampler.config().pdp.num_taps));
+      }
+    }
+  }
+}
+
+void expect_same_bits(const PhyObservation& got, const PhyObservation& want) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto same = [&](const std::vector<double>& a,
+                        const std::vector<double>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [&](double x, double y) { return bits(x) == bits(y); });
+  };
+  EXPECT_EQ(bits(got.snr_db), bits(want.snr_db));
+  EXPECT_EQ(bits(got.noise_dbm), bits(want.noise_dbm));
+  ASSERT_EQ(got.tof_ns.has_value(), want.tof_ns.has_value());
+  if (want.tof_ns) {
+    EXPECT_EQ(bits(*got.tof_ns), bits(*want.tof_ns));
+  }
+  EXPECT_TRUE(same(got.pdp, want.pdp));
+  EXPECT_TRUE(same(got.csi, want.csi));
+  EXPECT_EQ(bits(got.cdr), bits(want.cdr));
+  EXPECT_EQ(bits(got.throughput_mbps), bits(want.throughput_mbps));
+  EXPECT_EQ(got.mcs, want.mcs);
+  EXPECT_FALSE(got.deferred());
+}
+
+// observe_deferred() draws exactly what observe() draws, and materializing
+// it -- now, later, from a copy, or twice -- gives observe()'s observation
+// bit for bit on every field.
+TEST_F(SamplerFixture, DeferredObservationMaterializesToObserve) {
+  struct Case {
+    const char* name;
+    array::BeamId rx_beam;
+    std::function<void()> setup;
+  };
+  const Case cases[] = {
+      {"clean", 12, [] {}},
+      // Rx boresight turned away: backlobe only, ToF = infinity.
+      {"misaligned", 24, [&] { rx.set_boresight_deg(0.0); }},
+      {"jammed", 12,
+       [&] { link.set_interferer(channel::Interferer{{12, 1}, 60.0, 0.4}); }},
+      {"faded", 12, [&] { link.set_fade_db(-7.5); }},
+  };
+  for (const Case& c : cases) {
+    rx.set_boresight_deg(180.0);
+    link.set_interferer(std::nullopt);
+    link.set_fade_db(0.0);
+    c.setup();
+    link.refresh();  // re-trace after a boresight change
+    for (const std::uint64_t seed : {1ULL, 2ULL, 99ULL}) {
+      util::Rng eager_rng(seed);
+      util::Rng deferred_rng(seed);
+      for (McsIndex mcs = 0; mcs < table.size(); ++mcs) {
+        SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed) +
+                     " mcs " + std::to_string(mcs));
+        const PhyObservation eager =
+            sampler.observe(link, 12, c.rx_beam, mcs, eager_rng);
+        PhyObservation deferred =
+            sampler.observe_deferred(link, 12, c.rx_beam, mcs, deferred_rng);
+        ASSERT_TRUE(deferred.deferred());
+        EXPECT_TRUE(deferred.pdp.empty());
+        EXPECT_TRUE(deferred.csi.empty());
+        EXPECT_FALSE(deferred.tof_ns.has_value());
+        EXPECT_TRUE(deferred_rng.engine() == eager_rng.engine());
+        if (c.name == std::string("clean")) {
+          EXPECT_TRUE(eager.tof_ns.has_value());
+        }
+        if (c.name == std::string("misaligned")) {
+          EXPECT_FALSE(eager.tof_ns.has_value());
+        }
+        // Later draws from the caller's stream do not reach the handle.
+        eager_rng.skip_gaussians(3);
+        deferred_rng.skip_gaussians(3);
+        PhyObservation copy = deferred;
+        deferred.materialize();
+        expect_same_bits(deferred, eager);
+        deferred.materialize();
+        expect_same_bits(deferred, eager);
+        copy.materialize();
+        expect_same_bits(copy, eager);
       }
     }
   }

@@ -667,6 +667,15 @@ TEST(RpcLoopback, ModelPushHotSwapNeverMixesForestsMidBatch) {
   rpc::ClientConfig pcfg;
   pcfg.unix_socket = scfg.unix_socket;
   rpc::DecisionClient pusher(pcfg);
+  // Swap only once the hammers are serving, so the swaps race live
+  // batches; on a loaded host all 20 could otherwise finish before either
+  // thread's first reply. Bounded: a dead server still fails below.
+  const auto serving_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (replies.load() == 0 &&
+         std::chrono::steady_clock::now() < serving_deadline) {
+    std::this_thread::yield();
+  }
   for (int swap = 0; swap < 20; ++swap) {
     const std::optional<rpc::AckMsg> ack =
         pusher.push_model_text(swap % 2 == 0 ? seven_text : ten_text);

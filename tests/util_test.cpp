@@ -156,6 +156,108 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(s.mean(), 4.0, 0.15);
 }
 
+// uniform(), bernoulli() and exponential() replay libstdc++'s
+// distributions, each drawn from a fresh distribution, in value bits and in
+// the engine state they leave: ~10^6 draws each over several parameters.
+TEST(Rng, UniformBernoulliExponentialMatchStdDistributions) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::uint64_t seeds[] = {1ULL, 77ULL, ~0ULL, 2024ULL};
+  const std::pair<double, double> ranges[] = {
+      {0.0, 1.0}, {-3.5, 2.0}, {1e3, 1e3 + 1e-3}, {-1e9, 1e9}};
+  const double probabilities[] = {0.0, 1e-3, 0.3, 0.5, 0.999, 1.0};
+  const double means[] = {1.0, 4.0, 1e-3, 250.0};
+  std::int64_t mismatches = 0;
+  std::int64_t draws = 0;
+  for (const std::uint64_t seed : seeds) {
+    for (const auto& [lo, hi] : ranges) {
+      Rng rng(seed);
+      std::mt19937_64 reference(seed);
+      for (int i = 0; i < 62500; ++i, ++draws) {
+        const double want =
+            std::uniform_real_distribution<double>(lo, hi)(reference);
+        mismatches += bits(rng.uniform(lo, hi)) != bits(want);
+      }
+      EXPECT_TRUE(rng.engine() == reference) << "uniform seed " << seed;
+    }
+    for (const double p : probabilities) {
+      Rng rng(seed);
+      std::mt19937_64 reference(seed);
+      for (int i = 0; i < 41667; ++i, ++draws) {
+        mismatches +=
+            rng.bernoulli(p) != std::bernoulli_distribution(p)(reference);
+      }
+      EXPECT_TRUE(rng.engine() == reference) << "bernoulli seed " << seed;
+    }
+    for (const double mean : means) {
+      Rng rng(seed);
+      std::mt19937_64 reference(seed);
+      for (int i = 0; i < 62500; ++i, ++draws) {
+        const double want =
+            std::exponential_distribution<double>(1.0 / mean)(reference);
+        mismatches += bits(rng.exponential(mean)) != bits(want);
+      }
+      EXPECT_TRUE(rng.engine() == reference) << "exponential seed " << seed;
+    }
+  }
+  EXPECT_GE(draws, 3000000);
+  EXPECT_EQ(mismatches, 0);
+}
+
+// A 64-bit "engine" that returns one fixed word, so generate_canonical can
+// be fed hand-picked inputs.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~0ULL; }
+  result_type word;
+  result_type operator()() { return word; }
+};
+
+// canonical() equals std::generate_canonical<double, 53> on a 64-bit
+// engine for every word class the split conversion must get right.
+TEST(Rng, CanonicalMatchesGenerateCanonical) {
+  const auto std_canonical = [](std::uint64_t w) {
+    FixedWord e{w};
+    return std::generate_canonical<double, 53>(e);
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  constexpr std::uint64_t kTop = 1ULL << 63;
+  constexpr std::uint64_t kMax = ~0ULL;
+  const std::vector<std::uint64_t> words = {
+      // zero and words below 2^32 (the high half is zero)
+      0, 1, 2, 12345, 0x7fffffffULL, 0x80000000ULL, 0xffffffffULL,
+      // around 2^32 and 2^53 (where doubles stop being exact)
+      1ULL << 32, (1ULL << 32) + 1, (1ULL << 53) - 1, 1ULL << 53,
+      (1ULL << 53) + 1, (1ULL << 53) + 3, (1ULL << 54) + 2,
+      // top bit set, including exact halfway (ties-to-even) words
+      kTop, kTop + 1, kTop + 0x3ff, kTop + 0x400, kTop + 0x401,
+      kTop + 0xc00, 0xdeadbeefcafebabeULL, 0xffffffff00000000ULL,
+      0xfffffffeffffffffULL,
+      // just below the words that round up to 2^64
+      kMax - 0xfff, kMax - 0x800, kMax - 0x7ff, kMax - 0x401,
+      // at or above 2^64 - 2^10: rounds to 1.0, takes the nextafter path
+      kMax - 0x3ff, kMax - 0x3fe, kMax - 1, kMax};
+  for (const std::uint64_t w : words) {
+    EXPECT_EQ(bits(Rng::canonical_from(w)), bits(std_canonical(w)))
+        << std::hex << "word 0x" << w;
+    EXPECT_LT(Rng::canonical_from(w), 1.0) << std::hex << "word 0x" << w;
+  }
+  constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+  EXPECT_EQ(Rng::canonical_from(kMax - 0x3ff), kBelowOne);
+  EXPECT_EQ(Rng::canonical_from(kMax), kBelowOne);
+  // 2^64 - 2^10 - 1 rounds down to the same double, without nextafter.
+  EXPECT_EQ(Rng::canonical_from(kMax - 0x400), kBelowOne);
+  // And 10^6 engine words, through canonical() itself.
+  Rng rng(99);
+  std::mt19937_64 reference(99);
+  std::int64_t mismatches = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    mismatches += bits(rng.canonical()) != bits(std_canonical(reference()));
+  }
+  EXPECT_TRUE(rng.engine() == reference);
+  EXPECT_EQ(mismatches, 0);
+}
+
 TEST(Rng, ShuffleKeepsElements) {
   Rng rng(5);
   std::vector<int> v{1, 2, 3, 4, 5, 6};
