@@ -39,7 +39,6 @@
 #include "sim/fleet.h"
 #include "trace/dataset.h"
 #include "util/fft.h"
-#include "util/simd.h"
 #include "util/stats.h"
 
 using namespace libra;
@@ -819,6 +818,8 @@ void BM_Sls80211ad(benchmark::State& state) {
 }
 BENCHMARK(BM_Sls80211ad)->Unit(benchmark::kMicrosecond);
 
+// 256-point PDP -> CSI magnitude spectrum, the util/fft.cpp hot path of
+// extract_features' "FFT PDP Similarity".
 void BM_Fft256(benchmark::State& state) {
   std::vector<double> pdp(256, 1e-9);
   pdp[10] = 1e-3;
@@ -829,38 +830,9 @@ void BM_Fft256(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft256);
 
-// The vectorized feature-extraction kernels against their forced-scalar
-// references. Arg = force_scalar; every variant labels the dispatched ISA
-// and asserts bit-parity against the scalar path (the contract in
-// util/simd.h -- these kernels may only dispatch if they cannot change a
-// single bit).
-
-// 256-point PDP -> CSI magnitude spectrum, the util/fft.cpp hot path of
-// extract_features' "FFT PDP Similarity".
-void BM_SimdFft(benchmark::State& state) {
-  std::optional<util::simd::ScopedForceScalar> guard;
-  if (state.range(0) != 0) guard.emplace();
-  state.SetLabel(util::simd::active_isa_name());
-  std::vector<double> pdp(256, 1e-9);
-  pdp[10] = 1e-3;
-  pdp[40] = 1e-5;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(util::magnitude_spectrum(pdp));
-  }
-  const std::vector<double> dispatched = util::magnitude_spectrum(pdp);
-  state.counters["bit_identical"] = [&] {
-    util::simd::ScopedForceScalar scalar;
-    return dispatched == util::magnitude_spectrum(pdp);
-  }();
-}
-BENCHMARK(BM_SimdFft)->Arg(0)->Arg(1);
-
 // Pearson correlation over two aligned 256-tap PDPs -- the similarity
 // kernel extract_features runs per frame for both PDP and CSI similarity.
 void BM_PearsonSimilarity(benchmark::State& state) {
-  std::optional<util::simd::ScopedForceScalar> guard;
-  if (state.range(0) != 0) guard.emplace();
-  state.SetLabel(util::simd::active_isa_name());
   std::vector<double> a(256), b(256);
   for (std::size_t i = 0; i < a.size(); ++i) {
     a[i] = std::sin(0.11 * static_cast<double>(i));
@@ -870,13 +842,8 @@ void BM_PearsonSimilarity(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(util::pearson(a, b));
   }
-  const double dispatched = util::pearson(a, b);
-  state.counters["bit_identical"] = [&] {
-    util::simd::ScopedForceScalar scalar;
-    return dispatched == util::pearson(a, b);
-  }();
 }
-BENCHMARK(BM_PearsonSimilarity)->Arg(0)->Arg(1);
+BENCHMARK(BM_PearsonSimilarity);
 
 void BM_SimulatedEvent(benchmark::State& state) {
   auto& f = Fixture::get();

@@ -14,10 +14,10 @@
 //                        initial pair, at the current state
 //   Initial MCS          the best MCS before the impairment
 //
-// The similarity metrics ride on runtime-dispatched vector kernels
-// (util::pearson and the FFT behind magnitude_spectrum — see util/simd.h);
-// every kernel is bit-identical to its scalar loop, so extracted features
-// and everything downstream (forest votes, fleet digests) are ISA-invariant.
+// The similarity metrics come from util::pearson and the FFT behind
+// util::magnitude_spectrum. Both keep a fixed operation order, because the
+// golden fleet digest and tests/paper_golden/ pin the features' bits and
+// everything downstream of them (forest votes, fleet digests, paper tables).
 #pragma once
 
 #include <algorithm>

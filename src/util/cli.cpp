@@ -1,5 +1,7 @@
 #include "util/cli.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -35,11 +37,20 @@ CliArgs CliArgs::parse(int argc, const char* const* argv, int first) {
 double CliArgs::number(const std::string& key, double fallback) const {
   const auto it = options.find(key);
   if (it == options.end()) return fallback;
-  if (!looks_numeric(it->second)) {
-    throw std::invalid_argument("--" + key + " expects a number, got '" +
-                                it->second + "'");
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  // strtod also accepts "nan", "inf" and overflowing literals (ERANGE);
+  // none of those is a usable count, seed or port, and a caller's cast of
+  // them to an integer type would be undefined behaviour.
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    throw std::invalid_argument("--" + key +
+                                " expects a finite number, got '" + text +
+                                "'");
   }
-  return std::stod(it->second);
+  return value;
 }
 
 void CliArgs::require_known(

@@ -27,8 +27,10 @@ struct CliArgs {
   static CliArgs parse(int argc, const char* const* argv, int first = 1);
 
   // Option value as a number, or `fallback` when absent. Throws
-  // std::invalid_argument when present but not numeric (a flag given a
-  // garbage value should fail loudly, not silently become the fallback).
+  // std::invalid_argument when present but not a finite number in double
+  // range: garbage, "nan", "inf" or an overflowing literal like "1e999" (a
+  // flag given a bad value should fail loudly, not silently become the
+  // fallback or reach an integer cast).
   double number(const std::string& key, double fallback) const;
   // Option value as a string, or `fallback` when absent.
   std::string str(const std::string& key,

@@ -4,12 +4,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "util/simd.h"
-
-#if LIBRA_SIMD_X86
-#include <immintrin.h>
-#endif
-
 namespace libra::util {
 
 namespace {
@@ -17,13 +11,11 @@ namespace {
 // One stage's butterfly over block [i, i+len): data[i+k] / data[i+k+len/2]
 // combined through twiddle tw[k]. The complex multiply is written out
 // elementwise (re = vr*wr - vi*wi, im = vr*wi + vi*wr — the same naive
-// formula std::complex uses) so the scalar and AVX2 stages perform
-// literally the same multiplications and additions per element; butterflies
-// are independent, so there is no cross-element reassociation to diverge
-// on, and baseline x86-64 / target("avx2") have no FMA to contract into.
-inline void butterflies_scalar(std::complex<double>* data,
-                               const std::complex<double>* tw,
-                               std::size_t half) {
+// formula std::complex uses), and baseline x86-64 has no FMA to contract
+// it into. The golden fleet digest and tests/paper_golden/ pin the spectra
+// this produces, so the formula and its operation order stay fixed.
+inline void butterflies(std::complex<double>* data,
+                        const std::complex<double>* tw, std::size_t half) {
   for (std::size_t k = 0; k < half; ++k) {
     const double ur = data[k].real();
     const double ui = data[k].imag();
@@ -37,62 +29,6 @@ inline void butterflies_scalar(std::complex<double>* data,
     data[k + half] = {ur - pr, ui - pi};
   }
 }
-
-#if LIBRA_SIMD_X86
-
-#define LIBRA_AVX2_FN __attribute__((target("avx2")))
-
-// Two butterflies per iteration: a __m256d holds two interleaved complex
-// doubles [re0, im0, re1, im1]. The twiddle product uses the classic
-// mul / swap / addsub shape, which lands on exactly the scalar formula:
-// even lanes get vr*wr - vi*wi, odd lanes vi*wr + vr*wi (IEEE addition is
-// commutative, so the operand order difference from the scalar pi cannot
-// change the bits). Requires half % 2 == 0, i.e. len >= 4.
-LIBRA_AVX2_FN void butterflies_avx2(std::complex<double>* data,
-                                    const std::complex<double>* tw,
-                                    std::size_t half) {
-  auto* d = reinterpret_cast<double*>(data);
-  const auto* t = reinterpret_cast<const double*>(tw);
-  for (std::size_t k = 0; k < half; k += 2) {
-    const __m256d u = _mm256_loadu_pd(d + 2 * k);
-    const __m256d v = _mm256_loadu_pd(d + 2 * (k + half));
-    const __m256d w = _mm256_loadu_pd(t + 2 * k);
-    const __m256d w_re = _mm256_movedup_pd(w);          // [wr0 wr0 wr1 wr1]
-    const __m256d w_im = _mm256_permute_pd(w, 0b1111);  // [wi0 wi0 wi1 wi1]
-    const __m256d v_swap = _mm256_permute_pd(v, 0b0101);
-    const __m256d p =
-        _mm256_addsub_pd(_mm256_mul_pd(v, w_re), _mm256_mul_pd(v_swap, w_im));
-    _mm256_storeu_pd(d + 2 * k, _mm256_add_pd(u, p));
-    _mm256_storeu_pd(d + 2 * (k + half), _mm256_sub_pd(u, p));
-  }
-}
-
-// Magnitudes of two complex doubles per iteration: sqrt(re^2 + im^2), the
-// same elementwise formula as the scalar loop (and _mm256_sqrt_pd is
-// correctly rounded, like std::sqrt).
-LIBRA_AVX2_FN void magnitudes_avx2(const std::complex<double>* buf,
-                                   double* mag, std::size_t m) {
-  const auto* b = reinterpret_cast<const double*>(buf);
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const __m256d v = _mm256_loadu_pd(b + 2 * i);
-    const __m256d sq = _mm256_mul_pd(v, v);
-    const __m256d sq_swap = _mm256_permute_pd(sq, 0b0101);
-    const __m256d sum = _mm256_add_pd(sq, sq_swap);  // [n0 n0 n1 n1]
-    const __m256d root = _mm256_sqrt_pd(sum);
-    const __m128d lo = _mm256_castpd256_pd128(root);
-    const __m128d hi = _mm256_extractf128_pd(root, 1);
-    _mm_storel_pd(mag + i, lo);
-    _mm_storel_pd(mag + i + 1, hi);
-  }
-  for (; i < m; ++i) {
-    const double re = buf[i].real();
-    const double im = buf[i].imag();
-    mag[i] = std::sqrt(re * re + im * im);
-  }
-}
-
-#endif  // LIBRA_SIMD_X86
 
 }  // namespace
 
@@ -117,13 +53,9 @@ void fft(std::vector<std::complex<double>>& data, bool inverse) {
   }
   // Per-stage twiddle table, filled by the same sequential w *= wlen
   // recurrence every block of the stage used to run inline — one table
-  // shared by all blocks (they repeat the identical sequence) and by both
-  // the scalar and vector butterflies.
+  // shared by all blocks (they repeat the identical sequence).
   std::vector<std::complex<double>> tw;
   tw.reserve(n / 2);
-#if LIBRA_SIMD_X86
-  const bool use_avx2 = simd::active_isa() == simd::Isa::kAvx2;
-#endif
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const double angle =
         2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1 : -1);
@@ -132,13 +64,7 @@ void fft(std::vector<std::complex<double>>& data, bool inverse) {
     tw.assign(1, {1.0, 0.0});
     for (std::size_t k = 1; k < half; ++k) tw.push_back(tw[k - 1] * wlen);
     for (std::size_t i = 0; i < n; i += len) {
-#if LIBRA_SIMD_X86
-      if (use_avx2 && half % 2 == 0) {
-        butterflies_avx2(data.data() + i, tw.data(), half);
-        continue;
-      }
-#endif
-      butterflies_scalar(data.data() + i, tw.data(), half);
+      butterflies(data.data() + i, tw.data(), half);
     }
   }
   if (inverse) {
@@ -153,16 +79,10 @@ std::vector<double> magnitude_spectrum(std::span<const double> signal) {
   for (std::size_t i = 0; i < signal.size(); ++i) buf[i] = signal[i];
   fft(buf);
   std::vector<double> mag(n / 2);
-#if LIBRA_SIMD_X86
-  if (simd::active_isa() == simd::Isa::kAvx2) {
-    magnitudes_avx2(buf.data(), mag.data(), mag.size());
-    return mag;
-  }
-#endif
   // sqrt(re^2 + im^2), not std::abs: abs() takes the overflow-safe scaled
-  // route whose bits differ from the plain formula, and PDP/CSI magnitudes
-  // sit many orders below the overflow threshold. Keep this formula in
-  // lockstep with magnitudes_avx2.
+  // route whose bits differ from the plain formula (and the golden digest
+  // pins these bits), while PDP/CSI magnitudes sit many orders below the
+  // overflow threshold.
   for (std::size_t i = 0; i < mag.size(); ++i) {
     const double re = buf[i].real();
     const double im = buf[i].imag();

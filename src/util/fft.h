@@ -1,11 +1,9 @@
 // Radix-2 FFT used to convert power delay profiles (time domain) into a CSI
 // estimate (frequency domain), mirroring Sec. 6.1's "FFT PDP Similarity".
 //
-// The butterfly loops are runtime-dispatched (util/simd.h): an AVX2 kernel
-// handles the wide stages and is bit-identical to the scalar loop — same
-// per-stage twiddle tables, same operation order — so feature extraction
-// cannot drift with the host ISA (LIBRA_FORCE_SCALAR=1 selects the scalar
-// loop for differential runs).
+// The butterflies' operation order and the magnitude formula are fixed (see
+// fft.cpp): the golden fleet digest and tests/paper_golden/ pin the spectra,
+// so a change to either shows up as a moved digest or paper number.
 #pragma once
 
 #include <complex>

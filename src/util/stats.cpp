@@ -4,22 +4,17 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/simd.h"
-
-#if LIBRA_SIMD_X86
-#include <immintrin.h>
-#endif
-
 namespace libra::util {
 
 namespace {
 
 // 4-lane blocked sum: lane j accumulates indices congruent j mod 4, lanes
-// combine as (s0+s2)+(s1+s3) — the pairwise reduce an AVX2 register does
-// with extract128+add — and the tail is appended after the combine. Both
-// the scalar and AVX2 pearson below follow this exact schedule, which is
-// the whole parity argument: same additions, same order, no FMA on either
-// path (baseline x86-64 and target("avx2") lack the instruction).
+// combine as (s0+s2)+(s1+s3), and the tail is appended after the combine.
+// pearson_sums below follows the same schedule. Floating-point addition is
+// not associative, so this order is part of pearson's result: the golden
+// fleet digest (sim/golden.h) and tests/paper_golden/ pin the PDP/CSI
+// similarity features it produces, and SummationSchedule.* in
+// tests/util_test.cpp pins it directly. Do not reorder it.
 inline double blocked_sum(const double* x, std::size_t n) {
   double acc[4] = {0.0, 0.0, 0.0, 0.0};
   const std::size_t full = n - n % 4;
@@ -38,8 +33,8 @@ struct PearsonSums {
   double cov = 0.0, va = 0.0, vb = 0.0;
 };
 
-inline PearsonSums pearson_sums_scalar(const double* a, const double* b,
-                                       std::size_t n, double ma, double mb) {
+inline PearsonSums pearson_sums(const double* a, const double* b,
+                                std::size_t n, double ma, double mb) {
   double c[4] = {0.0, 0.0, 0.0, 0.0};
   double sa[4] = {0.0, 0.0, 0.0, 0.0};
   double sb[4] = {0.0, 0.0, 0.0, 0.0};
@@ -66,60 +61,6 @@ inline PearsonSums pearson_sums_scalar(const double* a, const double* b,
   }
   return s;
 }
-
-#if LIBRA_SIMD_X86
-
-#define LIBRA_AVX2_FN __attribute__((target("avx2")))
-
-// (a0+a2)+(a1+a3): the same combine order blocked_sum writes out.
-LIBRA_AVX2_FN inline double reduce_blocked(__m256d acc) {
-  const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(acc),
-                                  _mm256_extractf128_pd(acc, 1));
-  return _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-}
-
-LIBRA_AVX2_FN double blocked_sum_avx2(const double* x, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t full = n - n % 4;
-  for (std::size_t i = 0; i < full; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(x + i));
-  }
-  double s = reduce_blocked(acc);
-  for (std::size_t i = full; i < n; ++i) s += x[i];
-  return s;
-}
-
-LIBRA_AVX2_FN PearsonSums pearson_sums_avx2(const double* a, const double* b,
-                                            std::size_t n, double ma,
-                                            double mb) {
-  const __m256d vma = _mm256_set1_pd(ma);
-  const __m256d vmb = _mm256_set1_pd(mb);
-  __m256d c = _mm256_setzero_pd();
-  __m256d sa = _mm256_setzero_pd();
-  __m256d sb = _mm256_setzero_pd();
-  const std::size_t full = n - n % 4;
-  for (std::size_t i = 0; i < full; i += 4) {
-    const __m256d da = _mm256_sub_pd(_mm256_loadu_pd(a + i), vma);
-    const __m256d db = _mm256_sub_pd(_mm256_loadu_pd(b + i), vmb);
-    c = _mm256_add_pd(c, _mm256_mul_pd(da, db));
-    sa = _mm256_add_pd(sa, _mm256_mul_pd(da, da));
-    sb = _mm256_add_pd(sb, _mm256_mul_pd(db, db));
-  }
-  PearsonSums s;
-  s.cov = reduce_blocked(c);
-  s.va = reduce_blocked(sa);
-  s.vb = reduce_blocked(sb);
-  for (std::size_t i = full; i < n; ++i) {
-    const double da = a[i] - ma;
-    const double db = b[i] - mb;
-    s.cov += da * db;
-    s.va += da * da;
-    s.vb += db * db;
-  }
-  return s;
-}
-
-#endif  // LIBRA_SIMD_X86
 
 }  // namespace
 
@@ -224,18 +165,9 @@ double percentile(std::span<const double> xs, double p) {
 double pearson(std::span<const double> a, std::span<const double> b) {
   if (a.size() != b.size() || a.empty()) return 0.0;
   const std::size_t n = a.size();
-#if LIBRA_SIMD_X86
-  if (simd::active_isa() == simd::Isa::kAvx2) {
-    const double ma = blocked_sum_avx2(a.data(), n) / static_cast<double>(n);
-    const double mb = blocked_sum_avx2(b.data(), n) / static_cast<double>(n);
-    const PearsonSums s = pearson_sums_avx2(a.data(), b.data(), n, ma, mb);
-    if (s.va <= 0.0 || s.vb <= 0.0) return 0.0;
-    return s.cov / std::sqrt(s.va * s.vb);
-  }
-#endif
   const double ma = blocked_sum(a.data(), n) / static_cast<double>(n);
   const double mb = blocked_sum(b.data(), n) / static_cast<double>(n);
-  const PearsonSums s = pearson_sums_scalar(a.data(), b.data(), n, ma, mb);
+  const PearsonSums s = pearson_sums(a.data(), b.data(), n, ma, mb);
   if (s.va <= 0.0 || s.vb <= 0.0) return 0.0;
   return s.cov / std::sqrt(s.va * s.vb);
 }

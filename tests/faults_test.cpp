@@ -28,7 +28,6 @@
 #include "core/controller.h"
 #include "env/registry.h"
 #include "faults/faults.h"
-#include "util/simd.h"
 #include "sim/fleet.h"
 #include "sim/golden.h"
 #include "test_helpers.h"
@@ -411,14 +410,6 @@ TEST(FaultsValidation, FallbackPolicyDemotesNonFiniteRowsToNoAdaptation) {
   // Rows 0 and 2 started from identical streams (seed 4) and identical
   // features; the dead middle row must not have skewed either.
   EXPECT_EQ(verdicts[0], verdicts[2]);
-
-  // The policy is enforced before any vector kernel sees the row, so the
-  // verdicts must be identical whether the SIMD dispatch is active or
-  // forced off (same seeds, fresh streams).
-  util::simd::ScopedForceScalar scalar;
-  util::Rng s0(4), s1(5), s2(4);
-  std::vector<util::Rng*> srngs{&s0, &s1, &s2};
-  EXPECT_EQ(clf.classify_batch(rows, srngs), verdicts);
 }
 
 // ---------- plan validation ----------

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <ios>
 #include <random>
 #include <utility>
 #include <cmath>
@@ -13,7 +14,6 @@
 #include "util/cli.h"
 #include "util/fft.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -448,6 +448,15 @@ TEST(CliArgs, NumberFallsBackWhenAbsentAndThrowsWhenGarbage) {
   EXPECT_DOUBLE_EQ(args.number("missing", 4.5), 4.5);
   EXPECT_EQ(args.str("name"), "trace.json");
   EXPECT_THROW(args.number("name", 0.0), std::invalid_argument);
+
+  // strtod accepts these, but no count, seed or port may be non-finite, and
+  // an overflowing literal must not escape as std::out_of_range.
+  for (const char* bad : {"nan", "inf", "-inf", "1e999"}) {
+    const char* bad_argv[] = {"prog", "--seed", bad};
+    const CliArgs bad_args = CliArgs::parse(3, bad_argv);
+    EXPECT_EQ(bad_args.str("seed"), bad);
+    EXPECT_THROW(bad_args.number("seed", 1.0), std::invalid_argument) << bad;
+  }
 }
 
 TEST(CliArgs, RequireKnownRejectsUnrecognizedOptions) {
@@ -655,34 +664,54 @@ TEST(Fft, MagnitudeSpectrumEmptyInput) {
   EXPECT_TRUE(magnitude_spectrum({}).empty());
 }
 
-// ---------- SIMD dispatch parity ----------
-// The vectorized stats/FFT kernels promise bit-identical results to their
-// scalar loops, so fleet digests cannot move with the dispatched ISA.
-// These run the same inputs through the auto dispatch and the forced-scalar
-// override and require exact equality.
+// ---------- Summation schedules ----------
+// pearson sums in a 4-lane blocked order and magnitude_spectrum uses a
+// written-out butterfly and sqrt(re^2 + im^2). Floating-point addition is
+// not associative, so those orders are part of the results, and the golden
+// fleet digest and tests/paper_golden/ depend on them. These pins name the
+// kernel when an order moves; the literals are exact results of these
+// schedules.
 
-TEST(SimdParity, PearsonBitIdenticalToScalar) {
+// FNV-1a over the bit patterns of every bin.
+std::uint64_t bit_hash(const std::vector<double>& xs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double x : xs) {
+    h ^= std::bit_cast<std::uint64_t>(x);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(SummationSchedule, PearsonAndSpectrumArePinned) {
+  const std::vector<std::pair<int, double>> pearson_pins{
+      {1, 0x0p+0},
+      {3, -0x1.531f482ee864dp-3},
+      {4, -0x1.dc2e400c970f6p-1},
+      {7, 0x1.3baf28970610dp-2},
+      {64, -0x1.cbfc5aa1e4187p-6},
+      {129, 0x1.9a372b58dd406p-6},
+  };
   Rng rng(8);
-  for (const int n : {1, 3, 4, 7, 64, 129}) {
+  for (const auto& [n, expected] : pearson_pins) {
     std::vector<double> a(static_cast<std::size_t>(n));
     std::vector<double> b(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       a[static_cast<std::size_t>(i)] = rng.gaussian(0, 3);
       b[static_cast<std::size_t>(i)] = rng.gaussian(1, 2);
     }
-    const double auto_r = pearson(a, b);
-    simd::ScopedForceScalar scalar;
-    EXPECT_EQ(auto_r, pearson(a, b)) << "n=" << n;
+    const double r = pearson(a, b);
+    EXPECT_EQ(r, expected) << "n=" << n << " got " << std::hexfloat << r;
   }
-}
 
-TEST(SimdParity, MagnitudeSpectrumBitIdenticalToScalar) {
-  Rng rng(9);
+  Rng sig_rng(9);
   std::vector<double> sig(300);  // pads to 512
-  for (auto& s : sig) s = rng.uniform(-1, 1);
-  const std::vector<double> auto_mag = magnitude_spectrum(sig);
-  simd::ScopedForceScalar scalar;
-  EXPECT_EQ(auto_mag, magnitude_spectrum(sig));
+  for (auto& s : sig) s = sig_rng.uniform(-1, 1);
+  const std::vector<double> mag = magnitude_spectrum(sig);
+  ASSERT_EQ(mag.size(), 256u);
+  EXPECT_EQ(mag[0], 0x1.b830e21ab2284p+1);
+  EXPECT_EQ(mag[100], 0x1.2a12572163612p+1);
+  EXPECT_EQ(mag[255], 0x1.954e99c6a55e6p+3);
+  EXPECT_EQ(bit_hash(mag), 0xdf4fd1e8c21e1df4ULL);
 }
 
 class FftSizes : public ::testing::TestWithParam<int> {};

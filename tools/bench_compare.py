@@ -37,8 +37,8 @@ def load_benchmarks(path):
     """Return {name: {"real_time_ns": float, "rates": {counter: float},
     "label": str}} for every non-aggregate benchmark. `rates` holds every
     *_per_s user counter (links_per_s, rows_per_s, ...) -- all of them are
-    gated. `label` carries SetLabel() text (the SIMD benches report the
-    dispatched ISA there); it is printed, not gated."""
+    gated. `label` carries a bench's SetLabel() text, if it set one; it is
+    printed, not gated."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     out = {}
@@ -137,21 +137,21 @@ def write_report(path, rows, regressions, missing, threshold, args):
         f"or any *_per_s ratio < {1.0 - threshold:.2f}",
         "",
         "| benchmark | baseline | current | ratio "
-        "| rates (base → cur) | isa | status |",
+        "| rates (base → cur) | label | status |",
         "|---|---|---|---|---|---|---|",
     ]
     for name, base, cur, ratio, ratios, status in rows:
         cur_time = fmt_ns(cur["real_time_ns"]) if cur is not None else "—"
         rat = f"{ratio:.3f}" if ratio is not None else "—"
-        # The dispatched-ISA label of the current run; flag a baseline
-        # recorded on different hardware/dispatch so a "regression" that is
-        # really an ISA delta is obvious at a glance.
+        # The current run's bench label; flag a baseline recorded under a
+        # different label so a "regression" that is really a configuration
+        # delta is obvious at a glance.
         cur_label = cur.get("label", "") if cur is not None else ""
         base_label = base.get("label", "")
         if cur_label and base_label and cur_label != base_label:
-            isa = f"{base_label} → {cur_label}"
+            label = f"{base_label} → {cur_label}"
         else:
-            isa = cur_label or base_label or "—"
+            label = cur_label or base_label or "—"
         rate_cells = []
         for key in sorted(base["rates"]):
             base_rate = base["rates"][key]
@@ -164,7 +164,7 @@ def write_report(path, rows, regressions, missing, threshold, args):
         rate = "<br>".join(rate_cells) if rate_cells else "—"
         lines.append(
             f"| {name} | {fmt_ns(base['real_time_ns'])} | {cur_time} "
-            f"| {rat} | {rate} | {isa} | {status} |")
+            f"| {rat} | {rate} | {label} | {status} |")
     lines.append("")
     if regressions or missing:
         lines.append(

@@ -7,19 +7,11 @@
 //
 // Paste the printed constant into sim/golden.h when a deliberate behavior
 // change moves the canonical run.
-// CI's release job also runs this binary twice — auto-dispatch vs
-// LIBRA_FORCE_SCALAR=1 — and diffs the digests, so the dispatched ISA is
-// printed next to the digest to make any mismatch attributable.
 #include <cstdio>
 
 #include "sim/golden.h"
-#include "util/simd.h"
 
 int main() {
-  std::printf("simd dispatch: %s%s\n", libra::util::simd::active_isa_name(),
-              libra::util::simd::force_scalar_env()
-                  ? " (LIBRA_FORCE_SCALAR)"
-                  : "");
   const libra::sim::FleetResult result =
       libra::sim::run_canonical_faulted_fleet(libra::sim::kGoldenFleetSeed,
                                               libra::sim::kGoldenFaultSeed);
