@@ -23,7 +23,9 @@
 //                      The example pushes its own trained forest first, so
 //                      a loopback run is bit-identical to in-process; a
 //                      dead daemon degrades to the RA-first fallback
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -89,11 +91,12 @@ int main(int argc, char** argv) {
 
   sim::FleetConfig cfg;
   cfg.seed = 42;
-  cfg.shards = static_cast<int>(args.number("shards", 0));
-  cfg.num_threads = static_cast<int>(args.number("threads", 1));
+  constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+  cfg.shards = static_cast<int>(args.integer("shards", 0, 0, kMaxInt));
+  cfg.num_threads = static_cast<int>(args.integer("threads", 1, 0, 1024));
   if (args.flag("faults")) {
-    cfg.faults = faults::demo_plan(
-        static_cast<std::uint64_t>(args.number("faults", 1)));
+    cfg.faults = faults::demo_plan(static_cast<std::uint64_t>(args.integer(
+        "faults", 1, 0, std::numeric_limits<std::int64_t>::max())));
   }
   std::optional<rpc::RemoteBackend> remote;
   const std::string backend_spec = args.str("backend");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -60,6 +61,37 @@ obs::Counter& mcs_occupancy_counter(phy::McsIndex mcs) {
   const int idx = std::clamp(static_cast<int>(mcs), 0, kMaxTracked - 1);
   return *counters[static_cast<std::size_t>(idx)];
 }
+// Throws std::invalid_argument naming the first field of `cfg` outside its
+// range. cfg.up_prober is checked by UpProber's constructor.
+void validate(const ControllerConfig& cfg) {
+  const auto check = [](bool ok, const char* field, const char* range,
+                        double value) {
+    if (!ok) {
+      char got[32];
+      std::snprintf(got, sizeof got, "%g", value);
+      throw std::invalid_argument(std::string("ControllerConfig: ") + field +
+                                  " must be " + range + ", got " + got);
+    }
+  };
+  const auto in_unit = [](double v) { return v >= 0.0 && v <= 1.0; };
+  check(std::isfinite(cfg.fat_ms) && cfg.fat_ms > 0.0, "fat_ms",
+        "finite and > 0", cfg.fat_ms);
+  check(std::isfinite(cfg.ba_overhead_ms) && cfg.ba_overhead_ms >= 0.0,
+        "ba_overhead_ms", "finite and >= 0", cfg.ba_overhead_ms);
+  check(cfg.decision_period_frames >= 1, "decision_period_frames", ">= 1",
+        cfg.decision_period_frames);
+  check(std::isfinite(cfg.min_tput_mbps) && cfg.min_tput_mbps >= 0.0,
+        "min_tput_mbps", "finite and >= 0", cfg.min_tput_mbps);
+  check(in_unit(cfg.min_cdr), "min_cdr", "in [0, 1]", cfg.min_cdr);
+  // A zero weight freezes the EWMA at 0 and a zero trigger fires on every
+  // frame: either one disables the persistent-ACK-loss rule.
+  check(cfg.ack_loss_ewma_weight > 0.0 && cfg.ack_loss_ewma_weight <= 1.0,
+        "ack_loss_ewma_weight", "in (0, 1]", cfg.ack_loss_ewma_weight);
+  check(cfg.ack_loss_trigger > 0.0 && cfg.ack_loss_trigger <= 1.0,
+        "ack_loss_trigger", "in (0, 1]", cfg.ack_loss_trigger);
+  check(cfg.post_adapt_holdoff_frames >= 0, "post_adapt_holdoff_frames",
+        ">= 0", cfg.post_adapt_holdoff_frames);
+}
 }  // namespace
 
 LinkController::LinkController(channel::Link* link,
@@ -72,10 +104,7 @@ LinkController::LinkController(channel::Link* link,
       ack_model_(error_model, cfg.ack),
       up_prober_(0, cfg.up_prober) {
   if (!link_ || !error_model_) throw std::invalid_argument("null dependency");
-  if (!(cfg_.fat_ms > 0.0)) {
-    throw std::invalid_argument("ControllerConfig: fat_ms must be > 0, got " +
-                                std::to_string(cfg_.fat_ms));
-  }
+  validate(cfg_);
 }
 
 bool LinkController::is_working(double cdr, double tput_mbps) const {

@@ -116,6 +116,11 @@ struct DecisionRequest {
 // through plan() (and optionally note_verdict()).
 class LinkController {
  public:
+  // Throws std::invalid_argument on a null link or error model, or on a
+  // config field out of range: fat_ms finite and > 0; ba_overhead_ms and
+  // min_tput_mbps finite and >= 0; decision_period_frames >= 1; min_cdr in
+  // [0, 1]; ack_loss_ewma_weight and ack_loss_trigger in (0, 1];
+  // post_adapt_holdoff_frames >= 0; up_prober as UpProber checks it.
   LinkController(channel::Link* link, const phy::ErrorModel* error_model,
                  ControllerConfig cfg);
   virtual ~LinkController() = default;

@@ -1,6 +1,9 @@
 #include "core/rate_adaptation.h"
 
 #include <algorithm>
+#include <climits>
+#include <stdexcept>
+#include <string>
 
 namespace libra::core {
 
@@ -38,7 +41,26 @@ double cdr_ori(const phy::McsTable& table, phy::McsIndex current) {
 }
 
 UpProber::UpProber(phy::McsIndex current, UpProberConfig cfg)
-    : cfg_(cfg), current_(current), timer_(cfg.t0_frames) {}
+    : cfg_(cfg), current_(current), timer_(cfg.t0_frames) {
+  if (cfg_.t0_frames <= 0) {
+    throw std::invalid_argument("UpProberConfig: t0_frames must be > 0, got " +
+                                std::to_string(cfg_.t0_frames));
+  }
+  // on_frame() computes t0_frames * 2^k for k up to the exponent: the shift
+  // must be defined and the product must fit an int.
+  if (cfg_.max_backoff_exponent < 0 || cfg_.max_backoff_exponent > 30 ||
+      cfg_.t0_frames > (INT_MAX >> cfg_.max_backoff_exponent)) {
+    throw std::invalid_argument(
+        "UpProberConfig: max_backoff_exponent must be in [0, 30] with "
+        "t0_frames * 2^max_backoff_exponent <= INT_MAX, got " +
+        std::to_string(cfg_.max_backoff_exponent));
+  }
+  if (!(cfg_.min_cdr_for_probe >= 0.0 && cfg_.min_cdr_for_probe <= 1.0)) {
+    throw std::invalid_argument(
+        "UpProberConfig: min_cdr_for_probe must be in [0, 1], got " +
+        std::to_string(cfg_.min_cdr_for_probe));
+  }
+}
 
 void UpProber::reset(phy::McsIndex current) {
   current_ = current;

@@ -53,6 +53,9 @@ struct UpProberConfig {
 // probe/backoff state based on the trace the link currently follows.
 class UpProber {
  public:
+  // Throws std::invalid_argument unless t0_frames > 0, max_backoff_exponent
+  // is in [0, 30] with t0_frames * 2^max_backoff_exponent in int range, and
+  // min_cdr_for_probe is in [0, 1].
   UpProber(phy::McsIndex current, UpProberConfig cfg = {});
 
   // Decide the MCS for the next frame given the trace of the pair in use.

@@ -19,15 +19,18 @@ void require_positive(double v, const char* field) {
   }
 }
 
-// Synthesize the PDP, jitter every tap with one Gaussian draw from `rng`,
-// then derive the ToF and the CSI: the eager and the deferred path both
-// run exactly this.
+// Synthesize the PDP, jitter every tap with one standard normal of the
+// observation's tap substream, then derive the ToF and the CSI: the eager
+// and the deferred path both run exactly this.
 void fill_pdp(PhyObservation& obs,
               const std::vector<channel::PathContribution>& contributions,
-              const PdpConfig& pdp_cfg, double tap_jitter, util::Rng& rng) {
+              const PdpConfig& pdp_cfg, double tap_jitter,
+              std::uint64_t tap_key) {
   obs.pdp = synthesize_pdp(contributions, pdp_cfg);
-  for (double& tap : obs.pdp) {
-    tap *= std::exp(rng.gaussian(0.0, tap_jitter));
+  std::vector<double> jitter(obs.pdp.size());
+  util::fill_standard_normals(tap_key, jitter);
+  for (std::size_t i = 0; i < obs.pdp.size(); ++i) {
+    obs.pdp[i] *= std::exp(jitter[i] * tap_jitter);
   }
   obs.tof_ns = time_of_flight_ns(obs.pdp, pdp_cfg);
   obs.csi = csi_from_pdp(obs.pdp);
@@ -36,9 +39,8 @@ void fill_pdp(PhyObservation& obs,
 
 void PhyObservation::materialize() {
   if (!pending) return;
-  util::Rng rng = pending->rng;
   fill_pdp(*this, pending->contributions, pending->pdp, pending->tap_jitter,
-           rng);
+           pending->tap_key);
   pending.reset();
 }
 
@@ -106,21 +108,21 @@ PhyObservation PhySampler::sample(const channel::Link& link,
   const double avg_floor = (1.0 - duty) * clean_floor + duty * beam_floor;
   obs.noise_dbm = avg_floor + rng.gaussian(0.0, cfg_.noise_jitter_db);
 
+  // One word of the caller's stream keys this observation's tap jitters.
+  // Every mode draws it, so all three consume the same stream, and a frame
+  // whose PDP is never computed pays for no jitter draws.
+  const std::uint64_t tap_key = rng.word();
   if (mode != PdpMode::kNone) {
     // Taps are detectable only above the receiver's effective noise floor;
     // this is what makes X60 report ToF = infinity for very weak signals.
     PdpConfig pdp_cfg = cfg_.pdp;
     pdp_cfg.noise_floor_mw = libra::util::dbm_to_mw(beam_floor - 6.0);
     if (mode == PdpMode::kEager) {
-      fill_pdp(obs, contributions, pdp_cfg, cfg_.pdp_tap_jitter, rng);
+      fill_pdp(obs, contributions, pdp_cfg, cfg_.pdp_tap_jitter, tap_key);
     } else {
       obs.pending = std::make_shared<const PendingPdp>(PendingPdp{
-          std::move(contributions), pdp_cfg, cfg_.pdp_tap_jitter, rng});
+          std::move(contributions), pdp_cfg, cfg_.pdp_tap_jitter, tap_key});
     }
-  }
-  if (mode != PdpMode::kEager) {
-    // Keep the stream aligned with observe(): one jitter draw per tap.
-    rng.skip_gaussians(static_cast<std::size_t>(cfg_.pdp.num_taps));
   }
 
   const double expected_cdr =

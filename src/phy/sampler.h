@@ -3,6 +3,7 @@
 // throughput, averaged over a trace, with realistic measurement noise.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -19,9 +20,9 @@ namespace libra::phy {
 // exactly as observe() computes them now.
 struct PendingPdp {
   std::vector<channel::PathContribution> contributions;
-  PdpConfig pdp;            // with the Rx beam's detection floor applied
-  double tap_jitter = 0.0;  // SamplerConfig::pdp_tap_jitter
-  util::Rng rng;            // the caller's stream just before the taps
+  PdpConfig pdp;              // with the Rx beam's detection floor applied
+  double tap_jitter = 0.0;    // SamplerConfig::pdp_tap_jitter
+  std::uint64_t tap_key = 0;  // the word that keys the tap jitters
 };
 
 struct PhyObservation {
@@ -94,6 +95,9 @@ class PhySampler {
   const SamplerConfig& config() const { return cfg_; }
 
  private:
+  // What sample() does with the PDP, the CSI and the ToF: skip them
+  // (observe_rate), compute them (observe), or leave them pending on the
+  // observation (observe_deferred). All three draw the same words.
   enum class PdpMode { kNone, kEager, kDeferred };
   // The one sampler body: observe() is observe_rate() plus the PDP/CSI,
   // and observe_deferred() is observe() with them left pending.

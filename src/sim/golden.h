@@ -26,7 +26,7 @@ inline constexpr std::uint64_t kGoldenFaultSeed = 1234;
 // The pinned digest of the canonical run at the seeds above. Refresh after
 // a deliberate behavior change by running `build/tools/fault_digest` and
 // pasting the value it prints.
-inline constexpr std::uint64_t kGoldenDigest = 0xb7cd6e51aba0ec4aULL;
+inline constexpr std::uint64_t kGoldenDigest = 0xf0f4504f268110c8ULL;
 
 // Run the canonical faulted fleet. Deterministic for fixed seeds at any
 // forest thread count (the fleet determinism contract).

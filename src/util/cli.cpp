@@ -53,6 +53,21 @@ double CliArgs::number(const std::string& key, double fallback) const {
   return value;
 }
 
+std::int64_t CliArgs::integer(const std::string& key, std::int64_t fallback,
+                              std::int64_t lo, std::int64_t hi) const {
+  if (!flag(key)) return fallback;
+  const double value = number(key, 0.0);
+  // Range-check in double first: only a value in [-2^63, 2^63) converts to
+  // int64 with defined behaviour.
+  if (value == std::trunc(value) && value >= -0x1p63 && value < 0x1p63) {
+    const auto n = static_cast<std::int64_t>(value);
+    if (n >= lo && n <= hi) return n;
+  }
+  throw std::invalid_argument("--" + key + " expects an integer in [" +
+                              std::to_string(lo) + ", " + std::to_string(hi) +
+                              "], got '" + str(key) + "'");
+}
+
 void CliArgs::require_known(
     std::initializer_list<std::string_view> known) const {
   std::string unknown;

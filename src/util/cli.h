@@ -7,6 +7,7 @@
 // flag plus a stray positional (the historical bug this fixes).
 #pragma once
 
+#include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <string>
@@ -32,6 +33,13 @@ struct CliArgs {
   // flag given a bad value should fail loudly, not silently become the
   // fallback or reach an integer cast).
   double number(const std::string& key, double fallback) const;
+  // Option value as an integer in [lo, hi], or `fallback` when absent.
+  // Throws std::invalid_argument when present but not a number() with an
+  // integral value in that range: "2.5", "-1" where lo = 0, or "1e300" for
+  // a port (casting such a value to an integer type is undefined
+  // behaviour). "1e3" is 1000.
+  std::int64_t integer(const std::string& key, std::int64_t fallback,
+                       std::int64_t lo, std::int64_t hi) const;
   // Option value as a string, or `fallback` when absent.
   std::string str(const std::string& key,
                   const std::string& fallback = "") const;

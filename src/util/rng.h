@@ -8,9 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 namespace libra::util {
@@ -33,19 +33,19 @@ class Rng {
     return canonical() * (hi - lo) + lo;
   }
   // One draw of libstdc++'s std::normal_distribution<double>(mean, stddev)
-  // from a fresh distribution, bit for bit: the Marsaglia polar method,
-  // returning the y variate (the x variate the distribution would cache
-  // dies with it).
+  // from a fresh distribution, bit for bit: the Marsaglia polar method over
+  // the same canonical uniforms, returning the y variate (the x variate the
+  // distribution would cache dies with it).
   double gaussian(double mean, double stddev) {
-    const Polar p = polar();
-    const double mult = std::sqrt(-2 * std::log(p.r2) / p.r2);
-    const double ret = p.y * mult;
+    double x, y, r2;
+    do {
+      x = 2.0 * canonical() - 1.0;
+      y = 2.0 * canonical() - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2 * std::log(r2) / r2);
+    const double ret = y * mult;
     return ret * stddev + mean;
-  }
-  // Advance the engine exactly as `n` gaussian() calls would, without
-  // computing the variates (same rejection loop, no log/sqrt).
-  void skip_gaussians(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) polar();
   }
   // Uniform integer in [lo, hi] inclusive.
   int uniform_int(int lo, int hi) {
@@ -57,6 +57,10 @@ class Rng {
   double exponential(double mean) {
     return -std::log(1.0 - canonical()) / (1.0 / mean);
   }
+
+  // One raw 64-bit word of the engine, e.g. to key a counter-based
+  // substream (fill_standard_normals).
+  std::uint64_t word() { return engine_(); }
 
   // A uniform double in [0, 1): std::generate_canonical<double, 53> on
   // this 64-bit engine, bit for bit.
@@ -83,26 +87,18 @@ class Rng {
   std::mt19937_64& engine() { return engine_; }
 
  private:
-  struct Polar {
-    double y;
-    double r2;
-  };
-  // The polar method's rejection loop: a point uniform in the unit disc
-  // (minus the origin), from the same canonical uniforms
-  // std::normal_distribution draws.
-  Polar polar() {
-    double x, y, r2;
-    do {
-      x = 2.0 * canonical() - 1.0;
-      y = 2.0 * canonical() - 1.0;
-      r2 = x * x + y * y;
-    } while (r2 > 1.0 || r2 == 0.0);
-    return {y, r2};
-  }
-
   std::mt19937_64 engine_;
   std::uint64_t seed_;
   std::uint64_t fork_count_ = 0;
 };
+
+// Fill `out` with standard normals that are a pure function of (key, i):
+// no engine state, so a caller can draw one word to key a block of normals
+// and compute them later, or never. Word j is the j-th output of the
+// splitmix64 sequence seeded with `key`, i.e. the mix of key + (j + 1) * γ;
+// words 2k and 2k + 1 give normals 2k (cosine) and 2k + 1 (sine) by
+// Box–Muller, with 1 - canonical_from(word) as the radius uniform so the log
+// never sees 0.
+void fill_standard_normals(std::uint64_t key, std::span<double> out);
 
 }  // namespace libra::util

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 
 #include "core/controller.h"
@@ -243,6 +247,94 @@ TEST_F(LiveFixture, ConfigRejectsNonPositiveFat) {
   cfg.fat_ms = -1.0;
   EXPECT_THROW(core::RaFirstController(&link, &em, cfg),
                std::invalid_argument);
+}
+
+// ControllerConfig is validated at construction, one field at a time:
+// every listed bad value throws and every listed good value (the range
+// boundaries) constructs.
+struct ControllerConfigValidation : LiveFixture {
+  void expect_range(
+      const std::function<void(core::ControllerConfig&, double)>& set_field,
+      std::initializer_list<double> bad, std::initializer_list<double> good) {
+    for (const double v : bad) {
+      core::ControllerConfig cfg;
+      set_field(cfg, v);
+      EXPECT_THROW(core::RaFirstController(&link, &em, cfg),
+                   std::invalid_argument)
+          << v;
+    }
+    for (const double v : good) {
+      core::ControllerConfig cfg;
+      set_field(cfg, v);
+      EXPECT_NO_THROW(core::RaFirstController(&link, &em, cfg)) << v;
+    }
+  }
+  static constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+};
+
+TEST_F(ControllerConfigValidation, DefaultConfigIsValid) {
+  EXPECT_NO_THROW(core::RaFirstController(&link, &em, {}));
+}
+
+TEST_F(ControllerConfigValidation, FatMs) {
+  expect_range([](core::ControllerConfig& c, double v) { c.fat_ms = v; },
+               {0.0, -1.0, kNan, kInf}, {2.0});
+}
+
+TEST_F(ControllerConfigValidation, BaOverheadMs) {
+  expect_range(
+      [](core::ControllerConfig& c, double v) { c.ba_overhead_ms = v; },
+      {-0.5, kNan, kInf}, {0.0, 250.0});
+}
+
+TEST_F(ControllerConfigValidation, DecisionPeriodFrames) {
+  expect_range(
+      [](core::ControllerConfig& c, double v) {
+        c.decision_period_frames = static_cast<int>(v);
+      },
+      {0, -2}, {1});
+}
+
+TEST_F(ControllerConfigValidation, MinTputMbps) {
+  expect_range(
+      [](core::ControllerConfig& c, double v) { c.min_tput_mbps = v; },
+      {-1.0, kNan, kInf}, {0.0});
+}
+
+TEST_F(ControllerConfigValidation, MinCdr) {
+  expect_range([](core::ControllerConfig& c, double v) { c.min_cdr = v; },
+               {-0.1, 1.5, kNan}, {0.0, 1.0});
+}
+
+TEST_F(ControllerConfigValidation, AckLossEwmaWeight) {
+  expect_range(
+      [](core::ControllerConfig& c, double v) { c.ack_loss_ewma_weight = v; },
+      {0.0, -0.3, 1.1, kNan}, {1.0});
+}
+
+TEST_F(ControllerConfigValidation, AckLossTrigger) {
+  expect_range(
+      [](core::ControllerConfig& c, double v) { c.ack_loss_trigger = v; },
+      {0.0, 1.01, kNan}, {1.0});
+}
+
+TEST_F(ControllerConfigValidation, PostAdaptHoldoffFrames) {
+  expect_range(
+      [](core::ControllerConfig& c, double v) {
+        c.post_adapt_holdoff_frames = static_cast<int>(v);
+      },
+      {-1}, {0});
+}
+
+// The up-prober config is checked by UpProber (core_test) and reaches the
+// controller through its member.
+TEST_F(ControllerConfigValidation, UpProberConfig) {
+  expect_range(
+      [](core::ControllerConfig& c, double v) {
+        c.up_prober.t0_frames = static_cast<int>(v);
+      },
+      {0, -5}, {1});
 }
 
 TEST_F(LiveFixture, WalkFramesCarryNoDecision) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/classifier.h"
 #include "core/cots_device.h"
 #include "core/rate_adaptation.h"
@@ -161,6 +164,49 @@ TEST(UpProber, RraaGateUsedWhenTableSet) {
   bool probed = false;
   for (int i = 0; i < 10; ++i) probed |= prober.on_frame(t, rule) == 2;
   EXPECT_TRUE(probed);
+}
+
+// UpProberConfig is validated at construction, one field at a time. The
+// backoff interval is t0_frames * 2^k for k up to max_backoff_exponent, so
+// the exponent must keep the shift defined and the product in int range.
+TEST(UpProber, T0FramesMustBePositive) {
+  for (const int bad : {0, -1, -5}) {
+    UpProberConfig cfg;
+    cfg.t0_frames = bad;
+    EXPECT_THROW(UpProber(2, cfg), std::invalid_argument) << bad;
+  }
+}
+
+TEST(UpProber, BackoffExponentMustKeepTheIntervalInRange) {
+  for (const int bad : {-1, 31, 32, 64}) {
+    UpProberConfig cfg;
+    cfg.max_backoff_exponent = bad;
+    EXPECT_THROW(UpProber(2, cfg), std::invalid_argument) << bad;
+  }
+  UpProberConfig overflow;  // 5 * 2^30 > INT_MAX
+  overflow.max_backoff_exponent = 30;
+  EXPECT_THROW(UpProber(2, overflow), std::invalid_argument);
+  UpProberConfig edge;  // 1 * 2^30 fits
+  edge.t0_frames = 1;
+  edge.max_backoff_exponent = 30;
+  EXPECT_NO_THROW(UpProber(2, edge));
+  UpProberConfig none;  // no backoff at all
+  none.max_backoff_exponent = 0;
+  EXPECT_NO_THROW(UpProber(2, none));
+}
+
+TEST(UpProber, MinCdrForProbeMustBeAFraction) {
+  for (const double bad :
+       {-0.1, 1.1, std::numeric_limits<double>::quiet_NaN()}) {
+    UpProberConfig cfg;
+    cfg.min_cdr_for_probe = bad;
+    EXPECT_THROW(UpProber(2, cfg), std::invalid_argument) << bad;
+  }
+  for (const double good : {0.0, 1.0}) {
+    UpProberConfig cfg;
+    cfg.min_cdr_for_probe = good;
+    EXPECT_NO_THROW(UpProber(2, cfg)) << good;
+  }
 }
 
 // ---------- LiBRA classifier ----------

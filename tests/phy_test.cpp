@@ -300,9 +300,31 @@ TEST_F(SamplerFixture, SweepSnrAveragesDuty) {
   EXPECT_NEAR(measured, 0.5 * clean + 0.5 * jam, 2.0);
 }
 
+void expect_same_bits(const PhyObservation& got, const PhyObservation& want) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto same = [&](const std::vector<double>& a,
+                        const std::vector<double>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [&](double x, double y) { return bits(x) == bits(y); });
+  };
+  EXPECT_EQ(bits(got.snr_db), bits(want.snr_db));
+  EXPECT_EQ(bits(got.noise_dbm), bits(want.noise_dbm));
+  ASSERT_EQ(got.tof_ns.has_value(), want.tof_ns.has_value());
+  if (want.tof_ns) {
+    EXPECT_EQ(bits(*got.tof_ns), bits(*want.tof_ns));
+  }
+  EXPECT_TRUE(same(got.pdp, want.pdp));
+  EXPECT_TRUE(same(got.csi, want.csi));
+  EXPECT_EQ(bits(got.cdr), bits(want.cdr));
+  EXPECT_EQ(bits(got.throughput_mbps), bits(want.throughput_mbps));
+  EXPECT_EQ(got.mcs, want.mcs);
+  EXPECT_FALSE(got.deferred());
+}
+
 // observe_rate() is observe() without the PDP/CSI: the same scalar fields,
 // bit for bit, and the same Rng draws, so a caller can swap one for the
-// other without moving any later draw.
+// other without moving any later draw. observe_deferred() leaves the stream
+// where both do, and materializes to observe() bit for bit.
 TEST_F(SamplerFixture, RateObservationMatchesFullObservation) {
   struct Case {
     const char* name;
@@ -327,11 +349,14 @@ TEST_F(SamplerFixture, RateObservationMatchesFullObservation) {
     for (const std::uint64_t seed : {1ULL, 2ULL, 99ULL}) {
       util::Rng full_rng(seed);
       util::Rng rate_rng(seed);
+      util::Rng deferred_rng(seed);
       for (McsIndex mcs = 0; mcs < table.size(); ++mcs) {
         const PhyObservation full =
             sampler.observe(link, c.tx_beam, c.rx_beam, mcs, full_rng);
         const PhyObservation rate =
             sampler.observe_rate(link, c.tx_beam, c.rx_beam, mcs, rate_rng);
+        PhyObservation deferred = sampler.observe_deferred(
+            link, c.tx_beam, c.rx_beam, mcs, deferred_rng);
         SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed) +
                      " mcs " + std::to_string(mcs));
         EXPECT_EQ(std::bit_cast<std::uint64_t>(rate.snr_db),
@@ -344,6 +369,9 @@ TEST_F(SamplerFixture, RateObservationMatchesFullObservation) {
                   std::bit_cast<std::uint64_t>(full.throughput_mbps));
         EXPECT_EQ(rate.mcs, full.mcs);
         EXPECT_TRUE(rate_rng.engine() == full_rng.engine());
+        EXPECT_TRUE(deferred_rng.engine() == full_rng.engine());
+        deferred.materialize();
+        expect_same_bits(deferred, full);
         EXPECT_TRUE(rate.pdp.empty());
         EXPECT_TRUE(rate.csi.empty());
         EXPECT_FALSE(rate.tof_ns.has_value());
@@ -352,27 +380,6 @@ TEST_F(SamplerFixture, RateObservationMatchesFullObservation) {
       }
     }
   }
-}
-
-void expect_same_bits(const PhyObservation& got, const PhyObservation& want) {
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  const auto same = [&](const std::vector<double>& a,
-                        const std::vector<double>& b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                      [&](double x, double y) { return bits(x) == bits(y); });
-  };
-  EXPECT_EQ(bits(got.snr_db), bits(want.snr_db));
-  EXPECT_EQ(bits(got.noise_dbm), bits(want.noise_dbm));
-  ASSERT_EQ(got.tof_ns.has_value(), want.tof_ns.has_value());
-  if (want.tof_ns) {
-    EXPECT_EQ(bits(*got.tof_ns), bits(*want.tof_ns));
-  }
-  EXPECT_TRUE(same(got.pdp, want.pdp));
-  EXPECT_TRUE(same(got.csi, want.csi));
-  EXPECT_EQ(bits(got.cdr), bits(want.cdr));
-  EXPECT_EQ(bits(got.throughput_mbps), bits(want.throughput_mbps));
-  EXPECT_EQ(got.mcs, want.mcs);
-  EXPECT_FALSE(got.deferred());
 }
 
 // observe_deferred() draws exactly what observe() draws, and materializing
@@ -401,6 +408,7 @@ TEST_F(SamplerFixture, DeferredObservationMaterializesToObserve) {
     for (const std::uint64_t seed : {1ULL, 2ULL, 99ULL}) {
       util::Rng eager_rng(seed);
       util::Rng deferred_rng(seed);
+      util::Rng rate_rng(seed);
       for (McsIndex mcs = 0; mcs < table.size(); ++mcs) {
         SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed) +
                      " mcs " + std::to_string(mcs));
@@ -408,11 +416,13 @@ TEST_F(SamplerFixture, DeferredObservationMaterializesToObserve) {
             sampler.observe(link, 12, c.rx_beam, mcs, eager_rng);
         PhyObservation deferred =
             sampler.observe_deferred(link, 12, c.rx_beam, mcs, deferred_rng);
+        sampler.observe_rate(link, 12, c.rx_beam, mcs, rate_rng);
         ASSERT_TRUE(deferred.deferred());
         EXPECT_TRUE(deferred.pdp.empty());
         EXPECT_TRUE(deferred.csi.empty());
         EXPECT_FALSE(deferred.tof_ns.has_value());
         EXPECT_TRUE(deferred_rng.engine() == eager_rng.engine());
+        EXPECT_TRUE(rate_rng.engine() == eager_rng.engine());
         if (c.name == std::string("clean")) {
           EXPECT_TRUE(eager.tof_ns.has_value());
         }
@@ -420,8 +430,11 @@ TEST_F(SamplerFixture, DeferredObservationMaterializesToObserve) {
           EXPECT_FALSE(eager.tof_ns.has_value());
         }
         // Later draws from the caller's stream do not reach the handle.
-        eager_rng.skip_gaussians(3);
-        deferred_rng.skip_gaussians(3);
+        for (int i = 0; i < 3; ++i) {
+          eager_rng.gaussian(0.0, 1.0);
+          deferred_rng.gaussian(0.0, 1.0);
+          rate_rng.gaussian(0.0, 1.0);
+        }
         PhyObservation copy = deferred;
         deferred.materialize();
         expect_same_bits(deferred, eager);
@@ -431,6 +444,34 @@ TEST_F(SamplerFixture, DeferredObservationMaterializesToObserve) {
         expect_same_bits(copy, eager);
       }
     }
+  }
+}
+
+// The tap jitters are keyed by one word of the caller's stream, drawn
+// between the noise jitter and the CDR jitter; consecutive observations
+// therefore get different keys and different PDPs.
+TEST_F(SamplerFixture, TapKeyIsOneWordOfTheCallersStream) {
+  util::Rng rng(5);
+  util::Rng reference(5);
+  std::uint64_t previous_key = 0;
+  std::vector<double> previous_pdp;
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE("observation " + std::to_string(i));
+    PhyObservation obs = sampler.observe_deferred(link, 12, 12, 4, rng);
+    ASSERT_TRUE(obs.deferred());
+    reference.gaussian(0.0, 1.0);  // SNR jitter
+    reference.gaussian(0.0, 1.0);  // noise jitter
+    const std::uint64_t key = obs.pending->tap_key;
+    EXPECT_EQ(key, reference.word());
+    reference.gaussian(0.0, 1.0);  // CDR jitter
+    EXPECT_TRUE(rng.engine() == reference.engine());
+    obs.materialize();
+    if (i > 0) {
+      EXPECT_NE(key, previous_key);
+      EXPECT_NE(obs.pdp, previous_pdp);
+    }
+    previous_key = key;
+    previous_pdp = obs.pdp;
   }
 }
 

@@ -61,6 +61,7 @@
 #include <ctime>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -94,6 +95,20 @@ namespace {
 // --key value / --flag / positional parsing, shared with the examples.
 // argv[1] is the subcommand, so parsing starts at index 2.
 using Args = util::CliArgs;
+
+// Ranges of the integer options, checked by CliArgs::integer before any
+// cast: a TCP port, a count that must fit an int, and a 64-bit seed.
+constexpr std::int64_t kMaxPort = 65535;
+constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr std::int64_t kMaxSeed = std::numeric_limits<std::int64_t>::max();
+
+std::uint64_t seed_arg(const Args& args, const std::string& key) {
+  return static_cast<std::uint64_t>(args.integer(key, 1, 0, kMaxSeed));
+}
+int int_arg(const Args& args, const std::string& key, int fallback,
+            std::int64_t lo, std::int64_t hi) {
+  return static_cast<int>(args.integer(key, fallback, lo, hi));
+}
 
 // Honour --metrics / --trace-out at the end of a command.
 void dump_telemetry(const Args& args) {
@@ -139,9 +154,8 @@ int cmd_collect(const Args& args) {
   phy::McsTable table;
   phy::ErrorModel em(&table);
   trace::CollectOptions opt;
-  opt.seed = static_cast<std::uint64_t>(args.number("seed", 1));
-  opt.collector.frames_per_trace =
-      static_cast<int>(args.number("frames", 100));
+  opt.seed = seed_arg(args, "seed");
+  opt.collector.frames_per_trace = int_arg(args, "frames", 100, 1, kMaxInt);
   opt.with_na_augmentation = !args.flag("no-na");
   const trace::ScenarioSet scenarios =
       args.flag("testing") ? trace::testing_scenarios()
@@ -189,9 +203,9 @@ int cmd_train(const Args& args) {
   const ml::DataSet data =
       to_ml(three ? ds.labeled3(gt) : ds.labeled(gt), three);
   ml::RandomForestConfig cfg;
-  cfg.num_trees = static_cast<int>(args.number("trees", 60));
+  cfg.num_trees = int_arg(args, "trees", 60, 1, kMaxInt);
   ml::RandomForest forest(cfg);
-  util::Rng rng(static_cast<std::uint64_t>(args.number("seed", 1)));
+  util::Rng rng(seed_arg(args, "seed"));
   forest.fit(data, rng);
   ml::save_forest_file(forest, args.positional[1]);
   std::printf("trained %d-tree %s forest on %zu entries -> %s\n",
@@ -354,7 +368,7 @@ int cmd_simulate(const Args& args) {
   params.flow_ms = args.number("flow", 1000.0);
   params.rule = gt;
 
-  util::Rng rng(static_cast<std::uint64_t>(args.number("seed", 1)));
+  util::Rng rng(seed_arg(args, "seed"));
   core::LibraClassifier classifier;
   classifier.train(train, gt, rng);
   const sim::EventSimulator simulator(&classifier);
@@ -383,15 +397,14 @@ int cmd_simulate(const Args& args) {
   // forces the fleet stage and serves its decide phase through a running
   // `libra serve` daemon.
   const std::string backend_spec = args.str("backend");
-  const int scrape_port = static_cast<int>(args.number("scrape-port", 0));
+  const int scrape_port = int_arg(args, "scrape-port", 0, 0, kMaxPort);
   const bool online_fleet = args.flag("online-fleet");
   if (args.flag("metrics") || !args.str("trace-out").empty() ||
       args.flag("faults") || !backend_spec.empty() || scrape_port > 0 ||
       online_fleet) {
     std::optional<faults::FaultPlan> plan;
     if (args.flag("faults")) {
-      plan = faults::demo_plan(
-          static_cast<std::uint64_t>(args.number("faults", 1)));
+      plan = faults::demo_plan(seed_arg(args, "faults"));
     }
     std::optional<rpc::RemoteBackend> remote;
     if (!backend_spec.empty()) {
@@ -431,7 +444,7 @@ int cmd_simulate(const Args& args) {
       // candidates are forwarded to the daemon too -- a failed push keeps
       // the local swap and is only counted.
       core::FleetTrainerConfig tcfg;
-      tcfg.seed = static_cast<std::uint64_t>(args.number("seed", 1));
+      tcfg.seed = seed_arg(args, "seed");
       trainer = std::make_unique<core::FleetTrainer>(tcfg);
       trainer->seed_model(classifier.forest());
       if (remote) {
@@ -444,7 +457,7 @@ int cmd_simulate(const Args& args) {
       trainer->start();
     }
     run_fleet_stage(classifier,
-                    static_cast<std::uint64_t>(args.number("seed", 1)),
+                    seed_arg(args, "seed"),
                     plan ? &*plan : nullptr,
                     remote ? &*remote : nullptr, scrape_port,
                     trainer.get());
@@ -471,8 +484,8 @@ int cmd_serve(const Args& args) {
   rpc::ServerConfig cfg;
   cfg.unix_socket = args.str("socket");
   cfg.host = args.str("host", "127.0.0.1");
-  cfg.port = static_cast<int>(args.number("port", 0));
-  cfg.num_workers = static_cast<int>(args.number("workers", 4));
+  cfg.port = int_arg(args, "port", 0, 0, kMaxPort);
+  cfg.num_workers = int_arg(args, "workers", 4, 0, 1024);
   if (cfg.unix_socket.empty() && !args.flag("port")) {
     std::fprintf(stderr,
                  "error: serve needs --socket PATH or --port N (0 picks an "
@@ -495,7 +508,7 @@ int cmd_serve(const Args& args) {
   // /series.json. Origin label matches what StatsAck reports.
   std::unique_ptr<obs::Aggregator> aggregator;
   std::unique_ptr<obs::ScrapeServer> scrape;
-  const int metrics_port = static_cast<int>(args.number("metrics-port", 0));
+  const int metrics_port = int_arg(args, "metrics-port", 0, 0, kMaxPort);
   if (args.flag("metrics-port")) {
     obs::AggregatorConfig agg_cfg;
     agg_cfg.local_origin = cfg.stats_origin;
@@ -658,7 +671,7 @@ int cmd_top(const Args& args) {
   }
   const std::string host = target.substr(0, colon);
   const int port = std::atoi(target.c_str() + colon + 1);
-  const double interval_ms = args.number("interval-ms", 1000.0);
+  const int interval_ms = int_arg(args, "interval-ms", 1000, 1, 3'600'000);
   const bool once = args.flag("once");
 
   std::signal(SIGINT, handle_stop_signal);
@@ -684,7 +697,7 @@ int cmd_top(const Args& args) {
       }
       if (once) return 0;
     }
-    const long long ns = static_cast<long long>(interval_ms * 1e6);
+    const long long ns = interval_ms * 1'000'000LL;
     struct timespec ts{static_cast<time_t>(ns / 1000000000),
                        static_cast<long>(ns % 1000000000)};
     nanosleep(&ts, nullptr);
