@@ -1,7 +1,6 @@
 #include "core/classifier.h"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -164,13 +163,11 @@ std::vector<trace::Action> LibraClassifier::classify_batch(
   metrics.batch_size.observe(static_cast<double>(features.size()));
   // Jitter serially in row order -- each row consumes only its own link's
   // stream, so the batch boundary never changes what any link draws.
-  // Non-finite rows never reach the forest: under kReject the whole call
-  // throws naming the row; under kFallbackNA the row is demoted to kNA
-  // (consuming no draws from that link's stream).
+  // Non-finite rows never reach the forest: the whole call throws naming
+  // the row (the controller degrades such observations before planning, so
+  // one reaching here is a caller bug).
   ml::DataSet rows(trace::FeatureVector::kDim);
   rows.reserve(features.size());
-  std::vector<std::size_t> forest_row(features.size(),
-                                      std::numeric_limits<std::size_t>::max());
   for (std::size_t i = 0; i < features.size(); ++i) {
     if (rngs[i] == nullptr) {
       throw std::invalid_argument("classify_batch: null rng for row " +
@@ -178,17 +175,13 @@ std::vector<trace::Action> LibraClassifier::classify_batch(
     }
     if (!all_finite(features[i])) {
       metrics.rejected_rows.inc();
-      if (cfg_.non_finite_policy == NonFiniteFeaturePolicy::kReject) {
-        throw std::invalid_argument(
-            "classify_batch: non-finite feature vector at row " +
-            std::to_string(i));
-      }
-      continue;
+      throw std::invalid_argument(
+          "classify_batch: non-finite feature vector at row " +
+          std::to_string(i));
     }
-    forest_row[i] = rows.size();
     rows.add(add_window_noise(features[i], *rngs[i]).v, 0);
   }
-  // One pooled pass over every link's (finite) row: through the backend
+  // One pooled pass over every link's row: through the backend
   // when one is given (possibly a socket round trip), else the
   // in-process forest. The jitter above has already consumed each link's
   // draws either way, so a BackendOutageError thrown here leaves the
@@ -206,11 +199,10 @@ std::vector<trace::Action> LibraClassifier::classify_batch(
   } else {
     votes = compiled_.vote_fractions_batch(rows, forest_.pool());
   }
-  std::vector<trace::Action> verdicts(features.size(), trace::Action::kNA);
-  for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    if (forest_row[i] != std::numeric_limits<std::size_t>::max()) {
-      verdicts[i] = verdict_from_votes(votes[forest_row[i]]);
-    }
+  std::vector<trace::Action> verdicts;
+  verdicts.reserve(votes.size());
+  for (const std::vector<double>& v : votes) {
+    verdicts.push_back(verdict_from_votes(v));
   }
   return verdicts;
 }

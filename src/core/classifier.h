@@ -29,13 +29,6 @@ namespace libra::core {
 
 class DecisionBackend;  // core/decision_backend.h
 
-// What classify()/classify_batch() do with a feature row containing NaN or
-// Inf (e.g. a poisoned PHY observation that slipped past the controller's
-// usability checks). kReject throws std::invalid_argument naming the row;
-// kFallbackNA demotes the row to a No-Adaptation verdict without touching
-// the forest (and without consuming window-noise draws for that row).
-enum class NonFiniteFeaturePolicy { kReject, kFallbackNA };
-
 struct LibraClassifierConfig {
   // forest.num_threads governs training/batch-inference parallelism:
   // 0 = hardware_concurrency(), 1 = serial legacy behavior. The trained
@@ -55,10 +48,6 @@ struct LibraClassifierConfig {
   // rate search, doing nothing costs one more observation window. 0
   // disables the gate (the paper's plain arg-max behavior).
   double min_confidence = 0.0;
-  // Policy for NaN/Inf feature rows (see NonFiniteFeaturePolicy). The
-  // default is to reject loudly: a non-finite feature reaching inference is
-  // a caller bug unless the caller opted into graceful degradation.
-  NonFiniteFeaturePolicy non_finite_policy = NonFiniteFeaturePolicy::kReject;
 };
 
 class LibraClassifier {

@@ -190,25 +190,17 @@ const std::string& Histogram::name() const {
 }
 
 void Gauge::set(double v) {
-#if LIBRA_OBS_ENABLED
   if (!enabled()) return;
   reg_->impl_->gauge_values[id_].store(v, std::memory_order_relaxed);
-#else
-  (void)v;
-#endif
 }
 
 void Gauge::add(double delta) {
-#if LIBRA_OBS_ENABLED
   if (!enabled()) return;
   std::atomic<double>& slot = reg_->impl_->gauge_values[id_];
   double cur = slot.load(std::memory_order_relaxed);
   while (!slot.compare_exchange_weak(cur, cur + delta,
                                      std::memory_order_relaxed)) {
   }
-#else
-  (void)delta;
-#endif
 }
 
 double Gauge::value() const {

@@ -21,9 +21,8 @@
 //     perturb simulation results (tests/fleet_test.cpp proves this
 //     bit-for-bit).
 //
-// Disabling: building with -DLIBRA_OBS=OFF compiles every recording call to
-// an empty inline body; at runtime `set_enabled(false)` is a null-sink fast
-// path (one relaxed atomic load and an early-out, a few nanoseconds per
+// Disabling: `set_enabled(false)` is the one off switch, a runtime null-sink
+// fast path (one relaxed atomic load and an early-out, a few nanoseconds per
 // site).
 #pragma once
 
@@ -39,10 +38,6 @@
 #include <string_view>
 #include <vector>
 
-#ifndef LIBRA_OBS_ENABLED
-#define LIBRA_OBS_ENABLED 1
-#endif
-
 namespace libra::obs {
 
 namespace detail {
@@ -52,11 +47,7 @@ inline std::atomic<bool> g_enabled{true};
 // Runtime null-sink switch. Recording sites early-out when disabled; the
 // registry itself (names, handles) is unaffected.
 inline bool enabled() {
-#if LIBRA_OBS_ENABLED
   return detail::g_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 inline void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
@@ -266,7 +257,7 @@ class Registry {
 };
 
 // Wall-clock stopwatch over std::chrono::steady_clock. Always live (even
-// with LIBRA_OBS=OFF) -- it is the timing primitive results like
+// with set_enabled(false)) -- it is the timing primitive results like
 // FleetResult::tick_latency_us are built on, telemetry or not.
 class StopWatch {
  public:
@@ -284,16 +275,11 @@ class StopWatch {
 // ---- inline hot paths ----
 
 inline void Counter::inc(std::uint64_t n) {
-#if LIBRA_OBS_ENABLED
   if (!enabled()) return;
   reg_->local_shard().counters[id_].fetch_add(n, std::memory_order_relaxed);
-#else
-  (void)n;
-#endif
 }
 
 inline void Histogram::observe(double v) {
-#if LIBRA_OBS_ENABLED
   if (!enabled()) return;
   detail::HistShard& h = reg_->local_shard().hists[id_];
   h.buckets[histogram_bucket(v)].fetch_add(1, std::memory_order_relaxed);
@@ -309,9 +295,6 @@ inline void Histogram::observe(double v) {
     h.max.store(v, std::memory_order_relaxed);
   }
   h.count.store(before + 1, std::memory_order_relaxed);
-#else
-  (void)v;
-#endif
 }
 
 }  // namespace libra::obs

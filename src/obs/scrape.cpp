@@ -29,6 +29,11 @@ ScrapeMetrics& scrape_metrics() {
   return m;
 }
 
+constexpr int kListenBacklog = 16;
+// Per-connection recv/send deadline: a camped client cannot hold the
+// accept thread longer than this.
+constexpr int kIoTimeoutMs = 2000;
+
 void set_io_deadline(int fd, int timeout_ms) {
   timeval tv{};
   tv.tv_sec = timeout_ms / 1000;
@@ -74,8 +79,8 @@ ScrapeServer::ScrapeServer(const Aggregator& agg, ScrapeConfig cfg)
   if (cfg_.port < 0 || cfg_.port > 65535) {
     throw std::invalid_argument("ScrapeServer: port must be in [0, 65535]");
   }
-  if (cfg_.max_request_bytes == 0 || cfg_.io_timeout_ms <= 0) {
-    throw std::invalid_argument("ScrapeServer: bad request cap or timeout");
+  if (cfg_.max_request_bytes == 0) {
+    throw std::invalid_argument("ScrapeServer: max_request_bytes must be > 0");
   }
 }
 
@@ -118,7 +123,7 @@ void ScrapeServer::start() {
       0) {
     resolved_port_ = static_cast<int>(ntohs(bound.sin_port));
   }
-  if (::listen(listen_fd_, cfg_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     const std::string err = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -150,7 +155,7 @@ void ScrapeServer::accept_loop() {
       if (errno == EINTR) continue;
       break;  // listener closed by stop() or fatal error
     }
-    set_io_deadline(fd, cfg_.io_timeout_ms);
+    set_io_deadline(fd, kIoTimeoutMs);
     serve_connection(fd);
     ::close(fd);
   }

@@ -27,10 +27,6 @@ class Aggregator;
 struct ScrapeConfig {
   std::string host = "127.0.0.1";
   int port = 0;  // 0 = ephemeral; the bound port is port() after start()
-  int listen_backlog = 16;
-  // Per-connection recv/send deadline; a camped client cannot hold the
-  // accept thread longer than this.
-  int io_timeout_ms = 2000;
   // Request head cap; longer request lines/headers get 431 and a close.
   std::size_t max_request_bytes = 8192;
 };

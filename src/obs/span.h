@@ -111,13 +111,12 @@ class TraceBuffer {
 };
 
 // RAII span: times its own scope and records into the global TraceBuffer.
-// With telemetry compiled out or runtime-disabled the constructor is an
-// empty inline body. Optionally feeds the measured duration into a
-// Histogram so the scrape and the trace share one clock-read pair.
+// With telemetry disabled (set_enabled(false)) it records nothing.
+// Optionally feeds the measured duration into a Histogram so the scrape and
+// the trace share one clock-read pair.
 class SpanGuard {
  public:
   explicit SpanGuard(const char* name, Histogram* hist = nullptr) {
-#if LIBRA_OBS_ENABLED
     if (enabled()) {
       name_ = name;
       hist_ = hist;
@@ -130,13 +129,8 @@ class SpanGuard {
       detail::t_trace_ctx = {trace, span_id_};
       start_ = trace_now_us();
     }
-#else
-    (void)name;
-    (void)hist;
-#endif
   }
   ~SpanGuard() {
-#if LIBRA_OBS_ENABLED
     if (name_ != nullptr) {
       const std::uint64_t dur = trace_now_us() - start_;
       TraceBuffer::global().record(name_, start_, dur,
@@ -145,25 +139,22 @@ class SpanGuard {
       detail::t_trace_ctx = parent_;
       if (hist_ != nullptr) hist_->observe(static_cast<double>(dur));
     }
-#endif
   }
   SpanGuard(const SpanGuard&) = delete;
   SpanGuard& operator=(const SpanGuard&) = delete;
 
  private:
-#if LIBRA_OBS_ENABLED
   const char* name_ = nullptr;
   Histogram* hist_ = nullptr;
   std::uint64_t start_ = 0;
   std::uint64_t span_id_ = 0;
   TraceContext parent_;
-#endif
 };
 
-#define LIBRA_OBS_CONCAT_INNER(a, b) a##b
-#define LIBRA_OBS_CONCAT(a, b) LIBRA_OBS_CONCAT_INNER(a, b)
+#define OBS_SPAN_CONCAT_INNER(a, b) a##b
+#define OBS_SPAN_CONCAT(a, b) OBS_SPAN_CONCAT_INNER(a, b)
 // Trace the enclosing scope: OBS_SPAN("name") or OBS_SPAN("name", &hist).
 #define OBS_SPAN(...) \
-  ::libra::obs::SpanGuard LIBRA_OBS_CONCAT(obs_span_, __COUNTER__)(__VA_ARGS__)
+  ::libra::obs::SpanGuard OBS_SPAN_CONCAT(obs_span_, __COUNTER__)(__VA_ARGS__)
 
 }  // namespace libra::obs

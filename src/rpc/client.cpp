@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -109,14 +110,10 @@ ClientConfig parse_remote_addr(const std::string& addr) {
   }
   cfg.host = rest.substr(0, colon);
   const std::string port_text = rest.substr(colon + 1);
-  std::size_t pos = 0;
+  const char* const end = port_text.data() + port_text.size();
   int port = 0;
-  try {
-    port = std::stoi(port_text, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != port_text.size() || port <= 0 || port > 65535) {
+  const auto [stop, ec] = std::from_chars(port_text.data(), end, port);
+  if (ec != std::errc() || stop != end || port <= 0 || port > 65535) {
     throw std::invalid_argument("remote address '" + addr +
                                 "': bad port '" + port_text + "'");
   }
@@ -259,7 +256,7 @@ std::optional<Frame> DecisionClient::request_locked(
     MsgType type, std::span<const std::uint8_t> payload) {
   client_metrics().requests.inc();
   std::optional<Frame> reply = round_trip_locked(type, payload);
-  if (!reply.has_value() && cfg_.retry_once) {
+  if (!reply.has_value()) {
     // One fresh-connection retry covers the common "server restarted
     // between batches" case without hiding a real outage.
     client_metrics().retries.inc();

@@ -34,19 +34,18 @@ struct ClientConfig {
   // > 0; +inf means no deadline. DecisionClient throws
   // std::invalid_argument on NaN or <= 0.
   double deadline_ms = 250.0;
-  // After a transport error the client retries the request once on a
-  // fresh connection before declaring an outage.
-  bool retry_once = true;
 };
 
 // "unix:PATH", a bare path containing '/', or "HOST:PORT" -> ClientConfig
-// transport fields. Throws std::invalid_argument on an unparseable
-// address (used by `--backend remote:ADDR`).
+// transport fields. PORT must be all decimal digits in [1, 65535]. Throws
+// std::invalid_argument on an unparseable address (used by `--backend
+// remote:ADDR` and by `libra top HOST:PORT`).
 ClientConfig parse_remote_addr(const std::string& addr);
 
 // One connection to a DecisionServer. Round trips are serialized under an
-// internal mutex (the wire protocol is strict request/reply). Methods
-// return nullopt / false on transport failure after the configured retry;
+// internal mutex (the wire protocol is strict request/reply). After a
+// transport error a request is retried once on a fresh connection; methods
+// return nullopt / false when that retry fails too;
 // they do not throw for transport errors (RemoteBackend turns those into
 // BackendOutageError).
 class DecisionClient {

@@ -21,6 +21,8 @@ namespace libra::rpc {
 
 namespace {
 
+constexpr int kListenBacklog = 16;
+
 // Daemon-side serving telemetry: request/byte counters, batch shapes, and
 // per-request handle latency -- the /metrics view of `libra serve`.
 struct ServerMetrics {
@@ -181,7 +183,7 @@ void DecisionServer::start() {
     }
   }
 
-  if (::listen(listen_fd_, cfg_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     const std::string err = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;

@@ -43,7 +43,6 @@ struct ServerConfig {
   // peer disconnects). Follows the library knob convention, clamped to a
   // minimum of 2 so one camped connection cannot starve the accept queue.
   int num_workers = 4;
-  int listen_backlog = 16;
   // Origin label on StatsAck replies -- the label this daemon's metrics
   // appear under in the controller's merged scrape.
   std::string stats_origin = "daemon";

@@ -145,7 +145,7 @@ struct FleetResult {
   util::RunningStats tick_latency_us;
   // Scrape of the global obs registry taken as the run finishes (counts
   // are process-cumulative, like any scrape endpoint). All-zero when
-  // telemetry is compiled out or disabled.
+  // telemetry is disabled.
   obs::MetricsSnapshot metrics;
 };
 

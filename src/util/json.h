@@ -4,8 +4,7 @@
 // catch malformed output -- throws std::runtime_error with an offset on any
 // syntax error -- but not a general-purpose library: \uXXXX escapes decode
 // only the code-point value as a single char for ASCII, which is all our
-// exporters emit. Grew up in tests/json_mini.h; promoted here when the CLI
-// needed it.
+// exporters emit. The CLI and the tests share it.
 #pragma once
 
 #include <cctype>

@@ -16,11 +16,11 @@
 #include "core/controller.h"
 #include "core/decision_backend.h"
 #include "env/registry.h"
-#include "json_mini.h"
 #include "obs/span.h"
 #include "sim/fleet.h"
 #include "sim/golden.h"
 #include "test_helpers.h"
+#include "util/json.h"
 
 namespace libra {
 namespace {
@@ -387,8 +387,6 @@ TEST(Fleet, CompiledForestMatchesTreeWalkBackendBitIdentical) {
   expect_links_identical(compiled, walked, "tree-walk backend");
 }
 
-#if LIBRA_OBS_ENABLED
-
 // A fleet run's exported trace must be valid Chrome trace-event JSON and
 // cover the tick phases plus the batched inference span (the acceptance
 // check behind `libra simulate --trace-out`).
@@ -404,15 +402,15 @@ TEST(Fleet, TraceContainsFleetSpans) {
   ASSERT_TRUE(in.good());
   std::stringstream ss;
   ss << in.rdbuf();
-  const libra::testing::JsonValue root = libra::testing::parse_json(ss.str());
-  const libra::testing::JsonValue* events = root.find("traceEvents");
+  const util::JsonValue root = util::parse_json(ss.str());
+  const util::JsonValue* events = root.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
 
   bool gather = false, decide = false, scatter = false, classify = false;
-  for (const libra::testing::JsonValue& e : events->array) {
-    const libra::testing::JsonValue* name = e.find("name");
-    const libra::testing::JsonValue* ph = e.find("ph");
+  for (const util::JsonValue& e : events->array) {
+    const util::JsonValue* name = e.find("name");
+    const util::JsonValue* ph = e.find("ph");
     ASSERT_NE(name, nullptr);
     ASSERT_NE(ph, nullptr);
     EXPECT_EQ(ph->str, "X");
@@ -449,8 +447,6 @@ TEST(Fleet, ResultCarriesMetricsSnapshot) {
   ASSERT_NE(rows, nullptr);
   EXPECT_GE(rows->value, static_cast<std::uint64_t>(result.batched_rows));
 }
-
-#endif  // LIBRA_OBS_ENABLED
 
 // A ~1k-link mixed-impairment fleet over a small codebook (5 beams keeps
 // the per-link association sweep cheap enough to run a thousand of them in

@@ -22,17 +22,17 @@
 #include <thread>
 #include <vector>
 
-#include "json_mini.h"
 #include "obs/aggregate.h"
 #include "obs/metrics.h"
 #include "obs/scrape.h"
 #include "obs/span.h"
+#include "util/json.h"
 
 namespace libra {
 namespace {
 
-using libra::testing::JsonValue;
-using libra::testing::parse_json;
+using util::JsonValue;
+using util::parse_json;
 
 // ---- histogram merge / snapshot delta (pure data, no registry) -------------
 
@@ -299,8 +299,6 @@ TEST(ObsRegistry, HandlesAreFindOrRegister) {
   EXPECT_EQ(a.name(), "obs_test.same_name");
 }
 
-#if LIBRA_OBS_ENABLED
-
 std::uint64_t counter_value(const obs::MetricsSnapshot& snap,
                             std::string_view name) {
   const auto* c = snap.find_counter(name);
@@ -480,21 +478,21 @@ TEST(ObsAggregator, RollupFoldsLocalRegistryIntoSeries) {
   agg.rollup_now();
   EXPECT_EQ(agg.rollups(), 2u);
 
-  const testing::JsonValue root = parse_json(agg.series_json());
-  const testing::JsonValue* origins = root.find("origins");
+  const JsonValue root = parse_json(agg.series_json());
+  const JsonValue* origins = root.find("origins");
   ASSERT_NE(origins, nullptr);
-  const testing::JsonValue* ctl = origins->find("controller");
+  const JsonValue* ctl = origins->find("controller");
   ASSERT_NE(ctl, nullptr);
-  const testing::JsonValue* counters = ctl->find("counters");
+  const JsonValue* counters = ctl->find("counters");
   ASSERT_NE(counters, nullptr);
-  const testing::JsonValue* series = counters->find("obs_test.agg_local");
+  const JsonValue* series = counters->find("obs_test.agg_local");
   ASSERT_NE(series, nullptr);
   EXPECT_EQ(series->find("total")->number, 12.0);
-  const testing::JsonValue* rate = series->find("rate");
+  const JsonValue* rate = series->find("rate");
   ASSERT_NE(rate, nullptr);
   ASSERT_EQ(rate->array.size(), 2u);
   EXPECT_GT(rate->array[0].number, 0.0);  // first window: the 5-inc
-  const testing::JsonValue* hist =
+  const JsonValue* hist =
       ctl->find("histograms")->find("obs_test.agg_local_hist");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->find("count")->number, 1.0);
@@ -540,7 +538,7 @@ TEST(ObsAggregator, MergesRemoteSourceUnderItsOwnOrigin) {
   expect_valid_histogram(doc, "libra_obs_test_remote_hist",
                          {{"origin", "daemon"}});
 
-  const testing::JsonValue root = parse_json(agg.series_json());
+  const JsonValue root = parse_json(agg.series_json());
   EXPECT_NE(root.find("origins")->find("daemon"), nullptr);
 }
 
@@ -561,8 +559,8 @@ TEST(ObsAggregator, CounterRateSeriesMatchesJsonExport) {
   EXPECT_GT(rates[0], 0.0);
   EXPECT_GT(rates[1], 0.0);
 
-  const testing::JsonValue root = parse_json(agg.series_json());
-  const testing::JsonValue* rate = root.find("origins")
+  const JsonValue root = parse_json(agg.series_json());
+  const JsonValue* rate = root.find("origins")
                                        ->find("controller")
                                        ->find("counters")
                                        ->find("obs_test.rate_series")
@@ -714,18 +712,18 @@ TEST(ObsScrape, RejectsHostileRequests) {
 // ---- trace context: nesting, adoption, merged exports ----------------------
 
 // Export the global buffer and return the parsed traceEvents array.
-testing::JsonValue exported_events() {
-  const testing::JsonValue root =
+JsonValue exported_events() {
+  const JsonValue root =
       parse_json(obs::TraceBuffer::global().to_chrome_json());
-  const testing::JsonValue* events = root.find("traceEvents");
+  const JsonValue* events = root.find("traceEvents");
   EXPECT_NE(events, nullptr);
-  return events != nullptr ? *events : testing::JsonValue{};
+  return events != nullptr ? *events : JsonValue{};
 }
 
-const testing::JsonValue* find_event(const testing::JsonValue& events,
+const JsonValue* find_event(const JsonValue& events,
                                      const std::string& name) {
-  for (const testing::JsonValue& e : events.array) {
-    const testing::JsonValue* n = e.find("name");
+  for (const JsonValue& e : events.array) {
+    const JsonValue* n = e.find("name");
     if (n != nullptr && n->str == name) return &e;
   }
   return nullptr;
@@ -738,15 +736,15 @@ TEST(ObsTrace, NestedSpansShareATraceAndParentLinks) {
     OBS_SPAN("obs_test.trace_outer");
     { OBS_SPAN("obs_test.trace_inner"); }
   }
-  const testing::JsonValue events = exported_events();
-  const testing::JsonValue* outer =
+  const JsonValue events = exported_events();
+  const JsonValue* outer =
       find_event(events, "obs_test.trace_outer");
-  const testing::JsonValue* inner =
+  const JsonValue* inner =
       find_event(events, "obs_test.trace_inner");
   ASSERT_NE(outer, nullptr);
   ASSERT_NE(inner, nullptr);
-  const testing::JsonValue* oargs = outer->find("args");
-  const testing::JsonValue* iargs = inner->find("args");
+  const JsonValue* oargs = outer->find("args");
+  const JsonValue* iargs = inner->find("args");
   ASSERT_NE(oargs, nullptr);
   ASSERT_NE(iargs, nullptr);
   // Same trace, inner parented under outer, outer is a root.
@@ -766,10 +764,10 @@ TEST(ObsTrace, ContextScopeAdoptsRemoteParent) {
   }
   // The scope restores the previous (empty) context on exit.
   EXPECT_EQ(obs::current_trace().trace_id, 0u);
-  const testing::JsonValue events = exported_events();
-  const testing::JsonValue* e = find_event(events, "obs_test.trace_adopted");
+  const JsonValue events = exported_events();
+  const JsonValue* e = find_event(events, "obs_test.trace_adopted");
   ASSERT_NE(e, nullptr);
-  const testing::JsonValue* args = e->find("args");
+  const JsonValue* args = e->find("args");
   ASSERT_NE(args, nullptr);
   EXPECT_EQ(args->find("trace")->str, "0x1234abcd");
   EXPECT_EQ(args->find("parent")->str, "0x77");
@@ -795,8 +793,8 @@ TEST(ObsTrace, MergeChromeJsonSplicesDocuments) {
   buf.clear();
 
   const std::string merged = obs::merge_chrome_json({doc_a, doc_b});
-  const testing::JsonValue root = parse_json(merged);
-  const testing::JsonValue* events = root.find("traceEvents");
+  const JsonValue root = parse_json(merged);
+  const JsonValue* events = root.find("traceEvents");
   ASSERT_NE(events, nullptr);
   EXPECT_NE(find_event(*events, "obs_test.merge_a"), nullptr);
   EXPECT_NE(find_event(*events, "obs_test.merge_b"), nullptr);
@@ -804,8 +802,6 @@ TEST(ObsTrace, MergeChromeJsonSplicesDocuments) {
   // Inputs that did not come from our exporter are refused, not spliced.
   EXPECT_THROW(obs::merge_chrome_json({"{\"foo\":1}"}), std::runtime_error);
 }
-
-#endif  // LIBRA_OBS_ENABLED
 
 TEST(ObsHistogram, Log2BucketBoundaries) {
   // Bucket 0 holds v < 1 (and NaN); bucket b >= 1 holds [2^(b-1), 2^b).

@@ -45,7 +45,6 @@
 #include "core/controller.h"
 #include "core/decision_backend.h"
 #include "env/registry.h"
-#include "json_mini.h"
 #include "ml/model_io.h"
 #include "ml/random_forest.h"
 #include "obs/metrics.h"
@@ -57,6 +56,7 @@
 #include "sim/fleet.h"
 #include "sim/golden.h"
 #include "test_helpers.h"
+#include "util/json.h"
 
 namespace libra {
 namespace {
@@ -465,6 +465,20 @@ TEST(RpcClient, ParseRemoteAddrForms) {
   EXPECT_THROW(rpc::parse_remote_addr(":9000"), std::invalid_argument);
 }
 
+// `libra top` parses its HOST:PORT with the same function, so a port that
+// is not all digits or is outside [1, 65535] must throw rather than become
+// 0 or overflow.
+TEST(RpcClient, ParseRemoteAddrRejectsBadPorts) {
+  for (const char* addr :
+       {"127.0.0.1:http", "127.0.0.1:0", "127.0.0.1:65536",
+        "127.0.0.1:4294967297", "127.0.0.1:-1", "127.0.0.1: 80",
+        "127.0.0.1:+80", "127.0.0.1:80x", "127.0.0.1:"}) {
+    EXPECT_THROW(rpc::parse_remote_addr(addr), std::invalid_argument) << addr;
+  }
+  EXPECT_EQ(rpc::parse_remote_addr("127.0.0.1:1").port, 1);
+  EXPECT_EQ(rpc::parse_remote_addr("127.0.0.1:65535").port, 65535);
+}
+
 // A NaN or non-positive deadline would leave the socket blocking forever
 // while the plan seam counted every injected kRpcDelay as past it; +inf is
 // the one way to ask for no deadline. Every accepted finite value, down to
@@ -693,7 +707,6 @@ TEST(RpcLoopback, ModelPushHotSwapNeverMixesForestsMidBatch) {
 
 // ---------- stats pull: loopback ----------
 
-#if LIBRA_OBS_ENABLED
 // pull_stats() must return the snapshot labeled with the DAEMON's
 // configured origin -- the controller never invents a label for a peer
 // (the aggregator keys its delta chains on that string).
@@ -743,11 +756,9 @@ TEST(RpcLoopback, PullStatsReturnsDaemonLabeledSnapshot) {
   // Against a dead daemon the pull degrades to nullopt, never throws.
   EXPECT_FALSE(backend.peer_stats().has_value());
 }
-#endif
 
 // ---------- client telemetry: retries and reconnects ----------
 
-#if LIBRA_OBS_ENABLED
 std::uint64_t counter_now(const char* name) {
   const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
   const auto* c = snap.find_counter(name);
@@ -803,11 +814,9 @@ TEST(RpcClient, ServerRestartCountsOneRetryAndOneReconnect) {
   EXPECT_EQ(counter_now("rpc.client.reconnects"), reconnects0 + 1);
   server->stop();
 }
-#endif
 
 // ---------- trace propagation across the wire ----------
 
-#if LIBRA_OBS_ENABLED
 // The acceptance criterion for cross-process tracing: a daemon-side
 // rpc.server.classify span must land in the SAME trace as the caller's
 // span and parent directly under it. On the loopback both sides share
@@ -832,21 +841,21 @@ TEST(RpcTrace, DaemonClassifySpanParentsUnderCallerSpan) {
   }
   server.stop();  // quiesce the worker threads before exporting
 
-  const testing::JsonValue root = testing::parse_json(buf.to_chrome_json());
-  const testing::JsonValue* events = root.find("traceEvents");
+  const util::JsonValue root = util::parse_json(buf.to_chrome_json());
+  const util::JsonValue* events = root.find("traceEvents");
   ASSERT_NE(events, nullptr);
-  const testing::JsonValue* decide = nullptr;
-  const testing::JsonValue* served = nullptr;
-  for (const testing::JsonValue& e : events->array) {
-    const testing::JsonValue* n = e.find("name");
+  const util::JsonValue* decide = nullptr;
+  const util::JsonValue* served = nullptr;
+  for (const util::JsonValue& e : events->array) {
+    const util::JsonValue* n = e.find("name");
     if (n == nullptr) continue;
     if (n->str == "rpc_test.decide") decide = &e;
     if (n->str == "rpc.server.classify") served = &e;
   }
   ASSERT_NE(decide, nullptr);
   ASSERT_NE(served, nullptr);
-  const testing::JsonValue* dargs = decide->find("args");
-  const testing::JsonValue* sargs = served->find("args");
+  const util::JsonValue* dargs = decide->find("args");
+  const util::JsonValue* sargs = served->find("args");
   ASSERT_NE(dargs, nullptr);
   ASSERT_NE(sargs, nullptr);
   // Same trace id across the socket; the daemon span's parent is the
@@ -856,7 +865,6 @@ TEST(RpcTrace, DaemonClassifySpanParentsUnderCallerSpan) {
   EXPECT_EQ(dargs->find("parent")->str, "0x0");
   buf.clear();
 }
-#endif
 
 // ---------- fleet integration: loopback bit-identity ----------
 
@@ -1026,12 +1034,10 @@ TEST(RpcFleet, DeadBackendFromStartEqualsFullClassifierOutage) {
       run_station_fleet(&remote_clf, kSeed, &backend);
 
   expect_frame_logs_identical(outaged, degraded);
-#if LIBRA_OBS_ENABLED
   const auto* fallbacks =
       degraded.metrics.find_counter("rpc.outage_fallbacks");
   ASSERT_NE(fallbacks, nullptr);
   EXPECT_GT(fallbacks->value, 0u);
-#endif
 }
 
 // 100% kRpcDrop against a live loopback backend must be frame-identical to
@@ -1146,13 +1152,11 @@ TEST(RpcFleet, ServerKilledBeforeDecideDegradesAndStaysDeterministic) {
     return run_station_fleet(&clf, kSeed, &backend, shards, threads);
   };
 
-#if LIBRA_OBS_ENABLED
   // Keep the snapshot alive: find_counter returns a pointer into it.
   const obs::MetricsSnapshot snap_before = obs::Registry::global().snapshot();
   const auto* before = snap_before.find_counter("rpc.outage_fallbacks");
   const std::uint64_t fallbacks_before =
       before != nullptr ? before->value : 0;
-#endif
   const sim::FleetResult first = run_against_killed_server(0, 1);
   EXPECT_GT(first.batched_rows, 0);
   const sim::FleetResult second = run_against_killed_server(0, 1);
@@ -1175,12 +1179,10 @@ TEST(RpcFleet, ServerKilledBeforeDecideDegradesAndStaysDeterministic) {
     // draws, so every grid must ship the same ones.
     EXPECT_EQ(first.batched_rows, other.batched_rows);
   }
-#if LIBRA_OBS_ENABLED
   const obs::MetricsSnapshot snap_after = obs::Registry::global().snapshot();
   const auto* after = snap_after.find_counter("rpc.outage_fallbacks");
   ASSERT_NE(after, nullptr);
   EXPECT_GT(after->value, fallbacks_before);
-#endif
 }
 
 // ---------- fleet integration: live scrape ----------
@@ -1228,7 +1230,6 @@ TEST(RpcFleet, ScrapeEndpointIsObservationOnly) {
   expect_frame_logs_identical(plain, scraped);
 }
 
-#if LIBRA_OBS_ENABLED
 // Holds every classify until release() so a run stays "mid-flight" for
 // as long as the test needs to scrape it, then behaves like the wrapped
 // backend. The 30s cap keeps a broken test from deadlocking the suite.
@@ -1316,7 +1317,6 @@ TEST(RpcFleet, MidRunScrapeServesMergedControllerAndDaemonSeries) {
   EXPECT_NE(merged_body.find("libra_obs_aggregator_rollups"),
             std::string::npos);
 }
-#endif
 
 }  // namespace
 }  // namespace libra

@@ -134,13 +134,11 @@ void offer_rotated(core::FleetTrainer& trainer, int n, std::int64_t* tick) {
              [](trace::Action cluster, int) { return rotate(cluster); });
 }
 
-#if LIBRA_OBS_ENABLED
 std::uint64_t counter_value(const char* name) {
   const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
   const auto* c = snap.find_counter(name);
   return c == nullptr ? 0 : c->value;
 }
-#endif
 
 // ---------- config validation ----------
 
@@ -585,9 +583,7 @@ TEST(DriftGate, StationaryWorkloadShipsNothing) {
 }
 
 TEST(DriftGate, RegimeShiftShipsWithinBudget) {
-#if LIBRA_OBS_ENABLED
   const std::uint64_t shipped_before = counter_value("trainer.swaps_shipped");
-#endif
   core::FleetTrainer trainer(small_trainer_cfg());
   trainer.seed_model(make_cluster_forest());
   trainer.attach_producers(1);
@@ -616,16 +612,12 @@ TEST(DriftGate, RegimeShiftShipsWithinBudget) {
   EXPECT_EQ(trainer.generation(), 2u);
   // A shipped swap resets the detector: the new incumbent starts clean.
   EXPECT_EQ(trainer.drift_score(), 0.0);
-#if LIBRA_OBS_ENABLED
   EXPECT_EQ(counter_value("trainer.swaps_shipped"), shipped_before + 1);
-#endif
 }
 
 TEST(DriftGate, CorruptedLabelCandidateRejectedByAccuracyGate) {
-#if LIBRA_OBS_ENABLED
   const std::uint64_t rejected_before =
       counter_value("trainer.swaps_rejected");
-#endif
   core::FleetTrainerConfig cfg = small_trainer_cfg();
   // A garbage-labeled candidate can land anywhere near chance; demand a
   // solid gain so the gate decision is not a coin flip.
@@ -652,18 +644,14 @@ TEST(DriftGate, CorruptedLabelCandidateRejectedByAccuracyGate) {
       << outcome.reason;
   EXPECT_EQ(trainer.swaps_shipped(), 0u);
   EXPECT_EQ(trainer.generation(), 1u);  // the accurate seed keeps serving
-#if LIBRA_OBS_ENABLED
   EXPECT_EQ(counter_value("trainer.swaps_rejected"), rejected_before + 1);
-#endif
 }
 
 // The faults:: garbage-PHY scenario at the row-stream boundary: non-finite
 // features must be rejected at ingest, never reaching the window or the
 // off-path fit.
 TEST(DriftGate, GarbagePhyRowsRejectedAtIngest) {
-#if LIBRA_OBS_ENABLED
   const std::uint64_t rejected_before = counter_value("trainer.rows_rejected");
-#endif
   core::FleetTrainer trainer(small_trainer_cfg());
   trainer.attach_producers(1);
 
@@ -690,9 +678,7 @@ TEST(DriftGate, GarbagePhyRowsRejectedAtIngest) {
   }
   EXPECT_EQ(trainer.ingest_now(), 10u);
   EXPECT_EQ(trainer.rows_ingested(), 10u);
-#if LIBRA_OBS_ENABLED
   EXPECT_EQ(counter_value("trainer.rows_rejected"), rejected_before + 20);
-#endif
 }
 
 TEST(DriftGate, InsufficientDataReportsReasonInsteadOfFitting) {
@@ -747,7 +733,6 @@ TEST(FleetTrainer, StartIncompatibleWithPinnedSchedule) {
   EXPECT_FALSE(trainer.running());
 }
 
-#if LIBRA_OBS_ENABLED
 // The degraded-decision fraction from the aggregator's ring series folds
 // into the drift score (outages and ladder fallbacks are drift the label
 // stream cannot see).
@@ -766,7 +751,6 @@ TEST(TrainerAggregator, DegradedFractionFoldsIntoDriftScore) {
   EXPECT_NEAR(trainer.drift_score(), 0.3, 1e-6);
   EXPECT_TRUE(trainer.drift_score() >= trainer.config().drift.threshold);
 }
-#endif  // LIBRA_OBS_ENABLED
 
 // ---------- ModelPush loopback ----------
 

@@ -663,14 +663,18 @@ int cmd_top(const Args& args) {
     return 2;
   }
   const std::string& target = args.positional[0];
-  const std::size_t colon = target.rfind(':');
-  if (colon == std::string::npos || colon + 1 == target.size()) {
+  rpc::ClientConfig addr;
+  try {
+    addr = rpc::parse_remote_addr(target);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: top: %s\n", e.what());
+    return 2;
+  }
+  if (!addr.unix_socket.empty()) {
     std::fprintf(stderr, "error: top expects HOST:PORT, got '%s'\n",
                  target.c_str());
     return 2;
   }
-  const std::string host = target.substr(0, colon);
-  const int port = std::atoi(target.c_str() + colon + 1);
   const int interval_ms = int_arg(args, "interval-ms", 1000, 1, 3'600'000);
   const bool once = args.flag("once");
 
@@ -678,7 +682,7 @@ int cmd_top(const Args& args) {
   std::signal(SIGTERM, handle_stop_signal);
   while (g_stop_requested == 0) {
     const std::optional<obs::HttpResponse> resp =
-        obs::http_get(host, port, "/series.json");
+        obs::http_get(addr.host, addr.port, "/series.json");
     if (!resp.has_value() || resp->status != 200) {
       if (once) {
         std::fprintf(stderr, "error: no scrape endpoint at %s\n",
