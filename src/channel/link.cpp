@@ -1,6 +1,10 @@
 #include "channel/link.h"
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "util/units.h"
 
@@ -8,14 +12,43 @@ namespace libra::channel {
 
 namespace {
 constexpr double kNoSignalDbm = -200.0;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Throws std::invalid_argument naming the first field of `cfg` outside its
+// range.
+const LinkBudgetConfig& validated(const LinkBudgetConfig& cfg) {
+  const auto check = [](bool ok, const char* field, const char* range,
+                        double value) {
+    if (!ok) {
+      char got[32];
+      std::snprintf(got, sizeof got, "%g", value);
+      throw std::invalid_argument(std::string("LinkBudgetConfig: ") + field +
+                                  " must be " + range + ", got " + got);
+    }
+  };
+  check(std::isfinite(cfg.tx_power_dbm), "tx_power_dbm", "finite",
+        cfg.tx_power_dbm);
+  check(std::isfinite(cfg.frequency_hz) && cfg.frequency_hz > 0.0,
+        "frequency_hz", "finite and > 0", cfg.frequency_hz);
+  check(std::isfinite(cfg.bandwidth_hz) && cfg.bandwidth_hz > 0.0,
+        "bandwidth_hz", "finite and > 0", cfg.bandwidth_hz);
+  check(std::isfinite(cfg.noise_figure_db), "noise_figure_db", "finite",
+        cfg.noise_figure_db);
+  check(std::isfinite(cfg.oxygen_db_per_m) && cfg.oxygen_db_per_m >= 0.0,
+        "oxygen_db_per_m", "finite and >= 0", cfg.oxygen_db_per_m);
+  check(std::isfinite(cfg.implementation_loss_db), "implementation_loss_db",
+        "finite", cfg.implementation_loss_db);
+  return cfg;
 }
+}  // namespace
 
 Link::Link(const env::Environment* env, array::PhasedArray* tx,
            array::PhasedArray* rx, LinkBudgetConfig cfg)
     : env_(env),
       tx_(tx),
       rx_(rx),
-      cfg_(cfg),
+      cfg_(validated(cfg)),
       thermal_floor_dbm_(thermal_noise_floor_dbm(cfg)) {
   if (!env_ || !tx_ || !rx_) throw std::invalid_argument("null link member");
   refresh();
@@ -23,12 +56,8 @@ Link::Link(const env::Environment* env, array::PhasedArray* tx,
 
 void Link::refresh() {
   paths_ = tracer_.trace(*env_, tx_->position(), rx_->position());
-  if (interferer_) {
-    interferer_paths_ =
-        tracer_.trace(*env_, interferer_->position, rx_->position());
-  } else {
-    interferer_paths_.clear();
-  }
+  ++paths_version_;
+  set_interferer(interferer_);
 }
 
 void Link::set_interferer(std::optional<Interferer> interferer) {
@@ -39,6 +68,7 @@ void Link::set_interferer(std::optional<Interferer> interferer) {
   } else {
     interferer_paths_.clear();
   }
+  ++interferer_version_;
 }
 
 Link::PathTerms Link::path_terms(const Path& p) const {
@@ -49,45 +79,44 @@ Link::PathTerms Link::path_terms(const Path& p) const {
   return {path_loss_db(cfg_, p.length_m), p.reflection_loss_db, blockage_db};
 }
 
-template <typename PowerAt>
-double Link::sum_power_dbm(std::size_t n, PowerAt power_at) const {
-  double total_mw = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total_mw += libra::util::dbm_to_mw(power_at(i));
-  }
+double Link::total_power_dbm(double total_mw) const {
   if (total_mw <= 0.0) return kNoSignalDbm;
   return libra::util::mw_to_dbm(total_mw) + fade_db_;
 }
 
-std::vector<PathContribution> Link::contributions(
-    array::BeamId tx_beam, array::BeamId rx_beam) const {
-  std::vector<PathContribution> out;
-  out.reserve(paths_.size());
+const Link::ChannelEntry& Link::channel(array::BeamId tx_beam,
+                                        array::BeamId rx_beam) const {
+  const ChannelKey key{tx_beam,
+                       rx_beam,
+                       bits(tx_->boresight_deg()),
+                       bits(rx_->boresight_deg()),
+                       paths_version_,
+                       env_->blocker_generation()};
+  if (channel_memo_ && channel_memo_->key == key) return *channel_memo_;
+  auto out = std::make_shared<std::vector<PathContribution>>();
+  out->reserve(paths_.size());
+  double total_mw = 0.0;
   for (const Path& p : paths_) {
     const double power =
         path_power_dbm(path_terms(p), tx_->gain_dbi(tx_beam, p.aod_deg),
                        rx_->gain_dbi(rx_beam, p.aoa_deg));
-    out.push_back({power,
-                   p.length_m / libra::util::kSpeedOfLightMps *
-                       libra::util::kNsPerSecond,
-                   p.aod_deg, p.aoa_deg, p.bounces});
+    out->push_back({power,
+                    p.length_m / libra::util::kSpeedOfLightMps *
+                        libra::util::kNsPerSecond,
+                    p.aod_deg, p.aoa_deg, p.bounces});
+    total_mw += libra::util::dbm_to_mw(power);
   }
-  return out;
+  channel_memo_ = ChannelEntry{key, std::move(out), total_mw};
+  return *channel_memo_;
+}
+
+std::shared_ptr<const std::vector<PathContribution>> Link::contributions(
+    array::BeamId tx_beam, array::BeamId rx_beam) const {
+  return channel(tx_beam, rx_beam).contributions;
 }
 
 double Link::rx_power_dbm(array::BeamId tx_beam, array::BeamId rx_beam) const {
-  return sum_power_dbm(paths_.size(), [&](std::size_t i) {
-    const Path& p = paths_[i];
-    return path_power_dbm(path_terms(p), tx_->gain_dbi(tx_beam, p.aod_deg),
-                          rx_->gain_dbi(rx_beam, p.aoa_deg));
-  });
-}
-
-double Link::rx_power_dbm(
-    const std::vector<PathContribution>& contributions) const {
-  return sum_power_dbm(contributions.size(), [&](std::size_t i) {
-    return contributions[i].rx_power_dbm;
-  });
+  return total_power_dbm(channel(tx_beam, rx_beam).total_mw);
 }
 
 std::vector<double> Link::rx_power_grid_dbm() const {
@@ -117,9 +146,12 @@ std::vector<double> Link::rx_power_grid_dbm() const {
     const double* g_tx = tx_gain.data() + tb * n_paths;
     for (std::size_t rb = 0; rb < n_rx; ++rb) {
       const double* g_rx = rx_gain.data() + rb * n_paths;
-      grid[tb * n_rx + rb] = sum_power_dbm(n_paths, [&](std::size_t i) {
-        return path_power_dbm(terms[i], g_tx[i], g_rx[i]);
-      });
+      double total_mw = 0.0;
+      for (std::size_t i = 0; i < n_paths; ++i) {
+        total_mw += libra::util::dbm_to_mw(
+            path_power_dbm(terms[i], g_tx[i], g_rx[i]));
+      }
+      grid[tb * n_rx + rb] = total_power_dbm(total_mw);
     }
   }
   return grid;
@@ -127,6 +159,11 @@ std::vector<double> Link::rx_power_grid_dbm() const {
 
 double Link::interference_power_dbm(array::BeamId rx_beam) const {
   if (!interferer_) return kNoSignalDbm;
+  const InterferenceKey key{rx_beam, bits(rx_->boresight_deg()),
+                            interferer_version_};
+  if (interference_memo_ && interference_memo_->key == key) {
+    return interference_memo_->power_dbm;
+  }
   double total_mw = 0.0;
   for (const Path& p : interferer_paths_) {
     const double power = interferer_->eirp_dbm +
@@ -134,8 +171,9 @@ double Link::interference_power_dbm(array::BeamId rx_beam) const {
                          path_loss_db(cfg_, p.length_m) - p.reflection_loss_db;
     total_mw += libra::util::dbm_to_mw(power);
   }
-  if (total_mw <= 0.0) return kNoSignalDbm;
-  return libra::util::mw_to_dbm(total_mw);
+  interference_memo_ = InterferenceEntry{
+      key, total_mw <= 0.0 ? kNoSignalDbm : libra::util::mw_to_dbm(total_mw)};
+  return interference_memo_->power_dbm;
 }
 
 double Link::noise_floor_dbm(array::BeamId rx_beam) const {

@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -39,25 +41,29 @@ struct PathContribution {
 
 class Link {
  public:
+  // Throws std::invalid_argument on a null environment or array, or on a
+  // budget field out of range: tx_power_dbm, noise_figure_db and
+  // implementation_loss_db finite; frequency_hz and bandwidth_hz finite and
+  // > 0; oxygen_db_per_m finite and >= 0.
   Link(const env::Environment* env, array::PhasedArray* tx,
        array::PhasedArray* rx, LinkBudgetConfig cfg = {});
 
-  // Re-run the ray tracer. Must be called after the Tx or Rx moves or the
-  // environment's walls change. Blocker changes do NOT require a refresh
-  // (blockage is applied per query).
+  // Re-run the ray tracer for the Tx-Rx paths and the interferer's paths.
+  // Must be called after the Tx or Rx moves or the environment's walls
+  // change; it also drops the channel memo. Rotations and blocker changes
+  // need no refresh: blockage is applied per query, and the memo's key
+  // holds both boresights and the environment's blocker generation.
   void refresh();
 
   // Per-path received power for a beam pair (blockage applied per leg).
-  std::vector<PathContribution> contributions(array::BeamId tx_beam,
-                                              array::BeamId rx_beam) const;
+  // The vector is immutable and shared: repeated queries of an unchanged
+  // link hand out the same one, and a deferred PHY observation keeps it.
+  std::shared_ptr<const std::vector<PathContribution>> contributions(
+      array::BeamId tx_beam, array::BeamId rx_beam) const;
 
-  // Total received power: non-coherent sum over paths. Returns a very low
-  // floor (-200 dBm) when no path exists.
+  // Total received power: non-coherent sum over paths, plus the fade.
+  // Returns a very low floor (-200 dBm) when no path exists.
   double rx_power_dbm(array::BeamId tx_beam, array::BeamId rx_beam) const;
-  // The same total from contributions() already evaluated for a beam pair,
-  // so a caller that needs both pays for one channel pass.
-  double rx_power_dbm(
-      const std::vector<PathContribution>& contributions) const;
 
   // rx_power_dbm() for every Tx x Rx codebook beam pair, tb-major (entry
   // tb * n_rx + rb), each bit-identical to rx_power_dbm(tb, rb). The
@@ -83,6 +89,7 @@ class Link {
 
   // Temporal fading offset (dB) applied to the received signal power on
   // every path; driven by a channel::FadingProcess during live sessions.
+  // Not part of the memo: it is added to the memoized sum per query.
   void set_fade_db(double fade_db) { fade_db_ = fade_db; }
   double fade_db() const { return fade_db_; }
 
@@ -92,6 +99,7 @@ class Link {
   }
 
   // Directional hidden-terminal interferer; coupling depends on the Rx beam.
+  // Re-traces the interferer's paths and drops the interference memo.
   void set_interferer(std::optional<Interferer> interferer);
   const std::optional<Interferer>& interferer() const { return interferer_; }
   // Interference power (dBm) leaking into the given Rx beam; -inf-ish floor
@@ -122,9 +130,45 @@ class Link {
     return cfg_.tx_power_dbm + tx_gain_dbi + rx_gain_dbi - t.path_loss_db -
            t.reflection_loss_db - t.blockage_db;
   }
-  // Non-coherent sum of n per-path powers (dBm) plus the fade.
-  template <typename PowerAt>
-  double sum_power_dbm(std::size_t n, PowerAt power_at) const;
+  // A non-coherent sum (mW) as dBm plus the fade, or the no-signal floor.
+  double total_power_dbm(double total_mw) const;
+
+  // Channel memo (docs/architecture.md, "Channel memo"): the last beam
+  // pair's contributions and their linear sum, valid while every input the
+  // per-path formula reads is unchanged. Boresights are compared bit for
+  // bit. Fading stays outside. The arrays' codebooks are fixed for the
+  // link's life and their positions enter only through refresh().
+  struct ChannelKey {
+    array::BeamId tx_beam = 0;
+    array::BeamId rx_beam = 0;
+    std::uint64_t tx_boresight_bits = 0;
+    std::uint64_t rx_boresight_bits = 0;
+    std::uint64_t paths_version = 0;       // refresh() count
+    std::uint64_t blocker_generation = 0;  // env::Environment's
+    bool operator==(const ChannelKey&) const = default;
+  };
+  struct ChannelEntry {
+    ChannelKey key;
+    std::shared_ptr<const std::vector<PathContribution>> contributions;
+    double total_mw = 0.0;  // sum of dbm_to_mw over the contributions
+  };
+  // The memo entry for a beam pair, recomputed on a key miss.
+  const ChannelEntry& channel(array::BeamId tx_beam,
+                              array::BeamId rx_beam) const;
+
+  // Interference memo: one Rx beam's interference power, valid while the
+  // Rx boresight and the interferer's paths (set_interferer(), refresh())
+  // are unchanged. Blockers do not attenuate interference.
+  struct InterferenceKey {
+    array::BeamId rx_beam = 0;
+    std::uint64_t rx_boresight_bits = 0;
+    std::uint64_t interferer_version = 0;  // set_interferer()/refresh()
+    bool operator==(const InterferenceKey&) const = default;
+  };
+  struct InterferenceEntry {
+    InterferenceKey key;
+    double power_dbm = 0.0;
+  };
 
   const env::Environment* env_;  // non-owning
   array::PhasedArray* tx_;       // non-owning
@@ -141,6 +185,13 @@ class Link {
   double interference_rise_db_ = 0.0;
   double fade_db_ = 0.0;
   std::optional<Interferer> interferer_;
+
+  // The memos mutate inside const queries, so a Link is queried by one
+  // thread at a time (a fleet shard owns its links).
+  std::uint64_t paths_version_ = 0;
+  std::uint64_t interferer_version_ = 0;
+  mutable std::optional<ChannelEntry> channel_memo_;
+  mutable std::optional<InterferenceEntry> interference_memo_;
 };
 
 }  // namespace libra::channel

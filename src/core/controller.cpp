@@ -170,23 +170,22 @@ void LinkController::start(util::Rng& rng) {
   }
   mcs_ = best;
   up_prober_.reset(mcs_);
-  const phy::PhyObservation obs =
-      sampler_.observe(*link_, tx_beam_, rx_beam_, mcs_, rng);
-  rebaseline(obs);
+  rebaseline(sampler_.observe_deferred(*link_, tx_beam_, rx_beam_, mcs_, rng));
 }
 
-void LinkController::rebaseline(const phy::PhyObservation& obs) {
-  baseline_ = obs;
+void LinkController::rebaseline(phy::PhyObservation obs) {
+  baseline_ = std::move(obs);
 }
 
 trace::FeatureVector LinkController::features_against_baseline(
     const phy::PhyObservation& obs) const {
   trace::FeatureVector f;
   if (!baseline_) return f;
-  if (obs.deferred() || baseline_->deferred()) {
+  if (obs.deferred()) {
     throw std::logic_error(
         "features_against_baseline: PHY observation not materialized");
   }
+  baseline_->materialize();
   f.v[0] = baseline_->snr_db - obs.snr_db;
   if (baseline_->tof_ns && obs.tof_ns) {
     f.v[1] = *baseline_->tof_ns - *obs.tof_ns;
@@ -285,7 +284,8 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
       if (walk_best_mcs_ >= 0) {
         mcs_ = walk_best_mcs_;
         up_prober_.reset(mcs_);
-        rebaseline(sampler_.observe(*link_, tx_beam_, rx_beam_, mcs_, rng));
+        rebaseline(
+            sampler_.observe_deferred(*link_, tx_beam_, rx_beam_, mcs_, rng));
         walked_through_ba_ = false;
       } else if (!walked_through_ba_) {
         // Nothing works on this pair: BA, then a second walk (Algorithm 1).

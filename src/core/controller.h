@@ -183,9 +183,12 @@ class LinkController {
       const phy::PhyObservation& obs) const;
   void plan_missing_ack_fallback(DecisionRequest& request) const;
   // Snapshot the current observation as the reference "initial state" the
-  // feature deltas are computed against.
-  void rebaseline(const phy::PhyObservation& obs);
-  // Throws std::logic_error when `obs` or the baseline is still deferred
+  // feature deltas are computed against. start() and the RA walk's end pass
+  // a deferred observation: most baselines are replaced before any decision
+  // frame reads them.
+  void rebaseline(phy::PhyObservation obs);
+  // Materializes a deferred baseline on first use (to the bits an eager one
+  // would hold). Throws std::logic_error when `obs` itself is still deferred
   // (phy::PhyObservation::materialize() not called).
   trace::FeatureVector features_against_baseline(
       const phy::PhyObservation& obs) const;
@@ -209,7 +212,8 @@ class LinkController {
   bool walked_through_ba_ = false;  // second walk after a fallback BA
 
   UpProber up_prober_;
-  std::optional<phy::PhyObservation> baseline_;
+  // Mutable so the const feature read can materialize a lazy baseline.
+  mutable std::optional<phy::PhyObservation> baseline_;
   double ack_loss_ewma_ = 0.0;
 
   faults::FaultInjector* faults_ = nullptr;  // non-owning; nullptr = clean

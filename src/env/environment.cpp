@@ -1,11 +1,49 @@
 #include "env/environment.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 
 namespace libra::env {
 
 Environment::Environment(std::string name, std::vector<geom::Wall> walls)
     : name_(std::move(name)), walls_(std::move(walls)) {}
+
+namespace {
+std::uint64_t next_blocker_generation() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+// Bitwise, not ==: a blocker at -0.0 is not assumed to attenuate like one
+// at +0.0, and a NaN field always counts as a change.
+bool same_bits(const Blocker& a, const Blocker& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return bits(a.position.x) == bits(b.position.x) &&
+         bits(a.position.y) == bits(b.position.y) &&
+         bits(a.radius_m) == bits(b.radius_m) &&
+         bits(a.attenuation_db) == bits(b.attenuation_db);
+}
+}  // namespace
+
+void Environment::add_blocker(const Blocker& b) {
+  blockers_.push_back(b);
+  blocker_generation_ = next_blocker_generation();
+}
+
+void Environment::clear_blockers() {
+  blockers_.clear();
+  blocker_generation_ = next_blocker_generation();
+}
+
+void Environment::set_blockers(std::span<const Blocker> blockers) {
+  if (std::equal(blockers.begin(), blockers.end(), blockers_.begin(),
+                 blockers_.end(), same_bits)) {
+    return;
+  }
+  blockers_.assign(blockers.begin(), blockers.end());
+  blocker_generation_ = next_blocker_generation();
+}
 
 double Environment::blockage_loss_db(geom::Vec2 a, geom::Vec2 b) const {
   double loss = 0.0;

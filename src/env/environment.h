@@ -5,7 +5,9 @@
 // (image-method ray tracing) and block them (LOS obstruction).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,9 +31,20 @@ class Environment {
   const std::string& name() const { return name_; }
   const std::vector<geom::Wall>& walls() const { return walls_; }
 
-  void add_blocker(const Blocker& b) { blockers_.push_back(b); }
-  void clear_blockers() { blockers_.clear(); }
+  // Every blocker change takes a new blocker_generation().
+  void add_blocker(const Blocker& b);
+  void clear_blockers();
+  // Replace the blocker list; a new generation only when the list differs
+  // (bit for bit, in order) from the current one, so a script that
+  // re-asserts the same blockers every frame leaves channel::Link's memo
+  // valid.
+  void set_blockers(std::span<const Blocker> blockers);
   const std::vector<Blocker>& blockers() const { return blockers_; }
+  // Identifies the current blocker list: two environments, or one at two
+  // times, with the same generation hold equal lists. Generations are drawn
+  // from one process-wide counter, so this holds across copies and
+  // assignments too; 0 is the empty list an environment is built with.
+  std::uint64_t blocker_generation() const { return blocker_generation_; }
 
   // Total blockage attenuation (dB) a ray from a to b suffers from the
   // blockers currently present. Grazing incidence (ray passes near the edge
@@ -55,6 +68,7 @@ class Environment {
   std::string name_;
   std::vector<geom::Wall> walls_;
   std::vector<Blocker> blockers_;
+  std::uint64_t blocker_generation_ = 0;
 };
 
 }  // namespace libra::env

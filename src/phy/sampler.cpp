@@ -39,7 +39,7 @@ void fill_pdp(PhyObservation& obs,
 
 void PhyObservation::materialize() {
   if (!pending) return;
-  fill_pdp(*this, pending->contributions, pending->pdp, pending->tap_jitter,
+  fill_pdp(*this, *pending->contributions, pending->pdp, pending->tap_jitter,
            pending->tap_key);
   pending.reset();
 }
@@ -89,11 +89,9 @@ PhyObservation PhySampler::sample(const channel::Link& link,
   PhyObservation obs;
   obs.mcs = mcs;
 
-  // One channel pass: the clean and jammed SNRs and the PDP all derive
-  // from these contributions.
-  std::vector<channel::PathContribution> contributions =
-      link.contributions(tx_beam, rx_beam);
-  const double rx_dbm = link.rx_power_dbm(contributions);
+  // The link memoizes the beam pair's channel, so this and the PDP's
+  // contributions below share one channel pass.
+  const double rx_dbm = link.rx_power_dbm(tx_beam, rx_beam);
   const double clean_floor = link.clean_floor_dbm();
   const double beam_floor = link.noise_floor_dbm(rx_beam);
 
@@ -117,8 +115,9 @@ PhyObservation PhySampler::sample(const channel::Link& link,
     // this is what makes X60 report ToF = infinity for very weak signals.
     PdpConfig pdp_cfg = cfg_.pdp;
     pdp_cfg.noise_floor_mw = libra::util::dbm_to_mw(beam_floor - 6.0);
+    auto contributions = link.contributions(tx_beam, rx_beam);
     if (mode == PdpMode::kEager) {
-      fill_pdp(obs, contributions, pdp_cfg, cfg_.pdp_tap_jitter, tap_key);
+      fill_pdp(obs, *contributions, pdp_cfg, cfg_.pdp_tap_jitter, tap_key);
     } else {
       obs.pending = std::make_shared<const PendingPdp>(PendingPdp{
           std::move(contributions), pdp_cfg, cfg_.pdp_tap_jitter, tap_key});

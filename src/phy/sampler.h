@@ -19,7 +19,8 @@ namespace libra::phy {
 // What a deferred observation needs to compute its PDP, CSI and ToF later,
 // exactly as observe() computes them now.
 struct PendingPdp {
-  std::vector<channel::PathContribution> contributions;
+  // Shared with the link's channel memo, not copied.
+  std::shared_ptr<const std::vector<channel::PathContribution>> contributions;
   PdpConfig pdp;              // with the Rx beam's detection floor applied
   double tap_jitter = 0.0;    // SamplerConfig::pdp_tap_jitter
   std::uint64_t tap_key = 0;  // the word that keys the tap jitters

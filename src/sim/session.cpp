@@ -85,12 +85,15 @@ void SessionDriver::apply_dynamics(double t_ms) {
       moved = true;
     }
   }
-  environment_->clear_blockers();
+  // set_blockers() leaves the blocker generation (and so the link's
+  // channel memo) alone while the active episodes stay the same.
+  active_blockers_.clear();
   for (const BlockageEpisode& ep : script_.blockage) {
     if (t_ms >= ep.start_ms && t_ms < ep.end_ms) {
-      environment_->add_blocker(ep.blocker);
+      active_blockers_.push_back(ep.blocker);
     }
   }
+  environment_->set_blockers(active_blockers_);
   int active = kNoInterference;
   for (std::size_t i = 0; i < script_.interference.size(); ++i) {
     const InterferenceEpisode& ep = script_.interference[i];

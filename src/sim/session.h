@@ -138,6 +138,7 @@ class SessionDriver {
   int dead_frames_ = 0;
   double outage_start_ = 0.0;
   double last_t_ms_ = 0.0;
+  std::vector<env::Blocker> active_blockers_;  // apply_dynamics() scratch
   // Index into script_.interference of the episode whose interferer the
   // link carries, or kNoInterference. Starts at kUnsetInterference so the
   // first apply_dynamics() sets the link whatever it carried before.

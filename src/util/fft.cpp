@@ -30,6 +30,40 @@ inline void butterflies(std::complex<double>* data,
   }
 }
 
+// Every stage's twiddles for an n-point transform in one direction: stage
+// len's table starts at offset len/2 - 1 and holds len/2 entries, filled by
+// the sequential w *= wlen recurrence (its rounding is part of the pinned
+// spectra; every block of a stage uses the same sequence). Built once per
+// (n, direction) per thread; there are at most two entries per power of
+// two, so the cache stays small.
+const std::complex<double>* twiddles(std::size_t n, bool inverse) {
+  struct Entry {
+    std::size_t n;
+    bool inverse;
+    std::vector<std::complex<double>> tw;
+  };
+  thread_local std::vector<Entry> cache;
+  for (const Entry& e : cache) {
+    if (e.n == n && e.inverse == inverse) return e.tw.data();
+  }
+  std::vector<std::complex<double>> tw;
+  tw.reserve(n - 1);
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle =
+        2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1 : -1);
+    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
+    const std::size_t base = tw.size();
+    tw.push_back({1.0, 0.0});
+    for (std::size_t k = 1; k < len / 2; ++k) {
+      tw.push_back(tw[base + k - 1] * wlen);
+    }
+  }
+  // The buffer is moved, never copied, so the pointer stays valid as the
+  // cache grows.
+  cache.push_back({n, inverse, std::move(tw)});
+  return cache.back().tw.data();
+}
+
 }  // namespace
 
 std::size_t next_pow2(std::size_t n) {
@@ -51,20 +85,11 @@ void fft(std::vector<std::complex<double>>& data, bool inverse) {
     j ^= bit;
     if (i < j) std::swap(data[i], data[j]);
   }
-  // Per-stage twiddle table, filled by the same sequential w *= wlen
-  // recurrence every block of the stage used to run inline — one table
-  // shared by all blocks (they repeat the identical sequence).
-  std::vector<std::complex<double>> tw;
-  tw.reserve(n / 2);
+  const std::complex<double>* tw = twiddles(n, inverse);
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle =
-        2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1 : -1);
-    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
     const std::size_t half = len / 2;
-    tw.assign(1, {1.0, 0.0});
-    for (std::size_t k = 1; k < half; ++k) tw.push_back(tw[k - 1] * wlen);
     for (std::size_t i = 0; i < n; i += len) {
-      butterflies(data.data() + i, tw.data(), half);
+      butterflies(data.data() + i, tw + (half - 1), half);
     }
   }
   if (inverse) {

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "channel/fading.h"
@@ -10,7 +12,9 @@
 #include "channel/link_budget.h"
 #include "channel/path_tracer.h"
 #include "env/registry.h"
+#include "util/rng.h"
 #include "util/stats.h"
+#include "util/units.h"
 
 namespace libra::channel {
 namespace {
@@ -225,10 +229,12 @@ TEST_F(LinkFixture, RemovingInterfererRestoresFloor) {
 
 TEST_F(LinkFixture, ContributionsDelaysMatchGeometry) {
   const auto contributions = link.contributions(12, 12);
-  ASSERT_FALSE(contributions.empty());
+  ASSERT_FALSE(contributions->empty());
   // The earliest arrival is the LOS at distance/c.
   double min_delay = 1e18;
-  for (const auto& c : contributions) min_delay = std::min(min_delay, c.delay_ns);
+  for (const auto& c : *contributions) {
+    min_delay = std::min(min_delay, c.delay_ns);
+  }
   EXPECT_NEAR(min_delay, 16.0 / 0.299792458, 0.01);
 }
 
@@ -268,9 +274,13 @@ TEST_F(LinkFixture, PowerGridMatchesPerPairQueries) {
                       grid[static_cast<std::size_t>(tb * n_rx + rb)]),
                   std::bit_cast<std::uint64_t>(pair))
             << what << " tb " << tb << " rb " << rb;
-        // The contributions-based total is the same sum.
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(
-                      l.rx_power_dbm(l.contributions(tb, rb))),
+        // The memoized contributions sum to the same total.
+        double total_mw = 0.0;
+        for (const PathContribution& c : *l.contributions(tb, rb)) {
+          total_mw += util::dbm_to_mw(c.rx_power_dbm);
+        }
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(util::mw_to_dbm(total_mw) +
+                                               l.fade_db()),
                   std::bit_cast<std::uint64_t>(pair))
             << what << " tb " << tb << " rb " << rb;
       }
@@ -345,6 +355,205 @@ TEST(Fading, ZeroCoherenceIsWhiteNoise) {
   const double a = fading.advance(1.0);
   const double b = fading.advance(1.0);
   EXPECT_NE(a, b);
+}
+
+// ---------- channel memo ----------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every query the memo serves must equal, bit for bit, a Link built fresh
+// on the same environment and arrays (carrying the same interferer, fade
+// and rise): a stale memo entry shows up as a mismatch.
+void expect_matches_fresh(const Link& memo, const env::Environment& env,
+                          array::PhasedArray& tx, array::PhasedArray& rx,
+                          double rise_db, array::BeamId tb, array::BeamId rb,
+                          int step) {
+  Link fresh(&env, &tx, &rx, memo.budget());
+  fresh.set_interferer(memo.interferer());
+  fresh.set_fade_db(memo.fade_db());
+  fresh.set_interference_rise_db(rise_db);
+  const auto got = memo.contributions(tb, rb);
+  const auto want = fresh.contributions(tb, rb);
+  ASSERT_EQ(got->size(), want->size()) << "step " << step;
+  for (std::size_t i = 0; i < got->size(); ++i) {
+    const PathContribution& g = (*got)[i];
+    const PathContribution& w = (*want)[i];
+    ASSERT_EQ(bits(g.rx_power_dbm), bits(w.rx_power_dbm))
+        << "step " << step << " path " << i;
+    ASSERT_EQ(bits(g.delay_ns), bits(w.delay_ns)) << "step " << step;
+    ASSERT_EQ(bits(g.aod_deg), bits(w.aod_deg)) << "step " << step;
+    ASSERT_EQ(bits(g.aoa_deg), bits(w.aoa_deg)) << "step " << step;
+    ASSERT_EQ(g.bounces, w.bounces) << "step " << step;
+  }
+  ASSERT_EQ(bits(memo.rx_power_dbm(tb, rb)), bits(fresh.rx_power_dbm(tb, rb)))
+      << "step " << step;
+  ASSERT_EQ(bits(memo.snr_db(tb, rb)), bits(fresh.snr_db(tb, rb)))
+      << "step " << step;
+  ASSERT_EQ(bits(memo.snr_clean_db(tb, rb)),
+            bits(fresh.snr_clean_db(tb, rb)))
+      << "step " << step;
+  ASSERT_EQ(bits(memo.noise_floor_dbm(rb)), bits(fresh.noise_floor_dbm(rb)))
+      << "step " << step;
+}
+
+// Random mutation sequences against the memo: beam switches on either end,
+// Tx/Rx rotations, an Rx move plus refresh(), blocker sets (changed and
+// unchanged) and clears, interferer set/clear, fade and rise changes. Each
+// kind changes one key input at a time, so a key that left out that input
+// would serve a stale entry here.
+TEST(ChannelMemo, MatchesFreshLinkUnderRandomMutations) {
+  array::Codebook codebook;
+  const int n_beams = codebook.size();
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    env::Environment env = box();
+    array::PhasedArray tx({2, 5}, 0.0, &codebook);
+    array::PhasedArray rx({18, 5}, 180.0, &codebook);
+    Link link(&env, &tx, &rx);
+    util::Rng rng(seed);
+    array::BeamId tb = 12;
+    array::BeamId rb = 12;
+    double rise_db = 0.0;
+    const auto random_blocker = [&] {
+      return env::Blocker{{rng.uniform(3.0, 17.0), rng.uniform(3.0, 7.0)},
+                          rng.uniform(0.2, 1.5), rng.uniform(5.0, 30.0)};
+    };
+    const auto random_beam = [&] {
+      // The Rx end sometimes listens quasi-omni.
+      return static_cast<array::BeamId>(rng.uniform_int(-1, n_beams - 1));
+    };
+    // The first vector handed out must never change under the caller.
+    const auto first = link.contributions(tb, rb);
+    const std::vector<PathContribution> first_copy = *first;
+    for (int step = 0; step < 300; ++step) {
+      switch (rng.uniform_int(0, 10)) {
+        case 0:
+          tb = static_cast<array::BeamId>(rng.uniform_int(0, n_beams - 1));
+          break;
+        case 1:
+          rb = random_beam();
+          break;
+        case 2:
+          tx.set_boresight_deg(rng.uniform(-180.0, 180.0));
+          break;
+        case 3:
+          rx.set_boresight_deg(rng.uniform(-180.0, 180.0));
+          break;
+        case 4:
+          rx.set_position({rng.uniform(8.0, 19.0), rng.uniform(1.0, 9.0)});
+          link.refresh();
+          break;
+        case 5: {
+          std::vector<env::Blocker> blockers(
+              static_cast<std::size_t>(rng.uniform_int(1, 2)));
+          for (env::Blocker& b : blockers) b = random_blocker();
+          env.set_blockers(blockers);
+          break;
+        }
+        case 6: {
+          // The same list again, or one blocker more.
+          std::vector<env::Blocker> blockers = env.blockers();
+          if (rng.bernoulli(0.5)) blockers.push_back(random_blocker());
+          env.set_blockers(blockers);
+          break;
+        }
+        case 7:
+          env.clear_blockers();
+          break;
+        case 8:
+          if (rng.bernoulli(0.3)) {
+            link.set_interferer(std::nullopt);
+          } else {
+            link.set_interferer(Interferer{
+                {rng.uniform(1.0, 19.0), rng.uniform(1.0, 9.0)},
+                rng.uniform(20.0, 50.0), rng.uniform(0.1, 1.0)});
+          }
+          break;
+        case 9:
+          link.set_fade_db(rng.uniform(-8.0, 4.0));
+          break;
+        default:
+          rise_db = rng.uniform(0.0, 10.0);
+          link.set_interference_rise_db(rise_db);
+          break;
+      }
+      expect_matches_fresh(link, env, tx, rx, rise_db, tb, rb, step);
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_EQ(first->size(), first_copy.size());
+    for (std::size_t i = 0; i < first_copy.size(); ++i) {
+      EXPECT_EQ(bits((*first)[i].rx_power_dbm),
+                bits(first_copy[i].rx_power_dbm));
+    }
+  }
+}
+
+// The memo is hit while nothing in its key changes: the sampler's, the
+// controller's and the up-probe's queries of one frame share one vector,
+// and re-asserting the same blockers (as SessionDriver does every frame)
+// keeps it; fading is applied per query.
+TEST_F(LinkFixture, UnchangedLinkSharesOneContributionsVector) {
+  environment.add_blocker({{10, 5}, 0.25, 28.0});
+  const auto a = link.contributions(12, 12);
+  EXPECT_EQ(link.contributions(12, 12).get(), a.get());
+  (void)link.snr_db(12, 12);
+  link.set_fade_db(-3.0);
+  link.set_interference_rise_db(2.0);
+  environment.set_blockers(std::vector<env::Blocker>(environment.blockers()));
+  EXPECT_EQ(link.contributions(12, 12).get(), a.get());
+  environment.set_blockers({});
+  EXPECT_NE(link.contributions(12, 12).get(), a.get());
+}
+
+// LinkBudgetConfig is validated at construction, one field at a time.
+TEST(Link, DefaultBudgetConstructs) {
+  array::Codebook cb;
+  env::Environment e = box();
+  array::PhasedArray a({2, 5}, 0, &cb);
+  array::PhasedArray b({18, 5}, 180, &cb);
+  EXPECT_NO_THROW(Link(&e, &a, &b, LinkBudgetConfig{}));
+}
+
+struct BadBudget {
+  const char* field;
+  void (*poison)(LinkBudgetConfig&);
+};
+
+TEST(Link, InvalidBudgetFieldsThrow) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const BadBudget cases[] = {
+      {"tx_power_dbm", [](LinkBudgetConfig& c) { c.tx_power_dbm = kNan; }},
+      {"tx_power_dbm", [](LinkBudgetConfig& c) { c.tx_power_dbm = kInf; }},
+      {"frequency_hz", [](LinkBudgetConfig& c) { c.frequency_hz = 0.0; }},
+      {"frequency_hz", [](LinkBudgetConfig& c) { c.frequency_hz = -60e9; }},
+      {"frequency_hz", [](LinkBudgetConfig& c) { c.frequency_hz = kInf; }},
+      {"bandwidth_hz", [](LinkBudgetConfig& c) { c.bandwidth_hz = 0.0; }},
+      {"bandwidth_hz", [](LinkBudgetConfig& c) { c.bandwidth_hz = kNan; }},
+      {"noise_figure_db",
+       [](LinkBudgetConfig& c) { c.noise_figure_db = kNan; }},
+      {"oxygen_db_per_m",
+       [](LinkBudgetConfig& c) { c.oxygen_db_per_m = -0.016; }},
+      {"oxygen_db_per_m",
+       [](LinkBudgetConfig& c) { c.oxygen_db_per_m = kInf; }},
+      {"implementation_loss_db",
+       [](LinkBudgetConfig& c) { c.implementation_loss_db = -kInf; }},
+  };
+  array::Codebook cb;
+  env::Environment e = box();
+  array::PhasedArray a({2, 5}, 0, &cb);
+  array::PhasedArray b({18, 5}, 180, &cb);
+  for (const BadBudget& bad : cases) {
+    LinkBudgetConfig cfg;
+    bad.poison(cfg);
+    try {
+      Link link(&e, &a, &b, cfg);
+      ADD_FAILURE() << bad.field << ": no exception";
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_NE(std::string(ex.what()).find(bad.field), std::string::npos)
+          << ex.what();
+    }
+  }
 }
 
 TEST(Link, NullDependenciesThrow) {

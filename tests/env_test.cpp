@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "env/environment.h"
 #include "env/registry.h"
 
@@ -75,6 +79,54 @@ TEST(Blocker, ClearBlockersResets) {
   e.clear_blockers();
   EXPECT_DOUBLE_EQ(e.blockage_loss_db({1, 2}, {9, 2}), 0.0);
   EXPECT_TRUE(e.blockers().empty());
+}
+
+// The blocker generation is what channel::Link's memo keys on: a new one
+// on every real change, the same one while the list is re-asserted.
+TEST(Blocker, GenerationChangesOnlyWithTheList) {
+  Environment e = box();
+  EXPECT_EQ(e.blocker_generation(), 0u);
+  const Blocker a{{5, 2}, 0.25, 28.0};
+  const Blocker b{{3, 2}, 0.4, 12.0};
+  e.set_blockers(std::vector<Blocker>{});
+  EXPECT_EQ(e.blocker_generation(), 0u);  // already empty
+  e.add_blocker(a);
+  const std::uint64_t g1 = e.blocker_generation();
+  EXPECT_NE(g1, 0u);
+  e.set_blockers(std::vector<Blocker>{a});
+  EXPECT_EQ(e.blocker_generation(), g1);
+  e.set_blockers(std::vector<Blocker>{a, b});
+  const std::uint64_t g2 = e.blocker_generation();
+  EXPECT_NE(g2, g1);
+  e.set_blockers(std::vector<Blocker>{b, a});  // order counts
+  EXPECT_NE(e.blocker_generation(), g2);
+  Blocker nudged = b;
+  nudged.attenuation_db = std::nextafter(b.attenuation_db, 0.0);
+  const std::uint64_t g3 = e.blocker_generation();
+  e.set_blockers(std::vector<Blocker>{nudged, a});
+  EXPECT_NE(e.blocker_generation(), g3);
+  ASSERT_EQ(e.blockers().size(), 2u);
+  EXPECT_EQ(e.blockers()[0].attenuation_db, nudged.attenuation_db);
+  const std::uint64_t g4 = e.blocker_generation();
+  e.clear_blockers();
+  EXPECT_NE(e.blocker_generation(), g4);
+  EXPECT_TRUE(e.blockers().empty());
+}
+
+// Generations come from one process-wide counter: equal generations mean
+// equal lists even across copies and assignments, so a link whose
+// environment is assigned over never keeps a stale memo entry.
+TEST(Blocker, GenerationsAreUniqueAcrossEnvironments) {
+  Environment e1 = box();
+  Environment e2 = box();
+  e1.add_blocker({{5, 2}, 0.25, 28.0});
+  e2.add_blocker({{6, 2}, 0.25, 28.0});
+  EXPECT_NE(e1.blocker_generation(), e2.blocker_generation());
+  const Environment copy = e1;
+  EXPECT_EQ(copy.blocker_generation(), e1.blocker_generation());
+  e1 = e2;
+  EXPECT_EQ(e1.blocker_generation(), e2.blocker_generation());
+  EXPECT_EQ(e1.blockers()[0].position.x, 6.0);
 }
 
 TEST(Environment, BoundingBox) {

@@ -12,7 +12,8 @@
 //   - non-finite inputs are rejected (or demoted, per policy) at every
 //     layer: extract_features, classify, classify_batch;
 //   - the PHY mutators and the stale replay plan a deferred observation
-//     exactly like an eager one.
+//     exactly like an eager one, and a lazy baseline decides exactly like
+//     an eager one.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -572,6 +573,145 @@ TEST(FaultsDeferredPhy, FeaturesRejectPendingObservation) {
   EXPECT_THROW(ctl->features(obs), std::logic_error);
   obs.materialize();
   EXPECT_NO_THROW(ctl->features(obs));
+}
+
+// ---------- lazy baselines ----------
+
+// A LiBRA controller whose baseline can be inspected, and forced eager.
+class BaselineProbe : public core::LibraController {
+ public:
+  using core::LibraController::LibraController;
+  bool baseline_pending() const { return baseline_ && baseline_->deferred(); }
+  void materialize_baseline() {
+    if (baseline_) baseline_->materialize();
+  }
+};
+
+// One scripted link with its own world (SessionDriver mutates blockers):
+// a blockage episode, a walk that re-traces every frame, fading, and the
+// demo fault plan, so the RA walk rebaselines several times mid-run.
+struct BaselineWorld {
+  explicit BaselineWorld(core::ControllerConfig cfg = {})
+      : ctl(&link, &shared_error_model(), &shared_classifier(), cfg),
+        injector(&plan(), util::Rng(plan().seed).fork()),
+        driver(env, link, ctl, script(), false) {
+    ctl.set_fault_injector(&injector);
+  }
+  static const faults::FaultPlan& plan() {
+    static const faults::FaultPlan p = faults::demo_plan(21);
+    return p;
+  }
+  static const sim::SessionScript& script() {
+    static const sim::SessionScript s = [] {
+      sim::SessionScript out;
+      out.duration_ms = 3000.0;
+      out.rx_trajectory = sim::Trajectory(
+          {{0.0, {10, 6}, 180.0},
+           {1500.0, {10, 6}, 180.0},
+           {2500.0, {13, 4}, 170.0},
+           {3000.0, {13, 4}, 170.0}});
+      out.blockage.push_back({400.0, 1200.0, {{6, 6}, 0.4, 30.0}});
+      out.fading = {1.0, 200.0};
+      return out;
+    }();
+    return s;
+  }
+
+  array::Codebook codebook;
+  env::Environment env = env::make_lobby();
+  array::PhasedArray ap{{2, 6}, 0.0, &codebook};
+  array::PhasedArray client{{10, 6}, 180.0, &codebook};
+  channel::Link link{&env, &ap, &client};
+  BaselineProbe ctl;
+  faults::FaultInjector injector;
+  sim::SessionDriver driver;
+};
+
+// start() and the walk's rebaseline leave the baseline pending; a
+// controller that never reaches a decision frame never pays for it.
+TEST(LazyBaseline, PendingUntilADecisionFrameReadsIt) {
+  core::ControllerConfig cfg;
+  cfg.decision_period_frames = 1000000;  // no classifier decision is due
+  BaselineWorld world(cfg);
+  util::Rng rng(3);
+  world.driver.start(rng);
+  EXPECT_TRUE(world.ctl.baseline_pending());
+  int frames = 0;
+  while (!world.driver.done()) {
+    core::DecisionRequest request = world.driver.observe(rng);
+    ASSERT_FALSE(request.needs_inference());
+    world.driver.apply(request.resolved_without_inference(), request, rng);
+    ASSERT_TRUE(world.ctl.baseline_pending()) << "frame " << frames;
+    ++frames;
+  }
+  EXPECT_GT(frames, 100);
+}
+
+// A lazy baseline, materialized whenever a decision frame first reads it
+// (after the link may have moved, been blocked or faded), gives what an
+// eager one materialized at capture gives: the same features, verdicts,
+// Rng stream and controller state, frame by frame, with faults on.
+TEST(LazyBaseline, MatchesEagerReferenceUnderFaults) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    BaselineWorld lazy;
+    BaselineWorld eager;
+    util::Rng lazy_rng(seed);
+    util::Rng eager_rng(seed);
+    lazy.driver.start(lazy_rng);
+    eager.driver.start(eager_rng);
+    eager.ctl.materialize_baseline();
+    int late_reads = 0;
+    int inferred = 0;
+    for (int frame = 0; !eager.driver.done(); ++frame) {
+      ASSERT_FALSE(lazy.driver.done());
+      const bool was_pending = lazy.ctl.baseline_pending();
+      core::DecisionRequest l = lazy.driver.observe(lazy_rng);
+      core::DecisionRequest e = eager.driver.observe(eager_rng);
+      eager.ctl.materialize_baseline();
+      if (was_pending && l.needs_inference()) ++late_reads;
+      ASSERT_EQ(l.decision_due, e.decision_due) << "frame " << frame;
+      ASSERT_EQ(l.needs_inference(), e.needs_inference()) << "frame " << frame;
+      ASSERT_EQ(l.precomputed, e.precomputed) << "frame " << frame;
+      ASSERT_EQ(l.hold_last_mcs, e.hold_last_mcs) << "frame " << frame;
+      for (std::size_t i = 0; i < e.features.v.size(); ++i) {
+        ASSERT_EQ(bits(l.features.v[i]), bits(e.features.v[i]))
+            << "frame " << frame << " feature " << i;
+      }
+      trace::Action lv = l.resolved_without_inference();
+      trace::Action ev = e.resolved_without_inference();
+      if (e.needs_inference()) {
+        ++inferred;
+        lv = l.classifier->classify(l.features, lazy_rng);
+        ev = e.classifier->classify(e.features, eager_rng);
+      }
+      ASSERT_EQ(lv, ev) << "frame " << frame;
+      lazy.driver.apply(lv, l, lazy_rng);
+      eager.driver.apply(ev, e, eager_rng);
+      eager.ctl.materialize_baseline();
+      ASSERT_EQ(l.report.action, e.report.action) << "frame " << frame;
+      ASSERT_EQ(bits(l.report.goodput_mbps), bits(e.report.goodput_mbps))
+          << "frame " << frame;
+      ASSERT_TRUE(lazy_rng.engine() == eager_rng.engine())
+          << "frame " << frame;
+      ASSERT_EQ(lazy.ctl.mcs(), eager.ctl.mcs()) << "frame " << frame;
+      ASSERT_EQ(lazy.ctl.tx_beam(), eager.ctl.tx_beam()) << "frame " << frame;
+      ASSERT_EQ(lazy.ctl.rx_beam(), eager.ctl.rx_beam()) << "frame " << frame;
+      ASSERT_EQ(bits(lazy.ctl.time_ms()), bits(eager.ctl.time_ms()))
+          << "frame " << frame;
+    }
+    EXPECT_TRUE(lazy.driver.done());
+    const sim::SessionResult lr = lazy.driver.finish();
+    const sim::SessionResult er = eager.driver.finish();
+    EXPECT_EQ(bits(lr.bytes_mb), bits(er.bytes_mb));
+    EXPECT_EQ(lr.adaptations_ba, er.adaptations_ba);
+    EXPECT_EQ(lr.adaptations_ra, er.adaptations_ra);
+    // The comparison reached the classifier, and some of those decisions
+    // read a baseline that was still pending.
+    EXPECT_GT(inferred, 0);
+    EXPECT_GT(late_reads, 0);
+  }
 }
 
 }  // namespace

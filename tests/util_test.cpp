@@ -9,8 +9,10 @@
 #include <random>
 #include <utility>
 #include <cmath>
+#include <complex>
 #include <numbers>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/cli.h"
@@ -716,6 +718,66 @@ TEST(SummationSchedule, PearsonAndSpectrumArePinned) {
   EXPECT_EQ(mag[100], 0x1.2a12572163612p+1);
   EXPECT_EQ(mag[255], 0x1.954e99c6a55e6p+3);
   EXPECT_EQ(bit_hash(mag), 0xdf4fd1e8c21e1df4ULL);
+}
+
+// fft() caches its twiddle tables per thread and per (size, direction). A
+// cached table must give the bits a newly built one gives: two threads run
+// sizes 256 -> 64 -> 256 with forward and inverse transforms interleaved,
+// and every transform must equal the same transform run as the first call
+// on a fresh thread.
+TEST(Fft, TwiddleCacheMatchesFreshThread) {
+  struct Call {
+    std::size_t n;
+    bool inverse;
+  };
+  const std::vector<Call> schedule{{256, false}, {64, false}, {256, true},
+                                   {64, true},   {256, false}, {128, true},
+                                   {64, false},  {256, true}};
+  using Signal = std::vector<std::complex<double>>;
+  const auto transform = [](const Call& c) {
+    Rng rng(c.n * 2 + (c.inverse ? 1 : 0));
+    Signal v(c.n);
+    for (auto& x : v) x = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    fft(v, c.inverse);
+    return v;
+  };
+  const auto hash = [](const Signal& v) {
+    std::vector<double> flat;
+    for (const auto& x : v) {
+      flat.push_back(x.real());
+      flat.push_back(x.imag());
+    }
+    return bit_hash(flat);
+  };
+  std::vector<std::uint64_t> fresh;
+  for (const Call& c : schedule) {
+    std::thread([&] { fresh.push_back(hash(transform(c))); }).join();
+  }
+  constexpr int kRounds = 3;
+  std::vector<std::uint64_t> got[2];
+  std::thread workers[2];
+  for (int w = 0; w < 2; ++w) {
+    workers[w] = std::thread([&, w] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < schedule.size(); ++i) {
+          // The second thread walks the schedule backwards.
+          const std::size_t k = w == 0 ? i : schedule.size() - 1 - i;
+          got[w].push_back(hash(transform(schedule[k])));
+        }
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  for (int w = 0; w < 2; ++w) {
+    ASSERT_EQ(got[w].size(), schedule.size() * kRounds);
+    for (std::size_t j = 0; j < got[w].size(); ++j) {
+      const std::size_t i = j % schedule.size();
+      const std::size_t k = w == 0 ? i : schedule.size() - 1 - i;
+      EXPECT_EQ(got[w][j], fresh[k])
+          << "thread " << w << " call " << j << " n=" << schedule[k].n
+          << (schedule[k].inverse ? " inverse" : " forward");
+    }
+  }
 }
 
 // ---------- Counter-based normals ----------
