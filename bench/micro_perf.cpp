@@ -786,21 +786,51 @@ void BM_RayTraceLobby(benchmark::State& state) {
 }
 BENCHMARK(BM_RayTraceLobby);
 
-void BM_ExhaustiveSweep625(benchmark::State& state) {
+// Reports the sweep's exact channel evaluations per sweep (exact_pairs, of
+// 625), read from the mac.sweep.exact_pairs obs counter.
+void run_sweep_bench(benchmark::State& state, const channel::Link& link) {
   auto& f = Fixture::get();
+  const phy::PhySampler sampler(&f.em);
+  const mac::BeamTrainer trainer;
+  util::Rng rng(5);
+  const auto exact_pairs = [] {
+    const auto* c = obs::Registry::global().snapshot().find_counter(
+        "mac.sweep.exact_pairs");
+    return c ? static_cast<double>(c->value) : 0.0;
+  };
+  const double before = exact_pairs();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trainer.exhaustive(link, sampler, rng));
+  }
+  if (state.iterations() > 0) {
+    state.counters["exact_pairs"] =
+        (exact_pairs() - before) / static_cast<double>(state.iterations());
+  }
+}
+
+void BM_ExhaustiveSweep625(benchmark::State& state) {
   const env::Environment lobby = env::make_lobby();
   const array::Codebook cb;
   array::PhasedArray tx({2, 6}, 0, &cb);
   array::PhasedArray rx({14, 8}, 180, &cb);
-  channel::Link link(&lobby, &tx, &rx);
-  const phy::PhySampler sampler(&f.em);
-  const mac::BeamTrainer trainer;
-  util::Rng rng(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trainer.exhaustive(link, sampler, rng));
-  }
+  const channel::Link link(&lobby, &tx, &rx);
+  run_sweep_bench(state, link);
 }
 BENCHMARK(BM_ExhaustiveSweep625)->Unit(benchmark::kMicrosecond);
+
+// The storm workload's shape: a conference room with a blocker on the LOS
+// and a bursty interferer, so the bound has both to see past.
+void BM_ExhaustiveSweepStorm(benchmark::State& state) {
+  env::Environment room = env::make_conference_room();
+  const array::Codebook cb;
+  array::PhasedArray tx({1.5, 3.4}, 0, &cb);
+  array::PhasedArray rx({8.5, 4.2}, 180, &cb);
+  channel::Link link(&room, &tx, &rx);
+  room.add_blocker({{5.0, 3.8}, 0.3, 30.0});
+  link.set_interferer(channel::Interferer{{6.0, 1.0}, 50.0, 0.5});
+  run_sweep_bench(state, link);
+}
+BENCHMARK(BM_ExhaustiveSweepStorm)->Unit(benchmark::kMicrosecond);
 
 void BM_Sls80211ad(benchmark::State& state) {
   auto& f = Fixture::get();

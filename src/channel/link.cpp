@@ -1,8 +1,10 @@
 #include "channel/link.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -61,6 +63,12 @@ void Link::refresh() {
 }
 
 void Link::set_interferer(std::optional<Interferer> interferer) {
+  if (interferer && !(interferer->duty_cycle >= 0.0 &&
+                      interferer->duty_cycle <= 1.0)) {
+    throw std::invalid_argument(
+        "Interferer: duty_cycle must be in [0, 1], got " +
+        std::to_string(interferer->duty_cycle));
+  }
   interferer_ = interferer;
   if (interferer_) {
     interferer_paths_ =
@@ -119,42 +127,72 @@ double Link::rx_power_dbm(array::BeamId tx_beam, array::BeamId rx_beam) const {
   return total_power_dbm(channel(tx_beam, rx_beam).total_mw);
 }
 
-std::vector<double> Link::rx_power_grid_dbm() const {
-  const std::size_t n_paths = paths_.size();
-  std::vector<PathTerms> terms;
-  terms.reserve(n_paths);
-  for (const Path& p : paths_) terms.push_back(path_terms(p));
-  // Beam-major gain table: entry b * n_paths + i is beam b toward path i.
+Link::SweepTable::SweepTable(const Link& link)
+    : link_(&link), n_paths_(link.paths_.size()) {
+  terms_.reserve(n_paths_);
+  for (const Path& p : link.paths_) terms_.push_back(link.path_terms(p));
   const auto gain_table = [&](const array::PhasedArray& antenna,
                               double Path::*angle_deg) {
     const auto n_beams = static_cast<std::size_t>(antenna.codebook().size());
-    std::vector<double> gain(n_beams * n_paths);
+    std::vector<double> gain(n_beams * n_paths_);
     for (std::size_t b = 0; b < n_beams; ++b) {
-      for (std::size_t i = 0; i < n_paths; ++i) {
-        gain[b * n_paths + i] = antenna.gain_dbi(
-            static_cast<array::BeamId>(b), paths_[i].*angle_deg);
+      for (std::size_t i = 0; i < n_paths_; ++i) {
+        gain[b * n_paths_ + i] = antenna.gain_dbi(
+            static_cast<array::BeamId>(b), link.paths_[i].*angle_deg);
       }
     }
     return gain;
   };
-  const std::vector<double> tx_gain = gain_table(*tx_, &Path::aod_deg);
-  const std::vector<double> rx_gain = gain_table(*rx_, &Path::aoa_deg);
-  const auto n_tx = static_cast<std::size_t>(tx_->codebook().size());
-  const auto n_rx = static_cast<std::size_t>(rx_->codebook().size());
-  std::vector<double> grid(n_tx * n_rx);
-  for (std::size_t tb = 0; tb < n_tx; ++tb) {
-    const double* g_tx = tx_gain.data() + tb * n_paths;
-    for (std::size_t rb = 0; rb < n_rx; ++rb) {
-      const double* g_rx = rx_gain.data() + rb * n_paths;
-      double total_mw = 0.0;
-      for (std::size_t i = 0; i < n_paths; ++i) {
-        total_mw += libra::util::dbm_to_mw(
-            path_power_dbm(terms[i], g_tx[i], g_rx[i]));
-      }
-      grid[tb * n_rx + rb] = total_power_dbm(total_mw);
+  tx_gain_ = gain_table(*link.tx_, &Path::aod_deg);
+  rx_gain_ = gain_table(*link.rx_, &Path::aoa_deg);
+  // The best gain any beam of a table has toward each path.
+  const auto best_gain = [&](const std::vector<double>& gain) {
+    std::vector<double> best(n_paths_,
+                             -std::numeric_limits<double>::infinity());
+    for (std::size_t k = 0; k < gain.size(); ++k) {
+      best[k % n_paths_] = std::max(best[k % n_paths_], gain[k]);
     }
+    return best;
+  };
+  const std::vector<double> tx_best = best_gain(tx_gain_);
+  const std::vector<double> rx_best = best_gain(rx_gain_);
+  // Every step from a gain to the mW sum is monotone (round-to-nearest add
+  // and subtract, a sum of non-negative terms) except pow, and log10 after
+  // it; the slack covers both. A pair whose sum is zero reads the
+  // no-signal floor, which carries no fade, hence the clamp.
+  const auto bound_dbm = [&](double total_mw) {
+    return std::max(link.total_power_dbm(total_mw * (1.0 + kBoundSlack)),
+                    kNoSignalDbm);
+  };
+  const auto n_tx = static_cast<std::size_t>(link.tx_->codebook().size());
+  const auto n_rx = static_cast<std::size_t>(link.rx_->codebook().size());
+  tx_bound_dbm_.resize(n_tx);
+  for (std::size_t tb = 0; tb < n_tx; ++tb) {
+    tx_bound_dbm_[tb] =
+        bound_dbm(sum_mw(tx_gain_.data() + tb * n_paths_, rx_best.data()));
   }
-  return grid;
+  rx_bound_dbm_.resize(n_rx);
+  for (std::size_t rb = 0; rb < n_rx; ++rb) {
+    rx_bound_dbm_[rb] =
+        bound_dbm(sum_mw(tx_best.data(), rx_gain_.data() + rb * n_paths_));
+  }
+}
+
+double Link::SweepTable::sum_mw(const double* tx_gain_dbi,
+                                const double* rx_gain_dbi) const {
+  double total_mw = 0.0;
+  for (std::size_t i = 0; i < n_paths_; ++i) {
+    total_mw += libra::util::dbm_to_mw(
+        link_->path_power_dbm(terms_[i], tx_gain_dbi[i], rx_gain_dbi[i]));
+  }
+  return total_mw;
+}
+
+double Link::SweepTable::rx_power_dbm(array::BeamId tx_beam,
+                                      array::BeamId rx_beam) const {
+  return link_->total_power_dbm(
+      sum_mw(tx_gain_.data() + static_cast<std::size_t>(tx_beam) * n_paths_,
+             rx_gain_.data() + static_cast<std::size_t>(rx_beam) * n_paths_));
 }
 
 double Link::interference_power_dbm(array::BeamId rx_beam) const {

@@ -40,6 +40,13 @@ struct PathContribution {
 };
 
 class Link {
+  // The beam-independent terms of one path's received power.
+  struct PathTerms {
+    double path_loss_db;
+    double reflection_loss_db;
+    double blockage_db;  // summed over the path's legs
+  };
+
  public:
   // Throws std::invalid_argument on a null environment or array, or on a
   // budget field out of range: tx_power_dbm, noise_figure_db and
@@ -65,11 +72,49 @@ class Link {
   // Returns a very low floor (-200 dBm) when no path exists.
   double rx_power_dbm(array::BeamId tx_beam, array::BeamId rx_beam) const;
 
-  // rx_power_dbm() for every Tx x Rx codebook beam pair, tb-major (entry
-  // tb * n_rx + rb), each bit-identical to rx_power_dbm(tb, rb). The
-  // beam-independent path terms and the per-beam gain tables are computed
-  // once for the whole grid -- the kernel of an exhaustive sector sweep.
-  std::vector<double> rx_power_grid_dbm() const;
+  // The per-sweep table of an exhaustive sector sweep (docs/architecture.md,
+  // "Sweep kernel"). It evaluates each path's beam-independent terms and
+  // both arrays' per-beam gain tables once, and serves
+  //  - exact entries: rx_power_dbm(tb, rb), bit-identical to the per-pair
+  //    query (the same per-path formula, left-to-right sum and
+  //    total_power_dbm), without writing the channel memo;
+  //  - upper bounds: tx_bound_dbm(tb) >= rx_power_dbm(tb, rb) for every
+  //    Rx beam rb, and rx_bound_dbm(rb) >= rx_power_dbm(tb, rb) for every
+  //    Tx beam tb. A Tx beam's bound pairs its own gain toward each path
+  //    with the best gain any Rx beam has toward it (and vice versa). The
+  //    linear sum is inflated by kBoundSlack, which dwarfs the <= 1 ULP
+  //    error of pow and log10 (neither is documented to be monotone), and
+  //    the bound never falls below the no-signal floor.
+  // The table reads the link at construction and at every exact query, so
+  // it is valid only while the link, its arrays and its environment stay
+  // unchanged.
+  class SweepTable {
+   public:
+    static constexpr double kBoundSlack = 1e-9;  // relative, on the mW sum
+
+    explicit SweepTable(const Link& link);
+    double rx_power_dbm(array::BeamId tx_beam, array::BeamId rx_beam) const;
+    double tx_bound_dbm(array::BeamId tx_beam) const {
+      return tx_bound_dbm_[static_cast<std::size_t>(tx_beam)];
+    }
+    double rx_bound_dbm(array::BeamId rx_beam) const {
+      return rx_bound_dbm_[static_cast<std::size_t>(rx_beam)];
+    }
+
+   private:
+    // The linear sum over paths of the per-path formula, left to right,
+    // for per-path Tx and Rx gain arrays of n_paths_ entries each.
+    double sum_mw(const double* tx_gain_dbi, const double* rx_gain_dbi) const;
+
+    const Link* link_;
+    std::size_t n_paths_;
+    std::vector<PathTerms> terms_;
+    // Beam-major: entry b * n_paths_ + i is beam b's gain toward path i.
+    std::vector<double> tx_gain_;
+    std::vector<double> rx_gain_;
+    std::vector<double> tx_bound_dbm_;
+    std::vector<double> rx_bound_dbm_;
+  };
 
   // SINR over the effective noise floor seen by this Rx beam while the
   // interferer (if any) is transmitting (thermal + flat rise + interferer
@@ -100,6 +145,8 @@ class Link {
 
   // Directional hidden-terminal interferer; coupling depends on the Rx beam.
   // Re-traces the interferer's paths and drops the interference memo.
+  // Throws std::invalid_argument unless duty_cycle is in [0, 1]: the SNR
+  // averages the clean and jammed regimes with weights 1 - duty and duty.
   void set_interferer(std::optional<Interferer> interferer);
   const std::optional<Interferer>& interferer() const { return interferer_; }
   // Interference power (dBm) leaking into the given Rx beam; -inf-ish floor
@@ -115,12 +162,6 @@ class Link {
   const LinkBudgetConfig& budget() const { return cfg_; }
 
  private:
-  // The beam-independent terms of one path's received power.
-  struct PathTerms {
-    double path_loss_db;
-    double reflection_loss_db;
-    double blockage_db;  // summed over the path's legs
-  };
   PathTerms path_terms(const Path& p) const;
   // The per-path power formula every query shares. The left-to-right order
   // is part of the bit-exactness contract: pre-summing the losses would

@@ -1,36 +1,123 @@
 #include "mac/beam_training.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace libra::mac {
 
 namespace {
+// Added to every pair's score bound (dB). The table's bounds already cover
+// pow and log10; this covers any rounding left in the mean-SNR formula.
+constexpr double kScoreSlackDb = 1e-6;
+
 double probes_to_ms(int probes, const BeamTrainerConfig& cfg) {
   return static_cast<double>(probes) * cfg.probe_us / 1000.0;
 }
+
+const BeamTrainerConfig& validated(const BeamTrainerConfig& cfg) {
+  if (!(std::isfinite(cfg.probe_us) && cfg.probe_us > 0.0)) {
+    throw std::invalid_argument(
+        "BeamTrainerConfig: probe_us must be finite and > 0, got " +
+        std::to_string(cfg.probe_us));
+  }
+  return cfg;
+}
 }  // namespace
+
+BeamTrainer::BeamTrainer(BeamTrainerConfig cfg) : cfg_(validated(cfg)) {}
 
 SweepResult BeamTrainer::exhaustive(const channel::Link& link,
                                     const phy::PhySampler& sampler,
                                     util::Rng& rng) const {
-  SweepResult best;
-  best.snr_db = -1e9;
+  return exhaustive_apart_from(link, sampler, rng, 0, 0);
+}
+
+SweepResult BeamTrainer::exhaustive_apart_from(
+    const channel::Link& link, const phy::PhySampler& sampler,
+    util::Rng& rng, array::BeamId primary_tx, int min_tx_gap) const {
+  static obs::Counter& pairs_counter =
+      obs::Registry::global().counter("mac.sweep.pairs");
+  static obs::Counter& exact_counter =
+      obs::Registry::global().counter("mac.sweep.exact_pairs");
   const int n_tx = link.tx().codebook().size();
   const int n_rx = link.rx().codebook().size();
-  // The channel side of every probe, evaluated once per sweep; only the
-  // per-probe jitter is drawn per pair, in the same tb-major order.
-  const std::vector<double> rx_power = link.rx_power_grid_dbm();
+  const auto row_len = static_cast<std::size_t>(n_rx);
+  const auto pair = [row_len](array::BeamId tb, array::BeamId rb) {
+    return static_cast<std::size_t>(tb) * row_len +
+           static_cast<std::size_t>(rb);
+  };
+  const auto swept = [&](array::BeamId tb) {
+    return std::abs(tb - primary_tx) >= min_tx_gap;
+  };
+
+  // Every probe's jitter, in the probes' tb-major order: the draws do not
+  // depend on the channel, so the stream is that of probing every pair.
+  std::vector<double> jitter(static_cast<std::size_t>(n_tx * n_rx));
+  int probes = 0;
+  for (array::BeamId tb = 0; tb < n_tx; ++tb) {
+    if (!swept(tb)) continue;
+    for (array::BeamId rb = 0; rb < n_rx; ++rb) {
+      jitter[pair(tb, rb)] = sampler.snr_jitter_db(rng);
+      ++probes;
+    }
+  }
   std::vector<double> noise_floor(static_cast<std::size_t>(n_rx));
   for (array::BeamId rb = 0; rb < n_rx; ++rb) {
     noise_floor[static_cast<std::size_t>(rb)] = link.noise_floor_dbm(rb);
   }
+  const channel::Link::SweepTable table(link);
+  const auto score = [&](double rx_power_dbm, array::BeamId tb,
+                         array::BeamId rb) {
+    return sampler.mean_snr_db(link, rx_power_dbm,
+                               noise_floor[static_cast<std::size_t>(rb)]) +
+           jitter[pair(tb, rb)];
+  };
+
+  // An upper bound on every swept pair's measured SNR; the pair with the
+  // highest one is evaluated exactly first.
+  std::vector<double> bound(jitter.size());
+  std::size_t top = bound.size();
   for (array::BeamId tb = 0; tb < n_tx; ++tb) {
+    if (!swept(tb)) continue;
     for (array::BeamId rb = 0; rb < n_rx; ++rb) {
-      const double snr = sampler.measure_snr_db(
-          link, rx_power[static_cast<std::size_t>(tb * n_rx + rb)],
-          noise_floor[static_cast<std::size_t>(rb)], rng);
-      ++best.measurements;
+      const std::size_t k = pair(tb, rb);
+      const double rx_bound =
+          std::min(table.tx_bound_dbm(tb), table.rx_bound_dbm(rb));
+      bound[k] = score(rx_bound, tb, rb) + kScoreSlackDb;
+      if (top == bound.size() || bound[k] > bound[top]) top = k;
+    }
+  }
+
+  // The first maximum in tb-major order with strict >, as if every pair
+  // were measured. A pair whose bound is below the top pair's score, or
+  // below the best so far, cannot be that first maximum.
+  SweepResult best;
+  best.snr_db = -1e9;
+  int exact = 0;
+  double top_snr = -std::numeric_limits<double>::infinity();
+  if (top != bound.size()) {
+    const auto tb = static_cast<array::BeamId>(top / row_len);
+    const auto rb = static_cast<array::BeamId>(top % row_len);
+    top_snr = score(table.rx_power_dbm(tb, rb), tb, rb);
+    ++exact;
+  }
+  for (array::BeamId tb = 0; tb < n_tx; ++tb) {
+    if (!swept(tb)) continue;
+    for (array::BeamId rb = 0; rb < n_rx; ++rb) {
+      const std::size_t k = pair(tb, rb);
+      if (bound[k] < top_snr || bound[k] < best.snr_db) continue;
+      double snr = top_snr;
+      if (k != top) {
+        snr = score(table.rx_power_dbm(tb, rb), tb, rb);
+        ++exact;
+      }
       if (snr > best.snr_db) {
         best.snr_db = snr;
         best.tx_beam = tb;
@@ -38,7 +125,10 @@ SweepResult BeamTrainer::exhaustive(const channel::Link& link,
       }
     }
   }
+  best.measurements = probes;
   best.duration_ms = probes_to_ms(best.measurements, cfg_);
+  pairs_counter.inc(static_cast<std::uint64_t>(probes));
+  exact_counter.inc(static_cast<std::uint64_t>(exact));
   return best;
 }
 
@@ -96,6 +186,11 @@ SweepResult BeamTrainer::coarse_fine(const channel::Link& link,
                                      const phy::PhySampler& sampler,
                                      util::Rng& rng, int stride,
                                      int radius) const {
+  if (stride < 1 || radius < 0) {
+    throw std::invalid_argument(
+        "coarse_fine: stride must be >= 1 and radius >= 0, got stride " +
+        std::to_string(stride) + ", radius " + std::to_string(radius));
+  }
   SweepResult best;
   best.snr_db = -1e9;
   const int n_tx = link.tx().codebook().size();

@@ -138,18 +138,18 @@ double PhySampler::measure_snr_db(const channel::Link& link,
                                   array::BeamId tx_beam,
                                   array::BeamId rx_beam,
                                   util::Rng& rng) const {
-  return measure_snr_db(link, link.rx_power_dbm(tx_beam, rx_beam),
-                        link.noise_floor_dbm(rx_beam), rng);
+  const double avg = mean_snr_db(link, link.rx_power_dbm(tx_beam, rx_beam),
+                                 link.noise_floor_dbm(rx_beam));
+  return avg + snr_jitter_db(rng);
 }
 
-double PhySampler::measure_snr_db(const channel::Link& link,
-                                  double rx_power_dbm, double noise_floor_dbm,
-                                  util::Rng& rng) const {
+double PhySampler::mean_snr_db(const channel::Link& link,
+                               double rx_power_dbm,
+                               double noise_floor_dbm) const {
   const double duty =
       link.interferer() ? link.interferer()->duty_cycle : 0.0;
-  const double avg = (1.0 - duty) * (rx_power_dbm - link.clean_floor_dbm()) +
-                     duty * (rx_power_dbm - noise_floor_dbm);
-  return avg + rng.gaussian(0.0, cfg_.snr_jitter_db);
+  return (1.0 - duty) * (rx_power_dbm - link.clean_floor_dbm()) +
+         duty * (rx_power_dbm - noise_floor_dbm);
 }
 
 }  // namespace libra::phy

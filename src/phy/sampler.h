@@ -83,14 +83,23 @@ class PhySampler {
                               array::BeamId tx_beam, array::BeamId rx_beam,
                               McsIndex mcs, util::Rng& rng) const;
 
-  // Quick SNR-only measurement, as used during a sector sweep.
+  // Quick SNR-only measurement, as used during a sector sweep:
+  // mean_snr_db() of the pair plus one snr_jitter_db() draw.
   double measure_snr_db(const channel::Link& link, array::BeamId tx_beam,
                         array::BeamId rx_beam, util::Rng& rng) const;
-  // The same measurement from the pair's received power and the Rx beam's
-  // noise floor, already evaluated (Link::rx_power_grid_dbm(),
-  // Link::noise_floor_dbm()); a sweep evaluates those once per grid.
-  double measure_snr_db(const channel::Link& link, double rx_power_dbm,
-                        double noise_floor_dbm, util::Rng& rng) const;
+  // The measurement's mean: the clean and jammed SNRs averaged over the
+  // interferer's duty cycle, from the pair's received power and the Rx
+  // beam's noise floor (Link::rx_power_dbm(), Link::noise_floor_dbm()).
+  // Monotone non-decreasing in rx_power_dbm (weights 1 - duty and duty are
+  // >= 0), which the pruned sweep's bound relies on.
+  double mean_snr_db(const channel::Link& link, double rx_power_dbm,
+                     double noise_floor_dbm) const;
+  // The measurement's jitter: one gaussian draw. It does not depend on the
+  // channel, so a sweep can draw every probe's jitter before it evaluates
+  // any pair.
+  double snr_jitter_db(util::Rng& rng) const {
+    return rng.gaussian(0.0, cfg_.snr_jitter_db);
+  }
 
   const ErrorModel& error_model() const { return *error_model_; }
   const SamplerConfig& config() const { return cfg_; }

@@ -1,7 +1,6 @@
 #include "trace/collector.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/span.h"
@@ -152,24 +151,15 @@ CaseRecord TraceCollector::collect(env::Environment& environment, const Case& c,
   rec.init_mcs = rec.init_best.best_mcs(cfg_.min_tput_mbps, cfg_.min_cdr);
 
   // Failover pair (MOCA-style): the best pair whose Tx sector is at least
-  // `failover_min_sector_gap` away from the primary's.
+  // `failover_min_sector_gap` away from the primary's, or (0, 0) when no
+  // pair qualifies.
   {
-    array::BeamId fo_tx = 0, fo_rx = 0;
-    double fo_snr = -1e9;
-    for (array::BeamId tb = 0; tb < codebook.size(); ++tb) {
-      if (std::abs(tb - init_sweep.tx_beam) < cfg_.failover_min_sector_gap) {
-        continue;
-      }
-      for (array::BeamId rb = 0; rb < codebook.size(); ++rb) {
-        const double snr = sweep_sampler_.measure_snr_db(link, tb, rb, rng);
-        if (snr > fo_snr) {
-          fo_snr = snr;
-          fo_tx = tb;
-          fo_rx = rb;
-        }
-      }
-    }
-    rec.init_failover = measure_pair(link, fo_tx, fo_rx, rng);
+    const mac::SweepResult fo = trainer_.exhaustive_apart_from(
+        link, sweep_sampler_, rng, init_sweep.tx_beam,
+        cfg_.failover_min_sector_gap);
+    const bool found = fo.rx_beam != array::kQuasiOmni;
+    rec.init_failover =
+        measure_pair(link, fo.tx_beam, found ? fo.rx_beam : 0, rng);
   }
 
   // --- Interferer calibration: the EIRP is set so that a burst through the

@@ -255,24 +255,28 @@ TEST_F(LinkFixture, NoPathsYieldsFloorPower) {
   EXPECT_LT(caged_link.rx_power_dbm(12, 12), link.rx_power_dbm(12, 12));
 }
 
-// The sweep grid is the per-pair query evaluated with hoisted path terms
-// and gain tables; it must not move a single bit. A 5-beam Tx against the
-// 25-beam Rx keeps the tb-major indexing honest.
-TEST_F(LinkFixture, PowerGridMatchesPerPairQueries) {
+// The sweep table's exact entries are the per-pair query evaluated with
+// hoisted path terms and gain tables; they must not move a single bit. Its
+// row and column bounds must cover every entry. A 5-beam Tx against the
+// 25-beam Rx keeps the indexing honest.
+TEST_F(LinkFixture, SweepTableMatchesPerPairQueriesAndBoundsThem) {
   const array::Codebook small_codebook(array::CodebookConfig{.num_beams = 5});
   array::PhasedArray small_tx({2, 5}, 0.0, &small_codebook);
   Link mixed(&environment, &small_tx, &rx);
-  const auto expect_grid_exact = [](const Link& l, const char* what) {
-    const std::vector<double> grid = l.rx_power_grid_dbm();
+  const auto expect_table_exact = [](const Link& l, const char* what) {
+    const Link::SweepTable table(l);
     const int n_tx = l.tx().codebook().size();
     const int n_rx = l.rx().codebook().size();
-    ASSERT_EQ(grid.size(), static_cast<std::size_t>(n_tx * n_rx)) << what;
     for (array::BeamId tb = 0; tb < n_tx; ++tb) {
       for (array::BeamId rb = 0; rb < n_rx; ++rb) {
+        const double entry = table.rx_power_dbm(tb, rb);
         const double pair = l.rx_power_dbm(tb, rb);
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(
-                      grid[static_cast<std::size_t>(tb * n_rx + rb)]),
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(entry),
                   std::bit_cast<std::uint64_t>(pair))
+            << what << " tb " << tb << " rb " << rb;
+        ASSERT_GE(table.tx_bound_dbm(tb), entry)
+            << what << " tb " << tb << " rb " << rb;
+        ASSERT_GE(table.rx_bound_dbm(rb), entry)
             << what << " tb " << tb << " rb " << rb;
         // The memoized contributions sum to the same total.
         double total_mw = 0.0;
@@ -287,8 +291,8 @@ TEST_F(LinkFixture, PowerGridMatchesPerPairQueries) {
     }
   };
   const auto check_both = [&](const char* what) {
-    expect_grid_exact(link, what);
-    expect_grid_exact(mixed, what);
+    expect_table_exact(link, what);
+    expect_table_exact(mixed, what);
   };
   check_both("clean");
   environment.add_blocker({{10, 5}, 0.25, 28.0});
@@ -306,6 +310,36 @@ TEST_F(LinkFixture, PowerGridMatchesPerPairQueries) {
   link.refresh();
   mixed.refresh();
   check_both("blocked + interferer + fade + rotated");
+}
+
+TEST_F(LinkFixture, SweepTableOfNoPathLinkSitsOnTheFloor) {
+  auto walls = env::rectangle_walls(20, 10, 8, 8, 8, 8);
+  for (const auto& w : env::rectangle_walls(2, 2, 99, 99, 99, 99)) {
+    walls.push_back({{{w.seg.a.x + 1, w.seg.a.y + 4},
+                      {w.seg.b.x + 1, w.seg.b.y + 4}},
+                     99.0, "cage"});
+  }
+  env::Environment caged("caged", std::move(walls));
+  array::PhasedArray tx2({2, 5}, 0.0, &codebook);
+  array::PhasedArray rx2({18, 5}, 180.0, &codebook);
+  Link caged_link(&caged, &tx2, &rx2);
+  caged_link.set_fade_db(-6.0);  // the floor carries no fade
+  const Link::SweepTable table(caged_link);
+  for (array::BeamId b = 0; b < codebook.size(); ++b) {
+    EXPECT_EQ(table.rx_power_dbm(b, codebook.size() - 1 - b), -200.0);
+    EXPECT_EQ(table.tx_bound_dbm(b), -200.0);
+    EXPECT_EQ(table.rx_bound_dbm(b), -200.0);
+  }
+}
+
+TEST_F(LinkFixture, InterfererDutyMustBeAFraction) {
+  for (const double bad : {-0.1, 1.5, std::nan("")}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(link.set_interferer(Interferer{{10, 2}, 40.0, bad}),
+                 std::invalid_argument);
+  }
+  EXPECT_NO_THROW(link.set_interferer(Interferer{{10, 2}, 40.0, 0.0}));
+  EXPECT_NO_THROW(link.set_interferer(Interferer{{10, 2}, 40.0, 1.0}));
 }
 
 TEST_F(LinkFixture, FadeOffsetsSignalNotNoise) {

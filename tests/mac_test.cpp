@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <utility>
 
 #include "env/registry.h"
 #include "mac/ack.h"
@@ -9,6 +13,7 @@
 #include "mac/csma.h"
 #include "mac/beam_training.h"
 #include "mac/timing.h"
+#include "obs/metrics.h"
 #include "phy/sampler.h"
 
 namespace libra::mac {
@@ -270,16 +275,42 @@ TEST_F(TrainerFixture, SweepTracksRotatedRx) {
   EXPECT_NEAR(r.rx_beam, 21, 1);
 }
 
-// The sweep as it was written before its kernel was hoisted: one
-// measure_snr_db() per pair, tb-major. Kept as the oracle the hoisted
-// exhaustive() must equal bit for bit, Rng state included.
-SweepResult reference_exhaustive(const channel::Link& link,
-                                 const phy::PhySampler& sampler,
-                                 util::Rng& rng,
-                                 const BeamTrainerConfig& cfg) {
+TEST_F(TrainerFixture, CoarseFineRejectsBadGridBeforeProbing) {
+  const BeamTrainer trainer;
+  util::Rng rng(9);
+  util::Rng untouched(9);
+  // stride 0 would never advance the coarse loop; a negative stride walks
+  // off forever; a negative radius would silently skip the refinement.
+  EXPECT_THROW(trainer.coarse_fine(link, sampler, rng, 0, 2),
+               std::invalid_argument);
+  EXPECT_THROW(trainer.coarse_fine(link, sampler, rng, -5, 2),
+               std::invalid_argument);
+  EXPECT_THROW(trainer.coarse_fine(link, sampler, rng, 5, -1),
+               std::invalid_argument);
+  EXPECT_TRUE(rng.engine() == untouched.engine());  // no probe was drawn
+  EXPECT_EQ(trainer.coarse_fine(link, sampler, rng, 1, 0).measurements, 625);
+}
+
+TEST(BeamTrainerConfigValidation, ProbeUsMustBeFiniteAndPositive) {
+  for (const double bad : {0.0, -20.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(BeamTrainer(BeamTrainerConfig{bad}), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(BeamTrainer(BeamTrainerConfig{}));
+}
+
+// The sweep as specified: one measure_snr_db() per probed pair, tb-major,
+// strict >, over the Tx beams at least `min_tx_gap` from `primary_tx`. The
+// bound-pruned exhaustive() must equal it bit for bit, Rng state included.
+SweepResult reference_sweep(const channel::Link& link,
+                            const phy::PhySampler& sampler, util::Rng& rng,
+                            const BeamTrainerConfig& cfg,
+                            array::BeamId primary_tx = 0, int min_tx_gap = 0) {
   SweepResult best;
   best.snr_db = -1e9;
   for (array::BeamId tb = 0; tb < link.tx().codebook().size(); ++tb) {
+    if (std::abs(tb - primary_tx) < min_tx_gap) continue;
     for (array::BeamId rb = 0; rb < link.rx().codebook().size(); ++rb) {
       const double snr = sampler.measure_snr_db(link, tb, rb, rng);
       ++best.measurements;
@@ -295,15 +326,32 @@ SweepResult reference_exhaustive(const channel::Link& link,
   return best;
 }
 
-void expect_sweeps_identical(const channel::Link& link,
-                             const phy::PhySampler& sampler,
-                             std::uint64_t seed) {
+std::uint64_t exact_pairs_counted() {
+  const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
+  const auto* c = snap.find_counter("mac.sweep.exact_pairs");
+  return c ? c->value : 0;
+}
+
+// Runs the pruned sweep and the reference from the same seed and compares
+// every SweepResult field and the Rng state. Returns the pruned sweep's
+// exact evaluations.
+std::uint64_t expect_sweeps_identical(const channel::Link& link,
+                                      const phy::PhySampler& sampler,
+                                      std::uint64_t seed,
+                                      array::BeamId primary_tx = 0,
+                                      int min_tx_gap = 0) {
   const BeamTrainer trainer({37.5});
   util::Rng rng(seed);
   util::Rng oracle_rng(seed);
-  const SweepResult got = trainer.exhaustive(link, sampler, rng);
-  const SweepResult want =
-      reference_exhaustive(link, sampler, oracle_rng, trainer.config());
+  const std::uint64_t exact_before = exact_pairs_counted();
+  const SweepResult got =
+      min_tx_gap == 0
+          ? trainer.exhaustive(link, sampler, rng)
+          : trainer.exhaustive_apart_from(link, sampler, rng, primary_tx,
+                                          min_tx_gap);
+  const std::uint64_t exact = exact_pairs_counted() - exact_before;
+  const SweepResult want = reference_sweep(
+      link, sampler, oracle_rng, trainer.config(), primary_tx, min_tx_gap);
   EXPECT_EQ(got.tx_beam, want.tx_beam);
   EXPECT_EQ(got.rx_beam, want.rx_beam);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got.snr_db),
@@ -312,6 +360,7 @@ void expect_sweeps_identical(const channel::Link& link,
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got.duration_ms),
             std::bit_cast<std::uint64_t>(want.duration_ms));
   EXPECT_TRUE(rng.engine() == oracle_rng.engine());
+  return exact;
 }
 
 TEST_F(TrainerFixture, ExhaustiveMatchesPerPairOracle) {
@@ -343,6 +392,167 @@ TEST_F(TrainerFixture, ExhaustiveMatchesPerPairOracle) {
     expect_sweeps_identical(link, noisy, seed);
     expect_sweeps_identical(link5, noisy, seed);
   }
+}
+
+// A jitter far below one ULP of the SNR leaves every probe at its mean, so
+// pairs with equal channels tie exactly and only the first-max rule picks
+// among them.
+phy::SamplerConfig tie_config() {
+  phy::SamplerConfig cfg;
+  cfg.snr_jitter_db = 1e-300;
+  return cfg;
+}
+
+TEST(SweepEquivalence, PrunedSweepMatchesBruteForceOnRandomLinks) {
+  const phy::McsTable table;
+  const phy::ErrorModel em(&table);
+  const phy::PhySampler noisy(&em);
+  const phy::PhySampler tied(&em, tie_config());
+  const array::Codebook one(array::CodebookConfig{.num_beams = 1});
+  const array::Codebook five(array::CodebookConfig{.num_beams = 5});
+  const array::Codebook full;
+  const std::pair<const array::Codebook*, const array::Codebook*> shapes[] = {
+      {&one, &one}, {&five, &full}, {&full, &five}, {&full, &full}};
+  util::Rng draw(2024);
+  std::uint64_t exact = 0;
+  std::uint64_t probes = 0;
+  for (int trial = 0; trial < 36; ++trial) {
+    SCOPED_TRACE(trial);
+    env::Environment room = trial % 3 == 0   ? env::make_conference_room()
+                            : trial % 3 == 1 ? env::make_lab()
+                                             : env::make_lobby();
+    const auto box = room.bounding_box();
+    const auto inside = [&] {
+      return room.clamp_inside({draw.uniform(box.min.x, box.max.x),
+                                draw.uniform(box.min.y, box.max.y)},
+                               0.5);
+    };
+    const auto [tx_cb, rx_cb] = shapes[trial % 4];
+    array::PhasedArray tx(inside(), draw.uniform(-180.0, 180.0), tx_cb);
+    array::PhasedArray rx(inside(), draw.uniform(-180.0, 180.0), rx_cb);
+    channel::Link link(&room, &tx, &rx);
+    // Static blockers: one near the LOS, sometimes a second anywhere.
+    if (trial % 2 == 0) {
+      room.add_blocker({tx.position() + (rx.position() - tx.position()) *
+                                            draw.uniform(0.3, 0.7),
+                        0.3, draw.uniform(15.0, 35.0)});
+    }
+    if (trial % 5 == 0) room.add_blocker({inside(), 0.4, 20.0});
+    switch (trial % 3) {
+      case 1:
+        link.set_interferer(channel::Interferer{inside(), 45.0, 0.3});
+        break;
+      case 2:
+        link.set_interferer(channel::Interferer{inside(), 50.0, 1.0});
+        break;
+      default:
+        break;
+    }
+    link.set_fade_db(trial % 7 == 1 ? 0.0 : draw.uniform(-9.0, 4.0));
+    const std::uint64_t seed = 100 + static_cast<std::uint64_t>(trial);
+    exact += expect_sweeps_identical(link, noisy, seed);
+    probes += static_cast<std::uint64_t>(tx_cb->size() * rx_cb->size());
+    expect_sweeps_identical(link, tied, seed);
+    // The failover search: a Tx-beam gap around a random primary.
+    const auto primary =
+        static_cast<array::BeamId>(draw.uniform_int(0, tx_cb->size() - 1));
+    const int gap = draw.uniform_int(1, 4);
+    expect_sweeps_identical(link, noisy, seed, primary, gap);
+    expect_sweeps_identical(link, tied, seed, primary, gap);
+  }
+  // The point of the bound: far fewer exact evaluations than probes.
+  if (obs::enabled()) {
+    EXPECT_LT(exact * 4, probes);
+  }
+}
+
+TEST(SweepEquivalence, NoPathLinkTiesOnTheFloor) {
+  // The Tx sits in a closed cage: no path reaches the Rx, every pair reads
+  // the no-signal floor, and with tied probes the first pair must win.
+  auto walls = env::rectangle_walls(20, 10, 8, 8, 8, 8);
+  for (const auto& w : env::rectangle_walls(2, 2, 99, 99, 99, 99)) {
+    walls.push_back({{{w.seg.a.x + 1, w.seg.a.y + 4},
+                      {w.seg.b.x + 1, w.seg.b.y + 4}},
+                     99.0, "cage"});
+  }
+  env::Environment caged("caged", std::move(walls));
+  const phy::McsTable table;
+  const phy::ErrorModel em(&table);
+  const phy::PhySampler noisy(&em);
+  const phy::PhySampler tied(&em, tie_config());
+  const array::Codebook codebook;
+  array::PhasedArray tx({2, 5}, 0.0, &codebook);
+  array::PhasedArray rx({18, 5}, 180.0, &codebook);
+  channel::Link link(&caged, &tx, &rx);
+  ASSERT_TRUE(link.paths().empty());
+  for (const double fade : {0.0, -7.5}) {
+    link.set_fade_db(fade);
+    expect_sweeps_identical(link, noisy, 11);
+    expect_sweeps_identical(link, tied, 12);
+    expect_sweeps_identical(link, tied, 13, 12, 3);
+    util::Rng rng(14);
+    const SweepResult r = BeamTrainer().exhaustive(link, tied, rng);
+    EXPECT_EQ(r.tx_beam, 0);
+    EXPECT_EQ(r.rx_beam, 0);
+  }
+  link.set_interferer(channel::Interferer{{12, 1}, 45.0, 0.5});
+  expect_sweeps_identical(link, noisy, 15);
+  expect_sweeps_identical(link, tied, 16);
+}
+
+TEST(SweepEquivalence, PairsWhosePowerUnderflowsStayReachable) {
+  // One LOS path, attenuated so deep that its mW power is subnormal through
+  // the best beams and rounds to zero through the worst. A zero sum reads
+  // the no-signal floor (-200 dBm, no fade), which beats a faded subnormal
+  // sum; the bounds must not fall below that floor.
+  env::Environment room("open", {});
+  const phy::McsTable table;
+  const phy::ErrorModel em(&table);
+  const phy::PhySampler noisy(&em);
+  const array::Codebook codebook;
+  array::PhasedArray tx({0, 0}, 0.0, &codebook);
+  array::PhasedArray rx({5, 0}, 180.0, &codebook);
+  channel::Link link(&room, &tx, &rx);
+  double best_dbm = -1e9;
+  for (array::BeamId tb = 0; tb < codebook.size(); ++tb) {
+    for (array::BeamId rb = 0; rb < codebook.size(); ++rb) {
+      best_dbm = std::max(best_dbm, link.rx_power_dbm(tb, rb));
+    }
+  }
+  room.add_blocker({{2.5, 0}, 0.3, best_dbm + 3200.0});
+  link.set_fade_db(-100.0);
+  int zero = 0;
+  int subnormal = 0;
+  for (array::BeamId tb = 0; tb < codebook.size(); ++tb) {
+    for (array::BeamId rb = 0; rb < codebook.size(); ++rb) {
+      const double p = link.rx_power_dbm(tb, rb);
+      zero += p == -200.0;
+      subnormal += p < -3000.0;
+    }
+  }
+  ASSERT_GT(zero, 0);
+  ASSERT_GT(subnormal, 0);
+  for (const std::uint64_t seed : {21ULL, 22ULL, 23ULL}) {
+    expect_sweeps_identical(link, noisy, seed);
+  }
+}
+
+TEST(SweepEquivalence, FailoverWithNoSweptBeamProbesNothing) {
+  const phy::McsTable table;
+  const phy::ErrorModel em(&table);
+  const phy::PhySampler sampler(&em);
+  const array::Codebook five(array::CodebookConfig{.num_beams = 5});
+  env::Environment room("box", env::rectangle_walls(20, 10, 8, 8, 8, 8));
+  array::PhasedArray tx({2, 5}, 0.0, &five);
+  array::PhasedArray rx({18, 5}, 180.0, &five);
+  channel::Link link(&room, &tx, &rx);
+  util::Rng rng(3);
+  util::Rng untouched(3);
+  const SweepResult r =
+      BeamTrainer().exhaustive_apart_from(link, sampler, rng, 2, 10);
+  EXPECT_EQ(r.measurements, 0);
+  EXPECT_EQ(r.rx_beam, array::kQuasiOmni);
+  EXPECT_TRUE(rng.engine() == untouched.engine());
 }
 
 }  // namespace
