@@ -144,6 +144,42 @@ BENCHMARK(BM_RandomForestTraining)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// LibraClassifier::train on the fixture's campaign with a serial forest:
+// the deployed model's fit (fleetbench's Model), labeled3 extraction
+// included. `fit_latency_us` is the mean of the forest.fit span over the
+// timed fits; `bit_identical` compares the model with a 4-thread fit.
+void BM_LibraClassifierTrain(benchmark::State& state) {
+  auto& f = Fixture::get();
+  core::LibraClassifierConfig cfg;
+  cfg.forest.num_threads = 1;
+  core::LibraClassifier classifier(cfg);
+  const auto fit_latency = [] {
+    const auto* h = obs::Registry::global().snapshot().find_histogram(
+        "forest.fit_latency_us");
+    return h ? h->data : obs::HistogramData{};
+  };
+  const obs::HistogramData before = fit_latency();
+  for (auto _ : state) {
+    util::Rng rng(11);
+    classifier.train(f.training, f.gt, rng);
+    benchmark::DoNotOptimize(classifier);
+  }
+  state.counters["fit_latency_us"] = fit_latency().delta_since(before).mean();
+  core::LibraClassifierConfig parallel_cfg = cfg;
+  parallel_cfg.forest.num_threads = 4;
+  core::LibraClassifier parallel(parallel_cfg);
+  util::Rng rng(11);
+  parallel.train(f.training, f.gt, rng);
+  state.counters["bit_identical"] =
+      classifier.forest().feature_importances() ==
+          parallel.forest().feature_importances() &&
+      classifier.forest().predict_batch(f.train_ds) ==
+          parallel.forest().predict_batch(f.train_ds);
+}
+BENCHMARK(BM_LibraClassifierTrain)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 // Repeated stratified 5-fold CV of a small forest, parallel across the
 // (repeat, fold) grid. Arg = num_threads for the CV pool.
 void BM_RepeatedCrossValidation(benchmark::State& state) {

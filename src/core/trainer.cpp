@@ -258,11 +258,7 @@ void FleetTrainerConfig::validate() const {
     throw std::invalid_argument(
         "FleetTrainerConfig: fit_every_rows must be >= 1");
   }
-  if (forest.num_trees < 1) {
-    throw std::invalid_argument(
-        "FleetTrainerConfig: forest.num_trees must be >= 1, got " +
-        std::to_string(forest.num_trees));
-  }
+  forest.validate();
   for (const std::int64_t t : swap_at_ticks) {
     if (t < 0) {
       throw std::invalid_argument(

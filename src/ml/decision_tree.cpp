@@ -30,54 +30,156 @@ double impurity_from_counts(const std::vector<int>& counts, int total,
 
 }  // namespace
 
-DecisionTree::DecisionTree(DecisionTreeConfig cfg) : cfg_(cfg) {}
-
-double DecisionTree::node_impurity(const std::vector<std::size_t>& indices,
-                                   const DataSet& data) const {
-  std::vector<int> counts(static_cast<std::size_t>(num_classes_), 0);
-  for (std::size_t i : indices) {
-    ++counts[static_cast<std::size_t>(data.label(i))];
+void DecisionTreeConfig::validate() const {
+  auto fail = [](const std::string& what) {
+    throw std::invalid_argument("DecisionTreeConfig: " + what);
+  };
+  if (max_depth < 0) {
+    fail("max_depth must be >= 0, got " + std::to_string(max_depth));
   }
-  return impurity_from_counts(counts, static_cast<int>(indices.size()),
-                              cfg_.impurity);
+  if (min_samples_split < 1) {
+    fail("min_samples_split must be >= 1, got " +
+         std::to_string(min_samples_split));
+  }
+  if (max_features < 0) {
+    fail("max_features must be >= 0, got " + std::to_string(max_features));
+  }
+}
+
+PresortedSet::PresortedSet(const DataSet& data, const char* who)
+    : num_features_(data.num_features()), labels_(data.labels()) {
+  if (data.empty()) {
+    throw std::invalid_argument(std::string(who) + ": empty training set");
+  }
+  const std::size_t n = data.size();
+  values_.resize(num_features_ * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = data.row(i);
+    for (std::size_t f = 0; f < num_features_; ++f) {
+      if (!std::isfinite(row[f])) {
+        throw std::invalid_argument(
+            std::string(who) + ": non-finite value in row " +
+            std::to_string(i) + ", feature " + std::to_string(f));
+      }
+      values_[f * n + i] = row[f];
+    }
+  }
+  order_.resize(num_features_ * n);
+  for (std::size_t f = 0; f < num_features_; ++f) {
+    const double* col = values_.data() + f * n;
+    const auto list = order_.begin() + static_cast<std::ptrdiff_t>(f * n);
+    std::iota(list, list + static_cast<std::ptrdiff_t>(n), std::uint32_t{0});
+    std::sort(list, list + static_cast<std::ptrdiff_t>(n),
+              [col](std::uint32_t a, std::uint32_t b) {
+                return col[a] < col[b];
+              });
+  }
+}
+
+// One fit's working state. lists[f * m + k] is the k-th row (by feature f's
+// value) of the m distinct rows in the bag; a node owns the same range
+// [begin, end) of every feature's list.
+struct DecisionTree::Grower {
+  const PresortedSet& data;
+  std::span<const std::uint32_t> multiplicity;
+  std::size_t m = 0;
+  std::vector<std::uint32_t> lists;
+  std::vector<char> goes_left;         // by row, for the partition
+  std::vector<std::uint32_t> scratch;  // the right side while partitioning
+
+  std::uint32_t* list(std::size_t f) { return lists.data() + f * m; }
+};
+
+DecisionTree::DecisionTree(DecisionTreeConfig cfg) : cfg_(cfg) {
+  cfg_.validate();
 }
 
 void DecisionTree::fit(const DataSet& train, util::Rng& rng) {
+  const PresortedSet data(train, "DecisionTree::fit");
+  const std::vector<std::uint32_t> ones(data.size(), 1);
+  fit(data, ones, rng);
+}
+
+void DecisionTree::fit(const PresortedSet& data,
+                       std::span<const std::uint32_t> multiplicity,
+                       util::Rng& rng) {
+  const std::size_t n = data.size();
+  if (multiplicity.size() != n) {
+    throw std::invalid_argument("DecisionTree::fit: " +
+                                std::to_string(multiplicity.size()) +
+                                " multiplicities for " + std::to_string(n) +
+                                " rows");
+  }
+  // Node sizes and class counts are ints, as they were for a copied bag.
+  const std::uint64_t bag_size = std::accumulate(
+      multiplicity.begin(), multiplicity.end(), std::uint64_t{0});
+  if (bag_size == 0) {
+    throw std::invalid_argument("DecisionTree::fit: every multiplicity is 0");
+  }
+  if (bag_size > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    throw std::invalid_argument("DecisionTree::fit: a bag of " +
+                                std::to_string(bag_size) +
+                                " rows overflows the node counts");
+  }
+  Grower g{data, multiplicity, 0, {}, {}, {}};
+  Label max_label = -1;
+  for (std::uint32_t r = 0; r < n; ++r) {
+    if (multiplicity[r] > 0) {
+      ++g.m;
+      max_label = std::max(max_label, data.label(r));
+    }
+  }
   nodes_.clear();
-  num_classes_ = std::max(train.num_classes(), 2);
-  raw_importances_.assign(train.num_features(), 0.0);
-  std::vector<std::size_t> indices(train.size());
-  std::iota(indices.begin(), indices.end(), 0);
-  build(train, indices, 0, rng);
+  num_classes_ = std::max(max_label + 1, 2);
+  raw_importances_.assign(data.num_features(), 0.0);
+
+  const int total = static_cast<int>(bag_size);
+  std::vector<int> counts(static_cast<std::size_t>(num_classes_), 0);
+  for (std::uint32_t r = 0; r < n; ++r) {
+    if (multiplicity[r] > 0) {  // a row outside the bag may hold any label
+      counts[static_cast<std::size_t>(data.label(r))] +=
+          static_cast<int>(multiplicity[r]);
+    }
+  }
+  // Each feature's root list: the shared order, filtered to the bag.
+  g.lists.resize(data.num_features() * g.m);
+  for (std::size_t f = 0; f < data.num_features(); ++f) {
+    std::uint32_t* out = g.list(f);
+    for (const std::uint32_t r : data.order(f)) {
+      if (multiplicity[r] > 0) *out++ = r;
+    }
+  }
+  g.goes_left.resize(n);
+  g.scratch.resize(g.m);
+  build(g, 0, g.m, counts, total, 0, rng);
+
   // Normalize the impurity decreases into Gini importances.
   importances_ = raw_importances_;
-  const double total =
+  const double sum =
       std::accumulate(importances_.begin(), importances_.end(), 0.0);
-  if (total > 0) {
-    for (double& imp : importances_) imp /= total;
+  if (sum > 0) {
+    for (double& imp : importances_) imp /= sum;
   }
 }
 
-int DecisionTree::build(const DataSet& data, std::vector<std::size_t>& indices,
-                        int depth, util::Rng& rng) {
+// `counts` and `total` are the node's class counts and size, multiplicities
+// included; [begin, end) is its range of every feature's list.
+int DecisionTree::build(Grower& g, std::size_t begin, std::size_t end,
+                        const std::vector<int>& counts, int total, int depth,
+                        util::Rng& rng) {
+  const PresortedSet& data = g.data;
   const int node_id = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
 
   // Majority label for this node (used if it stays a leaf).
-  std::vector<int> counts(static_cast<std::size_t>(num_classes_), 0);
-  for (std::size_t i : indices) {
-    ++counts[static_cast<std::size_t>(data.label(i))];
-  }
   nodes_[static_cast<std::size_t>(node_id)].label = static_cast<Label>(
       std::max_element(counts.begin(), counts.end()) - counts.begin());
 
   const double parent_impurity =
-      impurity_from_counts(counts, static_cast<int>(indices.size()),
-                           cfg_.impurity);
+      impurity_from_counts(counts, total, cfg_.impurity);
   const bool pure =
       std::count_if(counts.begin(), counts.end(), [](int c) { return c > 0; }) <= 1;
-  if (depth >= cfg_.max_depth || pure ||
-      static_cast<int>(indices.size()) < cfg_.min_samples_split) {
+  if (depth >= cfg_.max_depth || pure || total < cfg_.min_samples_split) {
     return node_id;
   }
 
@@ -93,63 +195,89 @@ int DecisionTree::build(const DataSet& data, std::vector<std::size_t>& indices,
   int best_feature = -1;
   double best_threshold = 0.0;
   double best_gain = 1e-12;
-  std::vector<std::pair<double, Label>> column(indices.size());
+  std::vector<int> left_counts(counts.size());
+  std::vector<int> right_counts(counts.size());
   for (std::size_t f : features) {
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      column[i] = {data.row(indices[i])[f], data.label(indices[i])};
-    }
-    std::sort(column.begin(), column.end());
-    // Sweep split points between consecutive distinct values.
-    std::vector<int> left_counts(static_cast<std::size_t>(num_classes_), 0);
-    std::vector<int> right_counts = counts;
-    const int n = static_cast<int>(column.size());
-    for (int i = 0; i + 1 < n; ++i) {
-      const auto cls = static_cast<std::size_t>(column[static_cast<std::size_t>(i)].second);
-      ++left_counts[cls];
-      --right_counts[cls];
-      if (column[static_cast<std::size_t>(i)].first ==
-          column[static_cast<std::size_t>(i + 1)].first) {
-        continue;
-      }
-      const int n_left = i + 1;
-      const int n_right = n - n_left;
+    // Sweep split points between consecutive distinct values; a run of
+    // equal values moves left whole, so its row order cannot matter.
+    const std::uint32_t* list = g.list(f);
+    std::fill(left_counts.begin(), left_counts.end(), 0);
+    right_counts = counts;
+    int n_left = 0;
+    double value = data.value(f, list[begin]);
+    for (std::size_t i = begin; i + 1 < end; ++i) {
+      const std::uint32_t row = list[i];
+      const int w = static_cast<int>(g.multiplicity[row]);
+      const auto cls = static_cast<std::size_t>(data.label(row));
+      left_counts[cls] += w;
+      right_counts[cls] -= w;
+      n_left += w;
+      const double here = value;
+      value = data.value(f, list[i + 1]);
+      if (here == value) continue;
+      const int n_right = total - n_left;
       const double child_impurity =
           (static_cast<double>(n_left) *
                impurity_from_counts(left_counts, n_left, cfg_.impurity) +
            static_cast<double>(n_right) *
                impurity_from_counts(right_counts, n_right, cfg_.impurity)) /
-          static_cast<double>(n);
+          static_cast<double>(total);
       const double gain = parent_impurity - child_impurity;
       if (gain > best_gain) {
         best_gain = gain;
         best_feature = static_cast<int>(f);
-        best_threshold = (column[static_cast<std::size_t>(i)].first +
-                          column[static_cast<std::size_t>(i + 1)].first) /
-                         2.0;
+        best_threshold = (here + value) / 2.0;
       }
     }
   }
 
   if (best_feature < 0) return node_id;  // no useful split found
 
-  std::vector<std::size_t> left_idx, right_idx;
-  for (std::size_t i : indices) {
-    if (data.row(i)[static_cast<std::size_t>(best_feature)] <= best_threshold) {
-      left_idx.push_back(i);
-    } else {
-      right_idx.push_back(i);
-    }
+  // The best feature's list is in value order, so the rows that go left
+  // are a prefix of it.
+  const auto best = static_cast<std::size_t>(best_feature);
+  const std::uint32_t* best_list = g.list(best);
+  std::fill(left_counts.begin(), left_counts.end(), 0);
+  int n_left = 0;
+  std::size_t mid = begin;
+  for (; mid < end && data.value(best, best_list[mid]) <= best_threshold;
+       ++mid) {
+    const std::uint32_t row = best_list[mid];
+    left_counts[static_cast<std::size_t>(data.label(row))] +=
+        static_cast<int>(g.multiplicity[row]);
+    n_left += static_cast<int>(g.multiplicity[row]);
   }
-  if (left_idx.empty() || right_idx.empty()) return node_id;
+  // The midpoint of two adjacent doubles can round onto one of them and
+  // leave a side empty.
+  if (mid == begin || mid == end) return node_id;
 
-  raw_importances_[static_cast<std::size_t>(best_feature)] +=
-      best_gain * static_cast<double>(indices.size());
+  raw_importances_[best] += best_gain * static_cast<double>(total);
 
-  indices.clear();
-  indices.shrink_to_fit();  // free before recursing
+  // Stable-partition every other list so each side stays in value order.
+  for (std::size_t i = begin; i < end; ++i) {
+    g.goes_left[best_list[i]] = i < mid;
+  }
+  for (std::size_t f = 0; f < data.num_features(); ++f) {
+    if (f == best) continue;
+    std::uint32_t* list = g.list(f);
+    std::size_t l = begin;
+    std::size_t r = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (g.goes_left[list[i]]) {
+        list[l++] = list[i];
+      } else {
+        g.scratch[r++] = list[i];
+      }
+    }
+    std::copy_n(g.scratch.begin(), r, list + l);
+  }
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    right_counts[c] = counts[c] - left_counts[c];
+  }
 
-  const int left = build(data, left_idx, depth + 1, rng);
-  const int right = build(data, right_idx, depth + 1, rng);
+  const int left = build(g, begin, mid, left_counts, n_left, depth + 1, rng);
+  const int right =
+      build(g, mid, end, right_counts, total - n_left, depth + 1, rng);
   Node& node = nodes_[static_cast<std::size_t>(node_id)];
   node.feature = best_feature;
   node.threshold = best_threshold;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -26,7 +27,28 @@ obs::Counter& batch_rows_counter() {
 }
 }  // namespace
 
-RandomForest::RandomForest(RandomForestConfig cfg) : cfg_(cfg) {}
+void RandomForestConfig::validate() const {
+  if (num_trees < 1) {
+    throw std::invalid_argument(
+        "RandomForestConfig: num_trees must be >= 1, got " +
+        std::to_string(num_trees));
+  }
+  if (!(std::isfinite(bootstrap_fraction) && bootstrap_fraction > 0.0)) {
+    throw std::invalid_argument(
+        "RandomForestConfig: bootstrap_fraction must be finite and > 0, got " +
+        std::to_string(bootstrap_fraction));
+  }
+  if (num_threads < 0) {
+    throw std::invalid_argument(
+        "RandomForestConfig: num_threads must be >= 0, got " +
+        std::to_string(num_threads));
+  }
+  tree.validate();
+}
+
+RandomForest::RandomForest(RandomForestConfig cfg) : cfg_(cfg) {
+  cfg_.validate();
+}
 
 util::ThreadPool* RandomForest::pool() const {
   if (external_pool_ != nullptr) return external_pool_;
@@ -44,9 +66,21 @@ void RandomForest::fit(const DataSet& train, util::Rng& rng) {
   if (train.empty()) {
     throw std::invalid_argument("RandomForest::fit: empty training set");
   }
+  // The bag size is checked in double: node sizes are ints.
+  const double sample = std::max<double>(
+      1.0, cfg_.bootstrap_fraction * static_cast<double>(train.size()));
+  if (sample > static_cast<double>(std::numeric_limits<int>::max())) {
+    throw std::invalid_argument(
+        "RandomForest::fit: bootstrap_fraction " +
+        std::to_string(cfg_.bootstrap_fraction) + " of " +
+        std::to_string(train.size()) + " rows overflows the node counts");
+  }
+  const auto sample_size = static_cast<std::size_t>(sample);
   OBS_SPAN("forest.fit", &fit_latency_hist());
-  trees_trained_counter().inc(static_cast<std::uint64_t>(
-      std::max(0, cfg_.num_trees)));
+  // Sorted once here; every tree grows from it (throws on a non-finite
+  // feature before any tree is counted).
+  const PresortedSet sorted(train, "RandomForest::fit");
+  trees_trained_counter().inc(static_cast<std::uint64_t>(cfg_.num_trees));
   trees_.clear();
   num_classes_ = std::max(train.num_classes(), 2);
 
@@ -66,19 +100,17 @@ void RandomForest::fit(const DataSet& train, util::Rng& rng) {
   streams.reserve(num_trees);
   for (std::size_t t = 0; t < num_trees; ++t) streams.push_back(rng.fork());
 
-  const auto sample_size = static_cast<std::size_t>(
-      std::max<double>(1.0, cfg_.bootstrap_fraction *
-                                static_cast<double>(train.size())));
   trees_.assign(num_trees, DecisionTree(tree_cfg));
   util::parallel_for(pool(), num_trees, [&](std::size_t t) {
     util::Rng& tree_rng = streams[t];
-    std::vector<std::size_t> bootstrap(sample_size);
-    for (std::size_t& idx : bootstrap) {
-      idx = static_cast<std::size_t>(
-          tree_rng.uniform_int(0, static_cast<int>(train.size()) - 1));
+    // The bootstrap bag as per-row multiplicities: the same draws as
+    // listing the sampled rows, without copying them.
+    std::vector<std::uint32_t> multiplicity(train.size(), 0);
+    for (std::size_t k = 0; k < sample_size; ++k) {
+      ++multiplicity[static_cast<std::size_t>(
+          tree_rng.uniform_int(0, static_cast<int>(train.size()) - 1))];
     }
-    const DataSet bag = train.subset(bootstrap);
-    trees_[t].fit(bag, tree_rng);
+    trees_[t].fit(sorted, multiplicity, tree_rng);
   });
 
   // Aggregate importances serially in tree order (deterministic sum).

@@ -3,6 +3,12 @@
 // 5-fold accuracy, 88% cross-building). Gini importances (Table 3) are the
 // normalized average of the per-tree impurity decreases.
 //
+// Training sorts the set once (ml::PresortedSet) and grows every tree from
+// that presort, each bootstrap bag given as per-row multiplicities; no bag
+// is copied and no node sorts. The trees equal per-node-sort fits on the
+// copied bags bit for bit (docs/architecture.md, "Forest training: one
+// presort per forest").
+//
 // Training is parallel across trees: fit() splits one deterministic child
 // Rng stream per tree off the caller's stream *before* dispatching, so a
 // forest trained with num_threads = N is bit-identical to num_threads = 1
@@ -25,12 +31,18 @@ struct RandomForestConfig {
   // Worker threads for fit()/batched inference: 0 = hardware_concurrency(),
   // 1 = serial legacy behavior (no pool is ever created).
   int num_threads = 0;
+
+  // Throws std::invalid_argument unless num_trees >= 1, bootstrap_fraction
+  // is finite and > 0, num_threads >= 0 and the tree config is valid.
+  void validate() const;
 };
 
 class RandomForest : public Classifier {
  public:
+  // Throws std::invalid_argument on an invalid config.
   explicit RandomForest(RandomForestConfig cfg = {});
 
+  // Throws std::invalid_argument on an empty set or a non-finite feature.
   void fit(const DataSet& train, util::Rng& rng) override;
   // Throws std::logic_error on an unfitted (empty) forest instead of
   // silently voting label 0 out of thin air.

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <sstream>
+#include <string>
 
 #include "ml/compiled_forest.h"
 #include "ml/cross_validation.h"
@@ -360,6 +365,486 @@ TEST(RandomForest, MajorityVoteMulticlass) {
   RandomForest rf;
   rf.fit(d, rng);
   EXPECT_EQ(rf.predict(std::vector<double>{6.0}), 2);
+}
+
+TEST(DecisionTree, FitOnEmptySetThrows) {
+  DecisionTree dt;
+  util::Rng rng(1);
+  EXPECT_THROW(dt.fit(DataSet(3), rng), std::invalid_argument);
+}
+
+// A NaN would reach the presort's comparator; both fits reject it (and an
+// infinity) up front, naming the row and the feature.
+TEST(DecisionTree, NonFiniteFeatureThrowsNamingRowAndFeature) {
+  for (const double bad : {std::nan(""),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    DataSet d(2);
+    for (int i = 0; i < 5; ++i) {
+      d.add(std::vector<double>{double(i), i == 3 ? bad : 1.0}, i % 2);
+    }
+    util::Rng rng(1);
+    DecisionTree dt;
+    RandomForest rf;
+    for (Classifier* model : {static_cast<Classifier*>(&dt),
+                              static_cast<Classifier*>(&rf)}) {
+      try {
+        model->fit(d, rng);
+        ADD_FAILURE() << "fit accepted " << bad;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("row 3, feature 1"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+// Node sizes are ints, as they were for a copied bag: a bag whose size
+// would overflow them is rejected instead of wrapping.
+TEST(DecisionTree, BagThatOverflowsNodeCountsThrows) {
+  DataSet d(1);
+  d.add(std::vector<double>{0.0}, 0);
+  d.add(std::vector<double>{1.0}, 1);
+  const PresortedSet sorted(d, "test");
+  util::Rng rng(1);
+  DecisionTree dt;
+  const std::vector<std::uint32_t> huge{0x7fffffffu, 1u};
+  EXPECT_THROW(dt.fit(sorted, huge, rng), std::invalid_argument);
+  const std::vector<std::uint32_t> empty_bag{0u, 0u};
+  EXPECT_THROW(dt.fit(sorted, empty_bag, rng), std::invalid_argument);
+  const std::vector<std::uint32_t> short_bag{1u};
+  EXPECT_THROW(dt.fit(sorted, short_bag, rng), std::invalid_argument);
+
+  RandomForestConfig cfg;
+  cfg.bootstrap_fraction = 2e9;
+  RandomForest rf(cfg);
+  EXPECT_THROW(rf.fit(d, rng), std::invalid_argument);
+}
+
+TEST(DecisionTreeConfigValidation, MaxDepthMustBeNonNegative) {
+  DecisionTreeConfig cfg;
+  cfg.max_depth = -1;
+  EXPECT_THROW(DecisionTree{cfg}, std::invalid_argument);
+  cfg.max_depth = 0;
+  EXPECT_NO_THROW(DecisionTree{cfg});
+}
+
+TEST(DecisionTreeConfigValidation, MinSamplesSplitMustBePositive) {
+  DecisionTreeConfig cfg;
+  cfg.min_samples_split = 0;
+  EXPECT_THROW(DecisionTree{cfg}, std::invalid_argument);
+  cfg.min_samples_split = 1;
+  EXPECT_NO_THROW(DecisionTree{cfg});
+}
+
+TEST(DecisionTreeConfigValidation, MaxFeaturesMustBeNonNegative) {
+  DecisionTreeConfig cfg;
+  cfg.max_features = -2;
+  EXPECT_THROW(DecisionTree{cfg}, std::invalid_argument);
+  RandomForestConfig forest;
+  forest.tree = cfg;  // the forest validates its tree config too
+  EXPECT_THROW(RandomForest{forest}, std::invalid_argument);
+}
+
+TEST(RandomForestConfigValidation, NumTreesMustBePositive) {
+  for (const int bad : {0, -3}) {
+    RandomForestConfig cfg;
+    cfg.num_trees = bad;
+    EXPECT_THROW(RandomForest{cfg}, std::invalid_argument) << bad;
+  }
+}
+
+TEST(RandomForestConfigValidation, BootstrapFractionMustBeFiniteAndPositive) {
+  for (const double bad : {0.0, -0.5, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    RandomForestConfig cfg;
+    cfg.bootstrap_fraction = bad;
+    EXPECT_THROW(RandomForest{cfg}, std::invalid_argument) << bad;
+  }
+}
+
+TEST(RandomForestConfigValidation, NumThreadsMustBeNonNegative) {
+  RandomForestConfig cfg;
+  cfg.num_threads = -1;
+  EXPECT_THROW(RandomForest{cfg}, std::invalid_argument);
+  cfg.num_threads = 0;  // 0 = all cores
+  EXPECT_NO_THROW(RandomForest{cfg});
+}
+
+// ---------- presort equivalence ----------
+
+// The tree as it was grown before the shared presort: every node copies and
+// re-sorts (value, label) pairs for each candidate feature, and a forest
+// copies each bootstrap bag out row by row. Kept as the oracle that the
+// presorted grower must equal bit for bit.
+struct ReferenceTree {
+  std::vector<DecisionTree::Node> nodes;
+  std::vector<double> raw_importances;
+  int num_classes = 2;
+};
+
+double reference_impurity(const std::vector<int>& counts, int total,
+                          Impurity kind) {
+  if (total == 0) return 0.0;
+  double result = kind == Impurity::kGini ? 1.0 : 0.0;
+  for (int c : counts) {
+    if (c == 0) continue;
+    const double p = static_cast<double>(c) / static_cast<double>(total);
+    if (kind == Impurity::kGini) {
+      result -= p * p;
+    } else {
+      result -= p * std::log2(p);
+    }
+  }
+  return result;
+}
+
+int reference_build(const DataSet& data, std::vector<std::size_t>& indices,
+                    int depth, util::Rng& rng, const DecisionTreeConfig& cfg,
+                    ReferenceTree& tree) {
+  const int node_id = static_cast<int>(tree.nodes.size());
+  tree.nodes.emplace_back();
+  std::vector<int> counts(static_cast<std::size_t>(tree.num_classes), 0);
+  for (std::size_t i : indices) {
+    ++counts[static_cast<std::size_t>(data.label(i))];
+  }
+  tree.nodes[static_cast<std::size_t>(node_id)].label = static_cast<Label>(
+      std::max_element(counts.begin(), counts.end()) - counts.begin());
+  const double parent_impurity = reference_impurity(
+      counts, static_cast<int>(indices.size()), cfg.impurity);
+  const bool pure =
+      std::count_if(counts.begin(), counts.end(),
+                    [](int c) { return c > 0; }) <= 1;
+  if (depth >= cfg.max_depth || pure ||
+      static_cast<int>(indices.size()) < cfg.min_samples_split) {
+    return node_id;
+  }
+  std::vector<std::size_t> features(data.num_features());
+  std::iota(features.begin(), features.end(), 0);
+  if (cfg.max_features > 0 &&
+      cfg.max_features < static_cast<int>(features.size())) {
+    rng.shuffle(features);
+    features.resize(static_cast<std::size_t>(cfg.max_features));
+  }
+  int best_feature = -1;
+  double best_threshold = 0.0;
+  double best_gain = 1e-12;
+  std::vector<std::pair<double, Label>> column(indices.size());
+  for (std::size_t f : features) {
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      column[i] = {data.row(indices[i])[f], data.label(indices[i])};
+    }
+    std::sort(column.begin(), column.end());
+    std::vector<int> left_counts(static_cast<std::size_t>(tree.num_classes), 0);
+    std::vector<int> right_counts = counts;
+    const int n = static_cast<int>(column.size());
+    for (int i = 0; i + 1 < n; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      const auto cls = static_cast<std::size_t>(column[k].second);
+      ++left_counts[cls];
+      --right_counts[cls];
+      if (column[k].first == column[k + 1].first) continue;
+      const int n_left = i + 1;
+      const int n_right = n - n_left;
+      const double child_impurity =
+          (static_cast<double>(n_left) *
+               reference_impurity(left_counts, n_left, cfg.impurity) +
+           static_cast<double>(n_right) *
+               reference_impurity(right_counts, n_right, cfg.impurity)) /
+          static_cast<double>(n);
+      const double gain = parent_impurity - child_impurity;
+      if (gain > best_gain) {
+        best_gain = gain;
+        best_feature = static_cast<int>(f);
+        best_threshold = (column[k].first + column[k + 1].first) / 2.0;
+      }
+    }
+  }
+  if (best_feature < 0) return node_id;
+  std::vector<std::size_t> left_idx, right_idx;
+  for (std::size_t i : indices) {
+    if (data.row(i)[static_cast<std::size_t>(best_feature)] <= best_threshold) {
+      left_idx.push_back(i);
+    } else {
+      right_idx.push_back(i);
+    }
+  }
+  if (left_idx.empty() || right_idx.empty()) return node_id;
+  tree.raw_importances[static_cast<std::size_t>(best_feature)] +=
+      best_gain * static_cast<double>(indices.size());
+  const int left = reference_build(data, left_idx, depth + 1, rng, cfg, tree);
+  const int right = reference_build(data, right_idx, depth + 1, rng, cfg, tree);
+  DecisionTree::Node& node = tree.nodes[static_cast<std::size_t>(node_id)];
+  node.feature = best_feature;
+  node.threshold = best_threshold;
+  node.left = left;
+  node.right = right;
+  return node_id;
+}
+
+ReferenceTree reference_fit(const DataSet& train,
+                            const DecisionTreeConfig& cfg, util::Rng& rng) {
+  ReferenceTree tree;
+  tree.num_classes = std::max(train.num_classes(), 2);
+  tree.raw_importances.assign(train.num_features(), 0.0);
+  std::vector<std::size_t> indices(train.size());
+  std::iota(indices.begin(), indices.end(), 0);
+  reference_build(train, indices, 0, rng, cfg, tree);
+  return tree;
+}
+
+struct ReferenceForest {
+  std::vector<ReferenceTree> trees;
+  std::vector<double> importances;
+};
+
+ReferenceForest reference_forest_fit(const DataSet& train,
+                                     const RandomForestConfig& cfg,
+                                     util::Rng& rng) {
+  DecisionTreeConfig tree_cfg = cfg.tree;
+  if (tree_cfg.max_features == 0) {
+    tree_cfg.max_features = std::max(
+        1, static_cast<int>(std::round(
+               std::sqrt(static_cast<double>(train.num_features())))));
+  }
+  std::vector<util::Rng> streams;
+  for (int t = 0; t < cfg.num_trees; ++t) streams.push_back(rng.fork());
+  const auto sample_size = static_cast<std::size_t>(std::max<double>(
+      1.0, cfg.bootstrap_fraction * static_cast<double>(train.size())));
+  ReferenceForest forest;
+  for (util::Rng& tree_rng : streams) {
+    std::vector<std::size_t> bootstrap(sample_size);
+    for (std::size_t& idx : bootstrap) {
+      idx = static_cast<std::size_t>(
+          tree_rng.uniform_int(0, static_cast<int>(train.size()) - 1));
+    }
+    forest.trees.push_back(reference_fit(train.subset(bootstrap), tree_cfg,
+                                         tree_rng));
+  }
+  forest.importances.assign(train.num_features(), 0.0);
+  for (const ReferenceTree& tree : forest.trees) {
+    for (std::size_t f = 0; f < forest.importances.size(); ++f) {
+      forest.importances[f] += tree.raw_importances[f];
+    }
+  }
+  const double total = std::accumulate(forest.importances.begin(),
+                                       forest.importances.end(), 0.0);
+  if (total > 0) {
+    for (double& imp : forest.importances) imp /= total;
+  }
+  return forest;
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+void expect_same_tree(const DecisionTree& got, const ReferenceTree& want) {
+  EXPECT_EQ(got.num_classes(), want.num_classes);
+  EXPECT_EQ(bits_of(got.raw_importances()), bits_of(want.raw_importances));
+  ASSERT_EQ(got.nodes().size(), want.nodes.size());
+  for (std::size_t i = 0; i < want.nodes.size(); ++i) {
+    const DecisionTree::Node& g = got.nodes()[i];
+    const DecisionTree::Node& w = want.nodes[i];
+    EXPECT_EQ(g.feature, w.feature) << "node " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.threshold),
+              std::bit_cast<std::uint64_t>(w.threshold))
+        << "node " << i;
+    EXPECT_EQ(g.left, w.left) << "node " << i;
+    EXPECT_EQ(g.right, w.right) << "node " << i;
+    EXPECT_EQ(g.label, w.label) << "node " << i;
+  }
+}
+
+// Quantised, tie-heavy values: few levels per feature, a constant column,
+// duplicated rows, signed zeros, and a rare top class that small bags miss.
+DataSet tie_heavy(util::Rng& rng, int n, int d, int classes) {
+  DataSet data(static_cast<std::size_t>(d));
+  std::vector<int> levels(static_cast<std::size_t>(d));
+  for (int& l : levels) l = rng.uniform_int(1, 6);
+  for (int i = 0; i < n; ++i) {
+    if (i > 0 && rng.bernoulli(0.15)) {  // duplicate an earlier row
+      const auto j = static_cast<std::size_t>(rng.uniform_int(0, i - 1));
+      const std::vector<double> row(data.row(j).begin(), data.row(j).end());
+      data.add(row, data.label(j));
+      continue;
+    }
+    std::vector<double> row(static_cast<std::size_t>(d));
+    int score = 0;
+    for (std::size_t f = 0; f < row.size(); ++f) {
+      const int q = rng.uniform_int(0, levels[f] - 1);
+      score += q;
+      row[f] = q == 0 ? (rng.bernoulli(0.5) ? 0.0 : -0.0) : 0.25 * q - 0.5;
+    }
+    int label = (score + rng.uniform_int(0, 1)) % std::max(1, classes - 1);
+    if (classes > 1 && rng.bernoulli(0.03)) label = classes - 1;
+    data.add(row, label);
+  }
+  return data;
+}
+
+// Datasets for the equivalence checks: random tie-heavy sets plus the edge
+// cases named in the comments.
+std::vector<DataSet> equivalence_sets() {
+  std::vector<DataSet> sets;
+  util::Rng rng(2024);
+  for (int i = 0; i < 60; ++i) {
+    sets.push_back(tie_heavy(rng, rng.uniform_int(3, 90),
+                             rng.uniform_int(1, 5), rng.uniform_int(2, 4)));
+  }
+  // One class only.
+  sets.push_back(tie_heavy(rng, 30, 3, 1));
+  // n = 1 and n = 2.
+  sets.push_back(tie_heavy(rng, 1, 2, 2));
+  DataSet two(2);
+  two.add(std::vector<double>{0.0, 1.0}, 0);
+  two.add(std::vector<double>{1.0, 1.0}, 1);
+  sets.push_back(two);
+  // Every row duplicated, one constant column.
+  DataSet dup(3);
+  for (int i = 0; i < 40; ++i) {
+    const std::vector<double> row{double(i % 5), 7.0, double(i % 3)};
+    dup.add(row, (i % 5 + i % 3) % 3);
+    dup.add(row, (i % 5 + i % 3) % 3);
+  }
+  sets.push_back(dup);
+  // A rare top class: one row of class 3 in 60.
+  DataSet rare(2);
+  for (int i = 0; i < 60; ++i) {
+    rare.add(std::vector<double>{double(i % 7), double(i % 4)},
+             i == 17 ? 3 : (i % 7 < 3 ? 0 : 1));
+  }
+  sets.push_back(rare);
+  // Two adjacent doubles whose midpoint rounds onto the larger one: the
+  // best split sends every row left, so the node must stay a leaf.
+  const double lo = std::nextafter(1.0, 2.0);
+  const double hi = std::nextafter(lo, 2.0);
+  DataSet adjacent(1);
+  for (int i = 0; i < 12; ++i) {
+    adjacent.add(std::vector<double>{i % 2 == 0 ? lo : hi}, i % 2);
+  }
+  sets.push_back(adjacent);
+  return sets;
+}
+
+TEST(PresortEquivalence, AdjacentDoublesMidpointRoundsOntoTheUpperValue) {
+  // The premise of the empty-side case in equivalence_sets().
+  const double lo = std::nextafter(1.0, 2.0);
+  const double hi = std::nextafter(lo, 2.0);
+  EXPECT_EQ((lo + hi) / 2.0, hi);
+  DataSet adjacent(1);
+  adjacent.add(std::vector<double>{lo}, 0);
+  adjacent.add(std::vector<double>{hi}, 1);
+  DecisionTree dt;
+  util::Rng rng(1);
+  dt.fit(adjacent, rng);
+  EXPECT_EQ(dt.node_count(), 1);
+}
+
+TEST(PresortEquivalence, TreeMatchesPerNodeSortFit) {
+  const std::vector<DataSet> sets = equivalence_sets();
+  int splits = 0;
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    const DataSet& data = sets[s];
+    const int d = static_cast<int>(data.num_features());
+    for (const Impurity impurity : {Impurity::kGini, Impurity::kEntropy}) {
+      for (const int max_features : {0, 1, d}) {
+        for (const int max_depth : {0, 1, 8}) {
+          for (const int min_split : {1, 2, 50}) {
+            SCOPED_TRACE(testing::Message()
+                         << "set " << s << " max_features " << max_features
+                         << " max_depth " << max_depth << " min_split "
+                         << min_split << " entropy "
+                         << (impurity == Impurity::kEntropy));
+            const DecisionTreeConfig cfg{impurity, max_depth, min_split,
+                                         max_features};
+            util::Rng rng(77 + s), ref_rng(77 + s);
+            DecisionTree tree(cfg);
+            tree.fit(data, rng);
+            expect_same_tree(tree, reference_fit(data, cfg, ref_rng));
+            EXPECT_TRUE(rng.engine() == ref_rng.engine());
+            splits += tree.node_count() - 1;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(splits, 1000);  // the grid grows real trees, not only leaves
+}
+
+TEST(PresortEquivalence, ForestMatchesBaggedPerNodeSortFits) {
+  const std::vector<DataSet> sets = equivalence_sets();
+  int bags_missing_a_class = 0;
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    const DataSet& data = sets[s];
+    const int d = static_cast<int>(data.num_features());
+    for (const double fraction : {0.3, 1.0, 2.5}) {
+      for (const int max_features : {0, 1, d}) {
+        for (const int max_depth : {0, 1, 8}) {
+          for (const int min_split : {1, 2, 50}) {
+            for (const Impurity impurity :
+                 {Impurity::kGini, Impurity::kEntropy}) {
+              SCOPED_TRACE(testing::Message()
+                           << "set " << s << " fraction " << fraction
+                           << " max_features " << max_features
+                           << " max_depth " << max_depth << " min_split "
+                           << min_split << " entropy "
+                           << (impurity == Impurity::kEntropy));
+              RandomForestConfig cfg;
+              cfg.num_trees = 4;
+              cfg.num_threads = 1;
+              cfg.bootstrap_fraction = fraction;
+              cfg.tree = {impurity, max_depth, min_split, max_features};
+              util::Rng rng(5 + s), ref_rng(5 + s);
+              RandomForest forest(cfg);
+              forest.fit(data, rng);
+              const ReferenceForest ref =
+                  reference_forest_fit(data, cfg, ref_rng);
+              EXPECT_TRUE(rng.engine() == ref_rng.engine());
+              EXPECT_EQ(bits_of(forest.feature_importances()),
+                        bits_of(ref.importances));
+              ASSERT_EQ(forest.trees().size(), ref.trees.size());
+              for (std::size_t t = 0; t < ref.trees.size(); ++t) {
+                SCOPED_TRACE(testing::Message() << "tree " << t);
+                expect_same_tree(forest.trees()[t], ref.trees[t]);
+                bags_missing_a_class +=
+                    forest.trees()[t].num_classes() < forest.num_classes();
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(bags_missing_a_class, 0);  // the rare class case is exercised
+}
+
+TEST(PresortEquivalence, ForestIsBitIdenticalAcrossThreadCounts) {
+  const std::vector<DataSet> sets = equivalence_sets();
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    for (const double fraction : {0.3, 1.0, 2.5}) {
+      SCOPED_TRACE(testing::Message() << "set " << s << " fraction "
+                                      << fraction);
+      RandomForestConfig cfg;
+      cfg.num_trees = 9;
+      cfg.bootstrap_fraction = fraction;
+      cfg.num_threads = 4;
+      util::Rng rng(9 + s), ref_rng(9 + s);
+      RandomForest parallel(cfg);
+      parallel.fit(sets[s], rng);
+      const ReferenceForest ref = reference_forest_fit(sets[s], cfg, ref_rng);
+      EXPECT_TRUE(rng.engine() == ref_rng.engine());
+      EXPECT_EQ(bits_of(parallel.feature_importances()),
+                bits_of(ref.importances));
+      ASSERT_EQ(parallel.trees().size(), ref.trees.size());
+      for (std::size_t t = 0; t < ref.trees.size(); ++t) {
+        expect_same_tree(parallel.trees()[t], ref.trees[t]);
+      }
+    }
+  }
 }
 
 // ---------- compiled forest ----------
