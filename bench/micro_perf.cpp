@@ -17,7 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "array/codebook.h"
 #include "core/classifier.h"
+#include "core/controller.h"
 #include "core/trainer.h"
 #include "env/registry.h"
 #include "mac/beam_training.h"
@@ -33,6 +35,7 @@
 #include "util/thread_pool.h"
 #include "phy/error_model.h"
 #include "phy/pdp.h"
+#include "phy/sampler.h"
 #include "rpc/client.h"
 #include "rpc/server.h"
 #include "sim/event_sim.h"
@@ -895,6 +898,54 @@ void BM_Fft256(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fft256);
+
+// A controller whose feature seam the bench calls directly.
+class FeatureProbe : public core::LinkController {
+ public:
+  using core::LinkController::LinkController;
+  trace::FeatureVector features(const phy::PhyObservation& obs) const {
+    return features_against_baseline(obs);
+  }
+
+ protected:
+  void plan(core::DecisionRequest&, util::Rng&) override {}
+};
+
+// One decision frame's PDP work on the steady workload's shape (fleetbench:
+// conference room, 5-beam codebooks, the AP at the wall, the client facing
+// it): materialize a deferred observation -- PDP, tap jitters, peak, ToF,
+// CSI -- and compute its features against an already materialized
+// baseline.
+void BM_MaterializeObservation(benchmark::State& state) {
+  const phy::McsTable table;
+  const phy::ErrorModel em(&table);
+  const env::Environment room = env::make_conference_room();
+  array::CodebookConfig cb_cfg;
+  cb_cfg.num_beams = 5;
+  const array::Codebook cb(cb_cfg);
+  const env::Environment::BoundingBox box = room.bounding_box();
+  const geom::Vec2 ap{box.min.x + 0.8, 0.5 * (box.min.y + box.max.y)};
+  const geom::Vec2 client{box.min.x + 0.7 * (box.max.x - box.min.x),
+                          box.min.y + 0.4 * (box.max.y - box.min.y)};
+  array::PhasedArray tx(ap, 0.0, &cb);
+  array::PhasedArray rx(client, (ap - client).angle_deg(), &cb);
+  channel::Link link(&room, &tx, &rx);
+  FeatureProbe ctl(&link, &em, core::ControllerConfig{});
+  util::Rng rng(7);
+  ctl.start(rng);  // beam training and a deferred baseline
+  const phy::PhySampler sampler(&em);
+  // The first feature read materializes the baseline.
+  benchmark::DoNotOptimize(ctl.features(
+      sampler.observe(link, ctl.tx_beam(), ctl.rx_beam(), ctl.mcs(), rng)));
+  const phy::PhyObservation deferred = sampler.observe_deferred(
+      link, ctl.tx_beam(), ctl.rx_beam(), ctl.mcs(), rng);
+  for (auto _ : state) {
+    phy::PhyObservation obs = deferred;
+    obs.materialize();
+    benchmark::DoNotOptimize(ctl.features(obs));
+  }
+}
+BENCHMARK(BM_MaterializeObservation);
 
 // Pearson correlation over two aligned 256-tap PDPs -- the similarity
 // kernel extract_features runs per frame for both PDP and CSI similarity.

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
 
@@ -16,13 +18,32 @@ namespace libra::channel {
 
 struct FadingConfig {
   double sigma_db = 1.5;          // stationary standard deviation
-  double coherence_time_ms = 200; // autocorrelation ~ exp(-dt / tau)
+  double coherence_time_ms = 200; // autocorrelation ~ exp(-dt / tau);
+                                  // 0 = white (uncorrelated) fading
 };
+
+// Throws std::invalid_argument naming the first bad field: sigma_db and
+// coherence_time_ms must be finite and >= 0. A NaN sigma would otherwise
+// read as "fading off" (SessionDriver fades only when sigma_db > 0), and a
+// NaN or negative coherence time as white fading.
+inline const FadingConfig& validated(const FadingConfig& cfg) {
+  const auto check = [](double v, const char* field) {
+    if (!(std::isfinite(v) && v >= 0.0)) {
+      throw std::invalid_argument(std::string("FadingConfig: ") + field +
+                                  " must be finite and >= 0, got " +
+                                  std::to_string(v));
+    }
+  };
+  check(cfg.sigma_db, "sigma_db");
+  check(cfg.coherence_time_ms, "coherence_time_ms");
+  return cfg;
+}
 
 class FadingProcess {
  public:
+  // Throws std::invalid_argument on an invalid config (validated()).
   FadingProcess(FadingConfig cfg, std::uint64_t seed)
-      : cfg_(cfg), rng_(seed) {}
+      : cfg_(validated(cfg)), rng_(seed) {}
 
   // Advance the process by dt and return the current fade offset (dB).
   double advance(double dt_ms) {

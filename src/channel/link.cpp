@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/metrics.h"
 #include "util/units.h"
 
 namespace libra::channel {
@@ -16,6 +17,17 @@ namespace {
 constexpr double kNoSignalDbm = -200.0;
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+struct MemoCounters {
+  obs::Counter& hits;
+  obs::Counter& misses;
+};
+MemoCounters& memo_counters() {
+  obs::Registry& r = obs::Registry::global();
+  static MemoCounters c{r.counter("channel.memo_hits"),
+                        r.counter("channel.memo_misses")};
+  return c;
+}
 
 // Throws std::invalid_argument naming the first field of `cfg` outside its
 // range.
@@ -100,27 +112,34 @@ const Link::ChannelEntry& Link::channel(array::BeamId tx_beam,
                        bits(rx_->boresight_deg()),
                        paths_version_,
                        env_->blocker_generation()};
-  if (channel_memo_ && channel_memo_->key == key) return *channel_memo_;
-  auto out = std::make_shared<std::vector<PathContribution>>();
-  out->reserve(paths_.size());
+  MemoCounters& counters = memo_counters();
+  if (channel_memo_ && channel_memo_->key == key) {
+    counters.hits.inc();
+    return *channel_memo_;
+  }
+  counters.misses.inc();
+  auto out = std::make_shared<PairChannel>();
+  out->contributions.reserve(paths_.size());
+  out->rx_power_mw.reserve(paths_.size());
   double total_mw = 0.0;
   for (const Path& p : paths_) {
     const double power =
         path_power_dbm(path_terms(p), tx_->gain_dbi(tx_beam, p.aod_deg),
                        rx_->gain_dbi(rx_beam, p.aoa_deg));
-    out->push_back({power,
-                    p.length_m / libra::util::kSpeedOfLightMps *
-                        libra::util::kNsPerSecond,
-                    p.aod_deg, p.aoa_deg, p.bounces});
-    total_mw += libra::util::dbm_to_mw(power);
+    out->contributions.push_back({power,
+                                  p.length_m / libra::util::kSpeedOfLightMps *
+                                      libra::util::kNsPerSecond,
+                                  p.aod_deg, p.aoa_deg, p.bounces});
+    out->rx_power_mw.push_back(libra::util::dbm_to_mw(power));
+    total_mw += out->rx_power_mw.back();
   }
   channel_memo_ = ChannelEntry{key, std::move(out), total_mw};
   return *channel_memo_;
 }
 
-std::shared_ptr<const std::vector<PathContribution>> Link::contributions(
+std::shared_ptr<const PairChannel> Link::pair_channel(
     array::BeamId tx_beam, array::BeamId rx_beam) const {
-  return channel(tx_beam, rx_beam).contributions;
+  return channel(tx_beam, rx_beam).paths;
 }
 
 double Link::rx_power_dbm(array::BeamId tx_beam, array::BeamId rx_beam) const {

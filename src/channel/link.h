@@ -39,6 +39,15 @@ struct PathContribution {
   int bounces;
 };
 
+// One beam pair's paths as the channel memo holds them: each path's
+// contribution and its received power in mW (dbm_to_mw of rx_power_dbm,
+// the terms the pair's total power sums), so a PDP built from them runs no
+// pow of its own.
+struct PairChannel {
+  std::vector<PathContribution> contributions;
+  std::vector<double> rx_power_mw;  // one per contribution, same order
+};
+
 class Link {
   // The beam-independent terms of one path's received power.
   struct PathTerms {
@@ -62,11 +71,12 @@ class Link {
   // holds both boresights and the environment's blocker generation.
   void refresh();
 
-  // Per-path received power for a beam pair (blockage applied per leg).
-  // The vector is immutable and shared: repeated queries of an unchanged
-  // link hand out the same one, and a deferred PHY observation keeps it.
-  std::shared_ptr<const std::vector<PathContribution>> contributions(
-      array::BeamId tx_beam, array::BeamId rx_beam) const;
+  // Per-path received power for a beam pair (blockage applied per leg),
+  // in dBm and in mW. The paths are immutable and shared: repeated queries
+  // of an unchanged link hand out the same object, and a deferred PHY
+  // observation keeps it.
+  std::shared_ptr<const PairChannel> pair_channel(array::BeamId tx_beam,
+                                                  array::BeamId rx_beam) const;
 
   // Total received power: non-coherent sum over paths, plus the fade.
   // Returns a very low floor (-200 dBm) when no path exists.
@@ -175,10 +185,10 @@ class Link {
   double total_power_dbm(double total_mw) const;
 
   // Channel memo (docs/architecture.md, "Channel memo"): the last beam
-  // pair's contributions and their linear sum, valid while every input the
-  // per-path formula reads is unchanged. Boresights are compared bit for
-  // bit. Fading stays outside. The arrays' codebooks are fixed for the
-  // link's life and their positions enter only through refresh().
+  // pair's contributions, their mW values and the mW sum, valid while every
+  // input the per-path formula reads is unchanged. Boresights are compared
+  // bit for bit. Fading stays outside. The arrays' codebooks are fixed for
+  // the link's life and their positions enter only through refresh().
   struct ChannelKey {
     array::BeamId tx_beam = 0;
     array::BeamId rx_beam = 0;
@@ -190,10 +200,11 @@ class Link {
   };
   struct ChannelEntry {
     ChannelKey key;
-    std::shared_ptr<const std::vector<PathContribution>> contributions;
-    double total_mw = 0.0;  // sum of dbm_to_mw over the contributions
+    std::shared_ptr<const PairChannel> paths;
+    double total_mw = 0.0;  // paths->rx_power_mw summed left to right
   };
-  // The memo entry for a beam pair, recomputed on a key miss.
+  // The memo entry for a beam pair, recomputed on a key miss. Hits and
+  // misses count into channel.memo_hits and channel.memo_misses.
   const ChannelEntry& channel(array::BeamId tx_beam,
                               array::BeamId rx_beam) const;
 

@@ -193,7 +193,9 @@ trace::FeatureVector LinkController::features_against_baseline(
     f.v[1] = trace::kTofInfinity;
   }
   f.v[2] = obs.noise_dbm - baseline_->noise_dbm;
-  f.v[3] = trace::aligned_pdp_similarity(baseline_->pdp, obs.pdp);
+  f.v[3] = trace::aligned_pdp_similarity(baseline_->pdp,
+                                         baseline_->peak_tap(), obs.pdp,
+                                         obs.peak_tap());
   f.v[4] = util::pearson(baseline_->csi, obs.csi);
   f.v[5] = obs.cdr;
   f.v[6] = static_cast<double>(mcs_);

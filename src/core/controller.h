@@ -187,9 +187,10 @@ class LinkController {
   // a deferred observation: most baselines are replaced before any decision
   // frame reads them.
   void rebaseline(phy::PhyObservation obs);
-  // Materializes a deferred baseline on first use (to the bits an eager one
-  // would hold). Throws std::logic_error when `obs` itself is still deferred
-  // (phy::PhyObservation::materialize() not called).
+  // Materializes a deferred baseline on first use, and aligns the PDP
+  // similarity at both observations' stored strongest taps
+  // (PhyObservation::peak_tap). Throws std::logic_error when `obs` itself
+  // is still deferred (phy::PhyObservation::materialize() not called).
   trace::FeatureVector features_against_baseline(
       const phy::PhyObservation& obs) const;
 

@@ -117,26 +117,28 @@ FaultInjector::Verdict FaultInjector::query(FaultKind kind, double t_ms) {
 
 void corrupt_observation(phy::PhyObservation& obs) {
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  obs.materialize();  // a pending PDP would later materialize clean
+  // edit_pdp materializes first: a pending PDP would later materialize
+  // clean.
+  obs.edit_pdp([&](std::vector<double>& pdp) {
+    std::fill(pdp.begin(), pdp.end(), kNan);
+  });
+  std::fill(obs.csi.begin(), obs.csi.end(), kNan);
   obs.snr_db = kNan;
   obs.noise_dbm = std::numeric_limits<double>::infinity();
   obs.tof_ns = std::nullopt;
   obs.cdr = kNan;
   obs.throughput_mbps = kNan;
-  std::fill(obs.pdp.begin(), obs.pdp.end(), kNan);
-  std::fill(obs.csi.begin(), obs.csi.end(), kNan);
 }
 
 void truncate_observation(phy::PhyObservation& obs, double keep_fraction) {
   const double f = std::clamp(keep_fraction, 0.0, 1.0);
-  obs.materialize();
   const auto keep = [f](std::vector<double>& v) {
     if (v.empty()) return;
     const auto n = static_cast<std::size_t>(
         std::ceil(f * static_cast<double>(v.size())));
     v.resize(std::max<std::size_t>(n, 1));
   };
-  keep(obs.pdp);
+  obs.edit_pdp(keep);  // materializes first
   keep(obs.csi);
 }
 

@@ -1,39 +1,68 @@
 #include "phy/pdp.h"
 
-#include <algorithm>
-#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/fft.h"
 #include "util/units.h"
 
 namespace libra::phy {
 
+void validate(const PdpConfig& cfg, const char* prefix) {
+  if (cfg.num_taps <= 0) {
+    throw std::invalid_argument(std::string(prefix) +
+                                "num_taps must be > 0, got " +
+                                std::to_string(cfg.num_taps));
+  }
+  const auto require_positive = [prefix](double v, const char* field) {
+    if (!(std::isfinite(v) && v > 0.0)) {
+      throw std::invalid_argument(std::string(prefix) + field +
+                                  " must be finite and > 0, got " +
+                                  std::to_string(v));
+    }
+  };
+  require_positive(cfg.tap_spacing_ns, "tap_spacing_ns");
+  require_positive(cfg.noise_floor_mw, "noise_floor_mw");
+}
+
+void synthesize_pdp(const channel::PairChannel& paths, const PdpConfig& cfg,
+                    std::vector<double>& out) {
+  out.assign(static_cast<std::size_t>(cfg.num_taps), cfg.noise_floor_mw);
+  for (std::size_t i = 0; i < paths.contributions.size(); ++i) {
+    if (const auto tap = tap_index(paths.contributions[i].delay_ns, cfg)) {
+      out[*tap] += paths.rx_power_mw[i];
+    }
+  }
+}
+
 std::vector<double> synthesize_pdp(
     const std::vector<channel::PathContribution>& contributions,
     const PdpConfig& cfg) {
-  std::vector<double> pdp(static_cast<std::size_t>(cfg.num_taps),
-                          cfg.noise_floor_mw);
+  validate(cfg);
+  channel::PairChannel paths{contributions, {}};
   for (const auto& c : contributions) {
-    const int tap = static_cast<int>(std::round(c.delay_ns / cfg.tap_spacing_ns));
-    if (tap < 0 || tap >= cfg.num_taps) continue;
-    pdp[static_cast<std::size_t>(tap)] +=
-        libra::util::dbm_to_mw(c.rx_power_dbm);
+    paths.rx_power_mw.push_back(libra::util::dbm_to_mw(c.rx_power_dbm));
   }
+  std::vector<double> pdp;
+  synthesize_pdp(paths, cfg, pdp);
   return pdp;
 }
 
 std::optional<double> time_of_flight_ns(const std::vector<double>& pdp,
                                         const PdpConfig& cfg) {
+  validate(cfg);
   if (pdp.empty()) return std::nullopt;
-  const auto it = std::max_element(pdp.begin(), pdp.end());
-  // A tap must rise meaningfully above the measurement floor to be a
-  // detectable first arrival; X60 reports infinity otherwise (Sec. 6.1.1).
-  if (*it < cfg.noise_floor_mw * 10.0) return std::nullopt;
-  return static_cast<double>(it - pdp.begin()) * cfg.tap_spacing_ns;
+  return tof_at_peak_ns(pdp, strongest_tap(pdp), cfg);
 }
 
 std::vector<double> csi_from_pdp(const std::vector<double>& pdp) {
-  return libra::util::magnitude_spectrum(pdp);
+  std::vector<double> csi;
+  csi_from_pdp(pdp, csi);
+  return csi;
+}
+
+void csi_from_pdp(std::span<const double> pdp, std::vector<double>& out) {
+  libra::util::magnitude_spectrum(pdp, out);
 }
 
 }  // namespace libra::phy

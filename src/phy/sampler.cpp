@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "util/units.h"
 
 namespace libra::phy {
@@ -19,28 +20,31 @@ void require_positive(double v, const char* field) {
   }
 }
 
-// Synthesize the PDP, jitter every tap with one standard normal of the
-// observation's tap substream, then derive the ToF and the CSI: the eager
-// and the deferred path both run exactly this.
-void fill_pdp(PhyObservation& obs,
-              const std::vector<channel::PathContribution>& contributions,
-              const PdpConfig& pdp_cfg, double tap_jitter,
-              std::uint64_t tap_key) {
-  obs.pdp = synthesize_pdp(contributions, pdp_cfg);
-  std::vector<double> jitter(obs.pdp.size());
-  util::fill_standard_normals(tap_key, jitter);
-  for (std::size_t i = 0; i < obs.pdp.size(); ++i) {
-    obs.pdp[i] *= std::exp(jitter[i] * tap_jitter);
-  }
-  obs.tof_ns = time_of_flight_ns(obs.pdp, pdp_cfg);
-  obs.csi = csi_from_pdp(obs.pdp);
+obs::Counter& materializations() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("phy.materializations");
+  return c;
 }
 }  // namespace
 
 void PhyObservation::materialize() {
   if (!pending) return;
-  fill_pdp(*this, *pending->contributions, pending->pdp, pending->tap_jitter,
-           pending->tap_key);
+  materializations().inc();
+  const PendingPdp& p = *pending;
+  synthesize_pdp(*p.channel, p.pdp, pdp);
+  // Jitter every tap with one standard normal of the observation's tap
+  // substream, offering each jittered tap to the strongest_tap() rule.
+  thread_local std::vector<double> normals;
+  normals.resize(pdp.size());
+  util::fill_standard_normals(p.tap_key, normals);
+  FirstMax peak;
+  for (std::size_t i = 0; i < pdp.size(); ++i) {
+    pdp[i] *= std::exp(normals[i] * p.tap_jitter);
+    peak.offer(pdp, i);
+  }
+  pdp_peak_ = peak.index;
+  tof_ns = tof_at_peak_ns(pdp, pdp_peak_, p.pdp);
+  csi_from_pdp(pdp, csi);
   pending.reset();
 }
 
@@ -51,20 +55,16 @@ PhySampler::PhySampler(const ErrorModel* error_model, SamplerConfig cfg)
   require_positive(cfg_.noise_jitter_db, "noise_jitter_db");
   require_positive(cfg_.pdp_tap_jitter, "pdp_tap_jitter");
   require_positive(cfg_.cdr_jitter, "cdr_jitter");
-  if (cfg_.pdp.num_taps <= 0) {
-    throw std::invalid_argument(
-        "SamplerConfig: pdp.num_taps must be > 0, got " +
-        std::to_string(cfg_.pdp.num_taps));
-  }
-  require_positive(cfg_.pdp.tap_spacing_ns, "pdp.tap_spacing_ns");
-  require_positive(cfg_.pdp.noise_floor_mw, "pdp.noise_floor_mw");
+  validate(cfg_.pdp, "SamplerConfig: pdp.");
 }
 
 PhyObservation PhySampler::observe(const channel::Link& link,
                                    array::BeamId tx_beam,
                                    array::BeamId rx_beam, McsIndex mcs,
                                    util::Rng& rng) const {
-  return sample(link, tx_beam, rx_beam, mcs, rng, PdpMode::kEager);
+  PhyObservation obs = observe_deferred(link, tx_beam, rx_beam, mcs, rng);
+  obs.materialize();
+  return obs;
 }
 
 PhyObservation PhySampler::observe_deferred(const channel::Link& link,
@@ -72,20 +72,20 @@ PhyObservation PhySampler::observe_deferred(const channel::Link& link,
                                             array::BeamId rx_beam,
                                             McsIndex mcs,
                                             util::Rng& rng) const {
-  return sample(link, tx_beam, rx_beam, mcs, rng, PdpMode::kDeferred);
+  return sample(link, tx_beam, rx_beam, mcs, rng, true);
 }
 
 PhyObservation PhySampler::observe_rate(const channel::Link& link,
                                         array::BeamId tx_beam,
                                         array::BeamId rx_beam, McsIndex mcs,
                                         util::Rng& rng) const {
-  return sample(link, tx_beam, rx_beam, mcs, rng, PdpMode::kNone);
+  return sample(link, tx_beam, rx_beam, mcs, rng, false);
 }
 
 PhyObservation PhySampler::sample(const channel::Link& link,
                                   array::BeamId tx_beam,
                                   array::BeamId rx_beam, McsIndex mcs,
-                                  util::Rng& rng, PdpMode mode) const {
+                                  util::Rng& rng, bool with_pdp) const {
   PhyObservation obs;
   obs.mcs = mcs;
 
@@ -107,21 +107,17 @@ PhyObservation PhySampler::sample(const channel::Link& link,
   obs.noise_dbm = avg_floor + rng.gaussian(0.0, cfg_.noise_jitter_db);
 
   // One word of the caller's stream keys this observation's tap jitters.
-  // Every mode draws it, so all three consume the same stream, and a frame
-  // whose PDP is never computed pays for no jitter draws.
+  // Both modes draw it, so both consume the same stream, and a frame whose
+  // PDP is never computed pays for no jitter draws.
   const std::uint64_t tap_key = rng.word();
-  if (mode != PdpMode::kNone) {
+  if (with_pdp) {
     // Taps are detectable only above the receiver's effective noise floor;
     // this is what makes X60 report ToF = infinity for very weak signals.
     PdpConfig pdp_cfg = cfg_.pdp;
     pdp_cfg.noise_floor_mw = libra::util::dbm_to_mw(beam_floor - 6.0);
-    auto contributions = link.contributions(tx_beam, rx_beam);
-    if (mode == PdpMode::kEager) {
-      fill_pdp(obs, *contributions, pdp_cfg, cfg_.pdp_tap_jitter, tap_key);
-    } else {
-      obs.pending = std::make_shared<const PendingPdp>(PendingPdp{
-          std::move(contributions), pdp_cfg, cfg_.pdp_tap_jitter, tap_key});
-    }
+    obs.pending = std::make_shared<const PendingPdp>(
+        PendingPdp{link.pair_channel(tx_beam, rx_beam), pdp_cfg,
+                   cfg_.pdp_tap_jitter, tap_key});
   }
 
   const double expected_cdr =

@@ -3,6 +3,7 @@
 // throughput, averaged over a trace, with realistic measurement noise.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -16,11 +17,11 @@
 
 namespace libra::phy {
 
-// What a deferred observation needs to compute its PDP, CSI and ToF later,
-// exactly as observe() computes them now.
+// What a deferred observation needs to compute its PDP, CSI and ToF later.
 struct PendingPdp {
-  // Shared with the link's channel memo, not copied.
-  std::shared_ptr<const std::vector<channel::PathContribution>> contributions;
+  // The beam pair's paths and their mW values, shared with the link's
+  // channel memo, not copied.
+  std::shared_ptr<const channel::PairChannel> channel;
   PdpConfig pdp;              // with the Rx beam's detection floor applied
   double tap_jitter = 0.0;    // SamplerConfig::pdp_tap_jitter
   std::uint64_t tap_key = 0;  // the word that keys the tap jitters
@@ -30,19 +31,45 @@ struct PhyObservation {
   double snr_db = 0.0;
   double noise_dbm = 0.0;                // measured noise level
   std::optional<double> tof_ns;          // nullopt = "infinity" (no signal)
-  std::vector<double> pdp;               // linear mW per tap
+  // Linear mW per tap. Rewrite a materialized PDP through edit_pdp(), so
+  // the stored strongest tap goes with it.
+  std::vector<double> pdp;
   std::vector<double> csi;               // |FFT(pdp)|
   double cdr = 0.0;                      // at the observed MCS
   double throughput_mbps = 0.0;          // MAC throughput at the observed MCS
   McsIndex mcs = 0;
-  // Set by PhySampler::observe_deferred(): tof_ns, pdp and csi are not
-  // computed yet. Copies share the handle and materialize to the same bits.
+  // Set by PhySampler::observe_deferred(): tof_ns, pdp, csi and the
+  // strongest tap are not computed yet. Copies share the handle and
+  // materialize to the same bits.
   std::shared_ptr<const PendingPdp> pending;
 
   bool deferred() const { return pending != nullptr; }
-  // Compute tof_ns, pdp and csi from the pending handle and drop it; a
-  // no-op on an eager or already materialized observation.
+  // Compute tof_ns, pdp, csi and the strongest tap from the pending handle
+  // and drop it; a no-op on an already materialized or rate-only
+  // observation. One pass: synthesize_pdp() on the memo's per-path mW
+  // values, the tap jitters from the keyed substream into per-thread
+  // scratch with FirstMax tracking the strongest tap (stored, and the
+  // ToF's), and the CSI written into csi (docs/architecture.md, "PDP
+  // kernel: one pass, same bits"). Counts into phy.materializations.
   void materialize();
+  // Materialize, apply `edit` to the PDP (it may rewrite or resize it) and
+  // drop the stored strongest tap, so peak_tap() reads the edited PDP.
+  template <typename Edit>
+  void edit_pdp(Edit&& edit) {
+    materialize();  // a pending PDP would later materialize unedited
+    edit(pdp);
+    pdp_peak_ = kNoPeak;
+  }
+  // The PDP's strongest tap, strongest_tap(pdp): the one materialize()
+  // stored, else a scan (a hand-built PDP, or one edit_pdp() changed). A
+  // stored tap is used only while it indexes the PDP.
+  std::size_t peak_tap() const {
+    return pdp_peak_ < pdp.size() ? pdp_peak_ : strongest_tap(pdp);
+  }
+
+ private:
+  static constexpr std::size_t kNoPeak = static_cast<std::size_t>(-1);
+  std::size_t pdp_peak_ = kNoPeak;  // strongest_tap(pdp), or kNoPeak
 };
 
 struct SamplerConfig {
@@ -57,19 +84,19 @@ struct SamplerConfig {
 class PhySampler {
  public:
   // Throws std::invalid_argument on a null error model or an invalid
-  // config: every jitter, the tap count, the tap spacing and the tap noise
-  // floor must be finite and > 0.
+  // config: every jitter must be finite and > 0, and cfg.pdp must pass
+  // validate(const PdpConfig&).
   PhySampler(const ErrorModel* error_model, SamplerConfig cfg = {});
 
-  // Full observation of the link through a beam pair at an MCS.
+  // Full observation of the link through a beam pair at an MCS:
+  // observe_deferred() followed by materialize().
   PhyObservation observe(const channel::Link& link, array::BeamId tx_beam,
                          array::BeamId rx_beam, McsIndex mcs,
                          util::Rng& rng) const;
 
   // observe() with the PDP, the CSI and the ToF left pending until
   // PhyObservation::materialize(), for callers that rarely read them. It
-  // consumes exactly observe()'s Rng draws, and materializing it gives
-  // observe()'s observation bit for bit.
+  // consumes exactly observe()'s Rng draws.
   PhyObservation observe_deferred(const channel::Link& link,
                                   array::BeamId tx_beam,
                                   array::BeamId rx_beam, McsIndex mcs,
@@ -105,15 +132,11 @@ class PhySampler {
   const SamplerConfig& config() const { return cfg_; }
 
  private:
-  // What sample() does with the PDP, the CSI and the ToF: skip them
-  // (observe_rate), compute them (observe), or leave them pending on the
-  // observation (observe_deferred). All three draw the same words.
-  enum class PdpMode { kNone, kEager, kDeferred };
-  // The one sampler body: observe() is observe_rate() plus the PDP/CSI,
-  // and observe_deferred() is observe() with them left pending.
+  // The one sampler body: observe_rate() skips the PDP, the CSI and the
+  // ToF; observe_deferred() leaves them pending. Both draw the same words.
   PhyObservation sample(const channel::Link& link, array::BeamId tx_beam,
                         array::BeamId rx_beam, McsIndex mcs, util::Rng& rng,
-                        PdpMode mode) const;
+                        bool with_pdp) const;
 
   const ErrorModel* error_model_;  // non-owning
   SamplerConfig cfg_;

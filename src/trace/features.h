@@ -18,6 +18,9 @@
 // util::magnitude_spectrum. Both keep a fixed operation order, because the
 // golden fleet digest and tests/paper_golden/ pin the features' bits and
 // everything downstream of them (forest votes, fleet digests, paper tables).
+// The PDP similarity aligns at each PDP's first maximum; a materialized
+// observation already holds it (PhyObservation::peak_tap()), so the
+// controller's feature path does not scan the PDPs again.
 #pragma once
 
 #include <algorithm>
@@ -29,6 +32,7 @@
 #include <string_view>
 #include <vector>
 
+#include "phy/pdp.h"
 #include "trace/collector.h"
 #include "util/stats.h"
 
@@ -36,22 +40,28 @@ namespace libra::trace {
 
 inline constexpr double kTofInfinity = 1000.0;  // sentinel (ns)
 
-// Pearson similarity of two PDPs after aligning each to its strongest tap.
+// Pearson similarity of two PDPs after aligning each to its strongest tap
+// (peak_a of a, peak_b of b, each < its PDP's size when it is non-empty).
 // X60 (like any receiver) time-synchronizes to the arriving signal, so the
 // logged PDP is delay-aligned; comparing raw tap vectors would spuriously
 // decorrelate a simple backward move (the whole profile shifts in time).
+inline double aligned_pdp_similarity(std::span<const double> a,
+                                     std::size_t peak_a,
+                                     std::span<const double> b,
+                                     std::size_t peak_b) {
+  if (a.empty() || b.empty()) return 0.0;
+  const std::size_t len = std::min(a.size() - peak_a, b.size() - peak_b);
+  if (len < 2) return 0.0;
+  return util::pearson(a.subspan(peak_a, len), b.subspan(peak_b, len));
+}
+
+// The same, scanning each PDP for its first maximum (phy::strongest_tap).
+// A materialized observation stores its peak; pass
+// PhyObservation::peak_tap() to the form above to skip the scans.
 inline double aligned_pdp_similarity(const std::vector<double>& a,
                                      const std::vector<double>& b) {
-  if (a.empty() || b.empty()) return 0.0;
-  const auto peak_a = static_cast<std::size_t>(
-      std::max_element(a.begin(), a.end()) - a.begin());
-  const auto peak_b = static_cast<std::size_t>(
-      std::max_element(b.begin(), b.end()) - b.begin());
-  const std::size_t len =
-      std::min(a.size() - peak_a, b.size() - peak_b);
-  if (len < 2) return 0.0;
-  return util::pearson(std::span(a).subspan(peak_a, len),
-                       std::span(b).subspan(peak_b, len));
+  return aligned_pdp_similarity(a, phy::strongest_tap(a), b,
+                                phy::strongest_tap(b));
 }
 
 struct FeatureVector {

@@ -228,11 +228,11 @@ TEST_F(LinkFixture, RemovingInterfererRestoresFloor) {
 }
 
 TEST_F(LinkFixture, ContributionsDelaysMatchGeometry) {
-  const auto contributions = link.contributions(12, 12);
-  ASSERT_FALSE(contributions->empty());
+  const auto paths = link.pair_channel(12, 12);
+  ASSERT_FALSE(paths->contributions.empty());
   // The earliest arrival is the LOS at distance/c.
   double min_delay = 1e18;
-  for (const auto& c : *contributions) {
+  for (const auto& c : paths->contributions) {
     min_delay = std::min(min_delay, c.delay_ns);
   }
   EXPECT_NEAR(min_delay, 16.0 / 0.299792458, 0.01);
@@ -280,7 +280,8 @@ TEST_F(LinkFixture, SweepTableMatchesPerPairQueriesAndBoundsThem) {
             << what << " tb " << tb << " rb " << rb;
         // The memoized contributions sum to the same total.
         double total_mw = 0.0;
-        for (const PathContribution& c : *l.contributions(tb, rb)) {
+        for (const PathContribution& c :
+             l.pair_channel(tb, rb)->contributions) {
           total_mw += util::dbm_to_mw(c.rx_power_dbm);
         }
         ASSERT_EQ(std::bit_cast<std::uint64_t>(util::mw_to_dbm(total_mw) +
@@ -391,6 +392,40 @@ TEST(Fading, ZeroCoherenceIsWhiteNoise) {
   EXPECT_NE(a, b);
 }
 
+// FadingConfig is validated at construction, one field at a time: a NaN
+// sigma would silently disable fading and a NaN or negative coherence time
+// would silently make it white. Zero is valid for both.
+void expect_fading_rejected(void (*set_field)(FadingConfig&, double),
+                            const char* field) {
+  for (const double bad : {-1.0, -1e-300, std::nan(""),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    FadingConfig cfg;
+    set_field(cfg, bad);
+    try {
+      FadingProcess(cfg, 1);
+      ADD_FAILURE() << field << " = " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+  FadingConfig zero;
+  set_field(zero, 0.0);
+  EXPECT_NO_THROW(FadingProcess(zero, 1)) << field;
+}
+
+TEST(Fading, SigmaMustBeFiniteAndNonNegative) {
+  expect_fading_rejected([](FadingConfig& c, double v) { c.sigma_db = v; },
+                         "sigma_db");
+}
+
+TEST(Fading, CoherenceTimeMustBeFiniteAndNonNegative) {
+  expect_fading_rejected(
+      [](FadingConfig& c, double v) { c.coherence_time_ms = v; },
+      "coherence_time_ms");
+}
+
 // ---------- channel memo ----------
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -406,13 +441,19 @@ void expect_matches_fresh(const Link& memo, const env::Environment& env,
   fresh.set_interferer(memo.interferer());
   fresh.set_fade_db(memo.fade_db());
   fresh.set_interference_rise_db(rise_db);
-  const auto got = memo.contributions(tb, rb);
-  const auto want = fresh.contributions(tb, rb);
-  ASSERT_EQ(got->size(), want->size()) << "step " << step;
-  for (std::size_t i = 0; i < got->size(); ++i) {
-    const PathContribution& g = (*got)[i];
-    const PathContribution& w = (*want)[i];
+  const auto got = memo.pair_channel(tb, rb);
+  const auto want = fresh.pair_channel(tb, rb);
+  ASSERT_EQ(got->contributions.size(), want->contributions.size())
+      << "step " << step;
+  ASSERT_EQ(got->rx_power_mw.size(), got->contributions.size())
+      << "step " << step;
+  for (std::size_t i = 0; i < got->contributions.size(); ++i) {
+    const PathContribution& g = got->contributions[i];
+    const PathContribution& w = want->contributions[i];
     ASSERT_EQ(bits(g.rx_power_dbm), bits(w.rx_power_dbm))
+        << "step " << step << " path " << i;
+    ASSERT_EQ(bits(got->rx_power_mw[i]),
+              bits(util::dbm_to_mw(w.rx_power_dbm)))
         << "step " << step << " path " << i;
     ASSERT_EQ(bits(g.delay_ns), bits(w.delay_ns)) << "step " << step;
     ASSERT_EQ(bits(g.aod_deg), bits(w.aod_deg)) << "step " << step;
@@ -457,8 +498,8 @@ TEST(ChannelMemo, MatchesFreshLinkUnderRandomMutations) {
       return static_cast<array::BeamId>(rng.uniform_int(-1, n_beams - 1));
     };
     // The first vector handed out must never change under the caller.
-    const auto first = link.contributions(tb, rb);
-    const std::vector<PathContribution> first_copy = *first;
+    const auto first = link.pair_channel(tb, rb);
+    const std::vector<PathContribution> first_copy = first->contributions;
     for (int step = 0; step < 300; ++step) {
       switch (rng.uniform_int(0, 10)) {
         case 0:
@@ -514,9 +555,9 @@ TEST(ChannelMemo, MatchesFreshLinkUnderRandomMutations) {
       expect_matches_fresh(link, env, tx, rx, rise_db, tb, rb, step);
       if (HasFatalFailure()) return;
     }
-    ASSERT_EQ(first->size(), first_copy.size());
+    ASSERT_EQ(first->contributions.size(), first_copy.size());
     for (std::size_t i = 0; i < first_copy.size(); ++i) {
-      EXPECT_EQ(bits((*first)[i].rx_power_dbm),
+      EXPECT_EQ(bits(first->contributions[i].rx_power_dbm),
                 bits(first_copy[i].rx_power_dbm));
     }
   }
@@ -528,15 +569,15 @@ TEST(ChannelMemo, MatchesFreshLinkUnderRandomMutations) {
 // keeps it; fading is applied per query.
 TEST_F(LinkFixture, UnchangedLinkSharesOneContributionsVector) {
   environment.add_blocker({{10, 5}, 0.25, 28.0});
-  const auto a = link.contributions(12, 12);
-  EXPECT_EQ(link.contributions(12, 12).get(), a.get());
+  const auto a = link.pair_channel(12, 12);
+  EXPECT_EQ(link.pair_channel(12, 12).get(), a.get());
   (void)link.snr_db(12, 12);
   link.set_fade_db(-3.0);
   link.set_interference_rise_db(2.0);
   environment.set_blockers(std::vector<env::Blocker>(environment.blockers()));
-  EXPECT_EQ(link.contributions(12, 12).get(), a.get());
+  EXPECT_EQ(link.pair_channel(12, 12).get(), a.get());
   environment.set_blockers({});
-  EXPECT_NE(link.contributions(12, 12).get(), a.get());
+  EXPECT_NE(link.pair_channel(12, 12).get(), a.get());
 }
 
 // LinkBudgetConfig is validated at construction, one field at a time.

@@ -207,6 +207,57 @@ TEST(Pdp, EmptyPdpHasNoTof) {
   EXPECT_FALSE(time_of_flight_ns({}, {}).has_value());
 }
 
+// The free PDP functions validate their config, one field at a time: a
+// negative tap count would ask for SIZE_MAX taps and a zero or NaN spacing
+// would cast round(inf or NaN) to int.
+void expect_pdp_rejected(void (*set_field)(PdpConfig&), const char* field) {
+  PdpConfig cfg;
+  set_field(cfg);
+  const std::vector<channel::PathContribution> paths{
+      {-60.0, 10.0, 0.0, 0.0, 0}};
+  const auto names_field = [field](const std::invalid_argument& e) {
+    return std::string(e.what()).find(field) != std::string::npos;
+  };
+  try {
+    synthesize_pdp(paths, cfg);
+    ADD_FAILURE() << "synthesize_pdp accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_TRUE(names_field(e)) << e.what();
+  }
+  try {
+    time_of_flight_ns(std::vector<double>(8, 1.0), cfg);
+    ADD_FAILURE() << "time_of_flight_ns accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_TRUE(names_field(e)) << e.what();
+  }
+}
+
+TEST(Pdp, NegativeTapCountThrows) {
+  expect_pdp_rejected([](PdpConfig& c) { c.num_taps = -1; }, "num_taps");
+  expect_pdp_rejected([](PdpConfig& c) { c.num_taps = 0; }, "num_taps");
+}
+
+TEST(Pdp, ZeroTapSpacingThrows) {
+  expect_pdp_rejected([](PdpConfig& c) { c.tap_spacing_ns = 0.0; },
+                      "tap_spacing_ns");
+  expect_pdp_rejected([](PdpConfig& c) { c.tap_spacing_ns = std::nan(""); },
+                      "tap_spacing_ns");
+  expect_pdp_rejected([](PdpConfig& c) { c.tap_spacing_ns = -1.0; },
+                      "tap_spacing_ns");
+}
+
+TEST(Pdp, NonPositiveNoiseFloorThrows) {
+  expect_pdp_rejected([](PdpConfig& c) { c.noise_floor_mw = 0.0; },
+                      "noise_floor_mw");
+  expect_pdp_rejected([](PdpConfig& c) { c.noise_floor_mw = std::nan(""); },
+                      "noise_floor_mw");
+  expect_pdp_rejected(
+      [](PdpConfig& c) {
+        c.noise_floor_mw = std::numeric_limits<double>::infinity();
+      },
+      "noise_floor_mw");
+}
+
 TEST(Pdp, CsiHasHalfSpectrumSize) {
   std::vector<double> pdp(256, 1e-12);
   pdp[10] = 1e-6;
