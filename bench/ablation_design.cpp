@@ -117,7 +117,6 @@ int main() {
         const sim::EventSimulator simulator(&clf);
         sim::EventParams p;
         p.ba_overhead_ms = ba;
-        p.rule = cfg;
         std::vector<double> gaps;
         for (const auto& rec : wb.testing.records) {
           const auto oracle =
@@ -149,7 +148,6 @@ int main() {
         const sim::EventSimulator simulator(&clf);
         sim::EventParams p;
         p.ba_overhead_ms = ba;
-        p.rule = cfg;
         double gap_sum = 0.0;
         int n = 0;
         for (const auto& rec : wb.testing.records) {

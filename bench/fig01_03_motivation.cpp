@@ -81,7 +81,6 @@ RunStats run(env::Environment& environment, channel::Link& link,
              const phy::ErrorModel& em, bool ba_enabled, Mover&& mover,
              std::uint64_t seed, array::BeamId lock_override = -2) {
   core::CotsDeviceConfig cfg;
-  cfg.ba_enabled = ba_enabled;
   // Phone-grade firmware: BA fires after two consecutive missing ACKs or a
   // few frames of poor in-AMPDU delivery.
   cfg.ba_after_ack_losses = 2;

@@ -53,7 +53,6 @@ int main() {
       sim::EventParams params;
       params.fat_ms = fat;
       params.ba_overhead_ms = ba;
-      params.rule = gt;
 
       char title[128];
       std::snprintf(title, sizeof(title), "BA overhead %.1f ms, FAT %.0f ms",

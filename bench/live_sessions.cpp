@@ -126,11 +126,11 @@ int main() {
             break;
           case 1:
             ctrl = std::make_unique<core::RaFirstController>(
-                &link, wb.error_model.get(), core::ControllerConfig{});
+                &link, wb.error_model.get());
             break;
           default:
             ctrl = std::make_unique<core::BaFirstController>(
-                &link, wb.error_model.get(), core::ControllerConfig{});
+                &link, wb.error_model.get());
         }
         util::Rng srng(100 + rep);
         const sim::SessionScript script = sc.make();

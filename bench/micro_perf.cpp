@@ -908,7 +908,7 @@ class FeatureProbe : public core::LinkController {
   }
 
  protected:
-  void plan(core::DecisionRequest&, util::Rng&) override {}
+  void plan(core::DecisionRequest&) override {}
 };
 
 // One decision frame's PDP work on the steady workload's shape (fleetbench:
@@ -930,7 +930,7 @@ void BM_MaterializeObservation(benchmark::State& state) {
   array::PhasedArray tx(ap, 0.0, &cb);
   array::PhasedArray rx(client, (ap - client).angle_deg(), &cb);
   channel::Link link(&room, &tx, &rx);
-  FeatureProbe ctl(&link, &em, core::ControllerConfig{});
+  FeatureProbe ctl(&link, &em);
   util::Rng rng(7);
   ctl.start(rng);  // beam training and a deferred baseline
   const phy::PhySampler sampler(&em);
@@ -966,7 +966,6 @@ void BM_SimulatedEvent(benchmark::State& state) {
   auto& f = Fixture::get();
   const sim::EventSimulator simulator(&f.classifier);
   sim::EventParams p;
-  p.rule = f.gt;
   util::Rng rng(7);
   const trace::CaseRecord& rec = f.training.records.front();
   for (auto _ : state) {

@@ -57,7 +57,6 @@ int main() {
       sim::EventParams params;
       params.fat_ms = fat;
       params.ba_overhead_ms = ba;
-      params.rule = gt;
 
       std::vector<std::string> row;
       char label[64];

@@ -39,7 +39,6 @@ int main() {
   std::printf("VR-capable mobility cases: %zu\n", pools.displacement.size());
 
   sim::EventParams params;
-  params.rule = gt;
   std::printf("\n30 s of 8K VR at 60 FPS (%.0f Mbps demand), 10 play-throughs:\n",
               vr_cfg.bitrate_mbps);
   std::printf("%-14s %-16s %-14s\n", "strategy", "avg stalls", "avg stall ms");

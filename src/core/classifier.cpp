@@ -10,6 +10,13 @@
 namespace libra::core {
 
 namespace {
+// Observation-window feature noise: LiBRA decides on 40 ms windows, which
+// are noisier than the 1 s training traces (Sec. 7, issue 2). Sigmas are the
+// per-frame jitters scaled by 1/sqrt(window frames).
+constexpr double kWindowSnrJitterDb = 0.28;
+constexpr double kWindowNoiseJitterDb = 1.06;
+constexpr double kWindowCdrJitter = 0.011;
+
 // Inference-serving telemetry: how many rows ride each batch, how long one
 // batched pass takes, and the single-row rate for comparison.
 struct ClassifierMetrics {
@@ -44,14 +51,6 @@ LibraClassifier::LibraClassifier(LibraClassifierConfig cfg)
   const auto require = [](bool ok, const std::string& what) {
     if (!ok) throw std::invalid_argument("LibraClassifierConfig: " + what);
   };
-  require(cfg_.window_snr_jitter_db >= 0.0 &&
-              std::isfinite(cfg_.window_snr_jitter_db),
-          "window_snr_jitter_db must be finite and >= 0");
-  require(cfg_.window_noise_jitter_db >= 0.0 &&
-              std::isfinite(cfg_.window_noise_jitter_db),
-          "window_noise_jitter_db must be finite and >= 0");
-  require(cfg_.window_cdr_jitter >= 0.0 && std::isfinite(cfg_.window_cdr_jitter),
-          "window_cdr_jitter must be finite and >= 0");
   // Values > 1 are a deliberate "demote every adaptation to NA" setting
   // (no vote fraction can reach them), so only reject nonsense below 0.
   require(std::isfinite(cfg_.min_confidence) && cfg_.min_confidence >= 0.0,
@@ -118,9 +117,9 @@ void LibraClassifier::train_labeled(const ml::DataSet& rows, util::Rng& rng) {
 trace::FeatureVector LibraClassifier::add_window_noise(
     const trace::FeatureVector& features, util::Rng& rng) const {
   trace::FeatureVector noisy = features;
-  noisy.v[0] += rng.gaussian(0.0, cfg_.window_snr_jitter_db);
-  noisy.v[2] += rng.gaussian(0.0, cfg_.window_noise_jitter_db);
-  noisy.v[5] += rng.gaussian(0.0, cfg_.window_cdr_jitter);
+  noisy.v[0] += rng.gaussian(0.0, kWindowSnrJitterDb);
+  noisy.v[2] += rng.gaussian(0.0, kWindowNoiseJitterDb);
+  noisy.v[5] += rng.gaussian(0.0, kWindowCdrJitter);
   return noisy;
 }
 

@@ -37,12 +37,6 @@ struct LibraClassifierConfig {
   // Missing-ACK rule (Sec. 7, issue 3).
   phy::McsIndex no_ack_mcs_threshold = 6;
   double no_ack_ba_overhead_threshold_ms = 10.0;
-  // Observation-window feature noise: LiBRA decides on 40 ms windows, which
-  // are noisier than the 1 s training traces (Sec. 7, issue 2). Sigmas are
-  // the per-frame jitters scaled by 1/sqrt(window frames).
-  double window_snr_jitter_db = 0.28;
-  double window_noise_jitter_db = 1.06;
-  double window_cdr_jitter = 0.011;
   // Confidence gate: adaptation (BA/RA) verdicts with a vote fraction below
   // this are demoted to No-Adaptation -- a misprediction costs a sweep or a
   // rate search, doing nothing costs one more observation window. 0
@@ -52,11 +46,10 @@ struct LibraClassifierConfig {
 
 class LibraClassifier {
  public:
-  // Validates the config up front (jitter sigmas >= 0, min_confidence
-  // finite and >= 0, thresholds finite) and throws std::invalid_argument --
-  // callers
-  // like OnlineLibra construct once and retrain many times, so a bad knob
-  // must fail at construction, not on the Nth update.
+  // Validates the config up front (min_confidence finite and >= 0,
+  // thresholds finite) and throws std::invalid_argument -- callers like
+  // OnlineLibra construct once and retrain many times, so a bad knob must
+  // fail at construction, not on the Nth update.
   explicit LibraClassifier(LibraClassifierConfig cfg = {});
 
   // Train the 3-class model on the (augmented) training dataset. Labels the

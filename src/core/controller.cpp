@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -61,54 +60,16 @@ obs::Counter& mcs_occupancy_counter(phy::McsIndex mcs) {
   const int idx = std::clamp(static_cast<int>(mcs), 0, kMaxTracked - 1);
   return *counters[static_cast<std::size_t>(idx)];
 }
-// Throws std::invalid_argument naming the first field of `cfg` outside its
-// range. cfg.up_prober is checked by UpProber's constructor.
-void validate(const ControllerConfig& cfg) {
-  const auto check = [](bool ok, const char* field, const char* range,
-                        double value) {
-    if (!ok) {
-      char got[32];
-      std::snprintf(got, sizeof got, "%g", value);
-      throw std::invalid_argument(std::string("ControllerConfig: ") + field +
-                                  " must be " + range + ", got " + got);
-    }
-  };
-  const auto in_unit = [](double v) { return v >= 0.0 && v <= 1.0; };
-  check(std::isfinite(cfg.fat_ms) && cfg.fat_ms > 0.0, "fat_ms",
-        "finite and > 0", cfg.fat_ms);
-  check(std::isfinite(cfg.ba_overhead_ms) && cfg.ba_overhead_ms >= 0.0,
-        "ba_overhead_ms", "finite and >= 0", cfg.ba_overhead_ms);
-  check(cfg.decision_period_frames >= 1, "decision_period_frames", ">= 1",
-        cfg.decision_period_frames);
-  check(std::isfinite(cfg.min_tput_mbps) && cfg.min_tput_mbps >= 0.0,
-        "min_tput_mbps", "finite and >= 0", cfg.min_tput_mbps);
-  check(in_unit(cfg.min_cdr), "min_cdr", "in [0, 1]", cfg.min_cdr);
-  // A zero weight freezes the EWMA at 0 and a zero trigger fires on every
-  // frame: either one disables the persistent-ACK-loss rule.
-  check(cfg.ack_loss_ewma_weight > 0.0 && cfg.ack_loss_ewma_weight <= 1.0,
-        "ack_loss_ewma_weight", "in (0, 1]", cfg.ack_loss_ewma_weight);
-  check(cfg.ack_loss_trigger > 0.0 && cfg.ack_loss_trigger <= 1.0,
-        "ack_loss_trigger", "in (0, 1]", cfg.ack_loss_trigger);
-  check(cfg.post_adapt_holdoff_frames >= 0, "post_adapt_holdoff_frames",
-        ">= 0", cfg.post_adapt_holdoff_frames);
-}
 }  // namespace
 
 LinkController::LinkController(channel::Link* link,
-                               const phy::ErrorModel* error_model,
-                               ControllerConfig cfg)
+                               const phy::ErrorModel* error_model)
     : link_(link),
       error_model_(error_model),
-      cfg_(cfg),
       sampler_(error_model),
-      ack_model_(error_model, cfg.ack),
-      up_prober_(0, cfg.up_prober) {
+      ack_model_(error_model),
+      up_prober_(0) {
   if (!link_ || !error_model_) throw std::invalid_argument("null dependency");
-  validate(cfg_);
-}
-
-bool LinkController::is_working(double cdr, double tput_mbps) const {
-  return cdr > cfg_.min_cdr && tput_mbps > cfg_.min_tput_mbps;
 }
 
 void LinkController::run_ba(util::Rng& rng) {
@@ -122,7 +83,7 @@ void LinkController::run_ba(util::Rng& rng) {
     tx_beam_ = sweep.tx_beam;
     rx_beam_ = sweep.rx_beam;
   }
-  t_ms_ += cfg_.ba_overhead_ms;
+  t_ms_ += kBaOverheadMs;
 }
 
 bool LinkController::classifier_faulted(double t_ms) {
@@ -132,7 +93,8 @@ bool LinkController::classifier_faulted(double t_ms) {
 
 trace::Action LinkController::missing_ack_fallback_action(
     const phy::PhyObservation& obs) const {
-  return (persistent_ack_loss() || !is_working(obs.cdr, obs.throughput_mbps))
+  return (persistent_ack_loss() ||
+          !trace::is_working(obs.cdr, obs.throughput_mbps))
              ? trace::Action::kRA
              : trace::Action::kNA;
 }
@@ -161,7 +123,7 @@ void LinkController::start(util::Rng& rng) {
   for (phy::McsIndex m = top; m >= 0; --m) {
     const phy::PhyObservation obs =
         sampler_.observe_rate(*link_, tx_beam_, rx_beam_, m, rng);
-    if (is_working(obs.cdr, obs.throughput_mbps) &&
+    if (trace::is_working(obs.cdr, obs.throughput_mbps) &&
         obs.throughput_mbps > best_tput) {
       best_tput = obs.throughput_mbps;
       best = m;
@@ -234,7 +196,7 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
   report.goodput_mbps =
       report.ack ? error_model_->expected_throughput_mbps(frame_mcs, frame_snr)
                  : 0.0;
-  double frame_ms = cfg_.fat_ms;
+  double frame_ms = kFatMs;
   // Fault seam. Every link-stream draw for this frame's mechanics has
   // happened, so injected faults (drawn from the link's separate fault
   // stream) only change what the controller *sees* -- the ACK indicator
@@ -264,17 +226,17 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
     }
     const faults::FaultInjector::Verdict skew =
         faults_->query(FaultKind::kClockSkew, t);
-    if (skew.fired) frame_ms = cfg_.fat_ms * (1.0 + skew.magnitude);
+    if (skew.fired) frame_ms = kFatMs * (1.0 + skew.magnitude);
   }
   report.duration_ms = frame_ms;
   t_ms_ += frame_ms;
-  ack_loss_ewma_ = (1.0 - cfg_.ack_loss_ewma_weight) * ack_loss_ewma_ +
-                   cfg_.ack_loss_ewma_weight * (report.ack ? 0.0 : 1.0);
+  ack_loss_ewma_ = (1.0 - kAckLossEwmaWeight) * ack_loss_ewma_ +
+                   kAckLossEwmaWeight * (report.ack ? 0.0 : 1.0);
 
   if (walking_) {
     // Evaluate the probe we just sent; the walk consumes the frame, no
     // policy decision is due.
-    if (is_working(obs.cdr, obs.throughput_mbps) &&
+    if (trace::is_working(obs.cdr, obs.throughput_mbps) &&
         obs.throughput_mbps > walk_best_tput_) {
       walk_best_tput_ = obs.throughput_mbps;
       walk_best_mcs_ = frame_mcs;
@@ -308,11 +270,11 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
   }
 
   // Steady state: ask the policy what this frame's verdict needs.
-  plan_frame(request, rng);
+  plan_frame(request);
   return request;
 }
 
-void LinkController::plan_frame(DecisionRequest& request, util::Rng& rng) {
+void LinkController::plan_frame(DecisionRequest& request) {
   request.decision_due = true;
   // Degradation ladder rung 3: the observation is unusable and ACKs still
   // flow (persistent loss has its own obs-free rule in every policy) --
@@ -323,7 +285,7 @@ void LinkController::plan_frame(DecisionRequest& request, util::Rng& rng) {
     request.hold_last_mcs = true;
     return;
   }
-  plan(request, rng);
+  plan(request);
 }
 
 void LinkController::note_verdict(trace::Action, const DecisionRequest&) {}
@@ -367,10 +329,7 @@ void LinkController::apply(trace::Action verdict, DecisionRequest& request,
         view.cdr[cur + 1] = up.cdr;
         view.throughput_mbps[cur + 1] = up.throughput_mbps;
       }
-      trace::GroundTruthConfig rule;
-      rule.min_tput_mbps = cfg_.min_tput_mbps;
-      rule.min_cdr = cfg_.min_cdr;
-      up_prober_.on_frame(view, rule);
+      up_prober_.on_frame(view);
       mcs_ = up_prober_.current();
       break;
     }
@@ -381,14 +340,12 @@ void LinkController::apply(trace::Action verdict, DecisionRequest& request,
 
 LibraController::LibraController(channel::Link* link,
                                  const phy::ErrorModel* error_model,
-                                 const LibraClassifier* classifier,
-                                 ControllerConfig cfg)
-    : LinkController(link, error_model, cfg), classifier_(classifier) {
+                                 const LibraClassifier* classifier)
+    : LinkController(link, error_model), classifier_(classifier) {
   if (!classifier_) throw std::invalid_argument("null classifier");
 }
 
-void LibraController::plan(DecisionRequest& request, util::Rng& rng) {
-  (void)rng;
+void LibraController::plan(DecisionRequest& request) {
   // Degradation ladder rung 2: the classifier is unavailable -- an injected
   // outage/timeout window, or (remote backends only) a transport fault /
   // failed health probe at the client seam -- so degrade to the COTS
@@ -405,15 +362,15 @@ void LibraController::plan(DecisionRequest& request, util::Rng& rng) {
   if (persistent_ack_loss()) {
     // Missing ACKs: no fresh PHY metrics, the distilled rule fires.
     verdict_counters().no_ack_fallbacks.inc();
-    holdoff_frames_ = cfg_.post_adapt_holdoff_frames;
-    request.precomputed = classifier_->no_ack_action(mcs_, cfg_.ba_overhead_ms);
+    holdoff_frames_ = kPostAdaptHoldoffFrames;
+    request.precomputed = classifier_->no_ack_action(mcs_, kBaOverheadMs);
     return;
   }
   if (holdoff_frames_ > 0) {
     --holdoff_frames_;
     return;  // precomputed stays kNA
   }
-  if (++frames_since_decision_ < cfg_.decision_period_frames) {
+  if (++frames_since_decision_ < kDecisionPeriodFrames) {
     return;
   }
   frames_since_decision_ = 0;
@@ -466,13 +423,13 @@ bool LibraController::backend_unreachable(double t_ms) {
 void LibraController::note_verdict(trace::Action verdict,
                                    const DecisionRequest& request) {
   if (request.needs_inference() && verdict != trace::Action::kNA) {
-    holdoff_frames_ = cfg_.post_adapt_holdoff_frames;
+    holdoff_frames_ = kPostAdaptHoldoffFrames;
   }
 }
 
 // ---------- heuristics ----------
 
-void RaFirstController::plan(DecisionRequest& request, util::Rng&) {
+void RaFirstController::plan(DecisionRequest& request) {
   // Trigger when the current MCS stops being a working MCS (Sec. 8.1);
   // Algorithm: RA first, BA happens automatically if the walk fails. This
   // exact rule doubles as rung 2 of the degradation ladder, which is why
@@ -480,9 +437,9 @@ void RaFirstController::plan(DecisionRequest& request, util::Rng&) {
   plan_missing_ack_fallback(request);
 }
 
-void BaFirstController::plan(DecisionRequest& request, util::Rng&) {
+void BaFirstController::plan(DecisionRequest& request) {
   if (persistent_ack_loss() ||
-      !is_working(request.obs.cdr, request.obs.throughput_mbps)) {
+      !trace::is_working(request.obs.cdr, request.obs.throughput_mbps)) {
     request.precomputed = trace::Action::kBA;
   }
 }

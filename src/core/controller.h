@@ -42,32 +42,35 @@
 
 namespace libra::core {
 
-struct ControllerConfig {
-  double fat_ms = 10.0;            // one aggregated frame per step
-  double ba_overhead_ms = 5.0;     // charged per sector sweep
-  int decision_period_frames = 2;  // LiBRA decides every other frame
-  double min_tput_mbps = 150.0;    // working-MCS rule (Sec. 5.2)
-  double min_cdr = 0.10;
-  // Adaptation fires on *persistent* Block-ACK loss, tracked as an EWMA of
-  // the per-frame loss indicator: isolated misses (one interference burst,
-  // one deep fade) are retried, a dead link crosses the threshold within a
-  // handful of frames. With weight 0.3, a full outage crosses 0.9 after
-  // ~7 frames while a 50%-duty jammer saturates at 0.5 and never triggers.
-  double ack_loss_ewma_weight = 0.3;
-  double ack_loss_trigger = 0.9;
-  // Hysteresis: after an adaptation, classifier decisions are suppressed
-  // for this many frames (persistent ACK loss still reacts). Prevents
-  // observation-window noise from re-triggering on the state the link just
-  // settled into.
-  int post_adapt_holdoff_frames = 10;
-  UpProberConfig up_prober{};
-  mac::AckModelConfig ack{};
-};
+// Algorithm 1's fixed parameters (Sec. 7) and the live link's timing: one
+// aggregated frame per step, the sweep overhead charged per BA, and LiBRA
+// deciding every other frame.
+inline constexpr double kFatMs = 10.0;
+inline constexpr double kBaOverheadMs = 5.0;
+inline constexpr int kDecisionPeriodFrames = 2;
+// Adaptation fires on *persistent* Block-ACK loss, tracked as an EWMA of the
+// per-frame loss indicator: isolated misses (one interference burst, one
+// deep fade) are retried, a dead link crosses the threshold within a
+// handful of frames. With weight 0.3, a full outage crosses 0.9 after ~7
+// frames while a 50%-duty jammer saturates at 0.5 and never triggers.
+inline constexpr double kAckLossEwmaWeight = 0.3;
+inline constexpr double kAckLossTrigger = 0.9;
+// Hysteresis: after an adaptation, classifier decisions are suppressed for
+// this many frames (persistent ACK loss still reacts). Prevents
+// observation-window noise from re-triggering on the state the link just
+// settled into.
+inline constexpr int kPostAdaptHoldoffFrames = 10;
+static_assert(kFatMs > 0.0 && kBaOverheadMs >= 0.0);
+static_assert(kDecisionPeriodFrames >= 1 && kPostAdaptHoldoffFrames >= 0);
+// A zero weight freezes the EWMA at 0 and a zero trigger fires on every
+// frame: either one would disable the persistent-ACK-loss rule.
+static_assert(kAckLossEwmaWeight > 0.0 && kAckLossEwmaWeight <= 1.0);
+static_assert(kAckLossTrigger > 0.0 && kAckLossTrigger <= 1.0);
 
 // What one transmitted frame produced.
 struct FrameReport {
   double t_ms = 0.0;               // start of this frame
-  double duration_ms = 0.0;        // fat_ms, plus sweep time if BA ran
+  double duration_ms = 0.0;        // kFatMs (clock skew aside)
   array::BeamId tx_beam = 0;
   array::BeamId rx_beam = 0;
   phy::McsIndex mcs = 0;
@@ -116,13 +119,8 @@ struct DecisionRequest {
 // through plan() (and optionally note_verdict()).
 class LinkController {
  public:
-  // Throws std::invalid_argument on a null link or error model, or on a
-  // config field out of range: fat_ms finite and > 0; ba_overhead_ms and
-  // min_tput_mbps finite and >= 0; decision_period_frames >= 1; min_cdr in
-  // [0, 1]; ack_loss_ewma_weight and ack_loss_trigger in (0, 1];
-  // post_adapt_holdoff_frames >= 0; up_prober as UpProber checks it.
-  LinkController(channel::Link* link, const phy::ErrorModel* error_model,
-                 ControllerConfig cfg);
+  // Throws std::invalid_argument on a null link or error model.
+  LinkController(channel::Link* link, const phy::ErrorModel* error_model);
   virtual ~LinkController() = default;
 
   // Initial association: full beam training + best working MCS.
@@ -156,11 +154,11 @@ class LinkController {
  protected:
   // Steady state, once the frame is observed: mark the decision due, hold
   // the last safe MCS on an unusable observation, or plan().
-  void plan_frame(DecisionRequest& request, util::Rng& rng);
+  void plan_frame(DecisionRequest& request);
   // Fill the request on a steady-state frame: either set `precomputed` or
   // point `classifier` + `features` at the inference to run. Called once
   // per decision-due frame, so per-frame counters live here.
-  virtual void plan(DecisionRequest& request, util::Rng& rng) = 0;
+  virtual void plan(DecisionRequest& request) = 0;
   // Bookkeeping once the verdict is known, before the mechanics run (e.g.
   // LiBRA arms its post-adaptation holdoff here).
   virtual void note_verdict(trace::Action verdict,
@@ -171,7 +169,6 @@ class LinkController {
   // Enter the downward RA walk starting at the current MCS.
   void begin_ra_walk();
 
-  bool is_working(double cdr, double tput_mbps) const;
   // Degradation ladder rung 2 trigger: the classifier is unavailable this
   // frame (an injected outage/timeout window).
   bool classifier_faulted(double t_ms);
@@ -196,7 +193,6 @@ class LinkController {
 
   channel::Link* link_;                 // non-owning
   const phy::ErrorModel* error_model_;  // non-owning
-  ControllerConfig cfg_;
   phy::PhySampler sampler_;
   mac::AckModel ack_model_;
   mac::BeamTrainer trainer_;
@@ -223,17 +219,17 @@ class LinkController {
   std::optional<phy::PhyObservation> last_clean_obs_;
 
   bool persistent_ack_loss() const {
-    return ack_loss_ewma_ >= cfg_.ack_loss_trigger;
+    return ack_loss_ewma_ >= kAckLossTrigger;
   }
 };
 
 class LibraController : public LinkController {
  public:
   LibraController(channel::Link* link, const phy::ErrorModel* error_model,
-                  const LibraClassifier* classifier, ControllerConfig cfg = {});
+                  const LibraClassifier* classifier);
 
  protected:
-  void plan(DecisionRequest& request, util::Rng& rng) override;
+  void plan(DecisionRequest& request) override;
   void note_verdict(trace::Action verdict,
                     const DecisionRequest& request) override;
 
@@ -257,7 +253,7 @@ class RaFirstController : public LinkController {
   using LinkController::LinkController;
 
  protected:
-  void plan(DecisionRequest& request, util::Rng& rng) override;
+  void plan(DecisionRequest& request) override;
 };
 
 class BaFirstController : public LinkController {
@@ -265,7 +261,7 @@ class BaFirstController : public LinkController {
   using LinkController::LinkController;
 
  protected:
-  void plan(DecisionRequest& request, util::Rng& rng) override;
+  void plan(DecisionRequest& request) override;
 };
 
 }  // namespace libra::core

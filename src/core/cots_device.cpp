@@ -6,6 +6,20 @@
 
 namespace libra::core {
 
+namespace {
+constexpr double kFrameMs = 10.0;  // one AMPDU per step
+// Slow shadow-fading AR(1) process riding on the ray-traced SNR; COTS links
+// see 1-2 dB of slow variation even when nothing moves.
+constexpr double kFadeSigmaDb = 1.8;
+constexpr double kFadeCorr = 0.95;
+// Sweep probes are single SSW frames: noisy.
+constexpr double kSweepJitterDb = 1.0;
+constexpr double kSweepDurationMs = 2.0;
+constexpr int kUpProbeIntervalFrames = 10;
+// Consecutive low-CDR frames before the SFER path fires.
+constexpr int kLowCdrFramesToBa = 3;
+}  // namespace
+
 CotsDevice::CotsDevice(channel::Link* link, const phy::ErrorModel* error_model,
                        CotsDeviceConfig cfg)
     : link_(link), error_model_(error_model), cfg_(cfg),
@@ -14,9 +28,9 @@ CotsDevice::CotsDevice(channel::Link* link, const phy::ErrorModel* error_model,
 }
 
 double CotsDevice::effective_snr(util::Rng& rng) {
-  fade_db_ = cfg_.fade_corr * fade_db_ +
-             std::sqrt(1.0 - cfg_.fade_corr * cfg_.fade_corr) *
-                 rng.gaussian(0.0, cfg_.fade_sigma_db);
+  fade_db_ = kFadeCorr * fade_db_ +
+             std::sqrt(1.0 - kFadeCorr * kFadeCorr) *
+                 rng.gaussian(0.0, kFadeSigmaDb);
   return link_->snr_db(tx_sector_, array::kQuasiOmni) + fade_db_;
 }
 
@@ -25,7 +39,7 @@ void CotsDevice::run_sector_sweep(util::Rng& rng) {
   double best_snr = -1e9;
   for (array::BeamId s = 0; s < link_->tx().codebook().size(); ++s) {
     const double snr = link_->snr_db(s, array::kQuasiOmni) + fade_db_ +
-                       rng.gaussian(0.0, cfg_.sweep_jitter_db);
+                       rng.gaussian(0.0, kSweepJitterDb);
     if (snr > best_snr) {
       best_snr = snr;
       best = s;
@@ -36,14 +50,14 @@ void CotsDevice::run_sector_sweep(util::Rng& rng) {
   // robust MCS and climbs back up -- the ramp is the dominant cost of a
   // spurious sweep.
   mcs_ = 0;
-  t_ms_ += cfg_.sweep_duration_ms;
+  t_ms_ += kSweepDurationMs;
 }
 
 void CotsDevice::associate(util::Rng& rng) { run_sector_sweep(rng); }
 
 void CotsDevice::lock_sector(array::BeamId sector) {
   tx_sector_ = sector;
-  cfg_.ba_enabled = false;
+  ba_enabled_ = false;
 }
 
 CotsFrameLog CotsDevice::step(util::Rng& rng) {
@@ -60,9 +74,9 @@ CotsFrameLog CotsDevice::step(util::Rng& rng) {
     // down instead.
     const double cdr = error_model_->expected_cdr(mcs_, snr);
     if (cfg_.ba_cdr_threshold > 0.0 && cdr < cfg_.ba_cdr_threshold) {
-      if (++low_cdr_frames_ >= cfg_.low_cdr_frames_to_ba) {
+      if (++low_cdr_frames_ >= kLowCdrFramesToBa) {
         low_cdr_frames_ = 0;
-        if (cfg_.ba_enabled) {
+        if (ba_enabled_) {
           run_sector_sweep(rng);
           log.ba_triggered = true;
         } else if (mcs_ > 0) {
@@ -76,7 +90,7 @@ CotsFrameLog CotsDevice::step(util::Rng& rng) {
     // frame at the next MCS is ACKed -- a Block ACK needs only one subframe
     // to decode, so devices overshoot the sustainable MCS and oscillate.
     if (!log.ba_triggered &&
-        ++frames_since_up_probe_ >= cfg_.up_probe_interval_frames &&
+        ++frames_since_up_probe_ >= kUpProbeIntervalFrames &&
         mcs_ < error_model_->table().max_mcs()) {
       frames_since_up_probe_ = 0;
       if (ack_model_.ack_received(mcs_ + 1, snr, rng)) ++mcs_;
@@ -90,7 +104,7 @@ CotsFrameLog CotsDevice::step(util::Rng& rng) {
     // RA: drop the MCS; trigger BA when MCS 0 has already failed (the
     // "RA first, BA as last resort" heuristic) or, on trigger-happy
     // firmware, after a few consecutive ACK losses.
-    if (cfg_.ba_enabled && (aggressive_ba || mcs_ == 0)) {
+    if (ba_enabled_ && (aggressive_ba || mcs_ == 0)) {
       run_sector_sweep(rng);
       log.ba_triggered = true;
       consecutive_ack_losses_ = 0;
@@ -99,7 +113,7 @@ CotsFrameLog CotsDevice::step(util::Rng& rng) {
     }
     frames_since_up_probe_ = 0;
   }
-  t_ms_ += cfg_.frame_ms;
+  t_ms_ += kFrameMs;
   log.tx_sector = tx_sector_;
   log.mcs = mcs_;
   return log;

@@ -18,28 +18,19 @@
 
 namespace libra::core {
 
+// The vendor knobs the motivation benches vary; the rest of the firmware
+// model is fixed (cots_device.cpp).
 struct CotsDeviceConfig {
-  double frame_ms = 10.0;        // one AMPDU per step
-  // Slow shadow-fading AR(1) process riding on the ray-traced SNR; COTS
-  // links see 1-2 dB of slow variation even when nothing moves.
-  double fade_sigma_db = 1.8;
-  double fade_corr = 0.95;
-  // Sweep probes are single SSW frames: noisy.
-  double sweep_jitter_db = 1.0;
-  double sweep_duration_ms = 2.0;
-  int up_probe_interval_frames = 10;
-  bool ba_enabled = true;
   // Vendor heterogeneity: 0 = trigger BA only after MCS 0 fails (the
   // Talon/laptop "RA first, BA last resort" heuristic); N > 0 = trigger BA
   // after N consecutive missing Block ACKs (the trigger-happy phone
   // behavior behind the 100+ sweeps per minute in Fig. 1a).
   int ba_after_ack_losses = 0;
   // Second trigger-happy path: fire BA when the in-AMPDU delivery ratio
-  // (SFER) stays below this for a few consecutive frames, even though the
+  // (SFER) stays below this for 3 consecutive frames, even though the
   // Block ACK itself arrives. 0 disables. Combined with the blind upward
   // probing this is what makes phones sweep in perfectly static scenarios.
   double ba_cdr_threshold = 0.0;
-  int low_cdr_frames_to_ba = 3;
 };
 
 struct CotsFrameLog {
@@ -76,6 +67,7 @@ class CotsDevice {
   const phy::ErrorModel* error_model_;  // non-owning
   CotsDeviceConfig cfg_;
   mac::AckModel ack_model_;
+  bool ba_enabled_ = true;  // lock_sector() turns BA off
   array::BeamId tx_sector_ = 0;
   phy::McsIndex mcs_ = 0;
   double fade_db_ = 0.0;

@@ -5,19 +5,6 @@
 
 namespace libra::core {
 
-namespace {
-// GroundTruthConfig carries no operator==; the seed-row cache only needs to
-// know whether a retrain arrived with a different parameterization.
-bool same_gt(const trace::GroundTruthConfig& a,
-             const trace::GroundTruthConfig& b) {
-  return a.alpha == b.alpha && a.fat_ms == b.fat_ms &&
-         a.ba_overhead_ms == b.ba_overhead_ms &&
-         a.min_tput_mbps == b.min_tput_mbps && a.min_cdr == b.min_cdr &&
-         a.na_tput_fraction == b.na_tput_fraction &&
-         a.tie_tolerance == b.tie_tolerance;
-}
-}  // namespace
-
 OnlineLibra::OnlineLibra(OnlineLibraConfig cfg)
     : cfg_(cfg), classifier_(cfg.classifier) {
   if (cfg_.window_size < 1) {
@@ -83,7 +70,7 @@ void OnlineLibra::observe(const trace::CaseRecord& record,
 }
 
 void OnlineLibra::retrain(const trace::GroundTruthConfig& gt, util::Rng& rng) {
-  if (!labeled_gt_.has_value() || !same_gt(*labeled_gt_, gt)) {
+  if (labeled_gt_ != gt) {
     relabel_seed(gt);
   }
   // Label only the (small) window; the weighted duplication mirrors the

@@ -10,6 +10,10 @@
 namespace libra::core {
 
 namespace {
+// Escalation for a failed No-Adaptation verdict: BA below this MCS, RA at or
+// above it.
+constexpr phy::McsIndex kHindsightBaMcsThreshold = 6;
+
 // Trainer telemetry: the row-stream intake, the off-path fit loop, and the
 // swap gates. The swap-latency histogram times install + remote push -- the
 // window in which two generations coexist.
@@ -62,15 +66,15 @@ bool all_finite(const trace::FeatureVector& features) {
 }
 }  // namespace
 
-trace::Action hindsight_label(trace::Action served, const FrameReport& next,
-                              const HindsightConfig& cfg) {
+trace::Action hindsight_label(trace::Action served, const FrameReport& next) {
   if (served != trace::Action::kBA && served != trace::Action::kRA &&
       served != trace::Action::kNA) {
     throw std::invalid_argument(
         "hindsight_label: out-of-enum served action " +
         std::to_string(static_cast<int>(served)));
   }
-  const bool working = next.ack && next.goodput_mbps >= cfg.min_tput_mbps;
+  const bool working =
+      next.ack && next.goodput_mbps > trace::kWorkingMinTputMbps;
   if (working) return served;
   switch (served) {
     case trace::Action::kBA:
@@ -79,8 +83,8 @@ trace::Action hindsight_label(trace::Action served, const FrameReport& next,
       return trace::Action::kBA;  // the walk did not fix it: beam problem
     default:
       // Doing nothing was wrong; escalate by the missing-ACK rule's shape.
-      return next.mcs < cfg.ba_mcs_threshold ? trace::Action::kBA
-                                             : trace::Action::kRA;
+      return next.mcs < kHindsightBaMcsThreshold ? trace::Action::kBA
+                                                 : trace::Action::kRA;
   }
 }
 

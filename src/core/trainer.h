@@ -92,21 +92,13 @@ struct TrainRow {
 };
 
 // Hindsight labeling: what the right call was, judged by the next frame.
-struct HindsightConfig {
-  // The served verdict counts as correct when the next frame ACKs at or
-  // above this goodput (the working-MCS rule's throughput arm).
-  double min_tput_mbps = 150.0;
-  // Escalation for a failed No-Adaptation verdict: BA below this MCS, RA at
-  // or above it (the missing-ACK rule's shape).
-  phy::McsIndex ba_mcs_threshold = 6;
-};
-
 // The label for a decision that served `served` and then saw `next`: the
-// served action itself when the link kept working, else the escalation the
-// failure implies (a failed BA should have been RA and vice versa; a failed
-// NA should have adapted, BA/RA by MCS). Pure and deterministic.
-trace::Action hindsight_label(trace::Action served, const FrameReport& next,
-                              const HindsightConfig& cfg = {});
+// served action itself when the link kept working (the next frame ACKed
+// above the working-MCS rule's kWorkingMinTputMbps), else the escalation
+// the failure implies (a failed BA should have been RA and vice versa; a
+// failed NA should have adapted: BA below MCS 6, RA at or above it, the
+// missing-ACK rule's shape). Pure and deterministic.
+trace::Action hindsight_label(trace::Action served, const FrameReport& next);
 
 // Bounded row buffer between one producer (a shard's scatter) and the
 // trainer. offer() never blocks: it try_locks, dropping the row on
@@ -242,7 +234,6 @@ struct FleetTrainerConfig {
   // force-fits + swaps exactly after the listed ticks (0-based, sorted and
   // deduplicated internally). See the determinism contract above.
   std::vector<std::int64_t> swap_at_ticks;
-  HindsightConfig hindsight{};
 
   void validate() const;  // throws std::invalid_argument
 };

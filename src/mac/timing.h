@@ -1,39 +1,18 @@
-// MAC timing: the X60 TDMA frame structure (Sec. 4.1) and the protocol
-// parameter sets used in the LiBRA evaluation (Sec. 8.1).
+// MAC timing: the protocol parameter sets used in the LiBRA evaluation
+// (Sec. 8.1) and the worst-case recovery delay they imply.
 #pragma once
 
 namespace libra::mac {
 
-// X60: TDMA, 10 ms frames divided into 100 slots of 100 us; each slot
-// carries 92 CRC'd codewords. An X60 frame plays the role of an 802.11
-// AMPDU (Sec. 4.1).
-struct TdmaConfig {
-  double frame_ms = 10.0;
-  int slots_per_frame = 100;
-  double slot_us = 100.0;
-  int codewords_per_slot = 92;
-
-  int codewords_per_frame() const { return slots_per_frame * codewords_per_slot; }
-};
-
-// Protocol parameters swept in Sec. 8.1.
-struct ProtocolParams {
-  // Frame aggregation time: one RA probe sends one aggregated frame.
-  // 2 ms = max in 802.11ad; 10 ms = max in 802.11ac, also X60.
-  double fat_ms = 10.0;
-  // Beam-adaptation (sector sweep) duration. Paper values: 0.5 ms and 5 ms
-  // (O(N) quasi-omni, 30-degree / 3-degree beams), 150 ms and 250 ms
-  // (O(N^2) directional, 9/7-degree beams).
-  double ba_overhead_ms = 5.0;
-  // Utility weight alpha of Eqn. (1): 0.7 with low BA overhead, 0.5 with
-  // high (Sec. 8.1).
-  double alpha = 0.7;
-};
-
-// The four (BA overhead, alpha) points x two FAT values of Sec. 8.1.
+// The four (BA overhead, alpha) points x two FAT values of Sec. 8.1. The
+// frame aggregation time is one RA probe: 2 ms = max in 802.11ad, 10 ms = max
+// in 802.11ac, also X60. The BA overheads are 0.5 ms and 5 ms (O(N)
+// quasi-omni, 30-degree / 3-degree beams) and 150 ms and 250 ms (O(N^2)
+// directional, 9/7-degree beams).
 inline constexpr double kBaOverheadsMs[] = {0.5, 5.0, 150.0, 250.0};
 inline constexpr double kFatsMs[] = {2.0, 10.0};
 
+// Utility weight alpha of Eqn. (1): 0.7 with low BA overhead, 0.5 with high.
 inline double alpha_for_ba_overhead(double ba_overhead_ms) {
   return ba_overhead_ms <= 10.0 ? 0.7 : 0.5;
 }

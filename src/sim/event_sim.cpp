@@ -64,15 +64,14 @@ class Engine {
 
   bool is_working(const trace::PairTrace& t, phy::McsIndex m) const {
     const auto i = static_cast<std::size_t>(m);
-    return trace::is_working(t.cdr[i], t.throughput_mbps[i], p_.rule);
+    return trace::is_working(t.cdr[i], t.throughput_mbps[i]);
   }
 
   // Run the downward repair walk on `pair` starting at `start`; charges one
   // frame per probe and records the restoration time. Returns the settled
   // MCS (-1 if nothing works on this pair).
   phy::McsIndex repair_walk(PairSel pair, phy::McsIndex start) {
-    const core::RaWalk walk =
-        core::ra_repair_walk(trace_for(pair), start, p_.rule);
+    const core::RaWalk walk = core::ra_repair_walk(trace_for(pair), start);
     for (std::size_t i = 0; i < walk.probes.size() && !done(); ++i) {
       frame(pair, walk.probes[i]);
       if (static_cast<int>(i) == walk.first_working_probe) {
@@ -90,7 +89,7 @@ class Engine {
     if (is_working(trace_for(pair), mcs)) link_restored_now();
     core::UpProber prober(mcs);
     while (!done()) {
-      const phy::McsIndex m = prober.on_frame(trace_for(pair), p_.rule);
+      const phy::McsIndex m = prober.on_frame(trace_for(pair));
       frame(pair, m);
       result_.settled_mcs = prober.current();
     }
@@ -222,8 +221,7 @@ EventResult EventSimulator::run(const trace::CaseRecord& rec,
   const bool init_working = [&] {
     const auto i = static_cast<std::size_t>(m0);
     return trace::is_working(rec.new_at_init_pair.cdr[i],
-                             rec.new_at_init_pair.throughput_mbps[i],
-                             params.rule);
+                             rec.new_at_init_pair.throughput_mbps[i]);
   }();
 
   // Everyone needs one transmitted frame to notice the impairment; even an

@@ -32,21 +32,20 @@ namespace libra::sim {
 
 enum class PairSel { kInitPair, kBestPair, kFailoverPair };
 
+// Periodic beam refresh during steady operation (802.11ad devices re-train
+// on beacon-interval timescales, ~100 ms); lets a device that escaped to a
+// reflection migrate back to the LOS pair once an impairment clears.
+inline constexpr double kBeamRefreshIntervalMs = 100.0;
+
 struct EventParams {
   double fat_ms = 10.0;
   double ba_overhead_ms = 5.0;
   double flow_ms = 1000.0;
-  trace::GroundTruthConfig rule;  // working-MCS rule; alpha for oracles
-  // Periodic beam refresh during steady operation (802.11ad devices
-  // re-train on beacon-interval timescales, ~100 ms); lets a device that
-  // escaped to a reflection migrate back to the LOS pair once an
-  // impairment clears. The effective interval never drops below 4x the
-  // sweep cost, so expensive beam training is refreshed proportionally
-  // less often.
-  double beam_refresh_interval_ms = 100.0;
 
+  // The refresh interval never drops below 4x the sweep cost, so expensive
+  // beam training is refreshed proportionally less often.
   double effective_refresh_interval_ms() const {
-    return std::max(beam_refresh_interval_ms, 4.0 * ba_overhead_ms);
+    return std::max(kBeamRefreshIntervalMs, 4.0 * ba_overhead_ms);
   }
 };
 

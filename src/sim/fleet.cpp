@@ -198,8 +198,7 @@ FleetResult run_links(std::span<const FleetLink> links,
           row.tick = tick;
           row.link = static_cast<std::uint32_t>(i);
           row.features = parked.features;
-          row.label = core::hindsight_label(parked.served, req.report,
-                                            cfg.trainer->config().hindsight);
+          row.label = core::hindsight_label(parked.served, req.report);
           cfg.trainer->offer(s, std::move(row));
           ++shard.trainer_rows;
         }

@@ -110,7 +110,7 @@ struct GoldenStation {
           &link, &golden_error_model(), &golden_classifier());
     } else {
       controller = std::make_unique<core::RaFirstController>(
-          &link, &golden_error_model(), core::ControllerConfig{});
+          &link, &golden_error_model());
     }
   }
 };

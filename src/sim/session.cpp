@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "trace/ground_truth.h"
+
 namespace libra::sim {
 
 Trajectory::Trajectory(std::vector<Waypoint> waypoints)
@@ -142,7 +144,8 @@ void SessionDriver::apply(trace::Action verdict,
   if (report.action == trace::Action::kRA) ++result_.adaptations_ra;
 
   constexpr int kOutageFrames = 3;
-  const bool frame_ok = report.goodput_mbps > 150.0;
+  // The working-MCS rule's throughput arm: an ACKed frame's goodput.
+  const bool frame_ok = report.goodput_mbps > trace::kWorkingMinTputMbps;
   if (!frame_ok) {
     if (dead_frames_ == 0) outage_start_ = report.t_ms;
     ++dead_frames_;

@@ -5,14 +5,15 @@
 
 #include "obs/span.h"
 #include "phy/pdp.h"
+#include "trace/ground_truth.h"
 
 namespace libra::trace {
 
-phy::McsIndex PairTrace::best_mcs(double min_tput_mbps, double min_cdr) const {
+phy::McsIndex PairTrace::best_mcs() const {
   phy::McsIndex best = -1;
   double best_tput = -1.0;
   for (std::size_t m = 0; m < throughput_mbps.size(); ++m) {
-    if (cdr[m] <= min_cdr || throughput_mbps[m] <= min_tput_mbps) continue;
+    if (!is_working(cdr[m], throughput_mbps[m])) continue;
     if (throughput_mbps[m] > best_tput) {
       best_tput = throughput_mbps[m];
       best = static_cast<phy::McsIndex>(m);
@@ -30,6 +31,11 @@ phy::McsIndex PairTrace::best_mcs(double min_tput_mbps, double min_cdr) const {
 }
 
 namespace {
+
+// Minimum Tx-sector index distance between the primary and the failover
+// pair (MOCA keeps the backup angularly diverse so one obstacle cannot take
+// out both).
+constexpr int kFailoverMinSectorGap = 3;
 
 phy::SamplerConfig averaged_config(int frames) {
   // 1-s traces average `frames` independent frame measurements; i.i.d.
@@ -148,15 +154,15 @@ CaseRecord TraceCollector::collect(env::Environment& environment, const Case& c,
       trainer_.exhaustive(link, sweep_sampler_, rng);
   rec.init_best = measure_pair(link, init_sweep.tx_beam, init_sweep.rx_beam,
                                rng);
-  rec.init_mcs = rec.init_best.best_mcs(cfg_.min_tput_mbps, cfg_.min_cdr);
+  rec.init_mcs = rec.init_best.best_mcs();
 
   // Failover pair (MOCA-style): the best pair whose Tx sector is at least
-  // `failover_min_sector_gap` away from the primary's, or (0, 0) when no
+  // kFailoverMinSectorGap away from the primary's, or (0, 0) when no
   // pair qualifies.
   {
     const mac::SweepResult fo = trainer_.exhaustive_apart_from(
         link, sweep_sampler_, rng, init_sweep.tx_beam,
-        cfg_.failover_min_sector_gap);
+        kFailoverMinSectorGap);
     const bool found = fo.rx_beam != array::kQuasiOmni;
     rec.init_failover =
         measure_pair(link, fo.tx_beam, found ? fo.rx_beam : 0, rng);
@@ -211,7 +217,7 @@ CaseRecord TraceCollector::collect_na(env::Environment& environment,
   apply_state(environment, link, c.next, eirp);
   const mac::SweepResult sweep = trainer_.exhaustive(link, sweep_sampler_, rng);
   rec.init_best = measure_pair(link, sweep.tx_beam, sweep.rx_beam, rng);
-  rec.init_mcs = rec.init_best.best_mcs(cfg_.min_tput_mbps, cfg_.min_cdr);
+  rec.init_mcs = rec.init_best.best_mcs();
   // Second window at the same state, same pair.
   rec.new_at_init_pair =
       measure_pair(link, sweep.tx_beam, sweep.rx_beam, rng);

@@ -32,9 +32,9 @@ struct PairTrace {
   std::vector<double> throughput_mbps;  // indexed by MCS
   std::vector<double> cdr;              // indexed by MCS
 
-  // Highest-throughput MCS among working ones (falls back to the overall
-  // argmax when nothing works). Working rule from Sec. 5.2.
-  phy::McsIndex best_mcs(double min_tput_mbps, double min_cdr) const;
+  // Highest-throughput MCS among working ones (trace::is_working, Sec. 5.2);
+  // falls back to the overall argmax when nothing works.
+  phy::McsIndex best_mcs() const;
 };
 
 // One collected dataset case: the initial state plus the impaired state.
@@ -60,13 +60,6 @@ struct CaseRecord {
 };
 
 struct CollectorConfig {
-  // Working-MCS rule (Sec. 5.2): CDR > 10% and Th > 150 Mbps.
-  double min_tput_mbps = 150.0;
-  double min_cdr = 0.10;
-  // Minimum Tx-sector index distance between the primary and the failover
-  // pair (MOCA keeps the backup angularly diverse so one obstacle cannot
-  // take out both).
-  int failover_min_sector_gap = 3;
   // Number of frames averaged into one trace (1 s of 10 ms X60 frames);
   // jitter of averaged quantities shrinks by sqrt(frames).
   int frames_per_trace = 100;

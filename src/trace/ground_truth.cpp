@@ -1,6 +1,10 @@
 #include "trace/ground_truth.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
 
 namespace libra::trace {
 
@@ -13,18 +17,44 @@ std::string to_string(Action a) {
   return "?";
 }
 
-bool is_working(double cdr, double tput_mbps, const GroundTruthConfig& cfg) {
-  return cdr > cfg.min_cdr && tput_mbps > cfg.min_tput_mbps;
-}
-
 namespace {
 
+// "No Adaptation" rule for the 3-class labels (Sec. 7): the current MCS on
+// the current pair still works and retains at least this fraction of the
+// pre-impairment throughput.
+constexpr double kNaTputFraction = 0.90;
+// Indifference band for the BA-vs-RA utility comparison: when the two
+// utilities are within this margin, RA wins ("perform RA when
+// Th(RA) >= Th(BA)", Sec. 5.2) -- it avoids the sweep overhead and keeps
+// measurement noise from creating unlearnable coin-flip labels.
+constexpr double kTieTolerance = 0.02;
+
+// Throws std::invalid_argument naming the first field of `cfg` outside its
+// range. Without it, fat_ms = ba_overhead_ms = 0 makes Dmax 0, every utility
+// 0/0 = NaN and every 2-class label silently BA.
+void validate(const GroundTruthConfig& cfg) {
+  const auto check = [](bool ok, const char* field, const char* range,
+                        double value) {
+    if (!ok) {
+      char got[32];
+      std::snprintf(got, sizeof got, "%g", value);
+      throw std::invalid_argument(std::string("GroundTruthConfig: ") + field +
+                                  " must be " + range + ", got " + got);
+    }
+  };
+  check(cfg.alpha >= 0.0 && cfg.alpha <= 1.0, "alpha", "in [0, 1]",
+        cfg.alpha);
+  check(std::isfinite(cfg.fat_ms) && cfg.fat_ms > 0.0, "fat_ms",
+        "finite and > 0", cfg.fat_ms);
+  check(std::isfinite(cfg.ba_overhead_ms) && cfg.ba_overhead_ms >= 0.0,
+        "ba_overhead_ms", "finite and >= 0", cfg.ba_overhead_ms);
+}
+
 // Highest working MCS <= start on this trace; -1 if none.
-phy::McsIndex first_working_downward(const PairTrace& t, phy::McsIndex start,
-                                     const GroundTruthConfig& cfg) {
+phy::McsIndex first_working_downward(const PairTrace& t, phy::McsIndex start) {
   for (phy::McsIndex m = start; m >= 0; --m) {
     const auto i = static_cast<std::size_t>(m);
-    if (is_working(t.cdr[i], t.throughput_mbps[i], cfg)) return m;
+    if (is_working(t.cdr[i], t.throughput_mbps[i])) return m;
   }
   return -1;
 }
@@ -41,6 +71,7 @@ double best_tput_upto(const PairTrace& t, phy::McsIndex start) {
 }  // namespace
 
 GroundTruth label_case(const CaseRecord& rec, const GroundTruthConfig& cfg) {
+  validate(cfg);
   GroundTruth gt;
   const phy::McsIndex m0 = rec.init_mcs;
   const int n_mcs = static_cast<int>(rec.init_best.throughput_mbps.size());
@@ -52,14 +83,14 @@ GroundTruth label_case(const CaseRecord& rec, const GroundTruthConfig& cfg) {
 
   // --- RA alone: downward search on the initial pair at the new state. ---
   const phy::McsIndex ra_first = first_working_downward(
-      rec.new_at_init_pair, m0, cfg);
+      rec.new_at_init_pair, m0);
   gt.th_ra_mbps = best_tput_upto(rec.new_at_init_pair, m0);
   if (ra_first >= 0) {
     gt.delay_ra_ms = static_cast<double>(m0 - ra_first + 1) * cfg.fat_ms;
   } else {
     // RA probes everything, fails, BA is performed, RA again on the new
     // pair (Sec. 5.2 Dmax discussion).
-    const phy::McsIndex after = first_working_downward(rec.new_best, m0, cfg);
+    const phy::McsIndex after = first_working_downward(rec.new_best, m0);
     const double second_round =
         after >= 0 ? static_cast<double>(m0 - after + 1) * cfg.fat_ms
                    : static_cast<double>(m0 + 1) * cfg.fat_ms;
@@ -68,7 +99,7 @@ GroundTruth label_case(const CaseRecord& rec, const GroundTruthConfig& cfg) {
   }
 
   // --- BA first (always followed by RA on the new best pair). ---
-  const phy::McsIndex ba_first = first_working_downward(rec.new_best, m0, cfg);
+  const phy::McsIndex ba_first = first_working_downward(rec.new_best, m0);
   gt.th_ba_mbps = best_tput_upto(rec.new_best, m0);
   {
     const double ra_after =
@@ -88,7 +119,7 @@ GroundTruth label_case(const CaseRecord& rec, const GroundTruthConfig& cfg) {
 
   // Perform RA when U(RA) >= U(BA) (within the indifference band), BA
   // otherwise (Sec. 5.2).
-  gt.label = gt.utility_ra >= gt.utility_ba - cfg.tie_tolerance
+  gt.label = gt.utility_ra >= gt.utility_ba - kTieTolerance
                  ? Action::kRA
                  : Action::kBA;
 
@@ -96,9 +127,9 @@ GroundTruth label_case(const CaseRecord& rec, const GroundTruthConfig& cfg) {
   const auto i0 = static_cast<std::size_t>(m0);
   const bool still_working =
       is_working(rec.new_at_init_pair.cdr[i0],
-                 rec.new_at_init_pair.throughput_mbps[i0], cfg) &&
+                 rec.new_at_init_pair.throughput_mbps[i0]) &&
       rec.new_at_init_pair.throughput_mbps[i0] >=
-          cfg.na_tput_fraction * rec.init_best.throughput_mbps[i0];
+          kNaTputFraction * rec.init_best.throughput_mbps[i0];
   gt.label3 = (rec.forced_na || still_working) ? Action::kNA : gt.label;
   return gt;
 }

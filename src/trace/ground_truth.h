@@ -25,21 +25,26 @@ namespace libra::trace {
 enum class Action { kRA, kBA, kNA };
 std::string to_string(Action a);
 
+// The working-MCS rule (Sec. 5.2): an MCS works when its CDR exceeds 10% and
+// its throughput exceeds 150 Mbps. Every labeler, RA walk, up-prober and
+// outage counter asks is_working(); a caller that sees only a frame's
+// goodput (an ACKed frame, no CDR) compares against kWorkingMinTputMbps.
+inline constexpr double kWorkingMinCdr = 0.10;
+inline constexpr double kWorkingMinTputMbps = 150.0;
+
+constexpr bool is_working(double cdr, double tput_mbps) {
+  return cdr > kWorkingMinCdr && tput_mbps > kWorkingMinTputMbps;
+}
+
+// The protocol parameterization a case is labeled under (the CLI's --alpha,
+// --fat and --ba). label_case() throws std::invalid_argument unless alpha is
+// in [0, 1], fat_ms is finite and > 0 and ba_overhead_ms is finite and >= 0.
 struct GroundTruthConfig {
   double alpha = 1.0;           // Sec. 5/6 use alpha=1 (throughput only)
   double fat_ms = 10.0;         // frame aggregation time (one RA probe)
   double ba_overhead_ms = 5.0;  // sector sweep duration
-  double min_tput_mbps = 150.0; // working-MCS rule
-  double min_cdr = 0.10;
-  // "No Adaptation" rule for the 3-class labels (Sec. 7): the current MCS on
-  // the current pair still works and retains at least this fraction of the
-  // pre-impairment throughput.
-  double na_tput_fraction = 0.90;
-  // Indifference band for the BA-vs-RA utility comparison: when the two
-  // utilities are within this margin, RA wins ("perform RA when
-  // Th(RA) >= Th(BA)", Sec. 5.2) -- it avoids the sweep overhead and keeps
-  // measurement noise from creating unlearnable coin-flip labels.
-  double tie_tolerance = 0.02;
+
+  bool operator==(const GroundTruthConfig&) const = default;
 };
 
 struct GroundTruth {
@@ -52,9 +57,6 @@ struct GroundTruth {
   double utility_ra = 0.0;
   double utility_ba = 0.0;
 };
-
-// True if the (cdr, throughput) pair satisfies the working-MCS rule.
-bool is_working(double cdr, double tput_mbps, const GroundTruthConfig& cfg);
 
 GroundTruth label_case(const CaseRecord& rec, const GroundTruthConfig& cfg);
 

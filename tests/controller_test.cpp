@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <functional>
-#include <initializer_list>
-#include <limits>
 #include <memory>
 
 #include "core/controller.h"
@@ -102,7 +99,7 @@ TEST(Trajectory, UnsortedWaypointsThrow) {
 // ---------- LinkController basics ----------
 
 TEST_F(LiveFixture, StartTrainsBeamsAndPicksWorkingMcs) {
-  core::RaFirstController ctrl(&link, &em, {});
+  core::RaFirstController ctrl(&link, &em);
   util::Rng rng(1);
   ctrl.start(rng);
   // Straight-ahead geometry: near-center beams, a working MCS.
@@ -141,7 +138,7 @@ sim::SessionScript scripted(double duration_ms, double block_from = 0.0,
 }
 
 TEST_F(LiveFixture, SteadyStateDelivers) {
-  core::RaFirstController ctrl(&link, &em, {});
+  core::RaFirstController ctrl(&link, &em);
   util::Rng rng(2);
   const auto r =
       sim::run_session(lobby, link, ctrl, scripted(frame_t(100)), rng, true);
@@ -150,17 +147,17 @@ TEST_F(LiveFixture, SteadyStateDelivers) {
 }
 
 TEST_F(LiveFixture, TimeAdvancesByFat) {
-  core::ControllerConfig cfg;
-  cfg.fat_ms = 2.0;
-  core::RaFirstController ctrl(&link, &em, cfg);
+  core::RaFirstController ctrl(&link, &em);
   util::Rng rng(3);
+  // Association ends at the sweep's kBaOverheadMs; one frame fits before
+  // the 6 ms script ends.
   const auto r = sim::run_session(lobby, link, ctrl, scripted(6.0), rng, true);
   ASSERT_EQ(r.frame_log.size(), 1u);
-  EXPECT_NEAR(ctrl.time_ms() - r.frame_log[0].t_ms, 2.0, 1e-9);
+  EXPECT_NEAR(ctrl.time_ms() - r.frame_log[0].t_ms, core::kFatMs, 1e-9);
 }
 
 TEST_F(LiveFixture, BlockageMakesRaFirstWalkDown) {
-  core::RaFirstController ctrl(&link, &em, {});
+  core::RaFirstController ctrl(&link, &em);
   util::Rng rng(4);
   // Partial blockage from frame 20 on: the initial MCS breaks but a lower
   // one still works.
@@ -180,7 +177,7 @@ TEST_F(LiveFixture, BlockageMakesRaFirstWalkDown) {
 }
 
 TEST_F(LiveFixture, HardBlockageMakesBaFirstSwitchBeams) {
-  core::BaFirstController ctrl(&link, &em, {});
+  core::BaFirstController ctrl(&link, &em);
   util::Rng rng(5);
   // Hard blockage from frame 10 to the end of the session.
   const auto r = sim::run_session(
@@ -205,7 +202,7 @@ TEST_F(LiveFixture, HardBlockageMakesBaFirstSwitchBeams) {
 }
 
 TEST_F(LiveFixture, RaFirstFallsBackToBaWhenNothingWorks) {
-  core::RaFirstController ctrl(&link, &em, {});
+  core::RaFirstController ctrl(&link, &em);
   util::Rng rng(6);
   // Full blockage from frame 10 on: no MCS works on the old pair;
   // Algorithm 1's RA walk must fall back to BA and recover via a reflection.
@@ -224,7 +221,7 @@ TEST_F(LiveFixture, RaFirstFallsBackToBaWhenNothingWorks) {
 }
 
 TEST_F(LiveFixture, UpProbingRecoversAfterBlockerLeaves) {
-  core::RaFirstController ctrl(&link, &em, {});
+  core::RaFirstController ctrl(&link, &em);
   util::Rng rng(7);
   // Partial blockage over frames [10, 90), then 400 clear frames.
   const auto r = sim::run_session(
@@ -239,106 +236,8 @@ TEST_F(LiveFixture, UpProbingRecoversAfterBlockerLeaves) {
   EXPECT_GE(ctrl.mcs(), healthy - 1);
 }
 
-TEST_F(LiveFixture, ConfigRejectsNonPositiveFat) {
-  core::ControllerConfig cfg;
-  cfg.fat_ms = 0.0;
-  EXPECT_THROW(core::RaFirstController(&link, &em, cfg),
-               std::invalid_argument);
-  cfg.fat_ms = -1.0;
-  EXPECT_THROW(core::RaFirstController(&link, &em, cfg),
-               std::invalid_argument);
-}
-
-// ControllerConfig is validated at construction, one field at a time:
-// every listed bad value throws and every listed good value (the range
-// boundaries) constructs.
-struct ControllerConfigValidation : LiveFixture {
-  void expect_range(
-      const std::function<void(core::ControllerConfig&, double)>& set_field,
-      std::initializer_list<double> bad, std::initializer_list<double> good) {
-    for (const double v : bad) {
-      core::ControllerConfig cfg;
-      set_field(cfg, v);
-      EXPECT_THROW(core::RaFirstController(&link, &em, cfg),
-                   std::invalid_argument)
-          << v;
-    }
-    for (const double v : good) {
-      core::ControllerConfig cfg;
-      set_field(cfg, v);
-      EXPECT_NO_THROW(core::RaFirstController(&link, &em, cfg)) << v;
-    }
-  }
-  static constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  static constexpr double kInf = std::numeric_limits<double>::infinity();
-};
-
-TEST_F(ControllerConfigValidation, DefaultConfigIsValid) {
-  EXPECT_NO_THROW(core::RaFirstController(&link, &em, {}));
-}
-
-TEST_F(ControllerConfigValidation, FatMs) {
-  expect_range([](core::ControllerConfig& c, double v) { c.fat_ms = v; },
-               {0.0, -1.0, kNan, kInf}, {2.0});
-}
-
-TEST_F(ControllerConfigValidation, BaOverheadMs) {
-  expect_range(
-      [](core::ControllerConfig& c, double v) { c.ba_overhead_ms = v; },
-      {-0.5, kNan, kInf}, {0.0, 250.0});
-}
-
-TEST_F(ControllerConfigValidation, DecisionPeriodFrames) {
-  expect_range(
-      [](core::ControllerConfig& c, double v) {
-        c.decision_period_frames = static_cast<int>(v);
-      },
-      {0, -2}, {1});
-}
-
-TEST_F(ControllerConfigValidation, MinTputMbps) {
-  expect_range(
-      [](core::ControllerConfig& c, double v) { c.min_tput_mbps = v; },
-      {-1.0, kNan, kInf}, {0.0});
-}
-
-TEST_F(ControllerConfigValidation, MinCdr) {
-  expect_range([](core::ControllerConfig& c, double v) { c.min_cdr = v; },
-               {-0.1, 1.5, kNan}, {0.0, 1.0});
-}
-
-TEST_F(ControllerConfigValidation, AckLossEwmaWeight) {
-  expect_range(
-      [](core::ControllerConfig& c, double v) { c.ack_loss_ewma_weight = v; },
-      {0.0, -0.3, 1.1, kNan}, {1.0});
-}
-
-TEST_F(ControllerConfigValidation, AckLossTrigger) {
-  expect_range(
-      [](core::ControllerConfig& c, double v) { c.ack_loss_trigger = v; },
-      {0.0, 1.01, kNan}, {1.0});
-}
-
-TEST_F(ControllerConfigValidation, PostAdaptHoldoffFrames) {
-  expect_range(
-      [](core::ControllerConfig& c, double v) {
-        c.post_adapt_holdoff_frames = static_cast<int>(v);
-      },
-      {-1}, {0});
-}
-
-// The up-prober config is checked by UpProber (core_test) and reaches the
-// controller through its member.
-TEST_F(ControllerConfigValidation, UpProberConfig) {
-  expect_range(
-      [](core::ControllerConfig& c, double v) {
-        c.up_prober.t0_frames = static_cast<int>(v);
-      },
-      {0, -5}, {1});
-}
-
 TEST_F(LiveFixture, WalkFramesCarryNoDecision) {
-  core::RaFirstController ctrl(&link, &em, {});
+  core::RaFirstController ctrl(&link, &em);
   util::Rng rng(22);
   ctrl.start(rng);
   // Full blockage forces the RA walk; while walking, observe() must mark
@@ -364,7 +263,7 @@ TEST_F(LiveFixture, LibraControllerNeedsClassifier) {
 }
 
 TEST_F(LiveFixture, LibraControllerRunsAndAdapts) {
-  core::LibraController ctrl(&link, &em, &test_classifier(), {});
+  core::LibraController ctrl(&link, &em, &test_classifier());
   util::Rng rng(8);
   // Hard blockage from frame 20 to the end of the session.
   const auto r = sim::run_session(
@@ -389,7 +288,7 @@ TEST_F(LiveFixture, LibraControllerRunsAndAdapts) {
 // ---------- sessions ----------
 
 TEST_F(LiveFixture, StaticSessionStaysUp) {
-  core::RaFirstController ctrl(&link, &em, {});
+  core::RaFirstController ctrl(&link, &em);
   sim::SessionScript script;
   script.duration_ms = 3000.0;
   script.rx_trajectory = sim::Trajectory::stationary({10, 6}, 180.0);
@@ -401,7 +300,7 @@ TEST_F(LiveFixture, StaticSessionStaysUp) {
 }
 
 TEST_F(LiveFixture, BlockageEpisodeCausesOneOutageWindow) {
-  core::BaFirstController ctrl(&link, &em, {});
+  core::BaFirstController ctrl(&link, &em);
   sim::SessionScript script;
   script.duration_ms = 5000.0;
   script.rx_trajectory = sim::Trajectory::stationary({10, 6}, 180.0);
@@ -415,7 +314,7 @@ TEST_F(LiveFixture, BlockageEpisodeCausesOneOutageWindow) {
 }
 
 TEST_F(LiveFixture, InterferenceEpisodeAppliesAndClears) {
-  core::RaFirstController ctrl(&link, &em, {});
+  core::RaFirstController ctrl(&link, &em);
   sim::SessionScript script;
   script.duration_ms = 3000.0;
   script.rx_trajectory = sim::Trajectory::stationary({10, 6}, 180.0);
@@ -442,7 +341,7 @@ TEST_F(LiveFixture, InterferenceEpisodeAppliesAndClears) {
 }
 
 TEST_F(LiveFixture, WalkSessionKeepsLinkAlive) {
-  core::LibraController ctrl(&link, &em, &test_classifier(), {});
+  core::LibraController ctrl(&link, &em, &test_classifier());
   sim::SessionScript script;
   script.duration_ms = 8000.0;
   script.rx_trajectory = sim::Trajectory::walk(
@@ -454,7 +353,7 @@ TEST_F(LiveFixture, WalkSessionKeepsLinkAlive) {
 }
 
 TEST_F(LiveFixture, SessionRejectsNonPositiveDuration) {
-  core::RaFirstController ctrl(&link, &em, {});
+  core::RaFirstController ctrl(&link, &em);
   sim::SessionScript script;
   script.duration_ms = 0.0;
   util::Rng rng(14);
@@ -466,7 +365,7 @@ TEST_F(LiveFixture, SessionRejectsNonPositiveDuration) {
 }
 
 TEST_F(LiveFixture, SessionFrameLogOnlyWhenRequested) {
-  core::RaFirstController ctrl(&link, &em, {});
+  core::RaFirstController ctrl(&link, &em);
   sim::SessionScript script;
   script.duration_ms = 500.0;
   script.rx_trajectory = sim::Trajectory::stationary({10, 6}, 180.0);

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/classifier.h"
 #include "core/cots_device.h"
 #include "core/rate_adaptation.h"
 #include "core/strategy.h"
+#include "core/trainer.h"
 #include "env/registry.h"
 #include "test_helpers.h"
 
@@ -20,7 +25,7 @@ using libra::testing::make_trace;
 
 TEST(RaRepairWalk, DescendsToHighestWorking) {
   const trace::PairTrace t = make_trace(4);
-  const RaWalk walk = ra_repair_walk(t, 7, {});
+  const RaWalk walk = ra_repair_walk(t, 7);
   EXPECT_EQ(walk.settled, 4);
   // Probes 7, 6, 5 fail; probe 4 is the first working one.
   EXPECT_EQ(walk.first_working_probe, 3);
@@ -31,7 +36,7 @@ TEST(RaRepairWalk, DescendsToHighestWorking) {
 
 TEST(RaRepairWalk, StartAtWorkingMcsIsImmediate) {
   const trace::PairTrace t = make_trace(6);
-  const RaWalk walk = ra_repair_walk(t, 6, {});
+  const RaWalk walk = ra_repair_walk(t, 6);
   EXPECT_EQ(walk.settled, 6);
   EXPECT_EQ(walk.first_working_probe, 0);
 }
@@ -40,14 +45,14 @@ TEST(RaRepairWalk, StopsDescendingAfterThroughputDrop) {
   // All MCSs work: the walk probes the start MCS and the one below (which
   // delivers less), then stops -- it does not scan to MCS 0.
   const trace::PairTrace t = make_trace(8);
-  const RaWalk walk = ra_repair_walk(t, 8, {});
+  const RaWalk walk = ra_repair_walk(t, 8);
   EXPECT_EQ(walk.settled, 8);
   EXPECT_LE(walk.probes.size(), 2u);
 }
 
 TEST(RaRepairWalk, NothingWorks) {
   const trace::PairTrace t = make_trace(-1);
-  const RaWalk walk = ra_repair_walk(t, 5, {});
+  const RaWalk walk = ra_repair_walk(t, 5);
   EXPECT_EQ(walk.settled, -1);
   EXPECT_EQ(walk.first_working_probe, -1);
   EXPECT_EQ(walk.probes.size(), 6u);  // probed 5..0
@@ -55,7 +60,7 @@ TEST(RaRepairWalk, NothingWorks) {
 
 TEST(RaRepairWalk, FromMcsZero) {
   const trace::PairTrace t = make_trace(0);
-  const RaWalk walk = ra_repair_walk(t, 0, {});
+  const RaWalk walk = ra_repair_walk(t, 0);
   EXPECT_EQ(walk.settled, 0);
   EXPECT_EQ(walk.probes.size(), 1u);
 }
@@ -65,29 +70,26 @@ TEST(RaRepairWalk, FromMcsZero) {
 TEST(UpProber, ClimbsToBestMcs) {
   const trace::PairTrace t = make_trace(6);
   UpProber prober(2);
-  trace::GroundTruthConfig rule;
   // Enough frames for four climbs at T0 = 5.
-  for (int i = 0; i < 60; ++i) prober.on_frame(t, rule);
+  for (int i = 0; i < 60; ++i) prober.on_frame(t);
   EXPECT_EQ(prober.current(), 6);
 }
 
 TEST(UpProber, DoesNotExceedWorkingCeiling) {
   const trace::PairTrace t = make_trace(4);
   UpProber prober(4);
-  trace::GroundTruthConfig rule;
-  for (int i = 0; i < 300; ++i) prober.on_frame(t, rule);
+  for (int i = 0; i < 300; ++i) prober.on_frame(t);
   EXPECT_EQ(prober.current(), 4);
 }
 
 TEST(UpProber, BacksOffExponentially) {
   const trace::PairTrace t = make_trace(4);
   UpProber prober(4);
-  trace::GroundTruthConfig rule;
   // First failed probe happens at frame 5; with backoff the second probe
   // comes 10 frames later, the third 20 frames after that.
   std::vector<int> probe_frames;
   for (int i = 0; i < 120; ++i) {
-    const phy::McsIndex m = prober.on_frame(t, rule);
+    const phy::McsIndex m = prober.on_frame(t);
     if (m == 5) probe_frames.push_back(i);
   }
   ASSERT_GE(probe_frames.size(), 3u);
@@ -101,112 +103,92 @@ TEST(UpProber, HoldsWhenCdrUnhealthy) {
   trace::PairTrace t = make_trace(6);
   t.cdr[4] = 0.5;  // current MCS lossy: never probe upward from here
   UpProber prober(4);
-  trace::GroundTruthConfig rule;
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(prober.on_frame(t, rule), 4);
+    EXPECT_EQ(prober.on_frame(t), 4);
   }
 }
 
 TEST(UpProber, AtMaxMcsStaysPut) {
   const trace::PairTrace t = make_trace(8);
   UpProber prober(8);
-  trace::GroundTruthConfig rule;
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(prober.on_frame(t, rule), 8);
+    EXPECT_EQ(prober.on_frame(t), 8);
   }
 }
 
 TEST(UpProber, ResetRestoresState) {
   const trace::PairTrace t = make_trace(8);
   UpProber prober(2);
-  trace::GroundTruthConfig rule;
-  for (int i = 0; i < 30; ++i) prober.on_frame(t, rule);
+  for (int i = 0; i < 30; ++i) prober.on_frame(t);
   prober.reset(1);
   EXPECT_EQ(prober.current(), 1);
 }
 
-// ---------- RRAA CDR_ORI threshold ----------
+// ---------- the working-MCS rule ----------
 
-TEST(CdrOri, TighterAtBigRateJumps) {
-  const phy::McsTable t;
-  // MCS 1 -> 2 doubles the rate (385 -> 770): large tolerable loss, low
-  // gate. MCS 5 -> 6 gains only 20%: tight gate.
-  EXPECT_LT(cdr_ori(t, 1), cdr_ori(t, 5));
-  for (phy::McsIndex m = 0; m < t.max_mcs(); ++m) {
-    EXPECT_GT(cdr_ori(t, m), 0.5);
-    EXPECT_LT(cdr_ori(t, m), 1.0);
+// (throughput, CDR) pairs on, just below and just above both thresholds,
+// plus uniform draws around them.
+std::vector<std::pair<double, double>> working_rule_pairs() {
+  const double tput = trace::kWorkingMinTputMbps;
+  const double cdr = trace::kWorkingMinCdr;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<double, double>> pairs;
+  for (const double t : {0.0, std::nextafter(tput, 0.0), tput,
+                         std::nextafter(tput, inf), 151.0, 4000.0}) {
+    for (const double c :
+         {0.0, std::nextafter(cdr, 0.0), cdr, std::nextafter(cdr, 1.0), 0.5,
+          1.0}) {
+      pairs.emplace_back(t, c);
+    }
+  }
+  util::Rng rng(24);
+  for (int i = 0; i < 200; ++i) {
+    pairs.emplace_back(rng.uniform(tput - 10.0, tput + 10.0),
+                       rng.uniform(cdr - 0.05, cdr + 0.05));
+  }
+  return pairs;
+}
+
+// Every caller of the working-MCS rule agrees with trace::is_working, at the
+// boundary too: neither exactly 150 Mbps nor a CDR of exactly 10% works.
+TEST(WorkingRule, BestMcsWalkAndHindsightAgreeWithIsWorking) {
+  for (const auto& [tput, cdr] : working_rule_pairs()) {
+    SCOPED_TRACE("tput " + std::to_string(tput) + " cdr " +
+                 std::to_string(cdr));
+    const bool working = trace::is_working(cdr, tput);
+    // MCS 0 carries the pair; MCS 1 delivers more but never works, so
+    // best_mcs() picks 0 exactly when the pair works (else the argmax, 1).
+    trace::PairTrace t;
+    t.throughput_mbps = {tput, tput + 1000.0};
+    t.cdr = {cdr, 0.0};
+    EXPECT_EQ(t.best_mcs() == 0, working);
+    const RaWalk walk = ra_repair_walk(t, 0);
+    EXPECT_EQ(walk.settled == 0, working);
+    EXPECT_EQ(walk.first_working_probe == 0, working);
+    // Hindsight sees an ACKed frame's goodput, not its CDR: with the CDR
+    // arm met, a served No-Adaptation verdict stands exactly when the pair
+    // works.
+    if (cdr > trace::kWorkingMinCdr) {
+      FrameReport next;
+      next.ack = true;
+      next.goodput_mbps = tput;
+      next.mcs = 7;
+      EXPECT_EQ(hindsight_label(trace::Action::kNA, next) == trace::Action::kNA,
+                working);
+    }
   }
 }
 
-TEST(CdrOri, TopMcsNeverProbes) {
-  const phy::McsTable t;
-  EXPECT_DOUBLE_EQ(cdr_ori(t, t.max_mcs()), 1.0);
-}
-
-TEST(CdrOri, MatchesClosedForm) {
-  const phy::McsTable t;
-  // cdr_ori(m) = 1 - (1 - rate(m)/rate(m+1)) / 2.
-  const double expected = 1.0 - (1.0 - 300.0 / 385.0) / 2.0;
-  EXPECT_NEAR(cdr_ori(t, 0), expected, 1e-12);
-}
-
-TEST(UpProber, RraaGateUsedWhenTableSet) {
-  const phy::McsTable table;
-  trace::PairTrace t = make_trace(6);
-  // The RRAA gate for the 1->2 jump (rate doubles) is 0.75 -- far looser
-  // than the fixed 0.9 default. A CDR of 0.8 clears the RRAA gate but not
-  // the fixed one; with the table set the prober must probe.
-  t.cdr[1] = 0.80;
-  UpProberConfig cfg;
-  cfg.table = &table;
-  UpProber prober(1, cfg);
-  trace::GroundTruthConfig rule;
-  bool probed = false;
-  for (int i = 0; i < 10; ++i) probed |= prober.on_frame(t, rule) == 2;
-  EXPECT_TRUE(probed);
-}
-
-// UpProberConfig is validated at construction, one field at a time. The
-// backoff interval is t0_frames * 2^k for k up to max_backoff_exponent, so
-// the exponent must keep the shift defined and the product in int range.
-TEST(UpProber, T0FramesMustBePositive) {
-  for (const int bad : {0, -1, -5}) {
-    UpProberConfig cfg;
-    cfg.t0_frames = bad;
-    EXPECT_THROW(UpProber(2, cfg), std::invalid_argument) << bad;
-  }
-}
-
-TEST(UpProber, BackoffExponentMustKeepTheIntervalInRange) {
-  for (const int bad : {-1, 31, 32, 64}) {
-    UpProberConfig cfg;
-    cfg.max_backoff_exponent = bad;
-    EXPECT_THROW(UpProber(2, cfg), std::invalid_argument) << bad;
-  }
-  UpProberConfig overflow;  // 5 * 2^30 > INT_MAX
-  overflow.max_backoff_exponent = 30;
-  EXPECT_THROW(UpProber(2, overflow), std::invalid_argument);
-  UpProberConfig edge;  // 1 * 2^30 fits
-  edge.t0_frames = 1;
-  edge.max_backoff_exponent = 30;
-  EXPECT_NO_THROW(UpProber(2, edge));
-  UpProberConfig none;  // no backoff at all
-  none.max_backoff_exponent = 0;
-  EXPECT_NO_THROW(UpProber(2, none));
-}
-
-TEST(UpProber, MinCdrForProbeMustBeAFraction) {
-  for (const double bad :
-       {-0.1, 1.1, std::numeric_limits<double>::quiet_NaN()}) {
-    UpProberConfig cfg;
-    cfg.min_cdr_for_probe = bad;
-    EXPECT_THROW(UpProber(2, cfg), std::invalid_argument) << bad;
-  }
-  for (const double good : {0.0, 1.0}) {
-    UpProberConfig cfg;
-    cfg.min_cdr_for_probe = good;
-    EXPECT_NO_THROW(UpProber(2, cfg)) << good;
-  }
+TEST(WorkingRule, ExactlyAtTheThresholdsDoesNotWork) {
+  EXPECT_FALSE(trace::is_working(0.5, trace::kWorkingMinTputMbps));
+  EXPECT_FALSE(trace::is_working(trace::kWorkingMinCdr, 500.0));
+  EXPECT_TRUE(trace::is_working(0.5, 151.0));
+  FrameReport at_threshold;
+  at_threshold.ack = true;
+  at_threshold.goodput_mbps = trace::kWorkingMinTputMbps;
+  at_threshold.mcs = 7;
+  EXPECT_EQ(hindsight_label(trace::Action::kNA, at_threshold),
+            trace::Action::kRA);
 }
 
 // ---------- LiBRA classifier ----------

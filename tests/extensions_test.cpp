@@ -1,12 +1,10 @@
-// Tests for the framework extensions: codeword-level frame transmission,
-// dataset persistence, and online training.
+// Tests for the framework extensions: dataset persistence and online
+// training.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "core/online.h"
-#include "env/registry.h"
-#include "phy/frame_tx.h"
 #include "test_helpers.h"
 #include "ml/model_io.h"
 #include "trace/io.h"
@@ -15,83 +13,6 @@ namespace libra {
 namespace {
 
 using libra::testing::make_record;
-
-// ---------- FrameTransmitter ----------
-
-struct FrameTxFixture : ::testing::Test {
-  FrameTxFixture()
-      : em(&table),
-        box("box", env::rectangle_walls(20, 10, 8, 8, 8, 8)),
-        tx({2, 5}, 0.0, &codebook),
-        rx({10, 5}, 180.0, &codebook),
-        link(&box, &tx, &rx),
-        frame_tx(&em) {}
-
-  phy::McsTable table;
-  phy::ErrorModel em;
-  array::Codebook codebook;
-  env::Environment box;
-  array::PhasedArray tx;
-  array::PhasedArray rx;
-  channel::Link link;
-  phy::FrameTransmitter frame_tx;
-};
-
-TEST_F(FrameTxFixture, HealthyLinkDeliversNearlyEverything) {
-  util::Rng rng(1);
-  const phy::FrameResult r = frame_tx.transmit(link, 12, 12, 2, rng);
-  EXPECT_EQ(r.codewords_sent, 9200);
-  EXPECT_GT(r.empirical_cdr, 0.99);
-  EXPECT_TRUE(r.block_ack);
-  EXPECT_EQ(r.jammed_slots, 0);
-  EXPECT_EQ(r.per_slot_delivered.size(), 100u);
-}
-
-TEST_F(FrameTxFixture, DeadMcsDeliversNothing) {
-  util::Rng rng(2);
-  // Beam 0 points 60 degrees off: the SNR cannot support MCS 8.
-  const phy::FrameResult r = frame_tx.transmit(link, 0, 0, 8, rng);
-  EXPECT_LT(r.empirical_cdr, 0.01);
-  EXPECT_FALSE(r.block_ack);
-}
-
-TEST_F(FrameTxFixture, EmpiricalCdrMatchesExpectedCdr) {
-  util::Rng rng(3);
-  // Pick an MCS near the waterfall so the CDR is fractional.
-  const double snr = link.snr_db(12, 12);
-  const phy::McsIndex m = table.highest_supported(snr - 0.3);
-  util::RunningStats stats;
-  for (int i = 0; i < 50; ++i) {
-    stats.add(frame_tx.transmit(link, 12, 12, m, rng).empirical_cdr);
-  }
-  EXPECT_NEAR(stats.mean(), em.expected_cdr(m, snr), 0.05);
-}
-
-TEST_F(FrameTxFixture, PayloadBytesConsistent) {
-  util::Rng rng(4);
-  const phy::FrameResult r = frame_tx.transmit(link, 12, 12, 3, rng);
-  EXPECT_NEAR(r.payload_bytes,
-              r.codewords_delivered * table.entry(3).codeword_bytes *
-                  em.config().framing_efficiency,
-              1.0);
-}
-
-TEST_F(FrameTxFixture, BurstJamsContiguousSlots) {
-  util::Rng rng(5);
-  link.set_interferer(channel::Interferer{{10, 1}, 60.0, 0.4});
-  const phy::FrameResult r = frame_tx.transmit(link, 12, 12, 2, rng);
-  EXPECT_EQ(r.jammed_slots, 40);
-  // CDR roughly (1 - duty) when bursts are destructive.
-  EXPECT_NEAR(r.empirical_cdr, 0.6, 0.08);
-  // Jammed slots deliver ~0, clear slots deliver ~92.
-  int dead_slots = 0;
-  for (int d : r.per_slot_delivered) dead_slots += d < 10;
-  EXPECT_NEAR(dead_slots, 40, 5);
-}
-
-TEST_F(FrameTxFixture, NullErrorModelThrows) {
-  EXPECT_THROW(phy::FrameTransmitter(nullptr), std::invalid_argument);
-}
 
 // ---------- dataset IO ----------
 

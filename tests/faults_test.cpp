@@ -105,7 +105,7 @@ struct Station {
           &link, &shared_error_model(), clf);
     } else {
       controller = std::make_unique<core::RaFirstController>(
-          &link, &shared_error_model(), core::ControllerConfig{});
+          &link, &shared_error_model());
     }
   }
 };
@@ -453,9 +453,7 @@ TEST(FaultsValidation, HelpersPoisonAndTruncateObservations) {
 class PlanProbe : public core::LibraController {
  public:
   using core::LibraController::LibraController;
-  void plan_request(core::DecisionRequest& request, util::Rng& rng) {
-    plan_frame(request, rng);
-  }
+  void plan_request(core::DecisionRequest& request) { plan_frame(request); }
   trace::FeatureVector features(const phy::PhyObservation& obs) const {
     return features_against_baseline(obs);
   }
@@ -469,13 +467,18 @@ struct PlanProbeWorld {
   channel::Link link{&env, &ap, &client};
   phy::PhySampler sampler{&shared_error_model()};
 
+  // Started, and one off-period frame (a usable default observation) into
+  // the kDecisionPeriodFrames = 2 cadence, so the next planned frame decides.
   std::unique_ptr<PlanProbe> started_controller() {
-    core::ControllerConfig cfg;
-    cfg.decision_period_frames = 1;  // every planned frame decides
+    static_assert(core::kDecisionPeriodFrames == 2);
     auto c = std::make_unique<PlanProbe>(&link, &shared_error_model(),
-                                         &shared_classifier(), cfg);
+                                         &shared_classifier());
     util::Rng rng(5);
     c->start(rng);
+    core::DecisionRequest off_period;
+    c->plan_request(off_period);
+    EXPECT_FALSE(off_period.needs_inference());
+    EXPECT_FALSE(off_period.hold_last_mcs);
     return c;
   }
 };
@@ -537,8 +540,8 @@ TEST(FaultsDeferredPhy, MutatedDeferredObservationPlansLikeEager) {
           deferred.obs = deferred_prev;
           break;
       }
-      eager_ctl->plan_request(eager, eager_rng);
-      deferred_ctl->plan_request(deferred, deferred_rng);
+      eager_ctl->plan_request(eager);
+      deferred_ctl->plan_request(deferred);
 
       EXPECT_EQ(deferred.hold_last_mcs, eager.hold_last_mcs);
       EXPECT_EQ(deferred.precomputed, eager.precomputed);
@@ -591,14 +594,25 @@ class BaselineProbe : public core::LibraController {
 // a blockage episode, a walk that re-traces every frame, fading, and the
 // demo fault plan, so the RA walk rebaselines several times mid-run.
 struct BaselineWorld {
-  explicit BaselineWorld(core::ControllerConfig cfg = {})
-      : ctl(&link, &shared_error_model(), &shared_classifier(), cfg),
-        injector(&plan(), util::Rng(plan().seed).fork()),
+  explicit BaselineWorld(const faults::FaultPlan& faults = plan())
+      : ctl(&link, &shared_error_model(), &shared_classifier()),
+        injector(&faults, util::Rng(faults.seed).fork()),
         driver(env, link, ctl, script(), false) {
     ctl.set_fault_injector(&injector);
   }
   static const faults::FaultPlan& plan() {
     static const faults::FaultPlan p = faults::demo_plan(21);
+    return p;
+  }
+  // The demo plan plus a classifier outage for the whole session: every
+  // decision-due frame degrades to the missing-ACK rule, so no classifier
+  // decision is ever due. A 100% window consumes no fault draws.
+  static const faults::FaultPlan& outage_plan() {
+    static const faults::FaultPlan p = [] {
+      faults::FaultPlan out = faults::demo_plan(21);
+      out.add(faults::FaultKind::kClassifierOutage, 1.0);
+      return out;
+    }();
     return p;
   }
   static const sim::SessionScript& script() {
@@ -630,9 +644,7 @@ struct BaselineWorld {
 // start() and the walk's rebaseline leave the baseline pending; a
 // controller that never reaches a decision frame never pays for it.
 TEST(LazyBaseline, PendingUntilADecisionFrameReadsIt) {
-  core::ControllerConfig cfg;
-  cfg.decision_period_frames = 1000000;  // no classifier decision is due
-  BaselineWorld world(cfg);
+  BaselineWorld world(BaselineWorld::outage_plan());
   util::Rng rng(3);
   world.driver.start(rng);
   EXPECT_TRUE(world.ctl.baseline_pending());

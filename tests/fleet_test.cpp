@@ -92,7 +92,7 @@ struct Station {
           &link, &shared_error_model(), clf);
     } else {
       controller = std::make_unique<core::RaFirstController>(
-          &link, &shared_error_model(), core::ControllerConfig{});
+          &link, &shared_error_model());
     }
   }
 };

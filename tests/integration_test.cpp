@@ -117,7 +117,6 @@ TEST(Integration, LibraTracksOracleOnBytes) {
   sim::EventParams ep;
   ep.fat_ms = 2.0;
   ep.ba_overhead_ms = 5.0;
-  ep.rule = gt;
 
   double oracle = 0.0, libra = 0.0, ra_first = 0.0;
   for (const auto& rec : p.testing.records) {
@@ -142,7 +141,6 @@ TEST(Integration, BaFirstDelayExplodesAtHighOverhead) {
   const sim::EventSimulator simulator(&clf);
   sim::EventParams ep;
   ep.ba_overhead_ms = 250.0;
-  ep.rule = gt;
 
   double ba_first_delay = 0.0, libra_delay = 0.0;
   int broken = 0;
@@ -165,7 +163,6 @@ TEST(Integration, EvaluationIsDeterministic) {
   trace::GroundTruthConfig gt;
   const sim::EventSimulator simulator;
   sim::EventParams ep;
-  ep.rule = gt;
   const auto& rec = p.testing.records.front();
   util::Rng rng1(9), rng2(9);
   const auto a = simulator.run(rec, core::Strategy::kRaFirst, ep, rng1);
@@ -199,7 +196,6 @@ TEST(Integration, TimelineEvaluationRuns) {
   clf.train(p.training, gt, rng);
   const sim::EventSimulator simulator(&clf);
   sim::EventParams ep;
-  ep.rule = gt;
   const sim::RecordPools pools = sim::RecordPools::from_dataset(p.testing);
   for (sim::ScenarioType type : sim::kAllScenarioTypes) {
     util::Rng tl_rng(100);

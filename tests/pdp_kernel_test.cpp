@@ -340,7 +340,7 @@ class FeatureProbe : public core::LinkController {
   }
 
  protected:
-  void plan(core::DecisionRequest&, util::Rng&) override {}
+  void plan(core::DecisionRequest&) override {}
 };
 
 struct KernelWorld {
@@ -351,7 +351,7 @@ struct KernelWorld {
   array::PhasedArray tx{{2, 6}, 0.0, &codebook};
   array::PhasedArray rx{{10, 6}, 180.0, &codebook};
   channel::Link link{&environment, &tx, &rx};
-  FeatureProbe probe{&link, &em, core::ControllerConfig{}};
+  FeatureProbe probe{&link, &em};
 
   static phy::PhySampler sampler(const phy::ErrorModel& em, int num_taps) {
     phy::SamplerConfig cfg;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <limits>
+#include <stdexcept>
+
 #include "phy/error_model.h"
 #include "test_helpers.h"
 #include "trace/dataset.h"
@@ -125,14 +129,14 @@ TEST(Scenario, ToStringNames) {
 
 TEST(PairTrace, BestMcsIsHighestThroughputWorking) {
   const PairTrace t = make_trace(5);
-  EXPECT_EQ(t.best_mcs(150.0, 0.10), 5);
+  EXPECT_EQ(t.best_mcs(), 5);
 }
 
 TEST(PairTrace, BestMcsFallsBackWhenNothingWorks) {
   PairTrace t = make_trace(-1);
   t.throughput_mbps[2] = 10.0;  // best raw throughput but not "working"
   t.cdr[2] = 0.05;
-  EXPECT_EQ(t.best_mcs(150.0, 0.10), 2);
+  EXPECT_EQ(t.best_mcs(), 2);
 }
 
 // ---------- ground truth ----------
@@ -242,10 +246,48 @@ TEST(GroundTruth, ForcedNaOverrides) {
 }
 
 TEST(GroundTruth, IsWorkingRule) {
-  GroundTruthConfig cfg;
-  EXPECT_TRUE(is_working(0.5, 500.0, cfg));
-  EXPECT_FALSE(is_working(0.05, 500.0, cfg));  // CDR too low
-  EXPECT_FALSE(is_working(0.5, 100.0, cfg));   // throughput too low
+  EXPECT_TRUE(is_working(0.5, 500.0));
+  EXPECT_FALSE(is_working(0.05, 500.0));  // CDR too low
+  EXPECT_FALSE(is_working(0.5, 100.0));   // throughput too low
+}
+
+// label_case() validates its parameterization, one field at a time: every
+// listed bad value throws and every listed good value (the range
+// boundaries) labels.
+void expect_config_range(void (*set_field)(GroundTruthConfig&, double),
+                         std::initializer_list<double> bad,
+                         std::initializer_list<double> good) {
+  const CaseRecord rec = make_record(6, 4, 6);
+  for (const double v : bad) {
+    GroundTruthConfig cfg;
+    set_field(cfg, v);
+    EXPECT_THROW(label_case(rec, cfg), std::invalid_argument) << v;
+  }
+  for (const double v : good) {
+    GroundTruthConfig cfg;
+    set_field(cfg, v);
+    EXPECT_NO_THROW(label_case(rec, cfg)) << v;
+  }
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(GroundTruthConfigValidation, Alpha) {
+  expect_config_range([](GroundTruthConfig& c, double v) { c.alpha = v; },
+                      {-0.1, 1.1, kNan}, {0.0, 1.0});
+}
+
+TEST(GroundTruthConfigValidation, FatMs) {
+  // --fat 0 --ba 0 would make Dmax 0 and every utility NaN.
+  expect_config_range([](GroundTruthConfig& c, double v) { c.fat_ms = v; },
+                      {0.0, -10.0, kNan, kInf}, {2.0});
+}
+
+TEST(GroundTruthConfigValidation, BaOverheadMs) {
+  expect_config_range(
+      [](GroundTruthConfig& c, double v) { c.ba_overhead_ms = v; },
+      {-0.5, kNan, kInf}, {0.0, 250.0});
 }
 
 TEST(GroundTruth, ActionToString) {

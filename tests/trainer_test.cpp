@@ -213,16 +213,6 @@ TEST(TrainerConfig, ClassifierConfigValidatedAtConstruction) {
     cfg.min_confidence = std::numeric_limits<double>::infinity();
     EXPECT_THROW(core::LibraClassifier{cfg}, std::invalid_argument);
   }
-  {
-    core::LibraClassifierConfig cfg;
-    cfg.window_snr_jitter_db = -1.0;
-    EXPECT_THROW(core::LibraClassifier{cfg}, std::invalid_argument);
-  }
-  {
-    core::LibraClassifierConfig cfg;
-    cfg.window_cdr_jitter = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(core::LibraClassifier{cfg}, std::invalid_argument);
-  }
 }
 
 TEST(TrainerConfig, TrainLabeledRejectsBadRows) {
@@ -243,16 +233,16 @@ TEST(TrainerConfig, TrainLabeledRejectsBadRows) {
 // ---------- hindsight labeling ----------
 
 TEST(Hindsight, LabelRules) {
-  core::HindsightConfig cfg;  // min_tput 150, ba threshold at MCS 6
+  // Working above 150 Mbps; a failed NA escalates to BA below MCS 6.
   core::FrameReport good;
   good.ack = true;
   good.goodput_mbps = 200.0;
   // Working link: whatever was served was right.
-  EXPECT_EQ(core::hindsight_label(trace::Action::kBA, good, cfg),
+  EXPECT_EQ(core::hindsight_label(trace::Action::kBA, good),
             trace::Action::kBA);
-  EXPECT_EQ(core::hindsight_label(trace::Action::kRA, good, cfg),
+  EXPECT_EQ(core::hindsight_label(trace::Action::kRA, good),
             trace::Action::kRA);
-  EXPECT_EQ(core::hindsight_label(trace::Action::kNA, good, cfg),
+  EXPECT_EQ(core::hindsight_label(trace::Action::kNA, good),
             trace::Action::kNA);
 
   // A NACK fails regardless of goodput; a low-goodput ACK fails too.
@@ -261,24 +251,24 @@ TEST(Hindsight, LabelRules) {
   core::FrameReport slow = good;
   slow.goodput_mbps = 10.0;
   for (const core::FrameReport& next : {nack, slow}) {
-    EXPECT_EQ(core::hindsight_label(trace::Action::kBA, next, cfg),
+    EXPECT_EQ(core::hindsight_label(trace::Action::kBA, next),
               trace::Action::kRA);
-    EXPECT_EQ(core::hindsight_label(trace::Action::kRA, next, cfg),
+    EXPECT_EQ(core::hindsight_label(trace::Action::kRA, next),
               trace::Action::kBA);
   }
 
   // A failed No-Adaptation escalates by the missing-ACK rule's shape.
   core::FrameReport low_mcs = nack;
   low_mcs.mcs = 3;
-  EXPECT_EQ(core::hindsight_label(trace::Action::kNA, low_mcs, cfg),
+  EXPECT_EQ(core::hindsight_label(trace::Action::kNA, low_mcs),
             trace::Action::kBA);
   core::FrameReport high_mcs = nack;
   high_mcs.mcs = 9;
-  EXPECT_EQ(core::hindsight_label(trace::Action::kNA, high_mcs, cfg),
+  EXPECT_EQ(core::hindsight_label(trace::Action::kNA, high_mcs),
             trace::Action::kRA);
 
   EXPECT_THROW(
-      core::hindsight_label(static_cast<trace::Action>(17), good, cfg),
+      core::hindsight_label(static_cast<trace::Action>(17), good),
       std::invalid_argument);
 }
 
@@ -922,7 +912,7 @@ struct Station {
           &link, &shared_error_model(), clf);
     } else {
       controller = std::make_unique<core::RaFirstController>(
-          &link, &shared_error_model(), core::ControllerConfig{});
+          &link, &shared_error_model());
     }
   }
 };

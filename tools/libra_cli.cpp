@@ -361,12 +361,11 @@ int cmd_simulate(const Args& args) {
   }
   const trace::Dataset train = trace::load_dataset_file(args.positional[0]);
   const trace::Dataset eval = trace::load_dataset_file(args.positional[1]);
-  trace::GroundTruthConfig gt = ground_truth_from(args);
+  const trace::GroundTruthConfig gt = ground_truth_from(args);
   sim::EventParams params;
   params.ba_overhead_ms = gt.ba_overhead_ms;
   params.fat_ms = gt.fat_ms;
   params.flow_ms = args.number("flow", 1000.0);
-  params.rule = gt;
 
   util::Rng rng(seed_arg(args, "seed"));
   core::LibraClassifier classifier;
