@@ -962,6 +962,26 @@ void BM_PearsonSimilarity(benchmark::State& state) {
 }
 BENCHMARK(BM_PearsonSimilarity);
 
+// One dataset case's collection (Sec. 5.1): three exhaustive sweeps and
+// five 9-MCS pair traces, of which only MCS 0's observation carries a PDP.
+// The case is the training set's first; each iteration forks a fresh
+// stream, as collect_dataset does per case.
+void BM_CollectCase(benchmark::State& state) {
+  phy::McsTable table;
+  const phy::ErrorModel em(&table);
+  const trace::TraceCollector collector(&em);
+  trace::ScenarioSet set = trace::training_scenarios();
+  const trace::Case& c = set.cases.front();
+  env::Environment& environment =
+      set.environments[static_cast<std::size_t>(c.env_index)];
+  util::Rng rng(1);
+  for (auto _ : state) {
+    util::Rng case_rng = rng.fork();
+    benchmark::DoNotOptimize(collector.collect(environment, c, case_rng));
+  }
+}
+BENCHMARK(BM_CollectCase)->Unit(benchmark::kMicrosecond);
+
 void BM_SimulatedEvent(benchmark::State& state) {
   auto& f = Fixture::get();
   const sim::EventSimulator simulator(&f.classifier);

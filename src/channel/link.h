@@ -127,17 +127,15 @@ class Link {
   };
 
   // SINR over the effective noise floor seen by this Rx beam while the
-  // interferer (if any) is transmitting (thermal + flat rise + interferer
-  // coupling). With no interferer this equals snr_clean_db.
+  // interferer (if any) is transmitting (thermal + interferer coupling).
+  // With no interferer this equals snr_clean_db.
   double snr_db(array::BeamId tx_beam, array::BeamId rx_beam) const;
 
   // SNR excluding the burst interferer (between bursts).
   double snr_clean_db(array::BeamId tx_beam, array::BeamId rx_beam) const;
 
-  // Noise floor between interference bursts: thermal plus the flat rise.
-  double clean_floor_dbm() const {
-    return thermal_floor_dbm_ + interference_rise_db_;
-  }
+  // Noise floor between interference bursts: the thermal floor.
+  double clean_floor_dbm() const { return thermal_floor_dbm_; }
   // Effective noise floor for a given Rx beam. With kQuasiOmni this is what
   // a COTS device would report as its noise level.
   double noise_floor_dbm(array::BeamId rx_beam = array::kQuasiOmni) const;
@@ -147,11 +145,6 @@ class Link {
   // Not part of the memo: it is added to the memoized sum per query.
   void set_fade_db(double fade_db) { fade_db_ = fade_db; }
   double fade_db() const { return fade_db_; }
-
-  // Flat interference: rise (dB) of the noise floor on every beam equally.
-  void set_interference_rise_db(double rise_db) {
-    interference_rise_db_ = rise_db;
-  }
 
   // Directional hidden-terminal interferer; coupling depends on the Rx beam.
   // Re-traces the interferer's paths and drops the interference memo.
@@ -234,7 +227,6 @@ class Link {
   // interference cases (Table 1).
   std::vector<Path> interferer_paths_;
   double thermal_floor_dbm_;
-  double interference_rise_db_ = 0.0;
   double fade_db_ = 0.0;
   std::optional<Interferer> interferer_;
 

@@ -37,13 +37,6 @@ ClassifierMetrics& classifier_metrics() {
                              r.histogram("classifier.batch_latency_us")};
   return m;
 }
-
-bool all_finite(const trace::FeatureVector& features) {
-  for (const double v : features.v) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
 }  // namespace
 
 LibraClassifier::LibraClassifier(LibraClassifierConfig cfg)
@@ -172,7 +165,7 @@ std::vector<trace::Action> LibraClassifier::classify_batch(
       throw std::invalid_argument("classify_batch: null rng for row " +
                                   std::to_string(i));
     }
-    if (!all_finite(features[i])) {
+    if (!trace::all_finite(features[i])) {
       metrics.rejected_rows.inc();
       throw std::invalid_argument(
           "classify_batch: non-finite feature vector at row " +

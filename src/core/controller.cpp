@@ -106,8 +106,7 @@ void LinkController::plan_missing_ack_fallback(DecisionRequest& request) const {
 
 void LinkController::begin_ra_walk() {
   walking_ = true;
-  walk_best_mcs_ = -1;
-  walk_best_tput_ = -1.0;
+  walk_ = {};
   // The repair starts fresh: stale loss history must not re-trigger before
   // the walk has had a chance to work.
   ack_loss_ewma_ = 0.0;
@@ -115,22 +114,15 @@ void LinkController::begin_ra_walk() {
 
 void LinkController::start(util::Rng& rng) {
   run_ba(rng);
-  // Find the best working MCS with a quick downward walk from the top.
-  const int top = error_model_->table().max_mcs();
-  mcs_ = top;
-  double best_tput = -1.0;
-  phy::McsIndex best = 0;
-  for (phy::McsIndex m = top; m >= 0; --m) {
+  // Find the best working MCS with a quick downward walk from the top; with
+  // none working, associate at MCS 0.
+  trace::RaDescent descent;
+  for (phy::McsIndex m = error_model_->table().max_mcs(); m >= 0; --m) {
     const phy::PhyObservation obs =
         sampler_.observe_rate(*link_, tx_beam_, rx_beam_, m, rng);
-    if (trace::is_working(obs.cdr, obs.throughput_mbps) &&
-        obs.throughput_mbps > best_tput) {
-      best_tput = obs.throughput_mbps;
-      best = m;
-    }
-    if (best_tput > 0 && obs.throughput_mbps < best_tput) break;
+    if (descent.offer(m, obs.cdr, obs.throughput_mbps)) break;
   }
-  mcs_ = best;
+  mcs_ = std::max(descent.best, 0);
   up_prober_.reset(mcs_);
   rebaseline(sampler_.observe_deferred(*link_, tx_beam_, rx_beam_, mcs_, rng));
 }
@@ -141,27 +133,14 @@ void LinkController::rebaseline(phy::PhyObservation obs) {
 
 trace::FeatureVector LinkController::features_against_baseline(
     const phy::PhyObservation& obs) const {
-  trace::FeatureVector f;
-  if (!baseline_) return f;
+  if (!baseline_) return {};
   if (obs.deferred()) {
     throw std::logic_error(
         "features_against_baseline: PHY observation not materialized");
   }
   baseline_->materialize();
-  f.v[0] = baseline_->snr_db - obs.snr_db;
-  if (baseline_->tof_ns && obs.tof_ns) {
-    f.v[1] = *baseline_->tof_ns - *obs.tof_ns;
-  } else {
-    f.v[1] = trace::kTofInfinity;
-  }
-  f.v[2] = obs.noise_dbm - baseline_->noise_dbm;
-  f.v[3] = trace::aligned_pdp_similarity(baseline_->pdp,
-                                         baseline_->peak_tap(), obs.pdp,
-                                         obs.peak_tap());
-  f.v[4] = util::pearson(baseline_->csi, obs.csi);
-  f.v[5] = obs.cdr;
-  f.v[6] = static_cast<double>(mcs_);
-  return f;
+  return trace::feature_deltas(*baseline_, baseline_->peak_tap(), obs,
+                               obs.peak_tap(), obs.cdr, mcs_);
 }
 
 DecisionRequest LinkController::observe(util::Rng& rng) {
@@ -236,17 +215,12 @@ DecisionRequest LinkController::observe(util::Rng& rng) {
   if (walking_) {
     // Evaluate the probe we just sent; the walk consumes the frame, no
     // policy decision is due.
-    if (trace::is_working(obs.cdr, obs.throughput_mbps) &&
-        obs.throughput_mbps > walk_best_tput_) {
-      walk_best_tput_ = obs.throughput_mbps;
-      walk_best_mcs_ = frame_mcs;
-    }
     const bool passed_peak =
-        walk_best_mcs_ >= 0 && obs.throughput_mbps < walk_best_tput_;
+        walk_.offer(frame_mcs, obs.cdr, obs.throughput_mbps);
     if (passed_peak || mcs_ == 0) {
       walking_ = false;
-      if (walk_best_mcs_ >= 0) {
-        mcs_ = walk_best_mcs_;
+      if (walk_.best >= 0) {
+        mcs_ = walk_.best;
         up_prober_.reset(mcs_);
         rebaseline(
             sampler_.observe_deferred(*link_, tx_beam_, rx_beam_, mcs_, rng));
@@ -314,22 +288,16 @@ void LinkController::apply(trace::Action verdict, DecisionRequest& request,
       if (request.hold_last_mcs) break;
       // Upward probing (shared by all policies, Sec. 8.1). To keep one
       // observation per frame, the prober's verdict applies to the next
-      // frame's MCS.
-      trace::PairTrace view;
-      view.throughput_mbps.assign(
-          static_cast<std::size_t>(error_model_->table().size()), 0.0);
-      view.cdr.assign(view.throughput_mbps.size(), 0.0);
-      // Fill only the two entries the prober inspects, from live estimates.
-      const auto cur = static_cast<std::size_t>(mcs_);
-      view.cdr[cur] = request.obs.cdr;
-      view.throughput_mbps[cur] = request.obs.throughput_mbps;
-      if (mcs_ < error_model_->table().max_mcs()) {
-        const phy::PhyObservation up = sampler_.observe_rate(
-            *link_, tx_beam_, rx_beam_, mcs_ + 1, rng);
-        view.cdr[cur + 1] = up.cdr;
-        view.throughput_mbps[cur + 1] = up.throughput_mbps;
+      // frame's MCS. Outside a walk the prober's current() is mcs_, so the
+      // live estimates below are the two entries it inspects.
+      const phy::McsIndex max_mcs = error_model_->table().max_mcs();
+      phy::PhyObservation up;
+      if (mcs_ < max_mcs) {
+        up = sampler_.observe_rate(*link_, tx_beam_, rx_beam_, mcs_ + 1, rng);
       }
-      up_prober_.on_frame(view);
+      up_prober_.on_frame(max_mcs, request.obs.cdr,
+                          request.obs.throughput_mbps, up.cdr,
+                          up.throughput_mbps);
       mcs_ = up_prober_.current();
       break;
     }
@@ -380,12 +348,10 @@ void LibraController::plan(DecisionRequest& request) {
   request.obs.materialize();
   const trace::FeatureVector features =
       features_against_baseline(request.obs);
-  for (const double v : features.v) {
-    if (!std::isfinite(v)) {
-      verdict_counters().degraded_decisions.inc();
-      plan_missing_ack_fallback(request);
-      return;
-    }
+  if (!trace::all_finite(features)) {
+    verdict_counters().degraded_decisions.inc();
+    plan_missing_ack_fallback(request);
+    return;
   }
   request.classifier = classifier_;
   request.features = features;

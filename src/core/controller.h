@@ -204,8 +204,7 @@ class LinkController {
 
   // RA repair walk state (active while walking down).
   bool walking_ = false;
-  phy::McsIndex walk_best_mcs_ = -1;
-  double walk_best_tput_ = -1.0;
+  trace::RaDescent walk_;
   bool walked_through_ba_ = false;  // second walk after a fallback BA
 
   UpProber up_prober_;

@@ -6,25 +6,17 @@ namespace libra::core {
 
 RaWalk ra_repair_walk(const trace::PairTrace& t, phy::McsIndex start_mcs) {
   RaWalk walk;
-  double best_tput = -1.0;
+  trace::RaDescent descent;
   for (phy::McsIndex m = start_mcs; m >= 0; --m) {
     walk.probes.push_back(m);
     const auto i = static_cast<std::size_t>(m);
-    const bool working = trace::is_working(t.cdr[i], t.throughput_mbps[i]);
-    if (working && walk.first_working_probe < 0) {
-      walk.first_working_probe = static_cast<int>(walk.probes.size()) - 1;
-    }
-    if (working && t.throughput_mbps[i] > best_tput) {
-      best_tput = t.throughput_mbps[i];
-      walk.settled = m;
-    }
-    // Algorithm 1 stops descending once the throughput of a working MCS
-    // starts decreasing (the ladder is unimodal below the knee).
-    if (walk.settled >= 0 && m < walk.settled &&
-        t.throughput_mbps[i] < best_tput) {
-      break;
-    }
+    // The stop rule needs no "m below the best" clause: on the probe that
+    // sets the best, its throughput equals best_tput and is not below it.
+    if (descent.offer(m, t.cdr[i], t.throughput_mbps[i])) break;
   }
+  walk.settled = descent.best;
+  walk.first_working_probe =
+      descent.first >= 0 ? static_cast<int>(start_mcs - descent.first) : -1;
   return walk;
 }
 
@@ -37,12 +29,11 @@ void UpProber::reset(phy::McsIndex current) {
   failed_probes_ = 0;
 }
 
-phy::McsIndex UpProber::on_frame(const trace::PairTrace& t) {
-  const auto max_mcs =
-      static_cast<phy::McsIndex>(t.throughput_mbps.size()) - 1;
+phy::McsIndex UpProber::on_frame(phy::McsIndex max_mcs, double cdr,
+                                 double tput_mbps, double up_cdr,
+                                 double up_tput_mbps) {
   if (current_ >= max_mcs) return current_;
-  const auto cur = static_cast<std::size_t>(current_);
-  if (t.cdr[cur] < kUpProbeMinCdr) {
+  if (cdr < kUpProbeMinCdr) {
     // Link not healthy enough to explore upward; hold.
     timer_ = kUpProbeT0Frames;
     return current_;
@@ -51,10 +42,8 @@ phy::McsIndex UpProber::on_frame(const trace::PairTrace& t) {
 
   // Probe frame at the next higher MCS.
   const phy::McsIndex probe = current_ + 1;
-  const auto p = static_cast<std::size_t>(probe);
   const bool better =
-      trace::is_working(t.cdr[p], t.throughput_mbps[p]) &&
-      t.throughput_mbps[p] > t.throughput_mbps[cur];
+      trace::is_working(up_cdr, up_tput_mbps) && up_tput_mbps > tput_mbps;
   if (better) {
     current_ = probe;
     failed_probes_ = 0;

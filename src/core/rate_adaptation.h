@@ -45,13 +45,17 @@ static_assert(kUpProbeMinCdr >= 0.0 && kUpProbeMinCdr <= 1.0);
 
 // Upward-probing state machine. Call on_frame() once per transmitted frame;
 // it returns the MCS to use for that frame and internally advances the
-// probe/backoff state based on the trace the link currently follows.
+// probe/backoff state based on what the pair in use delivers.
 class UpProber {
  public:
   explicit UpProber(phy::McsIndex current);
 
-  // Decide the MCS for the next frame given the trace of the pair in use.
-  phy::McsIndex on_frame(const trace::PairTrace& t);
+  // Decide the MCS for the next frame. max_mcs is the ladder's top; cdr and
+  // tput_mbps are what current() delivers, up_cdr and up_tput_mbps what
+  // current() + 1 would. The latter two are read only on a probe frame and
+  // never when current() >= max_mcs.
+  phy::McsIndex on_frame(phy::McsIndex max_mcs, double cdr, double tput_mbps,
+                         double up_cdr, double up_tput_mbps);
 
   phy::McsIndex current() const { return current_; }
   void reset(phy::McsIndex current);

@@ -57,13 +57,6 @@ TrainerMetrics& trainer_metrics() {
                           r.gauge("trainer.window_rows")};
   return m;
 }
-
-bool all_finite(const trace::FeatureVector& features) {
-  for (const double v : features.v) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
 }  // namespace
 
 trace::Action hindsight_label(trace::Action served, const FrameReport& next) {
@@ -309,8 +302,9 @@ bool FleetTrainer::wants(std::uint32_t link, std::uint64_t seq) const {
   if (cfg_.sample_rate <= 0.0) return false;
   // Stateless hash of (seed, link, decision sequence): the same decision
   // samples identically whatever shard or thread asks.
-  const std::uint64_t h = mix64(
-      mix64(cfg_.seed ^ (0x517cc1b727220a95ULL * (std::uint64_t{link} + 1))) ^
+  const std::uint64_t h = util::splitmix64(
+      util::splitmix64(cfg_.seed ^
+                       (0x517cc1b727220a95ULL * (std::uint64_t{link} + 1))) ^
       seq);
   return static_cast<double>(h >> 11) * 0x1.0p-53 < cfg_.sample_rate;
 }
@@ -408,7 +402,7 @@ std::size_t FleetTrainer::ingest_locked() {
   std::uint64_t mismatches = 0;
   std::size_t accepted = 0;
   for (TrainRow& row : drain_buf_) {
-    if (!all_finite(row.features)) {
+    if (!trace::all_finite(row.features)) {
       // A garbage-PHY observation that slipped into the stream must not
       // poison the window or crash the off-path fit.
       metrics.rows_rejected.inc();

@@ -75,14 +75,6 @@ class Aggregator;  // obs/aggregate.h
 
 namespace libra::core {
 
-// splitmix64 finalizer: the stateless mixer behind the row sampler.
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 // One sampled (features, outcome-label) observation from the fleet.
 struct TrainRow {
   std::int64_t tick = 0;   // fleet tick the outcome resolved on

@@ -203,33 +203,6 @@ std::string TraceBuffer::to_chrome_json() const {
   return os.str();
 }
 
-std::string merge_chrome_json(const std::vector<std::string>& docs) {
-  // Every input is "{\"traceEvents\":[ ... ],\"displayTimeUnit\":\"ms\"}"
-  // (this file's own exporter), so merging is slicing out the array bodies
-  // and joining them.
-  static constexpr std::string_view kPrefix = "{\"traceEvents\":[";
-  static constexpr std::string_view kSuffix = "],\"displayTimeUnit\":\"ms\"}";
-  std::string out(kPrefix);
-  bool first = true;
-  for (const std::string& doc : docs) {
-    if (doc.size() < kPrefix.size() + kSuffix.size() ||
-        doc.compare(0, kPrefix.size(), kPrefix) != 0 ||
-        doc.compare(doc.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-            0) {
-      throw std::runtime_error(
-          "obs: merge_chrome_json input is not a to_chrome_json document");
-    }
-    const std::string_view body = std::string_view(doc).substr(
-        kPrefix.size(), doc.size() - kPrefix.size() - kSuffix.size());
-    if (body.empty()) continue;
-    if (!first) out += ",";
-    first = false;
-    out += body;
-  }
-  out += kSuffix;
-  return out;
-}
-
 void TraceBuffer::write_chrome_json(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) {

@@ -74,12 +74,6 @@ class TraceContextScope {
 // "libra-serve" so a merged controller+daemon export keeps distinct rows.
 void set_trace_process(std::uint32_t pid, std::string name);
 
-// Splice several Chrome trace-event documents produced by to_chrome_json()
-// into one (the merged Perfetto export for a multi-process run). Inputs
-// must come from this exporter; this is a structural splice, not a general
-// JSON parser.
-std::string merge_chrome_json(const std::vector<std::string>& docs);
-
 class TraceBuffer {
  public:
   TraceBuffer();

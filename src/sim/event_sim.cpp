@@ -62,11 +62,6 @@ class Engine {
     }
   }
 
-  bool is_working(const trace::PairTrace& t, phy::McsIndex m) const {
-    const auto i = static_cast<std::size_t>(m);
-    return trace::is_working(t.cdr[i], t.throughput_mbps[i]);
-  }
-
   // Run the downward repair walk on `pair` starting at `start`; charges one
   // frame per probe and records the restoration time. Returns the settled
   // MCS (-1 if nothing works on this pair).
@@ -86,10 +81,17 @@ class Engine {
   void settle(PairSel pair, phy::McsIndex mcs) {
     result_.settled_pair = pair;
     result_.settled_mcs = mcs;
-    if (is_working(trace_for(pair), mcs)) link_restored_now();
+    const trace::PairTrace& t = trace_for(pair);
+    if (t.works_at(mcs)) link_restored_now();
+    const auto max_mcs =
+        static_cast<phy::McsIndex>(t.throughput_mbps.size()) - 1;
     core::UpProber prober(mcs);
     while (!done()) {
-      const phy::McsIndex m = prober.on_frame(trace_for(pair));
+      const auto c = static_cast<std::size_t>(prober.current());
+      const std::size_t up = std::min(c + 1, t.throughput_mbps.size() - 1);
+      const phy::McsIndex m =
+          prober.on_frame(max_mcs, t.cdr[c], t.throughput_mbps[c], t.cdr[up],
+                          t.throughput_mbps[up]);
       frame(pair, m);
       result_.settled_mcs = prober.current();
     }
@@ -134,7 +136,7 @@ EventResult EventSimulator::play(const trace::CaseRecord& rec, Action action,
                                  bool record_series) const {
   Engine e(rec, params, record_series);
   const phy::McsIndex m0 = rec.init_mcs;
-  const bool init_working = e.is_working(rec.new_at_init_pair, m0);
+  const bool init_working = rec.new_at_init_pair.works_at(m0);
 
   // A link that never broke has zero recovery delay by definition.
   if (init_working) e.link_restored_now();
@@ -217,12 +219,7 @@ EventResult EventSimulator::run(const trace::CaseRecord& rec,
                                 core::Strategy strategy,
                                 const EventParams& params, util::Rng& rng,
                                 bool record_series) const {
-  const phy::McsIndex m0 = rec.init_mcs;
-  const bool init_working = [&] {
-    const auto i = static_cast<std::size_t>(m0);
-    return trace::is_working(rec.new_at_init_pair.cdr[i],
-                             rec.new_at_init_pair.throughput_mbps[i]);
-  }();
+  const bool init_working = rec.new_at_init_pair.works_at(rec.init_mcs);
 
   // Everyone needs one transmitted frame to notice the impairment; even an
   // oracle cannot adapt before the first failed/degraded frame.

@@ -158,7 +158,11 @@ double clear_segment_bytes(const trace::CaseRecord& record, PairSel pair,
     }
     const trace::PairTrace& t = trace_of(pair);
     const double dur = std::min(params.fat_ms, duration_ms - t_ms);
-    const phy::McsIndex m = prober.on_frame(t);
+    const auto c = static_cast<std::size_t>(prober.current());
+    const std::size_t up = std::min(c + 1, t.throughput_mbps.size() - 1);
+    const phy::McsIndex m = prober.on_frame(
+        static_cast<phy::McsIndex>(t.throughput_mbps.size()) - 1, t.cdr[c],
+        t.throughput_mbps[c], t.cdr[up], t.throughput_mbps[up]);
     const double tput = t.throughput_mbps[static_cast<std::size_t>(m)];
     bytes += tput * dur / 8000.0;
     if (series) series->emplace_back(tput, dur);

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "obs/span.h"
 #include "phy/pdp.h"
@@ -9,11 +11,16 @@
 
 namespace libra::trace {
 
+bool PairTrace::works_at(phy::McsIndex m) const {
+  const auto i = static_cast<std::size_t>(m);
+  return is_working(cdr[i], throughput_mbps[i]);
+}
+
 phy::McsIndex PairTrace::best_mcs() const {
   phy::McsIndex best = -1;
   double best_tput = -1.0;
   for (std::size_t m = 0; m < throughput_mbps.size(); ++m) {
-    if (!is_working(cdr[m], throughput_mbps[m])) continue;
+    if (!works_at(static_cast<phy::McsIndex>(m))) continue;
     if (throughput_mbps[m] > best_tput) {
       best_tput = throughput_mbps[m];
       best = static_cast<phy::McsIndex>(m);
@@ -38,6 +45,13 @@ namespace {
 constexpr int kFailoverMinSectorGap = 3;
 
 phy::SamplerConfig averaged_config(int frames) {
+  // Checked here, in the constructor's initializer list, so a bad count is
+  // named before the sampler rejects the jitters it would scale.
+  if (frames < 1) {
+    throw std::invalid_argument(
+        "CollectorConfig: frames_per_trace must be >= 1, got " +
+        std::to_string(frames));
+  }
   // 1-s traces average `frames` independent frame measurements; i.i.d.
   // jitter shrinks by sqrt(frames).
   phy::SamplerConfig cfg;
@@ -89,17 +103,19 @@ PairTrace TraceCollector::measure_pair(const channel::Link& link,
   t.throughput_mbps.resize(static_cast<std::size_t>(n_mcs));
   t.cdr.resize(static_cast<std::size_t>(n_mcs));
   for (phy::McsIndex m = 0; m < n_mcs; ++m) {
-    const phy::PhyObservation obs =
-        trace_sampler_.observe(link, tx_beam, rx_beam, m, rng);
+    // SNR/noise/PDP/ToF/CSI are MCS-independent; keep MCS 0's. The other
+    // MCSs are rate-only observations, which draw the same words.
+    phy::PhyObservation obs =
+        m == 0 ? trace_sampler_.observe(link, tx_beam, rx_beam, m, rng)
+               : trace_sampler_.observe_rate(link, tx_beam, rx_beam, m, rng);
     t.throughput_mbps[static_cast<std::size_t>(m)] = obs.throughput_mbps;
     t.cdr[static_cast<std::size_t>(m)] = obs.cdr;
     if (m == 0) {
-      // SNR/noise/PDP/ToF/CSI are MCS-independent; keep the first.
       t.snr_db = obs.snr_db;
       t.noise_dbm = obs.noise_dbm;
       t.tof_ns = obs.tof_ns;
-      t.pdp = obs.pdp;
-      t.csi = obs.csi;
+      t.pdp = std::move(obs.pdp);
+      t.csi = std::move(obs.csi);
     }
   }
   return t;

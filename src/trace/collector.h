@@ -32,8 +32,11 @@ struct PairTrace {
   std::vector<double> throughput_mbps;  // indexed by MCS
   std::vector<double> cdr;              // indexed by MCS
 
-  // Highest-throughput MCS among working ones (trace::is_working, Sec. 5.2);
-  // falls back to the overall argmax when nothing works.
+  // Whether MCS m (an index into cdr and throughput_mbps) works on this
+  // pair: trace::is_working() of its CDR and throughput.
+  bool works_at(phy::McsIndex m) const;
+  // Highest-throughput MCS among working ones (works_at, Sec. 5.2); falls
+  // back to the overall argmax when nothing works.
   phy::McsIndex best_mcs() const;
 };
 
@@ -61,7 +64,8 @@ struct CaseRecord {
 
 struct CollectorConfig {
   // Number of frames averaged into one trace (1 s of 10 ms X60 frames);
-  // jitter of averaged quantities shrinks by sqrt(frames).
+  // jitter of averaged quantities shrinks by sqrt(frames). TraceCollector
+  // throws std::invalid_argument unless it is >= 1.
   int frames_per_trace = 100;
 };
 

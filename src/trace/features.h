@@ -80,6 +80,41 @@ struct FeatureVector {
   double initial_mcs() const { return v[6]; }
 };
 
+// Index of the first non-finite feature, FeatureVector::kDim when every
+// feature is finite.
+inline std::size_t first_non_finite(const FeatureVector& f) {
+  const auto it = std::find_if(f.v.begin(), f.v.end(),
+                               [](double x) { return !std::isfinite(x); });
+  return static_cast<std::size_t>(it - f.v.begin());
+}
+
+// A row the classifier, the trainer and the controller may use.
+inline bool all_finite(const FeatureVector& f) {
+  return first_non_finite(f) == FeatureVector::kDim;
+}
+
+// The seven features of `cur` against `init`, the one formula behind both
+// the training rows (extract_features) and the serving rows
+// (core::LinkController). Measurement is a PairTrace or a materialized
+// phy::PhyObservation: it has snr_db, noise_dbm, tof_ns, pdp and csi.
+// init_peak and cur_peak are strongest_tap() of each PDP; `cdr` is the
+// codeword delivery ratio at `mcs`, the MCS in use before the impairment.
+template <typename Measurement>
+FeatureVector feature_deltas(const Measurement& init, std::size_t init_peak,
+                             const Measurement& cur, std::size_t cur_peak,
+                             double cdr, phy::McsIndex mcs) {
+  FeatureVector f;
+  f.v[0] = init.snr_db - cur.snr_db;
+  f.v[1] = init.tof_ns && cur.tof_ns ? *init.tof_ns - *cur.tof_ns
+                                     : kTofInfinity;
+  f.v[2] = cur.noise_dbm - init.noise_dbm;
+  f.v[3] = aligned_pdp_similarity(init.pdp, init_peak, cur.pdp, cur_peak);
+  f.v[4] = util::pearson(init.csi, cur.csi);
+  f.v[5] = cdr;
+  f.v[6] = static_cast<double>(mcs);
+  return f;
+}
+
 inline FeatureVector extract_features(const CaseRecord& rec) {
   // The CDR lookup below indexes with init_mcs; a hand-built or corrupted
   // record must fail loudly instead of reading out of bounds.
@@ -97,28 +132,18 @@ inline FeatureVector extract_features(const CaseRecord& rec) {
         " entries but throughput has " +
         std::to_string(rec.new_at_init_pair.throughput_mbps.size()));
   }
-  FeatureVector f;
-  f.v[0] = rec.init_best.snr_db - rec.new_at_init_pair.snr_db;
-  if (rec.init_best.tof_ns && rec.new_at_init_pair.tof_ns) {
-    f.v[1] = *rec.init_best.tof_ns - *rec.new_at_init_pair.tof_ns;
-  } else {
-    f.v[1] = kTofInfinity;
-  }
-  f.v[2] = rec.new_at_init_pair.noise_dbm - rec.init_best.noise_dbm;
-  f.v[3] = aligned_pdp_similarity(rec.init_best.pdp, rec.new_at_init_pair.pdp);
-  f.v[4] = util::pearson(rec.init_best.csi, rec.new_at_init_pair.csi);
-  f.v[5] = cdr[static_cast<std::size_t>(rec.init_mcs)];
-  f.v[6] = static_cast<double>(rec.init_mcs);
+  const FeatureVector f = feature_deltas(
+      rec.init_best, phy::strongest_tap(rec.init_best.pdp),
+      rec.new_at_init_pair, phy::strongest_tap(rec.new_at_init_pair.pdp),
+      cdr[static_cast<std::size_t>(rec.init_mcs)], rec.init_mcs);
   // A NaN/Inf input metric (corrupted capture, poisoned observation) must
   // not propagate silently into training or inference; name the feature so
   // the bad field in the record is identifiable.
-  for (int i = 0; i < FeatureVector::kDim; ++i) {
-    if (!std::isfinite(f.v[static_cast<std::size_t>(i)])) {
-      throw std::invalid_argument(
-          "extract_features: non-finite " +
-          std::string(FeatureVector::kNames[static_cast<std::size_t>(i)]) +
-          " feature (check the source record's PHY metrics)");
-    }
+  if (const std::size_t bad = first_non_finite(f); bad < FeatureVector::kDim) {
+    throw std::invalid_argument(
+        "extract_features: non-finite " +
+        std::string(FeatureVector::kNames[bad]) +
+        " feature (check the source record's PHY metrics)");
   }
   return f;
 }

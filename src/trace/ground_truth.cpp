@@ -50,15 +50,6 @@ void validate(const GroundTruthConfig& cfg) {
         "ba_overhead_ms", "finite and >= 0", cfg.ba_overhead_ms);
 }
 
-// Highest working MCS <= start on this trace; -1 if none.
-phy::McsIndex first_working_downward(const PairTrace& t, phy::McsIndex start) {
-  for (phy::McsIndex m = start; m >= 0; --m) {
-    const auto i = static_cast<std::size_t>(m);
-    if (is_working(t.cdr[i], t.throughput_mbps[i])) return m;
-  }
-  return -1;
-}
-
 // Best throughput among MCSs <= start on this trace.
 double best_tput_upto(const PairTrace& t, phy::McsIndex start) {
   double best = 0.0;
@@ -81,32 +72,38 @@ GroundTruth label_case(const CaseRecord& rec, const GroundTruthConfig& cfg) {
   const double d_max =
       mac::worst_case_delay_ms(n_mcs, cfg.fat_ms, cfg.ba_overhead_ms);
 
+  // The link is restored at the first working MCS the RA descent from m0
+  // meets on a trace (-1 if none); the descent records it before any stop.
+  const auto first_working = [m0](const PairTrace& t) {
+    RaDescent descent;
+    for (phy::McsIndex m = m0; m >= 0; --m) {
+      const auto i = static_cast<std::size_t>(m);
+      if (descent.offer(m, t.cdr[i], t.throughput_mbps[i])) break;
+    }
+    return descent.first;
+  };
+  // RA on the new best pair, after a BA: its probes until one works, or all
+  // m0 + 1 of them.
+  const phy::McsIndex ba_first = first_working(rec.new_best);
+  const double ra_after_ba_ms =
+      ba_first >= 0 ? static_cast<double>(m0 - ba_first + 1) * cfg.fat_ms
+                    : static_cast<double>(m0 + 1) * cfg.fat_ms;
+
   // --- RA alone: downward search on the initial pair at the new state. ---
-  const phy::McsIndex ra_first = first_working_downward(
-      rec.new_at_init_pair, m0);
+  const phy::McsIndex ra_first = first_working(rec.new_at_init_pair);
   gt.th_ra_mbps = best_tput_upto(rec.new_at_init_pair, m0);
   if (ra_first >= 0) {
     gt.delay_ra_ms = static_cast<double>(m0 - ra_first + 1) * cfg.fat_ms;
   } else {
     // RA probes everything, fails, BA is performed, RA again on the new
     // pair (Sec. 5.2 Dmax discussion).
-    const phy::McsIndex after = first_working_downward(rec.new_best, m0);
-    const double second_round =
-        after >= 0 ? static_cast<double>(m0 - after + 1) * cfg.fat_ms
-                   : static_cast<double>(m0 + 1) * cfg.fat_ms;
     gt.delay_ra_ms = static_cast<double>(m0 + 1) * cfg.fat_ms +
-                     cfg.ba_overhead_ms + second_round;
+                     cfg.ba_overhead_ms + ra_after_ba_ms;
   }
 
   // --- BA first (always followed by RA on the new best pair). ---
-  const phy::McsIndex ba_first = first_working_downward(rec.new_best, m0);
   gt.th_ba_mbps = best_tput_upto(rec.new_best, m0);
-  {
-    const double ra_after =
-        ba_first >= 0 ? static_cast<double>(m0 - ba_first + 1) * cfg.fat_ms
-                      : static_cast<double>(m0 + 1) * cfg.fat_ms;
-    gt.delay_ba_ms = cfg.ba_overhead_ms + ra_after;
-  }
+  gt.delay_ba_ms = cfg.ba_overhead_ms + ra_after_ba_ms;
 
   gt.delay_ra_ms = std::min(gt.delay_ra_ms, d_max);
   gt.delay_ba_ms = std::min(gt.delay_ba_ms, d_max);
@@ -126,8 +123,7 @@ GroundTruth label_case(const CaseRecord& rec, const GroundTruthConfig& cfg) {
   // --- 3-class label: NA when the operating (pair, MCS) still delivers. ---
   const auto i0 = static_cast<std::size_t>(m0);
   const bool still_working =
-      is_working(rec.new_at_init_pair.cdr[i0],
-                 rec.new_at_init_pair.throughput_mbps[i0]) &&
+      rec.new_at_init_pair.works_at(m0) &&
       rec.new_at_init_pair.throughput_mbps[i0] >=
           kNaTputFraction * rec.init_best.throughput_mbps[i0];
   gt.label3 = (rec.forced_na || still_working) ? Action::kNA : gt.label;

@@ -27,14 +27,40 @@ std::string to_string(Action a);
 
 // The working-MCS rule (Sec. 5.2): an MCS works when its CDR exceeds 10% and
 // its throughput exceeds 150 Mbps. Every labeler, RA walk, up-prober and
-// outage counter asks is_working(); a caller that sees only a frame's
-// goodput (an ACKed frame, no CDR) compares against kWorkingMinTputMbps.
+// outage counter asks is_working() (on a trace, PairTrace::works_at()); a
+// caller that sees only a frame's goodput (an ACKed frame, no CDR) compares
+// against kWorkingMinTputMbps.
 inline constexpr double kWorkingMinCdr = 0.10;
 inline constexpr double kWorkingMinTputMbps = 150.0;
 
 constexpr bool is_working(double cdr, double tput_mbps) {
   return cdr > kWorkingMinCdr && tput_mbps > kWorkingMinTputMbps;
 }
+
+// Algorithm 1's RA descent (Sec. 7), one probe at a time: offer the MCSs
+// from the entry MCS downward, each with its CDR and throughput. It keeps
+// the first working MCS offered and the highest-throughput working one
+// (ties keep the earlier, higher MCS), and offer() returns true once the
+// walk should stop: a working MCS is known and this probe delivers less
+// than it (below the knee the ladder only falls). A NaN throughput never
+// works and never stops the walk. The RA repair walk, the live controller's
+// walk and association, and the labeler all descend through this one rule.
+struct RaDescent {
+  phy::McsIndex first = -1;  // first working MCS offered; -1 if none yet
+  phy::McsIndex best = -1;   // highest-throughput working MCS; -1 if none
+  double best_tput = -1.0;   // its throughput
+
+  bool offer(phy::McsIndex m, double cdr, double tput_mbps) {
+    if (is_working(cdr, tput_mbps)) {
+      if (first < 0) first = m;
+      if (tput_mbps > best_tput) {
+        best_tput = tput_mbps;
+        best = m;
+      }
+    }
+    return best >= 0 && tput_mbps < best_tput;
+  }
+};
 
 // The protocol parameterization a case is labeled under (the CLI's --alpha,
 // --fat and --ba). label_case() throws std::invalid_argument unless alpha is

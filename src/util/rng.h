@@ -92,10 +92,21 @@ class Rng {
   std::uint64_t fork_count_ = 0;
 };
 
+// splitmix64 (Steele, Lea and Flood 2014; Vigna's constants), stateless:
+// the output mix of x + γ. The splitmix64 sequence seeded with s is
+// splitmix64(s), splitmix64(s + γ), splitmix64(s + 2γ), ...
+inline constexpr std::uint64_t kSplitmix64Gamma = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += kSplitmix64Gamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 // Fill `out` with standard normals that are a pure function of (key, i):
 // no engine state, so a caller can draw one word to key a block of normals
 // and compute them later, or never. Word j is the j-th output of the
-// splitmix64 sequence seeded with `key`, i.e. the mix of key + (j + 1) * γ;
+// splitmix64 sequence seeded with `key`, i.e. splitmix64(key + j * γ);
 // words 2k and 2k + 1 give normals 2k (cosine) and 2k + 1 (sine) by
 // Box–Muller, with 1 - canonical_from(word) as the radius uniform so the log
 // never sees 0.

@@ -182,12 +182,6 @@ TEST_F(LinkFixture, SnrIsPowerMinusNoise) {
               link.rx_power_dbm(12, 12) - link.noise_floor_dbm(12), 1e-9);
 }
 
-TEST_F(LinkFixture, FlatInterferenceRaisesFloor) {
-  const double before = link.snr_db(12, 12);
-  link.set_interference_rise_db(10.0);
-  EXPECT_NEAR(link.snr_db(12, 12), before - 10.0, 1e-9);
-}
-
 TEST_F(LinkFixture, BlockerReducesPowerWithoutRefresh) {
   const double before = link.rx_power_dbm(12, 12);
   environment.add_blocker({{10, 5}, 0.25, 28.0});
@@ -431,16 +425,14 @@ TEST(Fading, CoherenceTimeMustBeFiniteAndNonNegative) {
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 // Every query the memo serves must equal, bit for bit, a Link built fresh
-// on the same environment and arrays (carrying the same interferer, fade
-// and rise): a stale memo entry shows up as a mismatch.
+// on the same environment and arrays (carrying the same interferer and
+// fade): a stale memo entry shows up as a mismatch.
 void expect_matches_fresh(const Link& memo, const env::Environment& env,
                           array::PhasedArray& tx, array::PhasedArray& rx,
-                          double rise_db, array::BeamId tb, array::BeamId rb,
-                          int step) {
+                          array::BeamId tb, array::BeamId rb, int step) {
   Link fresh(&env, &tx, &rx, memo.budget());
   fresh.set_interferer(memo.interferer());
   fresh.set_fade_db(memo.fade_db());
-  fresh.set_interference_rise_db(rise_db);
   const auto got = memo.pair_channel(tb, rb);
   const auto want = fresh.pair_channel(tb, rb);
   ASSERT_EQ(got->contributions.size(), want->contributions.size())
@@ -473,7 +465,7 @@ void expect_matches_fresh(const Link& memo, const env::Environment& env,
 
 // Random mutation sequences against the memo: beam switches on either end,
 // Tx/Rx rotations, an Rx move plus refresh(), blocker sets (changed and
-// unchanged) and clears, interferer set/clear, fade and rise changes. Each
+// unchanged) and clears, interferer set/clear and fade changes. Each
 // kind changes one key input at a time, so a key that left out that input
 // would serve a stale entry here.
 TEST(ChannelMemo, MatchesFreshLinkUnderRandomMutations) {
@@ -488,7 +480,6 @@ TEST(ChannelMemo, MatchesFreshLinkUnderRandomMutations) {
     util::Rng rng(seed);
     array::BeamId tb = 12;
     array::BeamId rb = 12;
-    double rise_db = 0.0;
     const auto random_blocker = [&] {
       return env::Blocker{{rng.uniform(3.0, 17.0), rng.uniform(3.0, 7.0)},
                           rng.uniform(0.2, 1.5), rng.uniform(5.0, 30.0)};
@@ -501,7 +492,7 @@ TEST(ChannelMemo, MatchesFreshLinkUnderRandomMutations) {
     const auto first = link.pair_channel(tb, rb);
     const std::vector<PathContribution> first_copy = first->contributions;
     for (int step = 0; step < 300; ++step) {
-      switch (rng.uniform_int(0, 10)) {
+      switch (rng.uniform_int(0, 9)) {
         case 0:
           tb = static_cast<array::BeamId>(rng.uniform_int(0, n_beams - 1));
           break;
@@ -544,15 +535,11 @@ TEST(ChannelMemo, MatchesFreshLinkUnderRandomMutations) {
                 rng.uniform(20.0, 50.0), rng.uniform(0.1, 1.0)});
           }
           break;
-        case 9:
+        default:
           link.set_fade_db(rng.uniform(-8.0, 4.0));
           break;
-        default:
-          rise_db = rng.uniform(0.0, 10.0);
-          link.set_interference_rise_db(rise_db);
-          break;
       }
-      expect_matches_fresh(link, env, tx, rx, rise_db, tb, rb, step);
+      expect_matches_fresh(link, env, tx, rx, tb, rb, step);
       if (HasFatalFailure()) return;
     }
     ASSERT_EQ(first->contributions.size(), first_copy.size());
@@ -573,7 +560,6 @@ TEST_F(LinkFixture, UnchangedLinkSharesOneContributionsVector) {
   EXPECT_EQ(link.pair_channel(12, 12).get(), a.get());
   (void)link.snr_db(12, 12);
   link.set_fade_db(-3.0);
-  link.set_interference_rise_db(2.0);
   environment.set_blockers(std::vector<env::Blocker>(environment.blockers()));
   EXPECT_EQ(link.pair_channel(12, 12).get(), a.get());
   environment.set_blockers({});

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -13,7 +14,10 @@
 #include "core/strategy.h"
 #include "core/trainer.h"
 #include "env/registry.h"
+#include "mac/timing.h"
 #include "test_helpers.h"
+#include "trace/ground_truth.h"
+#include "util/rng.h"
 
 namespace libra::core {
 namespace {
@@ -67,18 +71,28 @@ TEST(RaRepairWalk, FromMcsZero) {
 
 // ---------- UpProber ----------
 
+// One frame of the prober on a trace: it reads the trace's CDR and
+// throughput at its current MCS and the one above.
+phy::McsIndex step_on_trace(UpProber& prober, const trace::PairTrace& t) {
+  const auto c = static_cast<std::size_t>(prober.current());
+  const std::size_t up = std::min(c + 1, t.throughput_mbps.size() - 1);
+  return prober.on_frame(
+      static_cast<phy::McsIndex>(t.throughput_mbps.size()) - 1, t.cdr[c],
+      t.throughput_mbps[c], t.cdr[up], t.throughput_mbps[up]);
+}
+
 TEST(UpProber, ClimbsToBestMcs) {
   const trace::PairTrace t = make_trace(6);
   UpProber prober(2);
   // Enough frames for four climbs at T0 = 5.
-  for (int i = 0; i < 60; ++i) prober.on_frame(t);
+  for (int i = 0; i < 60; ++i) step_on_trace(prober, t);
   EXPECT_EQ(prober.current(), 6);
 }
 
 TEST(UpProber, DoesNotExceedWorkingCeiling) {
   const trace::PairTrace t = make_trace(4);
   UpProber prober(4);
-  for (int i = 0; i < 300; ++i) prober.on_frame(t);
+  for (int i = 0; i < 300; ++i) step_on_trace(prober, t);
   EXPECT_EQ(prober.current(), 4);
 }
 
@@ -89,7 +103,7 @@ TEST(UpProber, BacksOffExponentially) {
   // comes 10 frames later, the third 20 frames after that.
   std::vector<int> probe_frames;
   for (int i = 0; i < 120; ++i) {
-    const phy::McsIndex m = prober.on_frame(t);
+    const phy::McsIndex m = step_on_trace(prober, t);
     if (m == 5) probe_frames.push_back(i);
   }
   ASSERT_GE(probe_frames.size(), 3u);
@@ -104,7 +118,7 @@ TEST(UpProber, HoldsWhenCdrUnhealthy) {
   t.cdr[4] = 0.5;  // current MCS lossy: never probe upward from here
   UpProber prober(4);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(prober.on_frame(t), 4);
+    EXPECT_EQ(step_on_trace(prober, t), 4);
   }
 }
 
@@ -112,16 +126,233 @@ TEST(UpProber, AtMaxMcsStaysPut) {
   const trace::PairTrace t = make_trace(8);
   UpProber prober(8);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(prober.on_frame(t), 8);
+    EXPECT_EQ(step_on_trace(prober, t), 8);
   }
 }
 
 TEST(UpProber, ResetRestoresState) {
   const trace::PairTrace t = make_trace(8);
   UpProber prober(2);
-  for (int i = 0; i < 30; ++i) prober.on_frame(t);
+  for (int i = 0; i < 30; ++i) step_on_trace(prober, t);
   prober.reset(1);
   EXPECT_EQ(prober.current(), 1);
+}
+
+// ---------- the RA descent: one stepper, four callers ----------
+
+// The four descent loops trace::RaDescent replaced, kept as oracles. Each
+// reads a ladder (a PairTrace) where its original read a trace or a live
+// observation per probe.
+
+RaWalk oracle_repair_walk(const trace::PairTrace& t, phy::McsIndex start_mcs) {
+  RaWalk walk;
+  double best_tput = -1.0;
+  for (phy::McsIndex m = start_mcs; m >= 0; --m) {
+    walk.probes.push_back(m);
+    const auto i = static_cast<std::size_t>(m);
+    const bool working = trace::is_working(t.cdr[i], t.throughput_mbps[i]);
+    if (working && walk.first_working_probe < 0) {
+      walk.first_working_probe = static_cast<int>(walk.probes.size()) - 1;
+    }
+    if (working && t.throughput_mbps[i] > best_tput) {
+      best_tput = t.throughput_mbps[i];
+      walk.settled = m;
+    }
+    if (walk.settled >= 0 && m < walk.settled &&
+        t.throughput_mbps[i] < best_tput) {
+      break;
+    }
+  }
+  return walk;
+}
+
+// The MCS a walk settles on (-1 if none) and the probes it spent: each
+// probe is one frame, and each live probe draws one observation.
+struct Descended {
+  phy::McsIndex mcs = -1;
+  int probes = 0;
+  bool operator==(const Descended&) const = default;
+};
+
+// LinkController::observe's live walk from `start`.
+Descended oracle_live_walk(const trace::PairTrace& t, phy::McsIndex start) {
+  phy::McsIndex walk_best_mcs = -1;
+  double walk_best_tput = -1.0;
+  phy::McsIndex mcs = start;
+  for (int probes = 1;; ++probes) {
+    const phy::McsIndex frame_mcs = mcs;
+    const auto i = static_cast<std::size_t>(frame_mcs);
+    if (trace::is_working(t.cdr[i], t.throughput_mbps[i]) &&
+        t.throughput_mbps[i] > walk_best_tput) {
+      walk_best_tput = t.throughput_mbps[i];
+      walk_best_mcs = frame_mcs;
+    }
+    const bool passed_peak =
+        walk_best_mcs >= 0 && t.throughput_mbps[i] < walk_best_tput;
+    if (passed_peak || mcs == 0) return {walk_best_mcs, probes};
+    --mcs;
+  }
+}
+
+// LinkController::start's association walk from the top MCS.
+Descended oracle_association(const trace::PairTrace& t) {
+  const auto top = static_cast<phy::McsIndex>(t.cdr.size()) - 1;
+  double best_tput = -1.0;
+  phy::McsIndex best = 0;
+  int probes = 0;
+  for (phy::McsIndex m = top; m >= 0; --m) {
+    ++probes;
+    const auto i = static_cast<std::size_t>(m);
+    if (trace::is_working(t.cdr[i], t.throughput_mbps[i]) &&
+        t.throughput_mbps[i] > best_tput) {
+      best_tput = t.throughput_mbps[i];
+      best = m;
+    }
+    if (best_tput > 0 && t.throughput_mbps[i] < best_tput) break;
+  }
+  return {best, probes};
+}
+
+// label_case's first_working_downward.
+phy::McsIndex oracle_first_working_downward(const trace::PairTrace& t,
+                                            phy::McsIndex start) {
+  for (phy::McsIndex m = start; m >= 0; --m) {
+    const auto i = static_cast<std::size_t>(m);
+    if (trace::is_working(t.cdr[i], t.throughput_mbps[i])) return m;
+  }
+  return -1;
+}
+
+// The live walk and association as the controller now runs them. They live
+// on a live link, so the ladder comparison below checks the loop shapes and
+// the golden fleet digest checks the controller itself.
+Descended stepper_live_walk(const trace::PairTrace& t, phy::McsIndex start) {
+  trace::RaDescent walk;
+  int probes = 0;
+  for (phy::McsIndex mcs = start;; --mcs) {
+    ++probes;
+    const auto i = static_cast<std::size_t>(mcs);
+    if (walk.offer(mcs, t.cdr[i], t.throughput_mbps[i]) || mcs == 0) {
+      return {walk.best, probes};
+    }
+  }
+}
+
+Descended stepper_association(const trace::PairTrace& t) {
+  trace::RaDescent descent;
+  int probes = 0;
+  for (auto m = static_cast<phy::McsIndex>(t.cdr.size()) - 1; m >= 0; --m) {
+    ++probes;
+    const auto i = static_cast<std::size_t>(m);
+    if (descent.offer(m, t.cdr[i], t.throughput_mbps[i])) break;
+  }
+  return {std::max(descent.best, 0), probes};
+}
+
+// A ladder of n MCSs with CDRs and throughputs on, around and far from the
+// working thresholds, tied throughputs, NaNs, and (one ladder in four)
+// nothing working.
+trace::PairTrace random_ladder(util::Rng& rng, int n) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const bool none_works = rng.bernoulli(0.25);
+  trace::PairTrace t;
+  for (int m = 0; m < n; ++m) {
+    double cdr = rng.uniform(0.0, 1.0);
+    double tput = rng.uniform(0.0, 4750.0);
+    switch (rng.uniform_int(0, 9)) {
+      case 0:
+        if (m > 0) tput = t.throughput_mbps.back();  // a tie
+        break;
+      case 1:
+        tput = trace::kWorkingMinTputMbps;
+        break;
+      case 2:
+        cdr = trace::kWorkingMinCdr;
+        break;
+      case 3:
+        tput = kNan;
+        break;
+      case 4:
+        cdr = kNan;
+        break;
+      default:
+        break;
+    }
+    if (none_works) cdr = rng.uniform(0.0, trace::kWorkingMinCdr);
+    t.cdr.push_back(cdr);
+    t.throughput_mbps.push_back(tput);
+  }
+  return t;
+}
+
+void expect_same_walk(const RaWalk& got, const RaWalk& want) {
+  EXPECT_EQ(got.probes, want.probes);
+  EXPECT_EQ(got.settled, want.settled);
+  EXPECT_EQ(got.first_working_probe, want.first_working_probe);
+}
+
+TEST(RaDescent, EveryCallerMatchesItsOracleOnRandomLadders) {
+  util::Rng rng(25);
+  int settled = 0;
+  int none_settled = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int n = trial % 8 == 0 ? rng.uniform_int(1, 12) : 9;
+    const trace::PairTrace t = random_ladder(rng, n);
+    const phy::McsIndex top = n - 1;
+    for (const phy::McsIndex start :
+         {phy::McsIndex{0}, top, rng.uniform_int(0, top)}) {
+      const RaWalk want = oracle_repair_walk(t, start);
+      expect_same_walk(ra_repair_walk(t, start), want);
+      EXPECT_EQ(stepper_live_walk(t, start), oracle_live_walk(t, start));
+      trace::RaDescent descent;
+      for (phy::McsIndex m = start; m >= 0; --m) {
+        const auto i = static_cast<std::size_t>(m);
+        if (descent.offer(m, t.cdr[i], t.throughput_mbps[i])) break;
+      }
+      EXPECT_EQ(descent.first, oracle_first_working_downward(t, start));
+      ++(want.settled >= 0 ? settled : none_settled);
+    }
+    EXPECT_EQ(stepper_association(t), oracle_association(t));
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(settled, 1000);
+  EXPECT_GT(none_settled, 1000);
+}
+
+// label_case's RA and BA recovery delays count the probes up to the first
+// working MCS of the descent; they match the delays the oracle's
+// first_working_downward gives, bit for bit.
+TEST(RaDescent, LabelDelaysMatchFirstWorkingOracle) {
+  util::Rng rng(26);
+  const trace::GroundTruthConfig cfg;
+  for (int trial = 0; trial < 2000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    trace::CaseRecord rec = make_record(8, 8, 8);
+    rec.init_mcs = trial % 3 == 0 ? 8 : rng.uniform_int(0, 8);
+    rec.new_at_init_pair = random_ladder(rng, 9);
+    rec.new_best = random_ladder(rng, 9);
+    const phy::McsIndex m0 = rec.init_mcs;
+    const auto probes_ms = [&](phy::McsIndex first) {
+      return first >= 0 ? static_cast<double>(m0 - first + 1) * cfg.fat_ms
+                        : static_cast<double>(m0 + 1) * cfg.fat_ms;
+    };
+    const phy::McsIndex ra_first =
+        oracle_first_working_downward(rec.new_at_init_pair, m0);
+    const double after_ba_ms =
+        probes_ms(oracle_first_working_downward(rec.new_best, m0));
+    const double d_max =
+        mac::worst_case_delay_ms(9, cfg.fat_ms, cfg.ba_overhead_ms);
+    const double want_ra = std::min(
+        ra_first >= 0 ? probes_ms(ra_first)
+                      : static_cast<double>(m0 + 1) * cfg.fat_ms +
+                            cfg.ba_overhead_ms + after_ba_ms,
+        d_max);
+    const double want_ba = std::min(cfg.ba_overhead_ms + after_ba_ms, d_max);
+    const trace::GroundTruth gt = trace::label_case(rec, cfg);
+    EXPECT_EQ(gt.delay_ra_ms, want_ra);
+    EXPECT_EQ(gt.delay_ba_ms, want_ba);
+  }
 }
 
 // ---------- the working-MCS rule ----------

@@ -782,27 +782,6 @@ TEST(ObsTrace, NextTraceIdIsNeverZeroAndMonotone) {
   EXPECT_NE(a, b);
 }
 
-TEST(ObsTrace, MergeChromeJsonSplicesDocuments) {
-  obs::TraceBuffer& buf = obs::TraceBuffer::global();
-  buf.clear();
-  { OBS_SPAN("obs_test.merge_a"); }
-  const std::string doc_a = buf.to_chrome_json();
-  buf.clear();
-  { OBS_SPAN("obs_test.merge_b"); }
-  const std::string doc_b = buf.to_chrome_json();
-  buf.clear();
-
-  const std::string merged = obs::merge_chrome_json({doc_a, doc_b});
-  const JsonValue root = parse_json(merged);
-  const JsonValue* events = root.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  EXPECT_NE(find_event(*events, "obs_test.merge_a"), nullptr);
-  EXPECT_NE(find_event(*events, "obs_test.merge_b"), nullptr);
-
-  // Inputs that did not come from our exporter are refused, not spliced.
-  EXPECT_THROW(obs::merge_chrome_json({"{\"foo\":1}"}), std::runtime_error);
-}
-
 TEST(ObsHistogram, Log2BucketBoundaries) {
   // Bucket 0 holds v < 1 (and NaN); bucket b >= 1 holds [2^(b-1), 2^b).
   EXPECT_EQ(obs::histogram_bucket(0.0), 0u);

@@ -472,6 +472,64 @@ TEST(PdpKernelEquivalence, FeaturesMatchOracleAfterFaults) {
   EXPECT_GT(finite_pdp_features, 100);  // the similarity was exercised
 }
 
+// The training rows come from the same formulas as the serving rows:
+// extract_features on generated PairTraces equals the oracle, bit for bit,
+// on the same metrics carried in PhyObservations. The traces cover a ToF
+// that either side could not measure (nullopt), PDPs of different lengths
+// with tied maxima, and every initial MCS.
+TEST(PdpKernelEquivalence, ExtractFeaturesMatchesOracle) {
+  util::Rng rng(48);
+  const auto generated = [&rng] {
+    trace::PairTrace t;
+    t.snr_db = rng.uniform(-5.0, 30.0);
+    t.noise_dbm = rng.uniform(-80.0, -60.0);
+    if (rng.bernoulli(0.7)) t.tof_ns = rng.uniform(5.0, 60.0);
+    t.pdp = pdp_shaped(rng, static_cast<std::size_t>(rng.uniform_int(1, 300)));
+    if (rng.bernoulli(0.3)) {
+      const std::size_t tie = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(t.pdp.size()) - 1));
+      t.pdp[tie] = *std::max_element(t.pdp.begin(), t.pdp.end());
+    }
+    t.csi = pdp_shaped(rng, 128);
+    for (int m = 0; m < 9; ++m) {
+      t.cdr.push_back(rng.uniform(0.0, 1.0));
+      t.throughput_mbps.push_back(rng.uniform(0.0, 4750.0));
+    }
+    return t;
+  };
+  const auto as_observation = [](const trace::PairTrace& t, double cdr) {
+    phy::PhyObservation o;
+    o.snr_db = t.snr_db;
+    o.noise_dbm = t.noise_dbm;
+    o.tof_ns = t.tof_ns;
+    o.pdp = t.pdp;
+    o.csi = t.csi;
+    o.cdr = cdr;
+    return o;
+  };
+  int unmeasured_tof = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    trace::CaseRecord rec;
+    rec.init_best = generated();
+    rec.new_at_init_pair = generated();
+    rec.init_mcs = rng.uniform_int(0, 8);
+    const double cdr =
+        rec.new_at_init_pair.cdr[static_cast<std::size_t>(rec.init_mcs)];
+    const trace::FeatureVector exp = oracle_features(
+        as_observation(rec.init_best, 0.0),
+        as_observation(rec.new_at_init_pair, cdr), rec.init_mcs);
+    ASSERT_TRUE(trace::all_finite(exp));
+    const trace::FeatureVector got = trace::extract_features(rec);
+    for (std::size_t i = 0; i < exp.v.size(); ++i) {
+      EXPECT_EQ(bits(got.v[i]), bits(exp.v[i]))
+          << "feature " << i << ": " << got.v[i] << " vs " << exp.v[i];
+    }
+    if (exp.v[1] == trace::kTofInfinity) ++unmeasured_tof;
+  }
+  EXPECT_GT(unmeasured_tof, 50);  // the nullopt branch was exercised
+}
+
 // A materialized baseline that a fault truncates keeps no stale peak
 // either: the similarity reads the truncated PDP's own first maximum.
 TEST(PdpKernelEquivalence, TruncatedBaselineReadsItsOwnPeak) {

@@ -3,9 +3,11 @@
 #include <initializer_list>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "phy/error_model.h"
 #include "test_helpers.h"
+#include "trace/collector.h"
 #include "trace/dataset.h"
 #include "trace/features.h"
 #include "trace/ground_truth.h"
@@ -461,6 +463,26 @@ TEST(Collection, DeterministicUnderSeed) {
                      b.records[i].init_best.snr_db);
     EXPECT_EQ(a.records[i].init_mcs, b.records[i].init_mcs);
   }
+}
+
+// frames_per_trace is checked at construction and named: it scales the
+// averaged jitters, so a bad count would otherwise surface as a complaint
+// about snr_jitter_db, a field the caller never set.
+TEST(Collection, NonPositiveFramesPerTraceThrowsNamingIt) {
+  phy::McsTable table;
+  phy::ErrorModel em(&table);
+  for (const int frames : {0, -4}) {
+    SCOPED_TRACE("frames_per_trace " + std::to_string(frames));
+    try {
+      const TraceCollector collector(&em, CollectorConfig{frames});
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("frames_per_trace"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(TraceCollector(&em, CollectorConfig{1}));
 }
 
 TEST(Collection, InterferenceCalibrationHitsTargetDrop) {
