@@ -826,7 +826,12 @@ void BM_RayTraceLobby(benchmark::State& state) {
 BENCHMARK(BM_RayTraceLobby);
 
 // Reports the sweep's exact channel evaluations per sweep (exact_pairs, of
-// 625), read from the mac.sweep.exact_pairs obs counter.
+// 625), read from the mac.sweep.exact_pairs obs counter. The sweep benches
+// run a fixed number of sweeps: the Rng stream runs on from one sweep to
+// the next, so exact_pairs compares between runs and trees only over the
+// same sweeps.
+constexpr benchmark::IterationCount kSweepIterations = 4000;
+
 void run_sweep_bench(benchmark::State& state, const channel::Link& link) {
   auto& f = Fixture::get();
   const phy::PhySampler sampler(&f.em);
@@ -855,7 +860,9 @@ void BM_ExhaustiveSweep625(benchmark::State& state) {
   const channel::Link link(&lobby, &tx, &rx);
   run_sweep_bench(state, link);
 }
-BENCHMARK(BM_ExhaustiveSweep625)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ExhaustiveSweep625)
+    ->Iterations(kSweepIterations)
+    ->Unit(benchmark::kMicrosecond);
 
 // The storm workload's shape: a conference room with a blocker on the LOS
 // and a bursty interferer, so the bound has both to see past.
@@ -869,7 +876,22 @@ void BM_ExhaustiveSweepStorm(benchmark::State& state) {
   link.set_interferer(channel::Interferer{{6.0, 1.0}, 50.0, 0.5});
   run_sweep_bench(state, link);
 }
-BENCHMARK(BM_ExhaustiveSweepStorm)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ExhaustiveSweepStorm)
+    ->Iterations(kSweepIterations)
+    ->Unit(benchmark::kMicrosecond);
+
+// One sweep's raw draws: 1,600 engine words, about what a 25 x 25 sweep's
+// 625 polar gaussians take. The stream runs on across iterations, so the
+// 312-word refills cost what they cost in a session.
+void BM_RngWords(benchmark::State& state) {
+  util::Rng rng(7);
+  for (auto _ : state) {
+    std::uint64_t acc = 0;
+    for (int i = 0; i < 1600; ++i) acc ^= rng.word();
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_RngWords)->Unit(benchmark::kMicrosecond);
 
 void BM_Sls80211ad(benchmark::State& state) {
   auto& f = Fixture::get();

@@ -15,9 +15,7 @@ void PhasedArray::rotate(double delta_deg) {
 }
 
 double PhasedArray::gain_dbi(BeamId beam, double world_angle_deg) const {
-  const double array_angle =
-      geom::wrap_angle_deg(world_angle_deg - boresight_deg_);
-  return codebook_->gain_dbi(beam, array_angle);
+  return codebook_->gain_dbi(beam, array_angle_deg(world_angle_deg));
 }
 
 double PhasedArray::angle_to(geom::Vec2 target) const {

@@ -23,8 +23,15 @@ class PhasedArray {
   // paper's rotation experiments (steps of 15 degrees, Sec. 4.2).
   void rotate(double delta_deg);
 
-  // Gain (dBi) of `beam` toward a world-frame direction (degrees).
+  // Gain (dBi) of `beam` toward a world-frame direction (degrees): the
+  // codebook's gain at array_angle_deg(world_angle_deg).
   double gain_dbi(BeamId beam, double world_angle_deg) const;
+  // The array-frame angle of a world-frame direction, in (-180, 180]. A
+  // caller that needs many beams' gains toward one direction computes it
+  // once.
+  double array_angle_deg(double world_angle_deg) const {
+    return geom::wrap_angle_deg(world_angle_deg - boresight_deg_);
+  }
 
   // World-frame angle from this array toward a point.
   double angle_to(geom::Vec2 target) const;

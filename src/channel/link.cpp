@@ -152,12 +152,18 @@ Link::SweepTable::SweepTable(const Link& link)
   for (const Path& p : link.paths_) terms_.push_back(link.path_terms(p));
   const auto gain_table = [&](const array::PhasedArray& antenna,
                               double Path::*angle_deg) {
-    const auto n_beams = static_cast<std::size_t>(antenna.codebook().size());
+    const array::Codebook& codebook = antenna.codebook();
+    const auto n_beams = static_cast<std::size_t>(codebook.size());
+    // PhasedArray::gain_dbi's array-frame angles, once per path.
+    std::vector<double> array_angle(n_paths_);
+    for (std::size_t i = 0; i < n_paths_; ++i) {
+      array_angle[i] = antenna.array_angle_deg(link.paths_[i].*angle_deg);
+    }
     std::vector<double> gain(n_beams * n_paths_);
     for (std::size_t b = 0; b < n_beams; ++b) {
       for (std::size_t i = 0; i < n_paths_; ++i) {
-        gain[b * n_paths_ + i] = antenna.gain_dbi(
-            static_cast<array::BeamId>(b), link.paths_[i].*angle_deg);
+        gain[b * n_paths_ + i] =
+            codebook.gain_dbi(static_cast<array::BeamId>(b), array_angle[i]);
       }
     }
     return gain;
@@ -175,11 +181,19 @@ Link::SweepTable::SweepTable(const Link& link)
   };
   const std::vector<double> tx_best = best_gain(tx_gain_);
   const std::vector<double> rx_best = best_gain(rx_gain_);
-  // Every step from a gain to the mW sum is monotone (round-to-nearest add
-  // and subtract, a sum of non-negative terms) except pow, and log10 after
-  // it; the slack covers both. A pair whose sum is zero reads the
-  // no-signal floor, which carries no fade, hence the clamp.
-  const auto bound_dbm = [&](double total_mw) {
+  // Each bound sums an upper bound on every path's mW term
+  // (util::dbm_to_mw_upper_bound: exp2f with a certified margin, no pow).
+  // Every other step from a gain to that sum is monotone (round-to-nearest
+  // add and subtract, a sum of non-negative terms); the slack covers log10
+  // after it. A pair whose sum is zero reads the no-signal floor, which
+  // carries no fade, hence the clamp.
+  const auto bound_dbm = [&](const double* tx_gain_dbi,
+                             const double* rx_gain_dbi) {
+    double total_mw = 0.0;
+    for (std::size_t i = 0; i < n_paths_; ++i) {
+      total_mw += libra::util::dbm_to_mw_upper_bound(
+          link.path_power_dbm(terms_[i], tx_gain_dbi[i], rx_gain_dbi[i]));
+    }
     return std::max(link.total_power_dbm(total_mw * (1.0 + kBoundSlack)),
                     kNoSignalDbm);
   };
@@ -188,30 +202,27 @@ Link::SweepTable::SweepTable(const Link& link)
   tx_bound_dbm_.resize(n_tx);
   for (std::size_t tb = 0; tb < n_tx; ++tb) {
     tx_bound_dbm_[tb] =
-        bound_dbm(sum_mw(tx_gain_.data() + tb * n_paths_, rx_best.data()));
+        bound_dbm(tx_gain_.data() + tb * n_paths_, rx_best.data());
   }
   rx_bound_dbm_.resize(n_rx);
   for (std::size_t rb = 0; rb < n_rx; ++rb) {
     rx_bound_dbm_[rb] =
-        bound_dbm(sum_mw(tx_best.data(), rx_gain_.data() + rb * n_paths_));
+        bound_dbm(tx_best.data(), rx_gain_.data() + rb * n_paths_);
   }
 }
 
-double Link::SweepTable::sum_mw(const double* tx_gain_dbi,
-                                const double* rx_gain_dbi) const {
+double Link::SweepTable::rx_power_dbm(array::BeamId tx_beam,
+                                      array::BeamId rx_beam) const {
+  const double* tx_gain_dbi =
+      tx_gain_.data() + static_cast<std::size_t>(tx_beam) * n_paths_;
+  const double* rx_gain_dbi =
+      rx_gain_.data() + static_cast<std::size_t>(rx_beam) * n_paths_;
   double total_mw = 0.0;
   for (std::size_t i = 0; i < n_paths_; ++i) {
     total_mw += libra::util::dbm_to_mw(
         link_->path_power_dbm(terms_[i], tx_gain_dbi[i], rx_gain_dbi[i]));
   }
-  return total_mw;
-}
-
-double Link::SweepTable::rx_power_dbm(array::BeamId tx_beam,
-                                      array::BeamId rx_beam) const {
-  return link_->total_power_dbm(
-      sum_mw(tx_gain_.data() + static_cast<std::size_t>(tx_beam) * n_paths_,
-             rx_gain_.data() + static_cast<std::size_t>(rx_beam) * n_paths_));
+  return link_->total_power_dbm(total_mw);
 }
 
 double Link::interference_power_dbm(array::BeamId rx_beam) const {

@@ -92,9 +92,12 @@ class Link {
   //    Rx beam rb, and rx_bound_dbm(rb) >= rx_power_dbm(tb, rb) for every
   //    Tx beam tb. A Tx beam's bound pairs its own gain toward each path
   //    with the best gain any Rx beam has toward it (and vice versa). The
-  //    linear sum is inflated by kBoundSlack, which dwarfs the <= 1 ULP
-  //    error of pow and log10 (neither is documented to be monotone), and
-  //    the bound never falls below the no-signal floor.
+  //    linear sum adds a certified upper bound on each path's mW term
+  //    (util::dbm_to_mw_upper_bound: exp2f, not pow), and is inflated by
+  //    kBoundSlack, which dwarfs the <= 1 ULP error of log10 (not
+  //    documented to be monotone) and the term bound's rounding at the
+  //    bottom of the float range. The bound never falls below the
+  //    no-signal floor.
   // The table reads the link at construction and at every exact query, so
   // it is valid only while the link, its arrays and its environment stay
   // unchanged.
@@ -112,10 +115,6 @@ class Link {
     }
 
    private:
-    // The linear sum over paths of the per-path formula, left to right,
-    // for per-path Tx and Rx gain arrays of n_paths_ entries each.
-    double sum_mw(const double* tx_gain_dbi, const double* rx_gain_dbi) const;
-
     const Link* link_;
     std::size_t n_paths_;
     std::vector<PathTerms> terms_;

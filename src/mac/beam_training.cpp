@@ -14,7 +14,7 @@ namespace libra::mac {
 
 namespace {
 // Added to every pair's score bound (dB). The table's bounds already cover
-// pow and log10; this covers any rounding left in the mean-SNR formula.
+// their own rounding; this covers any left in the mean-SNR formula.
 constexpr double kScoreSlackDb = 1e-6;
 
 double probes_to_ms(int probes, const BeamTrainerConfig& cfg) {

@@ -3,10 +3,43 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace libra::ml {
 
-NeuralNet::NeuralNet(NeuralNetConfig cfg) : cfg_(cfg) {}
+namespace {
+[[noreturn]] void reject(const char* field, const char* rule,
+                         const std::string& got) {
+  throw std::invalid_argument(std::string("NeuralNetConfig: ") + field +
+                              " must be " + rule + ", got " + got);
+}
+}  // namespace
+
+void NeuralNetConfig::validate() const {
+  for (std::size_t i = 0; i < hidden.size(); ++i) {
+    if (hidden[i] < 1) {
+      reject("hidden", ">= 1 in every layer",
+             std::to_string(hidden[i]) + " in layer " + std::to_string(i));
+    }
+  }
+  if (!(dropout >= 0.0 && dropout < 1.0)) {
+    reject("dropout", "in [0, 1)", std::to_string(dropout));
+  }
+  if (!(std::isfinite(learning_rate) && learning_rate > 0.0)) {
+    reject("learning_rate", "finite and > 0", std::to_string(learning_rate));
+  }
+  if (epochs < 0) reject("epochs", ">= 0", std::to_string(epochs));
+  if (batch_size < 1) reject("batch_size", ">= 1", std::to_string(batch_size));
+  if (!(std::isfinite(l2) && l2 >= 0.0)) {
+    reject("l2", "finite and >= 0", std::to_string(l2));
+  }
+}
+
+NeuralNet::NeuralNet(NeuralNetConfig cfg) : cfg_(std::move(cfg)) {
+  cfg_.validate();
+}
 
 std::vector<double> NeuralNet::forward(
     std::span<const double> x, std::vector<std::vector<double>>* activations,

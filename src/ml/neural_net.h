@@ -17,6 +17,11 @@ struct NeuralNetConfig {
   int epochs = 220;
   int batch_size = 16;
   double l2 = 1e-4;
+
+  // Throws std::invalid_argument naming the field unless every hidden size
+  // is >= 1, dropout is in [0, 1), learning_rate is finite and > 0,
+  // epochs >= 0, batch_size >= 1 and l2 is finite and >= 0.
+  void validate() const;
 };
 
 class NeuralNet : public Classifier {

@@ -83,16 +83,9 @@ class Engine {
     result_.settled_mcs = mcs;
     const trace::PairTrace& t = trace_for(pair);
     if (t.works_at(mcs)) link_restored_now();
-    const auto max_mcs =
-        static_cast<phy::McsIndex>(t.throughput_mbps.size()) - 1;
     core::UpProber prober(mcs);
     while (!done()) {
-      const auto c = static_cast<std::size_t>(prober.current());
-      const std::size_t up = std::min(c + 1, t.throughput_mbps.size() - 1);
-      const phy::McsIndex m =
-          prober.on_frame(max_mcs, t.cdr[c], t.throughput_mbps[c], t.cdr[up],
-                          t.throughput_mbps[up]);
-      frame(pair, m);
+      frame(pair, trace::up_probe_frame(prober, t));
       result_.settled_mcs = prober.current();
     }
   }

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "core/rate_adaptation.h"
+#include "trace/collector.h"
 
 namespace libra::sim {
 
@@ -158,11 +159,7 @@ double clear_segment_bytes(const trace::CaseRecord& record, PairSel pair,
     }
     const trace::PairTrace& t = trace_of(pair);
     const double dur = std::min(params.fat_ms, duration_ms - t_ms);
-    const auto c = static_cast<std::size_t>(prober.current());
-    const std::size_t up = std::min(c + 1, t.throughput_mbps.size() - 1);
-    const phy::McsIndex m = prober.on_frame(
-        static_cast<phy::McsIndex>(t.throughput_mbps.size()) - 1, t.cdr[c],
-        t.throughput_mbps[c], t.cdr[up], t.throughput_mbps[up]);
+    const phy::McsIndex m = trace::up_probe_frame(prober, t);
     const double tput = t.throughput_mbps[static_cast<std::size_t>(m)];
     bytes += tput * dur / 8000.0;
     if (series) series->emplace_back(tput, dur);

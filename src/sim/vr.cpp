@@ -2,12 +2,41 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 namespace libra::sim {
+
+namespace {
+void check_positive(double value, const char* field) {
+  if (!(std::isfinite(value) && value > 0.0)) {
+    throw std::invalid_argument(std::string("VrConfig: ") + field +
+                                " must be finite and > 0, got " +
+                                std::to_string(value));
+  }
+}
+}  // namespace
+
+void VrConfig::validate() const {
+  check_positive(fps, "fps");
+  check_positive(bitrate_mbps, "bitrate_mbps");
+  if (!(scene_swing >= 0.0 && scene_swing < 1.0)) {
+    throw std::invalid_argument(
+        "VrConfig: scene_swing must be finite and in [0, 1), got " +
+        std::to_string(scene_swing));
+  }
+  check_positive(iframe_boost, "iframe_boost");
+  if (gop_frames < 1) {
+    throw std::invalid_argument("VrConfig: gop_frames must be >= 1, got " +
+                                std::to_string(gop_frames));
+  }
+  check_positive(cots_scale, "cots_scale");
+}
 
 std::vector<double> generate_frame_sizes_mb(const VrConfig& cfg,
                                             double duration_ms,
                                             util::Rng& rng) {
+  cfg.validate();
   const int n = static_cast<int>(duration_ms / 1000.0 * cfg.fps);
   const double mean_mb = cfg.bitrate_mbps / 8.0 / cfg.fps;  // Mb -> MB
   std::vector<double> sizes;
@@ -32,6 +61,7 @@ std::vector<double> generate_frame_sizes_mb(const VrConfig& cfg,
 VrResult play_vr(const std::vector<double>& frame_sizes_mb,
                  const std::vector<std::pair<double, double>>& tput_segments,
                  const VrConfig& cfg) {
+  cfg.validate();
   VrResult result;
   const double frame_interval_ms = 1000.0 / cfg.fps;
 

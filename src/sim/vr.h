@@ -28,9 +28,15 @@ struct VrConfig {
   int gop_frames = 30;
   // COTS 802.11ad tops out around 2.4 Gbps; scale the trace throughputs.
   double cots_scale = 2400.0 / 4750.0;
+
+  // Throws std::invalid_argument naming the field unless fps,
+  // bitrate_mbps, iframe_boost and cots_scale are finite and > 0,
+  // scene_swing is finite and in [0, 1) and gop_frames >= 1.
+  void validate() const;
 };
 
-// Synthetic frame sizes (MB) for a scene of the given duration.
+// Synthetic frame sizes (MB) for a scene of the given duration. Validates
+// the config.
 std::vector<double> generate_frame_sizes_mb(const VrConfig& cfg,
                                             double duration_ms,
                                             util::Rng& rng);
@@ -42,6 +48,7 @@ struct VrResult {
 };
 
 // Play the frame sequence over a piecewise-constant throughput timeline.
+// Validates the config.
 VrResult play_vr(const std::vector<double>& frame_sizes_mb,
                  const std::vector<std::pair<double, double>>& tput_segments,
                  const VrConfig& cfg);

@@ -8,6 +8,8 @@
 // transmitter is actually using when the impairment hits.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,6 +41,21 @@ struct PairTrace {
   // back to the overall argmax when nothing works.
   phy::McsIndex best_mcs() const;
 };
+
+// One frame of an up-prober (core::UpProber) replayed on a trace: the
+// prober's current MCS and the next one up, clamped at the top MCS, give
+// on_frame the CDR and throughput it reads. Returns the MCS the frame is
+// sent at. A template over the prober so that trace does not depend on
+// core.
+template <typename Prober>
+phy::McsIndex up_probe_frame(Prober& prober, const PairTrace& t) {
+  const std::size_t top = t.throughput_mbps.size() - 1;
+  const auto c = static_cast<std::size_t>(prober.current());
+  const std::size_t up = std::min(c + 1, top);
+  return prober.on_frame(static_cast<phy::McsIndex>(top), t.cdr[c],
+                         t.throughput_mbps[c], t.cdr[up],
+                         t.throughput_mbps[up]);
+}
 
 // One collected dataset case: the initial state plus the impaired state.
 struct CaseRecord {

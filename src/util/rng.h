@@ -7,13 +7,51 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <span>
 #include <vector>
 
 namespace libra::util {
+
+// MT19937-64 (Matsumoto and Nishimura), word for word std::mt19937_64:
+// the same seeding, the same 312-word state and position, the same twist
+// recurrence and tempering. Engines seeded alike yield the same words, and
+// operator== compares state and position as std::mt19937_64's does. Only
+// the twist is written differently: each word's twist-matrix term is
+// masked by its low bit instead of chosen by a branch on it, which a
+// processor mispredicts about half the time.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kStateWords = 312;
+
+  explicit Mt19937_64(result_type seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ >= kStateWords) twist();
+    result_type z = state_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  bool operator==(const Mt19937_64&) const = default;
+
+ private:
+  // Regenerates all 312 words in place and rewinds the position.
+  void twist();
+
+  std::array<result_type, kStateWords> state_;
+  std::size_t pos_;
+};
 
 class Rng {
  public:
@@ -25,9 +63,8 @@ class Rng {
 
   std::uint64_t seed() const { return seed_; }
 
-  // uniform, bernoulli and exponential are libstdc++'s
-  // std::uniform_real_distribution, std::bernoulli_distribution and
-  // std::exponential_distribution, bit for bit: the same formulas over the
+  // uniform and bernoulli are libstdc++'s std::uniform_real_distribution
+  // and std::bernoulli_distribution, bit for bit: the same formulas over the
   // same canonical() draw.
   double uniform(double lo, double hi) {
     return canonical() * (hi - lo) + lo;
@@ -52,18 +89,13 @@ class Rng {
     return std::uniform_int_distribution<int>(lo, hi)(engine_);
   }
   bool bernoulli(double p) { return canonical() < p; }
-  // Exponentially distributed with the given mean (> 0). The division by
-  // the rate, not a multiplication by the mean: the two round differently.
-  double exponential(double mean) {
-    return -std::log(1.0 - canonical()) / (1.0 / mean);
-  }
 
   // One raw 64-bit word of the engine, e.g. to key a counter-based
   // substream (fill_standard_normals).
   std::uint64_t word() { return engine_(); }
 
-  // A uniform double in [0, 1): std::generate_canonical<double, 53> on
-  // this 64-bit engine, bit for bit.
+  // A uniform double in [0, 1): libstdc++'s
+  // std::generate_canonical<double, 53> on a 64-bit engine, bit for bit.
   double canonical() { return canonical_from(engine_()); }
   // libstdc++ converts the 64-bit word as an unsigned integer, which
   // compiles to a branch on its (random) top bit. Converting the two
@@ -84,10 +116,13 @@ class Rng {
     std::shuffle(v.begin(), v.end(), engine_);
   }
 
-  std::mt19937_64& engine() { return engine_; }
+  // The engine itself, for std distributions and raw words. It meets
+  // UniformRandomBitGenerator, so std::uniform_int_distribution and
+  // std::shuffle draw from it exactly as from std::mt19937_64.
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
   std::uint64_t seed_;
   std::uint64_t fork_count_ = 0;
 };

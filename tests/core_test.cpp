@@ -16,6 +16,7 @@
 #include "env/registry.h"
 #include "mac/timing.h"
 #include "test_helpers.h"
+#include "trace/collector.h"
 #include "trace/ground_truth.h"
 #include "util/rng.h"
 
@@ -71,28 +72,18 @@ TEST(RaRepairWalk, FromMcsZero) {
 
 // ---------- UpProber ----------
 
-// One frame of the prober on a trace: it reads the trace's CDR and
-// throughput at its current MCS and the one above.
-phy::McsIndex step_on_trace(UpProber& prober, const trace::PairTrace& t) {
-  const auto c = static_cast<std::size_t>(prober.current());
-  const std::size_t up = std::min(c + 1, t.throughput_mbps.size() - 1);
-  return prober.on_frame(
-      static_cast<phy::McsIndex>(t.throughput_mbps.size()) - 1, t.cdr[c],
-      t.throughput_mbps[c], t.cdr[up], t.throughput_mbps[up]);
-}
-
 TEST(UpProber, ClimbsToBestMcs) {
   const trace::PairTrace t = make_trace(6);
   UpProber prober(2);
   // Enough frames for four climbs at T0 = 5.
-  for (int i = 0; i < 60; ++i) step_on_trace(prober, t);
+  for (int i = 0; i < 60; ++i) trace::up_probe_frame(prober, t);
   EXPECT_EQ(prober.current(), 6);
 }
 
 TEST(UpProber, DoesNotExceedWorkingCeiling) {
   const trace::PairTrace t = make_trace(4);
   UpProber prober(4);
-  for (int i = 0; i < 300; ++i) step_on_trace(prober, t);
+  for (int i = 0; i < 300; ++i) trace::up_probe_frame(prober, t);
   EXPECT_EQ(prober.current(), 4);
 }
 
@@ -103,7 +94,7 @@ TEST(UpProber, BacksOffExponentially) {
   // comes 10 frames later, the third 20 frames after that.
   std::vector<int> probe_frames;
   for (int i = 0; i < 120; ++i) {
-    const phy::McsIndex m = step_on_trace(prober, t);
+    const phy::McsIndex m = trace::up_probe_frame(prober, t);
     if (m == 5) probe_frames.push_back(i);
   }
   ASSERT_GE(probe_frames.size(), 3u);
@@ -118,7 +109,7 @@ TEST(UpProber, HoldsWhenCdrUnhealthy) {
   t.cdr[4] = 0.5;  // current MCS lossy: never probe upward from here
   UpProber prober(4);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(step_on_trace(prober, t), 4);
+    EXPECT_EQ(trace::up_probe_frame(prober, t), 4);
   }
 }
 
@@ -126,14 +117,14 @@ TEST(UpProber, AtMaxMcsStaysPut) {
   const trace::PairTrace t = make_trace(8);
   UpProber prober(8);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(step_on_trace(prober, t), 8);
+    EXPECT_EQ(trace::up_probe_frame(prober, t), 8);
   }
 }
 
 TEST(UpProber, ResetRestoresState) {
   const trace::PairTrace t = make_trace(8);
   UpProber prober(2);
-  for (int i = 0; i < 30; ++i) step_on_trace(prober, t);
+  for (int i = 0; i < 30; ++i) trace::up_probe_frame(prober, t);
   prober.reset(1);
   EXPECT_EQ(prober.current(), 1);
 }

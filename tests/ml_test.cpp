@@ -8,6 +8,7 @@
 #include <memory>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "ml/compiled_forest.h"
@@ -1235,6 +1236,78 @@ TEST(NeuralNet, MulticlassSoftmax) {
   nn.fit(d, rng);
   EXPECT_EQ(nn.predict(std::vector<double>{0.0}), 0);
   EXPECT_EQ(nn.predict(std::vector<double>{8.0}), 2);
+}
+
+// One negative case per NeuralNetConfig field; the message names it. A
+// batch_size of 0 would never end fit's batch loop.
+void expect_nn_config_rejected(const NeuralNetConfig& cfg, const char* field) {
+  try {
+    NeuralNet nn(cfg);
+    ADD_FAILURE() << field << ": NeuralNet did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NeuralNetConfigValidation, HiddenSizesMustBePositive) {
+  for (const std::vector<int>& bad :
+       {std::vector<int>{0}, std::vector<int>{32, -1, 16}}) {
+    NeuralNetConfig cfg;
+    cfg.hidden = bad;
+    expect_nn_config_rejected(cfg, "hidden");
+  }
+}
+
+TEST(NeuralNetConfigValidation, DropoutMustBeAFraction) {
+  for (const double bad : {-0.1, 1.0, 1.5, std::nan("")}) {
+    NeuralNetConfig cfg;
+    cfg.dropout = bad;
+    expect_nn_config_rejected(cfg, "dropout");
+  }
+}
+
+TEST(NeuralNetConfigValidation, LearningRateMustBeFiniteAndPositive) {
+  for (const double bad : {0.0, -5e-3, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    NeuralNetConfig cfg;
+    cfg.learning_rate = bad;
+    expect_nn_config_rejected(cfg, "learning_rate");
+  }
+}
+
+TEST(NeuralNetConfigValidation, EpochsMustBeNonNegative) {
+  NeuralNetConfig cfg;
+  cfg.epochs = -1;
+  expect_nn_config_rejected(cfg, "epochs");
+}
+
+TEST(NeuralNetConfigValidation, BatchSizeMustBePositive) {
+  for (const int bad : {0, -16}) {
+    NeuralNetConfig cfg;
+    cfg.batch_size = bad;
+    expect_nn_config_rejected(cfg, "batch_size");
+  }
+}
+
+TEST(NeuralNetConfigValidation, L2MustBeFiniteAndNonNegative) {
+  for (const double bad : {-1e-4, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    NeuralNetConfig cfg;
+    cfg.l2 = bad;
+    expect_nn_config_rejected(cfg, "l2");
+  }
+}
+
+TEST(NeuralNetConfigValidation, DefaultsAndEdgesAreAccepted) {
+  EXPECT_NO_THROW(NeuralNet{});
+  NeuralNetConfig cfg;
+  cfg.hidden = {};
+  cfg.dropout = 0.0;
+  cfg.epochs = 0;
+  cfg.batch_size = 1;
+  cfg.l2 = 0.0;
+  EXPECT_NO_THROW(NeuralNet{cfg});
 }
 
 // ---------- metrics ----------

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/event_sim.h"
 #include "sim/timeline.h"
 #include "sim/vr.h"
@@ -556,6 +563,80 @@ TEST(Vr, AvgStallIsTotalOverCount) {
   if (r.stalls > 0) {
     EXPECT_NEAR(r.avg_stall_ms, r.total_stall_ms / r.stalls, 1e-9);
   }
+}
+
+// One negative case per VrConfig field, through both entry points: a
+// gop_frames of 0 would take i % 0 in generate_frame_sizes_mb.
+void expect_vr_config_rejected(const VrConfig& cfg, const char* field) {
+  util::Rng rng(7);
+  try {
+    generate_frame_sizes_mb(cfg, 1000.0, rng);
+    ADD_FAILURE() << field << ": generate_frame_sizes_mb did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+  const std::vector<double> frames(10, 1.0);
+  const std::vector<std::pair<double, double>> tput = {{1000.0, 1000.0}};
+  EXPECT_THROW(play_vr(frames, tput, cfg), std::invalid_argument) << field;
+}
+
+TEST(VrConfigValidation, FpsMustBeFiniteAndPositive) {
+  for (const double bad : {0.0, -60.0, std::nan("")}) {
+    VrConfig cfg;
+    cfg.fps = bad;
+    expect_vr_config_rejected(cfg, "fps");
+  }
+}
+
+TEST(VrConfigValidation, BitrateMustBeFiniteAndPositive) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -1.0, kInf}) {
+    VrConfig cfg;
+    cfg.bitrate_mbps = bad;
+    expect_vr_config_rejected(cfg, "bitrate_mbps");
+  }
+}
+
+TEST(VrConfigValidation, SceneSwingMustBeAFraction) {
+  for (const double bad : {-0.1, 1.0, std::nan("")}) {
+    VrConfig cfg;
+    cfg.scene_swing = bad;
+    expect_vr_config_rejected(cfg, "scene_swing");
+  }
+}
+
+TEST(VrConfigValidation, IframeBoostMustBeFiniteAndPositive) {
+  for (const double bad : {0.0, -1.8, std::nan("")}) {
+    VrConfig cfg;
+    cfg.iframe_boost = bad;
+    expect_vr_config_rejected(cfg, "iframe_boost");
+  }
+}
+
+TEST(VrConfigValidation, GopFramesMustBePositive) {
+  for (const int bad : {0, -30}) {
+    VrConfig cfg;
+    cfg.gop_frames = bad;
+    expect_vr_config_rejected(cfg, "gop_frames");
+  }
+}
+
+TEST(VrConfigValidation, CotsScaleMustBeFiniteAndPositive) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -0.5, kInf}) {
+    VrConfig cfg;
+    cfg.cots_scale = bad;
+    expect_vr_config_rejected(cfg, "cots_scale");
+  }
+}
+
+TEST(VrConfigValidation, DefaultsAndEdgesAreAccepted) {
+  EXPECT_NO_THROW(VrConfig{}.validate());
+  VrConfig cfg;
+  cfg.scene_swing = 0.0;
+  cfg.gop_frames = 1;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 }  // namespace

@@ -93,6 +93,16 @@ TEST(Rng, GaussianMoments) {
   EXPECT_NEAR(s.stddev(), 2.0, 0.1);
 }
 
+// Whether the next 312 words of the two engines agree. MT19937-64's
+// tempering is invertible, so 312 consecutive words fix the whole state:
+// agreement here means the engines are in the same state.
+bool same_next_words(Mt19937_64 engine, std::mt19937_64 reference) {
+  for (std::size_t i = 0; i < Mt19937_64::kStateWords; ++i) {
+    if (engine() != reference()) return false;
+  }
+  return true;
+}
+
 // gaussian() replays std::normal_distribution<double>(mean, stddev) drawn
 // from a fresh distribution -- the stream every stochastic component and
 // the golden fleet digest were recorded with -- in value bits and in the
@@ -114,7 +124,7 @@ TEST(Rng, GaussianMatchesStdNormalDistribution) {
           ++mismatches;
         }
       }
-      EXPECT_TRUE(rng.engine() == reference)
+      EXPECT_TRUE(same_next_words(rng.engine(), reference))
           << "seed " << seed << " mean " << mean << " stddev " << stddev;
     }
   }
@@ -128,23 +138,15 @@ TEST(Rng, BernoulliRate) {
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.02);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(5);
-  RunningStats s;
-  for (int i = 0; i < 20000; ++i) s.add(rng.exponential(4.0));
-  EXPECT_NEAR(s.mean(), 4.0, 0.15);
-}
-
-// uniform(), bernoulli() and exponential() replay libstdc++'s
-// distributions, each drawn from a fresh distribution, in value bits and in
-// the engine state they leave: ~10^6 draws each over several parameters.
-TEST(Rng, UniformBernoulliExponentialMatchStdDistributions) {
+// uniform() and bernoulli() replay libstdc++'s distributions, each drawn
+// from a fresh distribution, in value bits and in the engine state they
+// leave: ~10^6 draws each over several parameters.
+TEST(Rng, UniformBernoulliMatchStdDistributions) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   const std::uint64_t seeds[] = {1ULL, 77ULL, ~0ULL, 2024ULL};
   const std::pair<double, double> ranges[] = {
       {0.0, 1.0}, {-3.5, 2.0}, {1e3, 1e3 + 1e-3}, {-1e9, 1e9}};
   const double probabilities[] = {0.0, 1e-3, 0.3, 0.5, 0.999, 1.0};
-  const double means[] = {1.0, 4.0, 1e-3, 250.0};
   std::int64_t mismatches = 0;
   std::int64_t draws = 0;
   for (const std::uint64_t seed : seeds) {
@@ -156,7 +158,8 @@ TEST(Rng, UniformBernoulliExponentialMatchStdDistributions) {
             std::uniform_real_distribution<double>(lo, hi)(reference);
         mismatches += bits(rng.uniform(lo, hi)) != bits(want);
       }
-      EXPECT_TRUE(rng.engine() == reference) << "uniform seed " << seed;
+      EXPECT_TRUE(same_next_words(rng.engine(), reference))
+          << "uniform seed " << seed;
     }
     for (const double p : probabilities) {
       Rng rng(seed);
@@ -165,20 +168,44 @@ TEST(Rng, UniformBernoulliExponentialMatchStdDistributions) {
         mismatches +=
             rng.bernoulli(p) != std::bernoulli_distribution(p)(reference);
       }
-      EXPECT_TRUE(rng.engine() == reference) << "bernoulli seed " << seed;
-    }
-    for (const double mean : means) {
-      Rng rng(seed);
-      std::mt19937_64 reference(seed);
-      for (int i = 0; i < 62500; ++i, ++draws) {
-        const double want =
-            std::exponential_distribution<double>(1.0 / mean)(reference);
-        mismatches += bits(rng.exponential(mean)) != bits(want);
-      }
-      EXPECT_TRUE(rng.engine() == reference) << "exponential seed " << seed;
+      EXPECT_TRUE(same_next_words(rng.engine(), reference))
+          << "bernoulli seed " << seed;
     }
   }
-  EXPECT_GE(draws, 3000000);
+  EXPECT_GE(draws, 2000000);
+  EXPECT_EQ(mismatches, 0);
+}
+
+// uniform_int() and shuffle() go through libstdc++'s
+// std::uniform_int_distribution and std::shuffle on the engine, and so draw
+// exactly what they draw on std::mt19937_64.
+TEST(Rng, UniformIntAndShuffleMatchStdMt19937_64) {
+  const std::pair<int, int> ranges[] = {
+      {0, 1}, {0, 3}, {-7, 7}, {0, 311}, {0, 1 << 30}, {INT32_MIN, INT32_MAX}};
+  std::int64_t mismatches = 0;
+  for (const std::uint64_t seed : {0ULL, 3ULL, ~0ULL}) {
+    for (const auto& [lo, hi] : ranges) {
+      Rng rng(seed);
+      std::mt19937_64 reference(seed);
+      for (int i = 0; i < 50000; ++i) {
+        mismatches += rng.uniform_int(lo, hi) !=
+                      std::uniform_int_distribution<int>(lo, hi)(reference);
+      }
+      EXPECT_TRUE(same_next_words(rng.engine(), reference))
+          << "uniform_int seed " << seed << " [" << lo << ", " << hi << "]";
+    }
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int round = 0; round < 200; ++round) {
+      std::vector<int> got(1000), want(1000);
+      for (int i = 0; i < 1000; ++i) got[i] = want[i] = i;
+      rng.shuffle(got);
+      std::shuffle(want.begin(), want.end(), reference);
+      mismatches += got != want;
+    }
+    EXPECT_TRUE(same_next_words(rng.engine(), reference))
+        << "shuffle seed " << seed;
+  }
   EXPECT_EQ(mismatches, 0);
 }
 
@@ -233,7 +260,7 @@ TEST(Rng, CanonicalMatchesGenerateCanonical) {
   for (int i = 0; i < 1000000; ++i) {
     mismatches += bits(rng.canonical()) != bits(std_canonical(reference()));
   }
-  EXPECT_TRUE(rng.engine() == reference);
+  EXPECT_TRUE(same_next_words(rng.engine(), reference));
   EXPECT_EQ(mismatches, 0);
 }
 
@@ -244,6 +271,95 @@ TEST(Rng, ShuffleKeepsElements) {
   rng.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
+}
+
+// ---------- Mt19937_64 ----------
+
+// The engine is std::mt19937_64 word for word: 10^6 words for each of
+// several seeds, the extremes 0 and 2^64 - 1 included.
+TEST(Mt19937_64, MatchesStdMt19937_64) {
+  for (const std::uint64_t seed : {0ULL, 1ULL, 2ULL, 5489ULL,
+                                   0x9e3779b97f4a7c15ULL, ~0ULL}) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    std::int64_t mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) mismatches += engine() != reference();
+    EXPECT_EQ(mismatches, 0) << "seed " << seed;
+    EXPECT_TRUE(same_next_words(engine, reference)) << "seed " << seed;
+  }
+}
+
+// Forked streams seed the engine with seed ^ (γ * k) for the k-th fork;
+// each is std::mt19937_64 seeded alike, whatever the parent has drawn.
+TEST(Mt19937_64, ForkedStreamsMatchStdMt19937_64) {
+  for (const std::uint64_t seed : {0ULL, 7ULL, ~0ULL}) {
+    Rng parent(seed);
+    for (std::uint64_t k = 1; k <= 8; ++k) {
+      for (std::uint64_t i = 0; i < 100 * k; ++i) parent.word();
+      Rng child = parent.fork();
+      const std::uint64_t child_seed = seed ^ (0x9e3779b97f4a7c15ULL * k);
+      ASSERT_EQ(child.seed(), child_seed);
+      std::mt19937_64 reference(child_seed);
+      std::int64_t mismatches = 0;
+      for (int i = 0; i < 20000; ++i) {
+        mismatches += child.word() != reference();
+      }
+      EXPECT_EQ(mismatches, 0) << "seed " << seed << " fork " << k;
+      EXPECT_TRUE(same_next_words(child.engine(), reference))
+          << "seed " << seed << " fork " << k;
+    }
+  }
+}
+
+// Around each of the first ten 312-word refills: the words agree, a copy
+// taken at any position continues identically, and == holds exactly when
+// it holds between std::mt19937_64s at the same two positions (state and
+// position, not the stream, are compared).
+TEST(Mt19937_64, PositionsAroundEachRefillMatchStdMt19937_64) {
+  constexpr std::size_t n = Mt19937_64::kStateWords;
+  std::vector<std::size_t> positions;
+  for (std::size_t r = 0; r <= 10; ++r) {
+    for (std::size_t d = 0; d <= 4; ++d) {
+      if (r * n + d >= 2) positions.push_back(r * n + d - 2);
+    }
+  }
+  const auto advanced = [](auto engine, std::size_t words) {
+    for (std::size_t i = 0; i < words; ++i) engine();
+    return engine;
+  };
+  for (const std::uint64_t seed : {0ULL, 42ULL, ~0ULL}) {
+    std::vector<Mt19937_64> engines;
+    std::vector<std::mt19937_64> references;
+    for (const std::size_t p : positions) {
+      engines.push_back(advanced(Mt19937_64(seed), p));
+      references.push_back(advanced(std::mt19937_64(seed), p));
+    }
+    for (std::size_t a = 0; a < positions.size(); ++a) {
+      for (std::size_t b = 0; b < positions.size(); ++b) {
+        EXPECT_EQ(engines[a] == engines[b], references[a] == references[b])
+            << "seed " << seed << " positions " << positions[a] << ", "
+            << positions[b];
+      }
+    }
+    for (std::size_t a = 0; a < positions.size(); ++a) {
+      Mt19937_64 copy = engines[a];
+      EXPECT_TRUE(copy == engines[a]);
+      for (int i = 0; i < 3; ++i) {
+        const std::uint64_t want = references[a]();
+        EXPECT_EQ(engines[a](), want)
+            << "seed " << seed << " position " << positions[a];
+        EXPECT_EQ(copy(), want)
+            << "seed " << seed << " position " << positions[a];
+      }
+    }
+  }
+}
+
+// The engine is no bigger than std::mt19937_64, and Rng adds only its
+// seed and fork counter.
+TEST(Mt19937_64, SizeMatchesStdMt19937_64) {
+  EXPECT_EQ(sizeof(Mt19937_64), sizeof(std::mt19937_64));
+  EXPECT_EQ(sizeof(Rng), sizeof(std::mt19937_64) + 2 * sizeof(std::uint64_t));
 }
 
 // ---------- ThreadPool ----------
@@ -889,6 +1005,57 @@ TEST(Units, DbmAddition) {
   EXPECT_NEAR(dbm_add(0.0, 0.0), 3.0103, 1e-3);
   // A much weaker signal barely contributes.
   EXPECT_NEAR(dbm_add(0.0, -40.0), 0.0, 1e-3);
+}
+
+// dbm_to_mw_upper_bound never falls below dbm_to_mw: a dense grid and
+// random points over [-3300, +400] dBm, both sides of the float-range
+// guards (t = -126 and t = 127), and NaN. Inside the float range it is
+// also tight: within the 1 + 1e-5 margin plus 5.3e-6.
+TEST(Units, DbmToMwUpperBoundBoundsDbmToMw) {
+  std::int64_t below = 0;
+  double worst_ratio = 0.0;
+  const auto check = [&](double dbm) {
+    const double bound = dbm_to_mw_upper_bound(dbm);
+    const double mw = dbm_to_mw(dbm);
+    if (!(bound >= mw)) {
+      if (++below <= 5) ADD_FAILURE() << std::hexfloat << "dbm " << dbm;
+    }
+    if (mw >= 0x1p-126 && std::isfinite(bound)) {
+      worst_ratio = std::max(worst_ratio, bound / mw);
+    }
+  };
+  for (int i = 0; i <= 3700000; ++i) check(-3300.0 + 1e-3 * i);
+  std::mt19937_64 gen(5);
+  std::uniform_real_distribution<double> dbm(-3300.0, 400.0);
+  for (int i = 0; i < 1000000; ++i) check(dbm(gen));
+  constexpr double kLog2TenOverTen = 0.33219280948873623;
+  for (const double t : {-126.0, 127.0}) {
+    double up = t / kLog2TenOverTen;
+    double down = up;
+    for (int i = 0; i < 4096; ++i) {
+      check(up);
+      check(down);
+      up = std::nextafter(up, 1e9);
+      down = std::nextafter(down, -1e9);
+    }
+    for (const double step : {1e-12, 1e-9, 1e-6, 1e-3, 1.0}) {
+      check(t / kLog2TenOverTen + step);
+      check(t / kLog2TenOverTen - step);
+    }
+  }
+  EXPECT_EQ(below, 0);
+  EXPECT_LE(worst_ratio, 1.0 + 1e-5 + 5.3e-6);
+  // The ends: the smallest normal float below, +inf above and for a NaN.
+  EXPECT_EQ(dbm_to_mw_upper_bound(-380.0), 0x1p-126);
+  EXPECT_EQ(dbm_to_mw_upper_bound(-3300.0), 0x1p-126);
+  EXPECT_EQ(dbm_to_mw_upper_bound(-std::numeric_limits<double>::infinity()),
+            0x1p-126);
+  EXPECT_EQ(dbm_to_mw_upper_bound(383.0),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(dbm_to_mw_upper_bound(std::numeric_limits<double>::infinity()),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(dbm_to_mw_upper_bound(std::nan("")),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(Units, Wavelength60GHz) {
