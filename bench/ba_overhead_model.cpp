@@ -15,7 +15,6 @@ using namespace libra;
 
 int main() {
   std::printf("BA overhead from 802.11ad SSW timing (Sec. 8.1)\n\n");
-  const mac::SswTiming timing;
 
   util::Table t({"beamwidth", "sectors (360deg)", "algorithm",
                  "derived overhead (ms)", "paper value (ms)"});
@@ -39,7 +38,7 @@ int main() {
     const double ms =
         row.exhaustive
             ? static_cast<double>(sectors) * sectors * kPerPairUs56 / 1000.0
-            : mac::full_sls_duration_ms(sectors, sectors, timing);
+            : mac::full_sls_duration_ms(sectors, sectors);
     char bw[32];
     std::snprintf(bw, sizeof(bw), "%.0f deg", row.beamwidth);
     t.add_row({bw, std::to_string(sectors),
@@ -52,11 +51,10 @@ int main() {
   std::printf("\nA-BFT contention (dense deployments, Sec. 8.2 outlook):\n");
   util::Table c({"contending stations", "expected BIs to train",
                  "expected wait (ms)"});
-  const mac::BeaconIntervalConfig bi;
   for (int n : {1, 2, 4, 8, 12}) {
-    const double bis = mac::expected_abft_intervals(n, bi);
+    const double bis = mac::expected_abft_intervals(n);
     c.add_row({std::to_string(n), util::format_double(bis, 2),
-               util::format_double(bis * bi.bi_ms, 0)});
+               util::format_double(bis * mac::kBeaconIntervalMs, 0)});
   }
   std::printf("%s", c.to_string().c_str());
   std::printf(

@@ -69,7 +69,7 @@ int main() {
         for (int i = 0; i < kTimelines; ++i) {
           util::Rng tl_rng = rng.fork();
           const auto timeline =
-              sim::make_timeline(type, pools, {}, tl_rng);
+              sim::make_timeline(type, pools, tl_rng);
           util::Rng run_rng(1000 + i);
           const auto oracle_d = sim::run_timeline(
               timeline, core::Strategy::kOracleData, simulator, params,

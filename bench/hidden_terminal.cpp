@@ -17,7 +17,6 @@ using namespace libra;
 int main() {
   std::printf("Hidden-terminal analysis of the campaign's interferers\n\n");
   const array::Codebook codebook;
-  const mac::CsmaConfig csma;
   trace::ScenarioSet set = trace::training_scenarios();
 
   int total = 0, hidden = 0;
@@ -35,7 +34,7 @@ int main() {
         geom::wrap_angle_deg((c.next.rx.position - c.tx.position).angle_deg() -
                              c.tx.boresight_deg));
     const bool senses =
-        mac::can_sense(towards, victim_beam, array::kQuasiOmni, csma);
+        mac::can_sense(towards, victim_beam, array::kQuasiOmni);
     ++total;
     hidden += !senses;
     auto& [h, n] = per_env[c.env_name];
@@ -59,7 +58,7 @@ int main() {
       {0.2, "low (20%)"}, {0.5, "medium (50%)"}, {0.8, "high (80%)"}};
   for (const auto& [load, label] : loads) {
     d.add_row({util::format_double(load, 1),
-               util::format_double(mac::unthrottled_duty(load, csma), 3),
+               util::format_double(mac::unthrottled_duty(load), 3),
                label});
   }
   std::printf("%s", d.to_string().c_str());

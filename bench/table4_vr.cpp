@@ -68,7 +68,7 @@ int main() {
         for (int i = 0; i < kTimelines; ++i) {
           util::Rng tl_rng(5000 + i);
           const auto timeline = sim::make_timeline(
-              sim::ScenarioType::kMotion, pools, {}, tl_rng);
+              sim::ScenarioType::kMotion, pools, tl_rng);
           util::Rng run_rng(6000 + i);
           const auto r = sim::run_timeline(timeline, s, simulator, params,
                                            run_rng, /*record_series=*/true);

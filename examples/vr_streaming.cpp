@@ -48,7 +48,7 @@ int main() {
     for (int i = 0; i < kRuns; ++i) {
       util::Rng tl_rng(100 + i);
       const auto timeline =
-          sim::make_timeline(sim::ScenarioType::kMotion, pools, {}, tl_rng);
+          sim::make_timeline(sim::ScenarioType::kMotion, pools, tl_rng);
       util::Rng run_rng(200 + i);
       const auto link_run = sim::run_timeline(timeline, s, simulator, params,
                                               run_rng, /*record=*/true);

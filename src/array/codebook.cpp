@@ -38,21 +38,20 @@ double BeamPattern::gain_dbi(double angle_deg) const {
   return best;
 }
 
-Codebook::Codebook(const CodebookConfig& config) : config_(config) {
+Codebook::Codebook(const CodebookConfig& config) {
   if (config.num_beams < 1) throw std::invalid_argument("num_beams < 1");
-  util::Rng rng(config.pattern_seed);
+  util::Rng rng(kPatternSeed);
   beams_.reserve(static_cast<std::size_t>(config.num_beams));
-  const double span = config.max_steer_deg - config.min_steer_deg;
+  const double span = kMaxSteerDeg - kMinSteerDeg;
   for (int i = 0; i < config.num_beams; ++i) {
     const double frac =
         config.num_beams == 1
             ? 0.5
             : static_cast<double>(i) / static_cast<double>(config.num_beams - 1);
-    const double steer = config.min_steer_deg + frac * span;
+    const double steer = kMinSteerDeg + frac * span;
     // HPBW varies 25..35 degrees across the codebook (Sec. 4.1), here as a
     // deterministic per-beam perturbation around the base width.
-    const double hpbw =
-        config.base_hpbw_deg + rng.uniform(-5.0, 5.0);
+    const double hpbw = kBaseHpbwDeg + rng.uniform(-5.0, 5.0);
     // Two large side lobes per beam, like SiBeam/COTS patterns; offsets are
     // fixed per beam so the pattern is a stable property of the hardware.
     std::vector<SideLobe> lobes;
@@ -60,7 +59,7 @@ Codebook::Codebook(const CodebookConfig& config) : config_(config) {
                      rng.uniform(-14.0, -6.0), rng.uniform(15.0, 30.0)});
     lobes.push_back({rng.uniform(70.0, 120.0) * (rng.bernoulli(0.5) ? 1 : -1),
                      rng.uniform(-18.0, -9.0), rng.uniform(15.0, 30.0)});
-    beams_.emplace_back(i, steer, hpbw, config.peak_gain_dbi, std::move(lobes));
+    beams_.emplace_back(i, steer, hpbw, kPeakGainDbi, std::move(lobes));
   }
 }
 
@@ -73,10 +72,10 @@ double Codebook::gain_dbi(BeamId id, double angle_deg) const {
   if (id == kQuasiOmni) {
     // Quasi-omni: near-flat over the front hemisphere, attenuated behind.
     return std::abs(geom::wrap_angle_deg(angle_deg)) <= 90.0
-               ? config_.quasi_omni_gain_dbi
-               : config_.quasi_omni_gain_dbi - 8.0;
+               ? kQuasiOmniGainDbi
+               : kQuasiOmniGainDbi - 8.0;
   }
-  return std::max(beam(id).gain_dbi(angle_deg), config_.backlobe_floor_dbi);
+  return std::max(beam(id).gain_dbi(angle_deg), kBacklobeFloorDbi);
 }
 
 BeamId Codebook::nearest_beam(double angle_deg) const {

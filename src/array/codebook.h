@@ -45,19 +45,21 @@ class BeamPattern {
   std::vector<SideLobe> side_lobes_;
 };
 
+inline constexpr double kMinSteerDeg = -60.0;
+inline constexpr double kMaxSteerDeg = 60.0;
+inline constexpr double kBaseHpbwDeg = 30.0;      // varies 25..35 across beams
+inline constexpr double kPeakGainDbi = 17.0;      // 12-element array at 60 GHz
+inline constexpr double kQuasiOmniGainDbi = 3.0;  // flat gain in quasi-omni
+inline constexpr double kBacklobeFloorDbi = -12.0;
+inline constexpr std::uint64_t kPatternSeed = 42;  // fixed side-lobe structure
+
 struct CodebookConfig {
   int num_beams = 25;
-  double min_steer_deg = -60.0;
-  double max_steer_deg = 60.0;
-  double base_hpbw_deg = 30.0;      // varies 25..35 across beams
-  double peak_gain_dbi = 17.0;      // 12-element array at 60 GHz
-  double quasi_omni_gain_dbi = 3.0; // flat gain in quasi-omni mode
-  double backlobe_floor_dbi = -12.0;
-  std::uint64_t pattern_seed = 42;  // deterministic side-lobe structure
 };
 
 class Codebook {
  public:
+  // Throws std::invalid_argument when num_beams < 1.
   explicit Codebook(const CodebookConfig& config = {});
 
   int size() const { return static_cast<int>(beams_.size()); }
@@ -70,10 +72,7 @@ class Codebook {
   // The beam whose steering angle is closest to `angle_deg`.
   BeamId nearest_beam(double angle_deg) const;
 
-  const CodebookConfig& config() const { return config_; }
-
  private:
-  CodebookConfig config_;
   std::vector<BeamPattern> beams_;
 };
 

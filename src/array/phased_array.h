@@ -19,9 +19,6 @@ class PhasedArray {
 
   void set_position(geom::Vec2 p) { position_ = p; }
   void set_boresight_deg(double deg) { boresight_deg_ = deg; }
-  // Rotate by delta degrees (positive = counter-clockwise), as in the
-  // paper's rotation experiments (steps of 15 degrees, Sec. 4.2).
-  void rotate(double delta_deg);
 
   // Gain (dBi) of `beam` toward a world-frame direction (degrees): the
   // codebook's gain at array_angle_deg(world_angle_deg).
@@ -32,9 +29,6 @@ class PhasedArray {
   double array_angle_deg(double world_angle_deg) const {
     return geom::wrap_angle_deg(world_angle_deg - boresight_deg_);
   }
-
-  // World-frame angle from this array toward a point.
-  double angle_to(geom::Vec2 target) const;
 
  private:
   geom::Vec2 position_;

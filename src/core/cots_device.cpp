@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace libra::core {
 
@@ -25,6 +26,16 @@ CotsDevice::CotsDevice(channel::Link* link, const phy::ErrorModel* error_model,
     : link_(link), error_model_(error_model), cfg_(cfg),
       ack_model_(error_model) {
   if (!link_ || !error_model_) throw std::invalid_argument("null dependency");
+  if (cfg_.ba_after_ack_losses < 0) {
+    throw std::invalid_argument(
+        "CotsDeviceConfig: ba_after_ack_losses must be >= 0, got " +
+        std::to_string(cfg_.ba_after_ack_losses));
+  }
+  if (!(cfg_.ba_cdr_threshold >= 0.0 && cfg_.ba_cdr_threshold <= 1.0)) {
+    throw std::invalid_argument(
+        "CotsDeviceConfig: ba_cdr_threshold must be in [0, 1], got " +
+        std::to_string(cfg_.ba_cdr_threshold));
+  }
 }
 
 double CotsDevice::effective_snr(util::Rng& rng) {

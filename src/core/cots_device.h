@@ -24,12 +24,13 @@ struct CotsDeviceConfig {
   // Vendor heterogeneity: 0 = trigger BA only after MCS 0 fails (the
   // Talon/laptop "RA first, BA last resort" heuristic); N > 0 = trigger BA
   // after N consecutive missing Block ACKs (the trigger-happy phone
-  // behavior behind the 100+ sweeps per minute in Fig. 1a).
+  // behavior behind the 100+ sweeps per minute in Fig. 1a). Must be >= 0.
   int ba_after_ack_losses = 0;
   // Second trigger-happy path: fire BA when the in-AMPDU delivery ratio
   // (SFER) stays below this for 3 consecutive frames, even though the
   // Block ACK itself arrives. 0 disables. Combined with the blind upward
   // probing this is what makes phones sweep in perfectly static scenarios.
+  // Must be finite and in [0, 1].
   double ba_cdr_threshold = 0.0;
 };
 
@@ -44,6 +45,9 @@ struct CotsFrameLog {
 
 class CotsDevice {
  public:
+  // Throws std::invalid_argument on a null dependency or a config field
+  // out of its range (a negative or NaN value would silently turn its
+  // trigger off).
   CotsDevice(channel::Link* link, const phy::ErrorModel* error_model,
              CotsDeviceConfig cfg = {});
 

@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "obs/aggregate.h"
 #include "obs/metrics.h"
 
 namespace libra::core {
@@ -187,25 +186,16 @@ void DriftDetector::observe(std::uint64_t rows, std::uint64_t mismatches) {
   }
 }
 
-void DriftDetector::feed_degraded_fraction(double fraction) {
-  degraded_ = std::clamp(fraction, 0.0, 1.0);
-}
-
-double DriftDetector::mismatch_fraction() const {
+double DriftDetector::score() const {
   return rows_ == 0 ? 0.0
                     : static_cast<double>(mismatches_) /
                           static_cast<double>(rows_);
-}
-
-double DriftDetector::score() const {
-  return std::max(mismatch_fraction(), degraded_);
 }
 
 void DriftDetector::reset() {
   chunks_.clear();
   rows_ = 0;
   mismatches_ = 0;
-  degraded_ = 0.0;
 }
 
 // ---- FleetTrainer ----
@@ -541,17 +531,6 @@ FleetTrainer::FitOutcome FleetTrainer::train_once_locked(bool force) {
   drift_.reset();  // the new incumbent starts with a clean slate
   metrics.drift_score.set(drift_.score());
   return outcome;
-}
-
-void FleetTrainer::consume_aggregator(const obs::Aggregator& aggregator) {
-  const std::vector<double> degraded = aggregator.counter_rate_series(
-      "controller", "controller.degraded_decisions");
-  const std::vector<double> frames =
-      aggregator.counter_rate_series("controller", "fleet.link_frames");
-  if (degraded.empty() || frames.empty() || frames.back() <= 0.0) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  drift_.feed_degraded_fraction(degraded.back() / frames.back());
-  trainer_metrics().drift_score.set(drift_.score());
 }
 
 void FleetTrainer::set_remote_push(

@@ -23,14 +23,13 @@
 //                rides -- and compiles it off-path.
 //
 //   swap gates   A candidate ships only when the DriftDetector (windowed
-//                incumbent-vs-label mismatch rate, plus the fleet-level
-//                degraded-decision fraction folded in from obs::Aggregator
-//                series) reports drift AND the candidate beats the
-//                incumbent on the holdout by min_accuracy_gain. Shipping
-//                installs the compiled candidate into the generation-
-//                tagged ModelSlot -- SwapBackend pins the slot once per
-//                vote_batch, so every batch is served wholly by one model
-//                generation and a swap never pauses serving -- and
+//                incumbent-vs-label mismatch rate) reports drift AND the
+//                candidate beats the incumbent on the holdout by
+//                min_accuracy_gain. Shipping installs the compiled
+//                candidate into the generation-tagged ModelSlot --
+//                SwapBackend pins the slot once per vote_batch, so every
+//                batch is served wholly by one model generation and a
+//                swap never pauses serving -- and
 //                publishes to remote daemons through the ModelPush
 //                callback (set_remote_push, wired to
 //                rpc::DecisionClient::push_model at the CLI layer).
@@ -68,10 +67,6 @@
 #include "ml/random_forest.h"
 #include "trace/features.h"
 #include "util/rng.h"
-
-namespace libra::obs {
-class Aggregator;  // obs/aggregate.h
-}
 
 namespace libra::core {
 
@@ -166,21 +161,15 @@ struct DriftDetectorConfig {
   void validate() const;  // throws std::invalid_argument
 };
 
-// Two drift signals, folded to one score (their max):
-//   - the windowed fraction of ingested rows where the incumbent's
-//     prediction disagrees with the hindsight label (fed by observe());
-//   - the fleet-level degraded-decision fraction from the obs::Aggregator
-//     ring series (fed by feed_degraded_fraction() -- outages and ladder
-//     fallbacks are drift the label stream cannot see).
+// The drift score is the windowed fraction of ingested rows where the
+// incumbent's prediction disagrees with the hindsight label (fed by
+// observe()).
 class DriftDetector {
  public:
   explicit DriftDetector(DriftDetectorConfig cfg = {});
 
   void observe(std::uint64_t rows, std::uint64_t mismatches);
-  void feed_degraded_fraction(double fraction);
 
-  double mismatch_fraction() const;
-  double degraded_fraction() const { return degraded_; }
   double score() const;
   bool drifted() const { return score() >= cfg_.threshold; }
   // Forget everything (called after a shipped swap: the new incumbent
@@ -192,7 +181,6 @@ class DriftDetector {
   std::deque<std::pair<std::uint64_t, std::uint64_t>> chunks_;
   std::uint64_t rows_ = 0;
   std::uint64_t mismatches_ = 0;
-  double degraded_ = 0.0;
 };
 
 struct FleetTrainerConfig {
@@ -233,7 +221,7 @@ struct FleetTrainerConfig {
 // The background trainer. Thread-safety: offer() is called from shard
 // worker threads and touches only its ring + wait-free counters; everything
 // that mutates the window/holdout/detector (ingest_now, train_once,
-// on_tick, consume_aggregator) serializes on one internal mutex -- called
+// on_tick) serializes on one internal mutex -- called
 // either from the background thread (free-running) or from run_fleet's
 // serial region (pinned). Reads (generation, window_size, ...) are safe
 // from any thread.
@@ -306,11 +294,6 @@ class FleetTrainer {
   // force=true ships unconditionally once fitted (the pinned-schedule
   // path). Off the serving path by construction.
   FitOutcome train_once(bool force = false);
-
-  // Fold the fleet-level degraded-decision fraction from an aggregator's
-  // ring series into the drift detector (controller.degraded_decisions rate
-  // over fleet.link_frames rate, most recent roll-up point).
-  void consume_aggregator(const obs::Aggregator& aggregator);
 
   // Remote publication: called with every shipped candidate (after the
   // local install); return false to count a push failure. Wired to

@@ -80,11 +80,4 @@ geom::Vec2 Environment::clamp_inside(geom::Vec2 p, double margin_m) const {
           std::clamp(p.y, box.min.y + margin_m, box.max.y - margin_m)};
 }
 
-bool Environment::wall_obstructs(geom::Vec2 a, geom::Vec2 b) const {
-  const geom::Segment ray{a, b};
-  return std::any_of(walls_.begin(), walls_.end(), [&](const geom::Wall& w) {
-    return geom::segments_cross(ray, w.seg);
-  });
-}
-
 }  // namespace libra::env

@@ -51,9 +51,6 @@ class Environment {
   // of the disc) attenuates proportionally less than a dead-center hit.
   double blockage_loss_db(geom::Vec2 a, geom::Vec2 b) const;
 
-  // True if the straight segment a->b is interrupted by any wall.
-  bool wall_obstructs(geom::Vec2 a, geom::Vec2 b) const;
-
   // Axis-aligned bounding box over all wall endpoints.
   struct BoundingBox {
     geom::Vec2 min;

@@ -142,10 +142,4 @@ void truncate_observation(phy::PhyObservation& obs, double keep_fraction) {
   keep(obs.csi);
 }
 
-void truncate_record_cdr(trace::CaseRecord& rec, std::size_t keep) {
-  if (rec.new_at_init_pair.cdr.size() > keep) {
-    rec.new_at_init_pair.cdr.resize(keep);
-  }
-}
-
 }  // namespace libra::faults

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "phy/sampler.h"
-#include "trace/collector.h"
 #include "util/rng.h"
 
 namespace libra::faults {
@@ -134,9 +133,5 @@ void corrupt_observation(phy::PhyObservation& obs);
 // Both mutators materialize a deferred observation first, so the fault
 // lands on the PDP and CSI it would have had eagerly.
 void truncate_observation(phy::PhyObservation& obs, double keep_fraction);
-
-// Truncate a trace record's per-MCS CDR vector (and only it) to `keep`
-// entries -- the malformed shape extract_features must reject.
-void truncate_record_cdr(trace::CaseRecord& rec, std::size_t keep);
 
 }  // namespace libra::faults

@@ -39,13 +39,7 @@ struct Segment {
   Vec2 a;
   Vec2 b;
 
-  double length() const { return distance(a, b); }
   Vec2 direction() const { return (b - a).normalized(); }
-  // Unit normal (left of a->b direction).
-  Vec2 normal() const {
-    const Vec2 d = direction();
-    return {-d.y, d.x};
-  }
 };
 
 // Proper intersection of two segments (excluding collinear overlap).

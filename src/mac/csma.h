@@ -19,16 +19,14 @@
 
 namespace libra::mac {
 
-struct CsmaConfig {
-  double frame_airtime_ms = 2.0;   // interferer AMPDU airtime
-  double contention_ms = 0.05;     // DIFS + average backoff per frame
-  double sensing_threshold_dbm = -74.0;  // preamble-detect level (~noise floor)
-};
+inline constexpr double kFrameAirtimeMs = 2.0;   // interferer AMPDU airtime
+inline constexpr double kContentionMs = 0.05;    // DIFS + average backoff
+inline constexpr double kSensingThresholdDbm = -74.0;  // preamble detect
 
 // Airtime fraction a CSMA sender with the given offered load occupies when
 // nothing throttles it (its victim is hidden). offered_load in [0, 1] is
 // the fraction of time it has traffic queued.
-double unthrottled_duty(double offered_load, const CsmaConfig& cfg = {});
+double unthrottled_duty(double offered_load);
 
 // True if `listener` can carrier-sense transmissions from `talker` --
 // i.e. the talker's signal through the current beams exceeds the sensing
@@ -37,12 +35,6 @@ double unthrottled_duty(double offered_load, const CsmaConfig& cfg = {});
 // talker with the beam it uses for its own traffic, its Rx is the listener
 // with the (quasi-omni) pattern it listens on.
 bool can_sense(const channel::Link& talker_to_listener,
-               array::BeamId talker_beam, array::BeamId listener_beam,
-               const CsmaConfig& cfg = {});
-
-// Interference duty the victim experiences: 0 when sensing serializes the
-// links, the unthrottled duty when the interferer is deaf.
-double interference_duty(bool interferer_senses_victim, double offered_load,
-                         const CsmaConfig& cfg = {});
+               array::BeamId talker_beam, array::BeamId listener_beam);
 
 }  // namespace libra::mac

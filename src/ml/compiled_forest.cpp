@@ -211,21 +211,6 @@ Label CompiledForest::predict(std::span<const double> features) const {
       std::max_element(votes.begin(), votes.end()) - votes.begin());
 }
 
-std::vector<double> CompiledForest::vote_fractions(
-    std::span<const double> features) const {
-  std::vector<double> fractions(static_cast<std::size_t>(num_classes_), 0.0);
-  if (empty()) return fractions;
-  std::vector<std::uint32_t> votes(fractions.size(), 0);
-  accumulate(features.data(), features.size(), 1, votes.data());
-  // Integer vote counts divided by num_trees: exact, and bit-identical to
-  // the pointer walk's (sum of 1.0s) / num_trees.
-  for (std::size_t c = 0; c < fractions.size(); ++c) {
-    fractions[c] = static_cast<double>(votes[c]) /
-                   static_cast<double>(roots_.size());
-  }
-  return fractions;
-}
-
 // The DataSet's feature matrix is row-major and contiguous, so each block
 // is addressed as base + k*stride directly, and each block writes only its
 // own slice of the shared vote matrix.
@@ -243,23 +228,6 @@ std::vector<std::uint32_t> CompiledForest::batch_votes(
   return votes;
 }
 
-std::vector<Label> CompiledForest::predict_batch(const DataSet& data,
-                                                 util::ThreadPool* pool) const {
-  if (empty()) {
-    throw std::logic_error(
-        "CompiledForest::predict_batch: empty (not compiled)");
-  }
-  const std::vector<std::uint32_t> votes = batch_votes(data, pool);
-  const auto classes = static_cast<std::size_t>(num_classes_);
-  std::vector<Label> out(data.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::uint32_t* row_votes = votes.data() + i * classes;
-    out[i] = static_cast<Label>(
-        std::max_element(row_votes, row_votes + classes) - row_votes);
-  }
-  return out;
-}
-
 std::vector<std::vector<double>> CompiledForest::vote_fractions_batch(
     const DataSet& data, util::ThreadPool* pool) const {
   const auto classes = static_cast<std::size_t>(num_classes_);
@@ -267,6 +235,8 @@ std::vector<std::vector<double>> CompiledForest::vote_fractions_batch(
                                        std::vector<double>(classes, 0.0));
   if (empty()) return out;
   const std::vector<std::uint32_t> votes = batch_votes(data, pool);
+  // Integer vote counts divided by num_trees: exact, and bit-identical to
+  // the pointer walk's (sum of 1.0s) / num_trees.
   for (std::size_t i = 0; i < out.size(); ++i) {
     for (std::size_t c = 0; c < classes; ++c) {
       out[i][c] = static_cast<double>(votes[i * classes + c]) /

@@ -29,8 +29,8 @@
 //
 // Exactness: every comparison `x[f] <= thr` is evaluated on exactly the
 // doubles the pointer walk compares (NaN fails <= and goes right, -inf goes
-// left, +inf goes right), so predict / vote_fractions / the batch variants
-// are bit-identical to RandomForest's pointer walk. Vote fractions are
+// left, +inf goes right), so predict and vote_fractions_batch are
+// bit-identical to RandomForest's pointer walk. Vote fractions are
 // integer counts divided by num_trees -- exact in double. The pointer walk
 // stays the fit-time model and the test oracle for this engine.
 #pragma once
@@ -69,13 +69,10 @@ class CompiledForest {
   // Single-row inference; identical tie-breaking (first max) to
   // RandomForest::predict. Throws std::logic_error when empty().
   Label predict(std::span<const double> features) const;
-  // Per-class vote fractions (counts / num_trees); all-zero when empty().
-  std::vector<double> vote_fractions(std::span<const double> features) const;
 
-  // Batched inference, row-blocked across `pool` (nullptr = serial). Row
-  // order of the result is independent of threading.
-  std::vector<Label> predict_batch(const DataSet& data,
-                                   util::ThreadPool* pool = nullptr) const;
+  // Per-class vote fractions (counts / num_trees) of every row, all-zero
+  // when empty(); row-blocked across `pool` (nullptr = serial). Row order of
+  // the result is independent of threading.
   std::vector<std::vector<double>> vote_fractions_batch(
       const DataSet& data, util::ThreadPool* pool = nullptr) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -359,16 +358,6 @@ Label DecisionTree::predict(std::span<const double> features) const {
              : node.right;
   }
   return nodes_[static_cast<std::size_t>(id)].label;
-}
-
-int DecisionTree::depth() const {
-  if (nodes_.empty()) return 0;
-  std::function<int(int)> walk = [&](int id) -> int {
-    const Node& node = nodes_[static_cast<std::size_t>(id)];
-    if (node.feature < 0) return 1;
-    return 1 + std::max(walk(node.left), walk(node.right));
-  };
-  return walk(0);
 }
 
 }  // namespace libra::ml

@@ -89,9 +89,6 @@ class DecisionTree : public Classifier {
     return raw_importances_;
   }
 
-  int depth() const;
-  int node_count() const { return static_cast<int>(nodes_.size()); }
-
   // Flat node layout, exposed for model serialization (ml/model_io.h).
   struct Node {
     int feature = -1;        // -1 = leaf

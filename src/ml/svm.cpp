@@ -3,10 +3,24 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace libra::ml {
+namespace {
 
-BinarySvm::BinarySvm(SvmConfig cfg) : cfg_(cfg) {}
+// With c <= 0 or NaN the SMO step `alpha[i] < c` never holds, so a fit
+// would silently return an all-zero model.
+SvmConfig validated(SvmConfig cfg) {
+  if (!(std::isfinite(cfg.c) && cfg.c > 0.0)) {
+    throw std::invalid_argument("SvmConfig: c must be finite and > 0, got " +
+                                std::to_string(cfg.c));
+  }
+  return cfg;
+}
+
+}  // namespace
+
+BinarySvm::BinarySvm(SvmConfig cfg) : cfg_(validated(cfg)) {}
 
 double BinarySvm::kernel_eval(std::span<const double> a,
                               std::span<const double> b) const {
@@ -20,13 +34,13 @@ double BinarySvm::kernel_eval(std::span<const double> a,
     const double d = a[i] - b[i];
     dist2 += d * d;
   }
-  return std::exp(-cfg_.gamma * dist2);
+  return std::exp(-kSvmGamma * dist2);
 }
 
 void BinarySvm::fit(const DataSet& x, const std::vector<int>& y,
                     util::Rng& rng) {
   const std::size_t n = x.size();
-  if (n == 0 || y.size() != n) throw std::invalid_argument("bad SVM input");
+  if (n < 2 || y.size() != n) throw std::invalid_argument("bad SVM input");
 
   std::vector<double> alpha(n, 0.0);
   double b = 0.0;
@@ -50,14 +64,14 @@ void BinarySvm::fit(const DataSet& x, const std::vector<int>& y,
   // Simplified SMO (Platt 1998 / CS229 variant).
   int passes = 0;
   int iterations = 0;
-  while (passes < cfg_.max_passes && iterations < cfg_.max_iterations) {
+  while (passes < kSvmMaxPasses && iterations < kSvmMaxIterations) {
     ++iterations;
     int changed = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const double ei = f(i) - y[i];
       const bool violates =
-          (y[i] * ei < -cfg_.tolerance && alpha[i] < cfg_.c) ||
-          (y[i] * ei > cfg_.tolerance && alpha[i] > 0.0);
+          (y[i] * ei < -kSvmTolerance && alpha[i] < cfg_.c) ||
+          (y[i] * ei > kSvmTolerance && alpha[i] > 0.0);
       if (!violates) continue;
       std::size_t j = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(n) - 2));
@@ -115,9 +129,13 @@ double BinarySvm::decision(std::span<const double> features) const {
   return sum;
 }
 
-Svm::Svm(SvmConfig cfg) : cfg_(cfg) {}
+Svm::Svm(SvmConfig cfg) : cfg_(validated(cfg)) {}
 
 void Svm::fit(const DataSet& train, util::Rng& rng) {
+  if (train.size() < 2) {
+    throw std::invalid_argument("Svm::fit: need at least 2 rows, got " +
+                                std::to_string(train.size()));
+  }
   num_classes_ = std::max(train.num_classes(), 2);
   standardizer_.fit(train);
   const DataSet x = standardizer_.transform(train);

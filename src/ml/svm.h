@@ -14,19 +14,22 @@ enum class Kernel { kLinear, kRbf };
 
 struct SvmConfig {
   Kernel kernel = Kernel::kRbf;
-  double c = 5.0;          // regularization
-  double gamma = 0.5;      // RBF width (on standardized features)
-  double tolerance = 1e-3;
-  int max_passes = 8;      // SMO convergence: passes without alpha updates
-  int max_iterations = 3000;
+  double c = 5.0;  // regularization; finite and > 0
 };
+
+inline constexpr double kSvmGamma = 0.5;  // RBF width (standardized features)
+inline constexpr double kSvmTolerance = 1e-3;
+inline constexpr int kSvmMaxPasses = 8;  // SMO: passes without alpha updates
+inline constexpr int kSvmMaxIterations = 3000;
 
 // Binary SVM with labels in {-1, +1}.
 class BinarySvm {
  public:
+  // Throws std::invalid_argument unless cfg.c is finite and > 0.
   explicit BinarySvm(SvmConfig cfg = {});
 
-  // y must contain only -1 and +1.
+  // y must contain only -1 and +1; x needs at least 2 rows (SMO pairs each
+  // row with a different one). Throws std::invalid_argument otherwise.
   void fit(const DataSet& x, const std::vector<int>& y, util::Rng& rng);
   double decision(std::span<const double> features) const;
 
@@ -41,8 +44,10 @@ class BinarySvm {
 
 class Svm : public Classifier {
  public:
+  // Throws std::invalid_argument unless cfg.c is finite and > 0.
   explicit Svm(SvmConfig cfg = {});
 
+  // Throws std::invalid_argument on fewer than 2 rows.
   void fit(const DataSet& train, util::Rng& rng) override;
   Label predict(std::span<const double> features) const override;
 

@@ -105,19 +105,6 @@ void Aggregator::stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-bool Aggregator::running() const { return thread_.joinable(); }
-
-std::vector<double> Aggregator::counter_rate_series(
-    const std::string& origin, const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto origin_it = origins_.find(origin);
-  if (origin_it == origins_.end()) return {};
-  const auto counter_it = origin_it->second.counters.find(name);
-  if (counter_it == origin_it->second.counters.end()) return {};
-  const std::deque<double>& pts = counter_it->second.rate.pts;
-  return {pts.begin(), pts.end()};
-}
-
 void Aggregator::rollup_now() {
   StopWatch sw;
   // Collect outside the fold lock: a source poll is a network round trip
@@ -199,11 +186,6 @@ void Aggregator::fold_locked(const std::string& origin,
   st.last = now_snap;
   st.last_at = now;
   st.has_last = true;
-}
-
-std::uint64_t Aggregator::rollups() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rollups_;
 }
 
 std::string Aggregator::prometheus_text() const {

@@ -79,24 +79,14 @@ class Aggregator {
   // also runs from the destructor.
   void start();
   void stop();
-  bool running() const;
 
   // One synchronous collection pass (what the background thread runs each
   // period): snapshot local + poll every source, fold deltas into series.
   void rollup_now();
 
-  // Roll-ups completed so far.
-  std::uint64_t rollups() const;
-
   // Merged Prometheus exposition: every origin's cumulative metrics with
   // `origin="..."` labels, HELP/TYPE emitted once per metric name.
   std::string prometheus_text() const;
-  // Typed access to one counter's per-second rate ring (oldest first), for
-  // in-process consumers like the fleet trainer's drift detector --
-  // series_json() without the JSON round trip. Empty when the origin or the
-  // counter is unknown (or no roll-up has run yet).
-  std::vector<double> counter_rate_series(const std::string& origin,
-                                          const std::string& name) const;
 
   // Ring series as one JSON object:
   //   {"period_ms":..,"rollups":..,"origins":{<origin>:{"counters":{name:

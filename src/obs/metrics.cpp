@@ -173,22 +173,6 @@ Histogram& Registry::histogram(std::string_view name) {
   return impl_->histograms.back();
 }
 
-const std::string& Registry::counter_name(std::uint32_t id) const {
-  return impl_->counter_names[id];
-}
-const std::string& Registry::gauge_name(std::uint32_t id) const {
-  return impl_->gauge_names[id];
-}
-const std::string& Registry::histogram_name(std::uint32_t id) const {
-  return impl_->histogram_names[id];
-}
-
-const std::string& Counter::name() const { return reg_->counter_name(id_); }
-const std::string& Gauge::name() const { return reg_->gauge_name(id_); }
-const std::string& Histogram::name() const {
-  return reg_->histogram_name(id_);
-}
-
 void Gauge::set(double v) {
   if (!enabled()) return;
   reg_->impl_->gauge_values[id_].store(v, std::memory_order_relaxed);
@@ -201,10 +185,6 @@ void Gauge::add(double delta) {
   while (!slot.compare_exchange_weak(cur, cur + delta,
                                      std::memory_order_relaxed)) {
   }
-}
-
-double Gauge::value() const {
-  return reg_->impl_->gauge_values[id_].load(std::memory_order_relaxed);
 }
 
 MetricsSnapshot Registry::snapshot() const {
@@ -247,23 +227,6 @@ MetricsSnapshot Registry::snapshot() const {
     }
   }
   return snap;
-}
-
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  for (std::atomic<double>& g : impl_->gauge_values) {
-    g.store(0.0, std::memory_order_relaxed);
-  }
-  for (const std::shared_ptr<detail::Shard>& shard : impl_->shards) {
-    for (auto& c : shard->counters) c.store(0, std::memory_order_relaxed);
-    for (detail::HistShard& hs : shard->hists) {
-      for (auto& b : hs.buckets) b.store(0, std::memory_order_relaxed);
-      hs.count.store(0, std::memory_order_relaxed);
-      hs.sum.store(0.0, std::memory_order_relaxed);
-      hs.min.store(0.0, std::memory_order_relaxed);
-      hs.max.store(0.0, std::memory_order_relaxed);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -317,23 +280,6 @@ std::string format_double(double v) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string prom_metric_name(std::string_view name) {
@@ -377,44 +323,6 @@ std::string MetricsSnapshot::to_text() const {
        << " min=" << format_double(h.data.min)
        << " max=" << format_double(h.data.max) << "\n";
   }
-  return os.str();
-}
-
-std::string MetricsSnapshot::to_json() const {
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i) os << ",";
-    os << "\"" << json_escape(counters[i].name)
-       << "\":" << counters[i].value;
-  }
-  os << "},\"gauges\":{";
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    if (i) os << ",";
-    os << "\"" << json_escape(gauges[i].name)
-       << "\":" << format_double(gauges[i].value);
-  }
-  os << "},\"histograms\":{";
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    if (i) os << ",";
-    const HistogramData& d = histograms[i].data;
-    os << "\"" << json_escape(histograms[i].name) << "\":{"
-       << "\"count\":" << d.count << ",\"sum\":" << format_double(d.sum)
-       << ",\"min\":" << format_double(d.min)
-       << ",\"max\":" << format_double(d.max)
-       << ",\"mean\":" << format_double(d.mean())
-       << ",\"p50\":" << format_double(d.quantile(0.5))
-       << ",\"p99\":" << format_double(d.quantile(0.99)) << ",\"buckets\":[";
-    // Trailing all-zero buckets are elided to keep the dump compact.
-    std::size_t last = kHistogramBuckets;
-    while (last > 0 && d.buckets[last - 1] == 0) --last;
-    for (std::size_t b = 0; b < last; ++b) {
-      if (b) os << ",";
-      os << d.buckets[b];
-    }
-    os << "]}";
-  }
-  os << "}}";
   return os.str();
 }
 

@@ -157,8 +157,6 @@ struct MetricsSnapshot {
 
   // Human-readable multi-line dump (the `--metrics` default).
   std::string to_text() const;
-  // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  std::string to_json() const;
   // Prometheus exposition format: names are prefixed "libra_" and dots
   // become underscores; histograms emit cumulative `_bucket{le="..."}`
   // series plus `_sum` and `_count`. Every metric gets `# HELP` / `# TYPE`
@@ -179,7 +177,6 @@ std::string prom_escape_label(std::string_view value);
 class Counter {
  public:
   void inc(std::uint64_t n = 1);
-  const std::string& name() const;
 
  private:
   friend class Registry;
@@ -195,8 +192,6 @@ class Gauge {
  public:
   void set(double v);
   void add(double delta);
-  double value() const;
-  const std::string& name() const;
 
  private:
   friend class Registry;
@@ -210,7 +205,6 @@ class Gauge {
 class Histogram {
  public:
   void observe(double v);
-  const std::string& name() const;
 
  private:
   friend class Registry;
@@ -238,19 +232,12 @@ class Registry {
   // Merge every thread's shards into one detached snapshot.
   MetricsSnapshot snapshot() const;
 
-  // Zero every shard and gauge (names and handles survive). Only safe when
-  // no other thread is concurrently recording; meant for tests and benches.
-  void reset();
-
  private:
   friend class Counter;
   friend class Gauge;
   friend class Histogram;
 
   detail::Shard& local_shard();
-  const std::string& counter_name(std::uint32_t id) const;
-  const std::string& gauge_name(std::uint32_t id) const;
-  const std::string& histogram_name(std::uint32_t id) const;
 
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -5,18 +5,14 @@
 
 namespace libra::phy {
 
-ErrorModel::ErrorModel(const McsTable* table, ErrorModelConfig cfg)
-    : table_(table), cfg_(cfg) {
+ErrorModel::ErrorModel(const McsTable* table) : table_(table) {
   if (!table_) throw std::invalid_argument("null MCS table");
-  if (cfg_.waterfall_width_db <= 0.0) {
-    throw std::invalid_argument("waterfall width must be positive");
-  }
 }
 
 double ErrorModel::codeword_success_prob(McsIndex mcs, double snr_db) const {
   const double margin = snr_db - table_->entry(mcs).snr_threshold_db;
   // Logistic scaled so +width dB of margin ~ 90% success.
-  const double k = std::log(9.0) / cfg_.waterfall_width_db;
+  const double k = std::log(9.0) / kWaterfallWidthDb;
   return 1.0 / (1.0 + std::exp(-k * margin));
 }
 
@@ -26,7 +22,7 @@ double ErrorModel::expected_cdr(McsIndex mcs, double snr_db) const {
 
 double ErrorModel::expected_throughput_mbps(McsIndex mcs, double snr_db) const {
   return table_->rate_mbps(mcs) * expected_cdr(mcs, snr_db) *
-         cfg_.framing_efficiency;
+         kFramingEfficiency;
 }
 
 }  // namespace libra::phy

@@ -11,16 +11,15 @@
 
 namespace libra::phy {
 
-struct ErrorModelConfig {
-  // Logistic steepness: dB of margin to go from 50% to ~90% success.
-  double waterfall_width_db = 0.9;
-  // Fraction of a slot usable for MAC payload (preamble/header/GI overhead).
-  double framing_efficiency = 0.92;
-};
+// Logistic steepness: dB of margin to go from 50% to ~90% success.
+inline constexpr double kWaterfallWidthDb = 0.9;
+static_assert(kWaterfallWidthDb > 0.0);
+// Fraction of a slot usable for MAC payload (preamble/header/GI overhead).
+inline constexpr double kFramingEfficiency = 0.92;
 
 class ErrorModel {
  public:
-  ErrorModel(const McsTable* table, ErrorModelConfig cfg = {});
+  explicit ErrorModel(const McsTable* table);
 
   // P(codeword passes CRC) at the given SNR and MCS.
   double codeword_success_prob(McsIndex mcs, double snr_db) const;
@@ -33,11 +32,9 @@ class ErrorModel {
   double expected_throughput_mbps(McsIndex mcs, double snr_db) const;
 
   const McsTable& table() const { return *table_; }
-  const ErrorModelConfig& config() const { return cfg_; }
 
  private:
   const McsTable* table_;  // non-owning
-  ErrorModelConfig cfg_;
 };
 
 }  // namespace libra::phy

@@ -20,11 +20,6 @@ McsTable::McsTable() {
   };
 }
 
-McsTable::McsTable(std::vector<McsEntry> entries)
-    : entries_(std::move(entries)) {
-  if (entries_.empty()) throw std::invalid_argument("empty MCS table");
-}
-
 const McsEntry& McsTable::entry(McsIndex i) const {
   if (i < 0 || i >= size()) throw std::out_of_range("MCS index");
   return entries_[static_cast<std::size_t>(i)];
@@ -36,25 +31,6 @@ McsIndex McsTable::highest_supported(double snr_db) const {
     if (snr_db >= e.snr_threshold_db) best = e.index;
   }
   return best;
-}
-
-McsTable ieee80211ad_sc_table() {
-  // 802.11ad SC PHY data-frame MCSs 1-12 (385-4620 Mbps). Index here is
-  // re-based to 0..11 for uniform handling.
-  return McsTable({
-      {0, "BPSK", 0.50, 385.0, 3.0, 256},
-      {1, "BPSK", 0.63, 770.0, 4.5, 256},
-      {2, "BPSK", 0.75, 962.5, 5.5, 256},
-      {3, "BPSK", 0.88, 1155.0, 6.5, 256},
-      {4, "QPSK", 0.50, 1251.25, 7.5, 512},
-      {5, "QPSK", 0.63, 1540.0, 9.0, 512},
-      {6, "QPSK", 0.75, 1925.0, 10.5, 512},
-      {7, "QPSK", 0.88, 2310.0, 12.0, 512},
-      {8, "16QAM", 0.50, 2502.5, 14.0, 1024},
-      {9, "16QAM", 0.63, 3080.0, 16.0, 1024},
-      {10, "16QAM", 0.75, 3850.0, 18.5, 1024},
-      {11, "16QAM", 0.88, 4620.0, 21.0, 1024},
-  });
 }
 
 }  // namespace libra::phy

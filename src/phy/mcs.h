@@ -26,16 +26,13 @@ class McsTable {
  public:
   // The default X60-like table.
   McsTable();
-  explicit McsTable(std::vector<McsEntry> entries);
 
   int size() const { return static_cast<int>(entries_.size()); }
   McsIndex min_mcs() const { return 0; }
   McsIndex max_mcs() const { return size() - 1; }
   const McsEntry& entry(McsIndex i) const;
-  const std::vector<McsEntry>& entries() const { return entries_; }
 
   double rate_mbps(McsIndex i) const { return entry(i).phy_rate_mbps; }
-  double max_rate_mbps() const { return entries_.back().phy_rate_mbps; }
 
   // Highest MCS whose threshold is at or below the given SNR; -1 if even
   // MCS 0 cannot decode (link broken).
@@ -44,9 +41,5 @@ class McsTable {
  private:
   std::vector<McsEntry> entries_;
 };
-
-// 802.11ad SC MCS table (MCS 1-12, data frames; Sec. 2), used when
-// simulating COTS devices in the motivation experiments.
-McsTable ieee80211ad_sc_table();
 
 }  // namespace libra::phy

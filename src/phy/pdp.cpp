@@ -48,13 +48,6 @@ std::vector<double> synthesize_pdp(
   return pdp;
 }
 
-std::optional<double> time_of_flight_ns(const std::vector<double>& pdp,
-                                        const PdpConfig& cfg) {
-  validate(cfg);
-  if (pdp.empty()) return std::nullopt;
-  return tof_at_peak_ns(pdp, strongest_tap(pdp), cfg);
-}
-
 std::vector<double> csi_from_pdp(const std::vector<double>& pdp) {
   std::vector<double> csi;
   csi_from_pdp(pdp, csi);

@@ -90,12 +90,6 @@ std::vector<double> synthesize_pdp(
     const std::vector<channel::PathContribution>& contributions,
     const PdpConfig& cfg = {});
 
-// Delay (ns) of the strongest tap; nullopt when all taps are at the noise
-// floor (the "ToF = infinity" case) or the PDP is empty. Validates cfg as
-// validate() does.
-std::optional<double> time_of_flight_ns(const std::vector<double>& pdp,
-                                        const PdpConfig& cfg = {});
-
 // CSI estimate: magnitude spectrum of the PDP (util::magnitude_spectrum),
 // returned or written into `out`, reusing its capacity.
 std::vector<double> csi_from_pdp(const std::vector<double>& pdp);

@@ -125,8 +125,8 @@ PhyObservation PhySampler::sample(const channel::Link& link,
       duty * error_model_->expected_cdr(mcs, snr_jam);
   obs.cdr = std::clamp(expected_cdr + rng.gaussian(0.0, cfg_.cdr_jitter), 0.0,
                        1.0);
-  obs.throughput_mbps = error_model_->table().rate_mbps(mcs) * obs.cdr *
-                        error_model_->config().framing_efficiency;
+  obs.throughput_mbps =
+      error_model_->table().rate_mbps(mcs) * obs.cdr * kFramingEfficiency;
   return obs;
 }
 

@@ -144,11 +144,6 @@ std::string DecisionClient::address() const {
   return cfg_.host + ":" + std::to_string(cfg_.port);
 }
 
-bool DecisionClient::connected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fd_ >= 0;
-}
-
 bool DecisionClient::connect() {
   std::lock_guard<std::mutex> lock(mu_);
   return connect_locked();
@@ -277,12 +272,6 @@ std::optional<HelloMsg> DecisionClient::hello() {
   } catch (const WireError&) {
     return std::nullopt;
   }
-}
-
-bool DecisionClient::ping() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::optional<Frame> reply = request_locked(MsgType::kPing, {});
-  return reply.has_value() && reply->type == MsgType::kPong;
 }
 
 std::optional<std::vector<std::vector<double>>> DecisionClient::classify(

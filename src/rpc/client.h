@@ -62,12 +62,9 @@ class DecisionClient {
   // unreachable. Safe to call repeatedly.
   bool connect();
   void close();
-  bool connected() const;
 
   // Hello round trip: the server's serving shape, nullopt on failure.
   std::optional<HelloMsg> hello();
-  // Liveness probe (Ping -> Pong).
-  bool ping();
 
   // One classify round trip. Returns the per-row vote fractions, or
   // nullopt on transport failure, deadline expiry, an Ack{ok=false}

@@ -125,8 +125,6 @@ std::shared_ptr<const DecisionServer::ServingModel> DecisionServer::model()
   return model_;
 }
 
-bool DecisionServer::model_loaded() const { return model() != nullptr; }
-
 void DecisionServer::start() {
   if (running()) throw std::logic_error("DecisionServer: already running");
   stopping_.store(false, std::memory_order_release);

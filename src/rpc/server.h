@@ -74,8 +74,6 @@ class DecisionServer {
   // Human-readable bound address: "unix:PATH" or "HOST:PORT".
   std::string address() const;
 
-  // Serving-model snapshot (Hello answers from this).
-  bool model_loaded() const;
   // Monotonic swap count: 0 until the first set_forest()/ModelPush install,
   // then +1 per installed model (rejected pushes don't advance it). The
   // trainer's swap tests read this to prove a push actually landed.

@@ -52,12 +52,6 @@ Trajectory Trajectory::walk(geom::Vec2 from, geom::Vec2 to,
   return Trajectory({{0.0, from, f0}, {duration_ms, to, f1}});
 }
 
-Trajectory Trajectory::rotate(geom::Vec2 position, double from_deg,
-                              double to_deg, double duration_ms) {
-  return Trajectory({{0.0, position, from_deg},
-                     {duration_ms, position, to_deg}});
-}
-
 SessionDriver::SessionDriver(env::Environment& environment,
                              channel::Link& link,
                              core::LinkController& controller,

@@ -46,9 +46,6 @@ class Trajectory {
   // time (or the walking direction when nullopt).
   static Trajectory walk(geom::Vec2 from, geom::Vec2 to, double duration_ms,
                          std::optional<geom::Vec2> facing = std::nullopt);
-  // In-place rotation from one orientation to another.
-  static Trajectory rotate(geom::Vec2 position, double from_deg,
-                           double to_deg, double duration_ms);
 
  private:
   std::vector<Waypoint> waypoints_;  // sorted by t_ms

@@ -57,22 +57,13 @@ const trace::CaseRecord* draw(const std::vector<const trace::CaseRecord*>& pool,
 
 std::vector<TimelineSegment> make_timeline(ScenarioType type,
                                            const RecordPools& pools,
-                                           const TimelineConfig& cfg,
                                            util::Rng& rng) {
-  if (cfg.segments < 0) {
-    throw std::invalid_argument("make_timeline: segments must be >= 0, got " +
-                                std::to_string(cfg.segments));
-  }
-  if (!(cfg.min_segment_ms > 0.0) || cfg.max_segment_ms < cfg.min_segment_ms) {
-    throw std::invalid_argument(
-        "make_timeline: need 0 < min_segment_ms <= max_segment_ms");
-  }
   std::vector<TimelineSegment> timeline;
-  timeline.reserve(static_cast<std::size_t>(cfg.segments));
+  timeline.reserve(kTimelineSegments);
   const trace::CaseRecord* last = nullptr;
-  for (int i = 0; i < cfg.segments; ++i) {
+  for (int i = 0; i < kTimelineSegments; ++i) {
     TimelineSegment seg;
-    seg.duration_ms = rng.uniform(cfg.min_segment_ms, cfg.max_segment_ms);
+    seg.duration_ms = rng.uniform(kMinSegmentMs, kMaxSegmentMs);
     ScenarioType effective = type;
     if (type == ScenarioType::kMixed) {
       const int pick = rng.uniform_int(0, 2);

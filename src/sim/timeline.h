@@ -1,6 +1,7 @@
 // Multi-impairment timelines (Sec. 8.3).
 //
-// A timeline is 10 segments of random duration (300 ms - 3 s). Four types:
+// A timeline is kTimelineSegments segments of random duration (300 ms -
+// 3 s). Four types:
 //   Motion       - every segment starts with a fresh displacement event;
 //   Blockage     - alternates human-blockage segments and clear-LOS segments;
 //   Interference - alternates interfered and clear-channel segments;
@@ -31,11 +32,10 @@ struct TimelineSegment {
   double duration_ms = 1000.0;
 };
 
-struct TimelineConfig {
-  int segments = 10;
-  double min_segment_ms = 300.0;
-  double max_segment_ms = 3000.0;
-};
+inline constexpr int kTimelineSegments = 10;
+inline constexpr double kMinSegmentMs = 300.0;
+inline constexpr double kMaxSegmentMs = 3000.0;
+static_assert(0.0 < kMinSegmentMs && kMinSegmentMs <= kMaxSegmentMs);
 
 // Pools of case records per impairment type, drawn from a dataset.
 struct RecordPools {
@@ -48,7 +48,6 @@ struct RecordPools {
 
 std::vector<TimelineSegment> make_timeline(ScenarioType type,
                                            const RecordPools& pools,
-                                           const TimelineConfig& cfg,
                                            util::Rng& rng);
 
 struct TimelineResult {

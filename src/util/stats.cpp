@@ -77,22 +77,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-  mean_ += delta * nb / (na + nb);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double RunningStats::variance() const {
   return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
@@ -104,13 +88,6 @@ EmpiricalCdf::EmpiricalCdf(std::vector<double> samples)
   std::sort(sorted_.begin(), sorted_.end());
 }
 
-double EmpiricalCdf::at(double x) const {
-  if (sorted_.empty()) return 0.0;
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
-}
-
 double EmpiricalCdf::quantile(double q) const {
   if (sorted_.empty()) throw std::invalid_argument("quantile of empty CDF");
   q = std::clamp(q, 0.0, 1.0);
@@ -119,17 +96,6 @@ double EmpiricalCdf::quantile(double q) const {
   const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-std::vector<std::pair<double, double>> EmpiricalCdf::curve() const {
-  std::vector<std::pair<double, double>> out;
-  out.reserve(sorted_.size());
-  for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    if (i + 1 < sorted_.size() && sorted_[i + 1] == sorted_[i]) continue;
-    out.emplace_back(sorted_[i], static_cast<double>(i + 1) /
-                                     static_cast<double>(sorted_.size()));
-  }
-  return out;
 }
 
 BoxplotSummary boxplot(std::span<const double> samples) {

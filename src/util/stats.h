@@ -13,10 +13,6 @@ namespace libra::util {
 class RunningStats {
  public:
   void add(double x);
-  // Fold another accumulator in exactly (Chan's parallel variance update),
-  // so per-thread shards / per-link stats aggregate to the same moments a
-  // serial pass over the union would produce.
-  void merge(const RunningStats& other);
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   double variance() const;  // unbiased sample variance (n-1); 0 for n < 2
@@ -37,17 +33,11 @@ class EmpiricalCdf {
  public:
   explicit EmpiricalCdf(std::vector<double> samples);
 
-  // P(X <= x) over the sample.
-  double at(double x) const;
   // Inverse CDF; q in [0,1]. Linear interpolation between order statistics.
   double quantile(double q) const;
 
   std::size_t size() const { return sorted_.size(); }
   const std::vector<double>& sorted() const { return sorted_; }
-
-  // Render the CDF as (value, probability) pairs at each distinct sample,
-  // convenient for printing figure series.
-  std::vector<std::pair<double, double>> curve() const;
 
  private:
   std::vector<double> sorted_;

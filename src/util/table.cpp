@@ -19,15 +19,6 @@ void Table::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void Table::add_row_numeric(const std::string& label,
-                            const std::vector<double>& values, int precision) {
-  std::vector<std::string> row;
-  row.reserve(values.size() + 1);
-  row.push_back(label);
-  for (double v : values) row.push_back(format_double(v, precision));
-  add_row(std::move(row));
-}
-
 std::string Table::to_string() const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) {

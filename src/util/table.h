@@ -12,16 +12,11 @@ class Table {
   explicit Table(std::vector<std::string> header);
 
   void add_row(std::vector<std::string> row);
-  // Convenience: formats doubles with the given precision.
-  void add_row_numeric(const std::string& label,
-                       const std::vector<double>& values, int precision = 2);
 
   // Render with column alignment and a separator under the header.
   std::string to_string() const;
   // Render as CSV (no alignment padding).
   std::string to_csv() const;
-
-  std::size_t rows() const { return rows_.size(); }
 
  private:
   std::vector<std::string> header_;

@@ -44,17 +44,6 @@ inline double dbm_add(double a_dbm, double b_dbm) {
 constexpr double kSpeedOfLightMps = 299792458.0;
 constexpr double k60GHzFrequencyHz = 60.48e9;  // 802.11ad channel 2 center.
 
-inline double wavelength_m(double freq_hz = k60GHzFrequencyHz) {
-  return kSpeedOfLightMps / freq_hz;
-}
-
-constexpr double kMsPerSecond = 1e3;
-constexpr double kUsPerSecond = 1e6;
 constexpr double kNsPerSecond = 1e9;
-
-inline double mbps_to_bytes_per_ms(double mbps) {
-  // 1 Mbps = 1e6 bits/s = 125000 bytes/s = 125 bytes/ms.
-  return mbps * 125.0;
-}
 
 }  // namespace libra::util

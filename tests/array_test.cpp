@@ -63,8 +63,8 @@ TEST(Codebook, GainNeverBelowBacklobeFloor) {
   const Codebook cb;
   for (int i = 0; i < cb.size(); ++i) {
     for (double a = -180.0; a <= 180.0; a += 3.0) {
-      EXPECT_GE(cb.gain_dbi(i, a), cb.config().backlobe_floor_dbi);
-      EXPECT_LE(cb.gain_dbi(i, a), cb.config().peak_gain_dbi + 1e-9);
+      EXPECT_GE(cb.gain_dbi(i, a), kBacklobeFloorDbi);
+      EXPECT_LE(cb.gain_dbi(i, a), kPeakGainDbi + 1e-9);
     }
   }
 }
@@ -90,17 +90,6 @@ TEST(Codebook, DeterministicAcrossInstances) {
   for (int i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.gain_dbi(i, 17.0), b.gain_dbi(i, 17.0));
   }
-}
-
-TEST(Codebook, DifferentSeedDifferentSideLobes) {
-  CodebookConfig cfg;
-  cfg.pattern_seed = 99;
-  const Codebook a, b(cfg);
-  bool any_diff = false;
-  for (int i = 0; i < a.size() && !any_diff; ++i) {
-    any_diff = std::abs(a.gain_dbi(i, 100.0) - b.gain_dbi(i, 100.0)) > 0.1;
-  }
-  EXPECT_TRUE(any_diff);
 }
 
 TEST(Codebook, InvalidAccessThrows) {
@@ -138,22 +127,6 @@ TEST(PhasedArray, WorldFrameGain) {
   EXPECT_NEAR(arr.gain_dbi(12, 90.0), cb.beam(12).peak_gain_dbi(), 1e-9);
 }
 
-TEST(PhasedArray, Rotation) {
-  const Codebook cb;
-  PhasedArray arr({0, 0}, 0.0, &cb);
-  arr.rotate(45.0);
-  EXPECT_DOUBLE_EQ(arr.boresight_deg(), 45.0);
-  arr.rotate(180.0);
-  EXPECT_DOUBLE_EQ(arr.boresight_deg(), -135.0);  // wrapped
-}
-
-TEST(PhasedArray, AngleTo) {
-  const Codebook cb;
-  const PhasedArray arr({1, 1}, 0.0, &cb);
-  EXPECT_NEAR(arr.angle_to({2, 2}), 45.0, 1e-9);
-  EXPECT_NEAR(arr.angle_to({0, 1}), 180.0, 1e-9);
-}
-
 TEST(PhasedArray, NullCodebookThrows) {
   EXPECT_THROW(PhasedArray({0, 0}, 0.0, nullptr), std::invalid_argument);
 }
@@ -176,7 +149,7 @@ TEST(PhasedArray, RotationShiftsBestBeam) {
     return best;
   };
   EXPECT_EQ(best_beam(0.0), 12);
-  arr.rotate(30.0);
+  arr.set_boresight_deg(30.0);
   EXPECT_EQ(best_beam(0.0), 6);
 }
 

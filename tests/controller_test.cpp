@@ -85,8 +85,8 @@ TEST(Trajectory, WalkFacingFixedTarget) {
   EXPECT_NEAR(t.at(1000.0).boresight_deg, 180.0, 1e-9);
 }
 
-TEST(Trajectory, RotateSweepsOrientation) {
-  const auto t = sim::Trajectory::rotate({1, 1}, 0.0, 90.0, 1000.0);
+TEST(Trajectory, InterpolatesOrientation) {
+  const sim::Trajectory t({{0.0, {1, 1}, 0.0}, {1000.0, {1, 1}, 90.0}});
   EXPECT_NEAR(t.at(500.0).boresight_deg, 45.0, 1e-9);
   EXPECT_DOUBLE_EQ(t.at(500.0).position.x, 1.0);
 }

@@ -637,6 +637,21 @@ TEST_F(CotsFixture, AssociationPicksReasonableSector) {
   EXPECT_LT(std::abs(steer), 15.0);
 }
 
+TEST_F(CotsFixture, NegativeAckLossTriggerThrows) {
+  CotsDeviceConfig cfg;
+  cfg.ba_after_ack_losses = -1;
+  EXPECT_THROW(CotsDevice(&link, &em, cfg), std::invalid_argument);
+}
+
+TEST_F(CotsFixture, CdrThresholdOutsideUnitIntervalThrows) {
+  for (const double bad : {-0.1, 1.5, std::nan("")}) {
+    CotsDeviceConfig cfg;
+    cfg.ba_cdr_threshold = bad;
+    EXPECT_THROW(CotsDevice(&link, &em, cfg), std::invalid_argument)
+        << "ba_cdr_threshold=" << bad;
+  }
+}
+
 TEST_F(CotsFixture, HealthyLinkDelivers) {
   CotsDevice device(&link, &em);
   util::Rng rng(2);

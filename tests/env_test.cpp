@@ -27,25 +27,6 @@ TEST(Environment, RectangleWallsFormClosedLoop) {
   EXPECT_DOUBLE_EQ(walls[2].reflection_loss_db, 3);
 }
 
-TEST(Environment, InteriorSegmentNotObstructed) {
-  const Environment e = box();
-  EXPECT_FALSE(e.wall_obstructs({1, 1}, {9, 4}));
-}
-
-TEST(Environment, SegmentThroughWallObstructed) {
-  const Environment e = box();
-  EXPECT_TRUE(e.wall_obstructs({5, 2}, {5, 8}));   // exits through the top
-  EXPECT_TRUE(e.wall_obstructs({-2, 2}, {12, 2})); // crosses both sides
-}
-
-TEST(Environment, InteriorObstacleBlocks) {
-  auto walls = rectangle_walls(10, 5, 8, 8, 8, 8);
-  walls.push_back({{{4, 1}, {4, 4}}, 4.0, "cabinet"});
-  const Environment e("lab-ish", std::move(walls));
-  EXPECT_TRUE(e.wall_obstructs({1, 2}, {9, 2}));
-  EXPECT_FALSE(e.wall_obstructs({1, 4.5}, {9, 4.5}));
-}
-
 TEST(Blocker, CenteredHitFullAttenuation) {
   Environment e = box();
   e.add_blocker({{5, 2}, 0.25, 28.0});
@@ -171,7 +152,12 @@ TEST(Registry, LobbyHasPillars) {
 TEST(Registry, LabCabinetsBlockCrossRoomPath) {
   const Environment lab = make_lab();
   // The cabinet row at y=6.4 blocks a straight path crossing it.
-  EXPECT_TRUE(lab.wall_obstructs({5, 5}, {5, 8}));
+  const geom::Segment path{{5, 5}, {5, 8}};
+  bool blocked = false;
+  for (const geom::Wall& w : lab.walls()) {
+    blocked |= geom::segments_cross(path, w.seg);
+  }
+  EXPECT_TRUE(blocked);
 }
 
 TEST(Registry, CorridorDimensions) {

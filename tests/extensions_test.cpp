@@ -117,7 +117,7 @@ TEST(ModelIo, TreeRoundTripPredictsIdentically) {
   std::stringstream stream;
   ml::save_tree(tree, stream);
   const ml::DecisionTree back = ml::load_tree(stream);
-  EXPECT_EQ(back.node_count(), tree.node_count());
+  EXPECT_EQ(back.nodes().size(), tree.nodes().size());
   for (std::size_t i = 0; i < d.size(); ++i) {
     EXPECT_EQ(back.predict(d.row(i)), tree.predict(d.row(i)));
   }

@@ -358,9 +358,9 @@ TEST(FaultsValidation, ExtractFeaturesRejectsTruncatedCdrVector) {
   trace::CaseRecord rec = make_record(6, 4, 5);
   // Chop the per-MCS CDR vector below init_mcs: the lookup must throw, not
   // read out of bounds.
-  faults::truncate_record_cdr(rec, 3);
+  rec.new_at_init_pair.cdr.resize(3);
   EXPECT_THROW(trace::extract_features(rec), std::invalid_argument);
-  faults::truncate_record_cdr(rec, 0);
+  rec.new_at_init_pair.cdr.clear();
   EXPECT_THROW(trace::extract_features(rec), std::invalid_argument);
 }
 

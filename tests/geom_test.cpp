@@ -59,12 +59,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{720.0 + 30.0, 30.0},
                       std::pair{-720.0 - 30.0, -30.0}));
 
-TEST(Segment, LengthDirectionNormal) {
+TEST(Segment, Direction) {
   const Segment s{{0, 0}, {0, 2}};
-  EXPECT_DOUBLE_EQ(s.length(), 2.0);
   EXPECT_NEAR(s.direction().y, 1.0, 1e-12);
-  // Normal is the left-hand normal of a->b.
-  EXPECT_NEAR(s.normal().x, -1.0, 1e-12);
 }
 
 TEST(Intersect, CrossingSegments) {

@@ -199,7 +199,7 @@ TEST(Integration, TimelineEvaluationRuns) {
   const sim::RecordPools pools = sim::RecordPools::from_dataset(p.testing);
   for (sim::ScenarioType type : sim::kAllScenarioTypes) {
     util::Rng tl_rng(100);
-    const auto timeline = sim::make_timeline(type, pools, {}, tl_rng);
+    const auto timeline = sim::make_timeline(type, pools, tl_rng);
     const auto oracle = sim::run_timeline(
         timeline, core::Strategy::kOracleData, simulator, ep, rng);
     const auto libra = sim::run_timeline(timeline, core::Strategy::kLibra,

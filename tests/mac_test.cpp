@@ -49,27 +49,11 @@ TEST(BeaconInterval, SectorsForBeamwidth) {
   EXPECT_THROW(sectors_for_beamwidth(360.0, 0.0), std::invalid_argument);
 }
 
-TEST(BeaconInterval, SlsDurationScalesLinearly) {
-  const double d12 = sls_duration_ms(12);
-  const double d24 = sls_duration_ms(24);
-  EXPECT_GT(d24, 1.8 * d12);
-  EXPECT_LT(d24, 2.2 * d12);
-  EXPECT_THROW(sls_duration_ms(0), std::invalid_argument);
-}
-
 TEST(BeaconInterval, FullSlsCoversBothSides) {
-  EXPECT_GT(full_sls_duration_ms(12, 12), sls_duration_ms(12));
   // Sec. 8.1 anchor: 30-degree beams (12 sectors over 360) land near the
   // paper's 0.5 ms; 3-degree beams near 5 ms.
   EXPECT_NEAR(full_sls_duration_ms(12, 12), 0.5, 0.15);
   EXPECT_NEAR(full_sls_duration_ms(120, 120), 5.0, 1.2);
-}
-
-TEST(BeaconInterval, ExhaustiveScalesQuadratically) {
-  const double d10 = exhaustive_duration_ms(10, 10);
-  const double d20 = exhaustive_duration_ms(20, 20);
-  EXPECT_GT(d20, 3.5 * d10);
-  EXPECT_LT(d20, 4.5 * d10);
 }
 
 TEST(BeaconInterval, AbftContention) {
@@ -124,11 +108,6 @@ TEST(Csma, UnthrottledDutyScalesWithLoad) {
   EXPECT_THROW(unthrottled_duty(1.5), std::invalid_argument);
 }
 
-TEST(Csma, SensingSerializesInterference) {
-  EXPECT_DOUBLE_EQ(interference_duty(true, 0.8), 0.0);
-  EXPECT_GT(interference_duty(false, 0.8), 0.7);
-}
-
 TEST(Csma, DirectionalDeafnessCreatesHiddenTerminal) {
   // Victim Tx and an interferer in a box; the interferer listens quasi-omni.
   phy::McsTable table;
@@ -149,7 +128,7 @@ TEST(Csma, DutyCoversTheDatasetLevels) {
   // The three calibrated interference levels (20/50/80% throughput drop)
   // correspond to offered loads ~0.2/0.5/0.8 of a deaf interferer.
   for (double load : {0.2, 0.5, 0.8}) {
-    EXPECT_NEAR(interference_duty(false, load), load, 0.03);
+    EXPECT_NEAR(unthrottled_duty(load), load, 0.03);
   }
 }
 

@@ -296,7 +296,6 @@ TEST(ObsRegistry, HandlesAreFindOrRegister) {
   obs::Counter& a = reg.counter("obs_test.same_name");
   obs::Counter& b = reg.counter("obs_test.same_name");
   EXPECT_EQ(&a, &b);
-  EXPECT_EQ(a.name(), "obs_test.same_name");
 }
 
 std::uint64_t counter_value(const obs::MetricsSnapshot& snap,
@@ -331,9 +330,11 @@ TEST(ObsRegistry, ConcurrentCounterSumsExactly) {
 TEST(ObsRegistry, GaugeSetAndAdd) {
   obs::Gauge& g = obs::Registry::global().gauge("obs_test.gauge");
   g.set(3.5);
-  EXPECT_DOUBLE_EQ(g.value(), 3.5);
+  const obs::MetricsSnapshot after_set = obs::Registry::global().snapshot();
+  const auto* set = after_set.find_gauge("obs_test.gauge");
+  ASSERT_NE(set, nullptr);
+  EXPECT_DOUBLE_EQ(set->value, 3.5);
   g.add(-1.25);
-  EXPECT_DOUBLE_EQ(g.value(), 2.25);
   const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
   const auto* gv = snap.find_gauge("obs_test.gauge");
   ASSERT_NE(gv, nullptr);
@@ -426,22 +427,6 @@ TEST(ObsTrace, SpanExportIsValidChromeTraceJson) {
   buf.clear();
 }
 
-TEST(ObsExport, JsonSnapshotParses) {
-  obs::Registry& reg = obs::Registry::global();
-  reg.counter("obs_test.json_counter").inc(7);
-  reg.histogram("obs_test.json_hist").observe(12.0);
-  const JsonValue root = parse_json(reg.snapshot().to_json());
-  ASSERT_TRUE(root.is_object());
-  const JsonValue* counters = root.find("counters");
-  ASSERT_NE(counters, nullptr);
-  const JsonValue* c = counters->find("obs_test.json_counter");
-  ASSERT_NE(c, nullptr);
-  EXPECT_GE(c->number, 7.0);
-  const JsonValue* hists = root.find("histograms");
-  ASSERT_NE(hists, nullptr);
-  EXPECT_NE(hists->find("obs_test.json_hist"), nullptr);
-}
-
 TEST(ObsExport, PrometheusContainsCumulativeBuckets) {
   obs::Registry& reg = obs::Registry::global();
   reg.histogram("obs_test.prom_hist").observe(3.0);
@@ -455,6 +440,11 @@ TEST(ObsExport, PrometheusContainsCumulativeBuckets) {
 }
 
 // ---- aggregator: roll-ups, multi-origin merge, series feed -----------------
+
+// Roll-ups completed so far, as series_json() reports them.
+double rollups(const obs::Aggregator& agg) {
+  return parse_json(agg.series_json()).find("rollups")->number;
+}
 
 TEST(ObsAggregator, RejectsBadConfig) {
   obs::AggregatorConfig bad_period;
@@ -476,7 +466,7 @@ TEST(ObsAggregator, RollupFoldsLocalRegistryIntoSeries) {
   agg.rollup_now();
   c.inc(7);
   agg.rollup_now();
-  EXPECT_EQ(agg.rollups(), 2u);
+  EXPECT_EQ(rollups(agg), 2.0);
 
   const JsonValue root = parse_json(agg.series_json());
   const JsonValue* origins = root.find("origins");
@@ -542,44 +532,6 @@ TEST(ObsAggregator, MergesRemoteSourceUnderItsOwnOrigin) {
   EXPECT_NE(root.find("origins")->find("daemon"), nullptr);
 }
 
-// counter_rate_series is series_json() without the JSON round trip: the
-// same per-window rate points, addressed by (origin, counter name). The
-// fleet trainer's drift detector consumes it directly.
-TEST(ObsAggregator, CounterRateSeriesMatchesJsonExport) {
-  obs::Counter& c = obs::Registry::global().counter("obs_test.rate_series");
-  obs::Aggregator agg;  // local_origin defaults to "controller"
-  c.inc(5);
-  agg.rollup_now();
-  c.inc(7);
-  agg.rollup_now();
-
-  const std::vector<double> rates =
-      agg.counter_rate_series("controller", "obs_test.rate_series");
-  ASSERT_EQ(rates.size(), 2u);
-  EXPECT_GT(rates[0], 0.0);
-  EXPECT_GT(rates[1], 0.0);
-
-  const JsonValue root = parse_json(agg.series_json());
-  const JsonValue* rate = root.find("origins")
-                                       ->find("controller")
-                                       ->find("counters")
-                                       ->find("obs_test.rate_series")
-                                       ->find("rate");
-  ASSERT_NE(rate, nullptr);
-  ASSERT_EQ(rate->array.size(), rates.size());
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    // The JSON export prints ~6 significant digits; compare to its
-    // round-trip precision, not bit-exactly.
-    EXPECT_NEAR(rate->array[i].number, rates[i],
-                1e-4 * std::abs(rates[i]) + 1e-12)
-        << "window " << i;
-  }
-
-  // Unknown origin or counter: empty, not a throw.
-  EXPECT_TRUE(agg.counter_rate_series("nobody", "obs_test.rate_series").empty());
-  EXPECT_TRUE(agg.counter_rate_series("controller", "no.such.counter").empty());
-}
-
 TEST(ObsAggregator, HostileSourcesAreCountedNotFatal) {
   const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
   obs::Aggregator agg;
@@ -595,7 +547,7 @@ TEST(ObsAggregator, HostileSourcesAreCountedNotFatal) {
     return obs::LabeledSnapshot{"", obs::MetricsSnapshot{}};
   });
   agg.rollup_now();
-  EXPECT_EQ(agg.rollups(), 1u);
+  EXPECT_EQ(rollups(agg), 1.0);
   const obs::MetricsSnapshot after = obs::Registry::global().snapshot();
   EXPECT_EQ(counter_value(after, "obs.aggregator.source_errors") -
                 counter_value(before, "obs.aggregator.source_errors"),
@@ -607,13 +559,11 @@ TEST(ObsAggregator, BackgroundThreadRollsUp) {
   cfg.rollup_period_ms = 5.0;
   obs::Aggregator agg(cfg);
   agg.start();
-  EXPECT_TRUE(agg.running());
-  for (int i = 0; i < 200 && agg.rollups() < 3; ++i) {
+  for (int i = 0; i < 200 && rollups(agg) < 3.0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   agg.stop();
-  EXPECT_GE(agg.rollups(), 3u);
-  EXPECT_FALSE(agg.running());
+  EXPECT_GE(rollups(agg), 3.0);
 }
 
 // ---- scrape server: routes and hostile requests ----------------------------

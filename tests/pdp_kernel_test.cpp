@@ -310,7 +310,8 @@ TEST(PdpKernelEquivalence, StrongestTapIsMaxElement) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     EXPECT_EQ(phy::strongest_tap(v), oracle_peak(v));
     const phy::PdpConfig cfg;
-    const std::optional<double> got = phy::time_of_flight_ns(v, cfg);
+    const std::optional<double> got =
+        phy::tof_at_peak_ns(v, phy::strongest_tap(v), cfg);
     const std::optional<double> want = oracle_tof(v, cfg);
     ASSERT_EQ(got.has_value(), want.has_value());
     if (want) {

@@ -26,7 +26,7 @@ TEST_P(SeededProperty, MirrorInvolutionAndIsometry) {
   for (int i = 0; i < 50; ++i) {
     const geom::Segment line{{rng.uniform(-10, 10), rng.uniform(-10, 10)},
                              {rng.uniform(-10, 10), rng.uniform(-10, 10)}};
-    if (line.length() < 1e-6) continue;
+    if (geom::distance(line.a, line.b) < 1e-6) continue;
     const geom::Vec2 p{rng.uniform(-10, 10), rng.uniform(-10, 10)};
     const geom::Vec2 m = geom::mirror(p, line);
     const geom::Vec2 back = geom::mirror(m, line);
@@ -112,7 +112,7 @@ TEST_P(SeededProperty, ErrorModelBounds) {
     EXPECT_LE(cdr, 1.0);
     const double tput = em.expected_throughput_mbps(m, snr);
     EXPECT_GE(tput, 0.0);
-    EXPECT_LE(tput, table.max_rate_mbps());
+    EXPECT_LE(tput, table.rate_mbps(table.max_mcs()));
   }
 }
 

@@ -512,7 +512,7 @@ TEST(RpcClient, DeadlineMustBePositiveOrInfinite) {
 
 // ---------- server/client loopback ----------
 
-TEST(RpcLoopback, HelloPingClassifyMatchInProcessBitExact) {
+TEST(RpcLoopback, HelloClassifyMatchInProcessBitExact) {
   const ml::RandomForest forest = make_small_forest(10);
   rpc::ServerConfig scfg;
   scfg.unix_socket = unique_socket_path();
@@ -524,7 +524,6 @@ TEST(RpcLoopback, HelloPingClassifyMatchInProcessBitExact) {
   ccfg.unix_socket = scfg.unix_socket;
   rpc::DecisionClient client(ccfg);
   ASSERT_TRUE(client.connect());
-  EXPECT_TRUE(client.ping());
 
   const std::optional<rpc::HelloMsg> hello = client.hello();
   ASSERT_TRUE(hello.has_value());
@@ -558,7 +557,7 @@ TEST(RpcLoopback, TcpEphemeralPortServes) {
   rpc::ClientConfig ccfg;
   ccfg.port = server.port();
   rpc::DecisionClient client(ccfg);
-  EXPECT_TRUE(client.ping());
+  EXPECT_TRUE(client.hello().has_value());
   const std::optional<std::vector<std::vector<double>>> votes =
       client.classify(make_query_rows());
   ASSERT_TRUE(votes.has_value());

@@ -350,7 +350,7 @@ TEST(Timeline, MotionTimelineAllImpaired) {
   const trace::Dataset ds = pool_dataset();
   const RecordPools pools = RecordPools::from_dataset(ds);
   util::Rng rng(1);
-  const auto timeline = make_timeline(ScenarioType::kMotion, pools, {}, rng);
+  const auto timeline = make_timeline(ScenarioType::kMotion, pools, rng);
   ASSERT_EQ(timeline.size(), 10u);
   for (const auto& seg : timeline) {
     EXPECT_TRUE(seg.impaired);
@@ -364,7 +364,7 @@ TEST(Timeline, BlockageTimelineAlternates) {
   const trace::Dataset ds = pool_dataset();
   const RecordPools pools = RecordPools::from_dataset(ds);
   util::Rng rng(2);
-  const auto timeline = make_timeline(ScenarioType::kBlockage, pools, {}, rng);
+  const auto timeline = make_timeline(ScenarioType::kBlockage, pools, rng);
   for (std::size_t i = 0; i < timeline.size(); ++i) {
     EXPECT_EQ(timeline[i].impaired, i % 2 == 0);
   }
@@ -376,7 +376,7 @@ TEST(Timeline, MixedDrawsFromAllPools) {
   util::Rng rng(3);
   std::set<trace::Impairment> seen;
   for (int i = 0; i < 20; ++i) {
-    for (const auto& seg : make_timeline(ScenarioType::kMixed, pools, {}, rng)) {
+    for (const auto& seg : make_timeline(ScenarioType::kMixed, pools, rng)) {
       if (seg.impaired) seen.insert(seg.record->impairment);
     }
   }
@@ -386,7 +386,7 @@ TEST(Timeline, MixedDrawsFromAllPools) {
 TEST(Timeline, EmptyPoolThrows) {
   RecordPools pools;  // all empty
   util::Rng rng(4);
-  EXPECT_THROW(make_timeline(ScenarioType::kMotion, pools, {}, rng),
+  EXPECT_THROW(make_timeline(ScenarioType::kMotion, pools, rng),
                std::invalid_argument);
 }
 
@@ -400,10 +400,10 @@ TEST(Timeline, EmptyPoolThrowsPerScenarioAndNamesPool) {
   RecordPools no_blockage = full;
   no_blockage.blockage.clear();
   util::Rng rng(4);
-  EXPECT_THROW(make_timeline(ScenarioType::kBlockage, no_blockage, {}, rng),
+  EXPECT_THROW(make_timeline(ScenarioType::kBlockage, no_blockage, rng),
                std::invalid_argument);
   try {
-    make_timeline(ScenarioType::kBlockage, no_blockage, {}, rng);
+    make_timeline(ScenarioType::kBlockage, no_blockage, rng);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("blockage"), std::string::npos)
@@ -413,44 +413,27 @@ TEST(Timeline, EmptyPoolThrowsPerScenarioAndNamesPool) {
   RecordPools no_interference = full;
   no_interference.interference.clear();
   EXPECT_THROW(
-      make_timeline(ScenarioType::kInterference, no_interference, {}, rng),
+      make_timeline(ScenarioType::kInterference, no_interference, rng),
       std::invalid_argument);
 
   // Mixed draws from all three pools, so any single empty pool eventually
-  // trips the guard (20 segments make a miss astronomically unlikely).
+  // trips the guard (five timelines make a miss astronomically unlikely).
   RecordPools no_displacement = full;
   no_displacement.displacement.clear();
-  TimelineConfig many;
-  many.segments = 20;
   EXPECT_THROW(
-      make_timeline(ScenarioType::kMixed, no_displacement, many, rng),
+      {
+        for (int i = 0; i < 5; ++i) {
+          make_timeline(ScenarioType::kMixed, no_displacement, rng);
+        }
+      },
       std::invalid_argument);
-}
-
-TEST(Timeline, InvalidConfigThrows) {
-  const trace::Dataset ds = pool_dataset();
-  const RecordPools pools = RecordPools::from_dataset(ds);
-  util::Rng rng(4);
-  TimelineConfig negative;
-  negative.segments = -1;
-  EXPECT_THROW(make_timeline(ScenarioType::kMotion, pools, negative, rng),
-               std::invalid_argument);
-  TimelineConfig inverted;
-  inverted.min_segment_ms = 500.0;
-  inverted.max_segment_ms = 100.0;
-  EXPECT_THROW(make_timeline(ScenarioType::kMotion, pools, inverted, rng),
-               std::invalid_argument);
-  TimelineConfig zero_min;
-  zero_min.min_segment_ms = 0.0;
-  EXPECT_THROW(make_timeline(ScenarioType::kMotion, pools, zero_min, rng),
-               std::invalid_argument);
 }
 
 TEST(Timeline, RunAccumulatesBytesAndBreaks) {
   const trace::Dataset ds = pool_dataset();
   const RecordPools pools = RecordPools::from_dataset(ds);
   util::Rng rng(5);
-  const auto timeline = make_timeline(ScenarioType::kMotion, pools, {}, rng);
+  const auto timeline = make_timeline(ScenarioType::kMotion, pools, rng);
   const EventSimulator simulator;
   const TimelineResult r =
       run_timeline(timeline, core::Strategy::kRaFirst, simulator, params(),
@@ -470,7 +453,7 @@ TEST(Timeline, ClearSegmentsUseRecoveredTrace) {
   const RecordPools pools = RecordPools::from_dataset(ds);
   util::Rng rng(6);
   const auto timeline =
-      make_timeline(ScenarioType::kInterference, pools, {}, rng);
+      make_timeline(ScenarioType::kInterference, pools, rng);
   const EventSimulator simulator;
   const TimelineResult r = run_timeline(
       timeline, core::Strategy::kRaFirst, simulator, params(), rng);

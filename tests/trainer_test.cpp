@@ -25,7 +25,6 @@
 #include "core/trainer.h"
 #include "env/registry.h"
 #include "ml/random_forest.h"
-#include "obs/aggregate.h"
 #include "obs/metrics.h"
 #include "rpc/client.h"
 #include "rpc/server.h"
@@ -521,19 +520,17 @@ TEST(SwapStress, TrainerForcedSwapsDuringConcurrentServing) {
 
 // ---------- drift detector ----------
 
-TEST(DriftDetector, ScoreIsMaxOfMismatchAndDegraded) {
+TEST(DriftDetector, ScoreIsWindowedMismatchFraction) {
   core::DriftDetector drift({/*threshold=*/0.25, /*window_rows=*/100});
   EXPECT_EQ(drift.score(), 0.0);
   EXPECT_FALSE(drift.drifted());
 
   drift.observe(100, 10);
-  EXPECT_NEAR(drift.mismatch_fraction(), 0.1, 1e-12);
-  EXPECT_FALSE(drift.drifted());
-  drift.feed_degraded_fraction(0.5);
-  EXPECT_NEAR(drift.score(), 0.5, 1e-12);
-  EXPECT_TRUE(drift.drifted());
-  drift.feed_degraded_fraction(-3.0);  // clamped
   EXPECT_NEAR(drift.score(), 0.1, 1e-12);
+  EXPECT_FALSE(drift.drifted());
+  drift.observe(100, 60);
+  EXPECT_NEAR(drift.score(), 0.6, 1e-12);
+  EXPECT_TRUE(drift.drifted());
 
   drift.reset();
   EXPECT_EQ(drift.score(), 0.0);
@@ -541,9 +538,9 @@ TEST(DriftDetector, ScoreIsMaxOfMismatchAndDegraded) {
   // Sliding window: old clean chunks age out, so a fresh mismatch burst
   // dominates even after a long clean history.
   for (int i = 0; i < 20; ++i) drift.observe(50, 0);
-  EXPECT_EQ(drift.mismatch_fraction(), 0.0);
+  EXPECT_EQ(drift.score(), 0.0);
   drift.observe(50, 50);
-  EXPECT_GE(drift.mismatch_fraction(), 0.5);
+  EXPECT_GE(drift.score(), 0.5);
   EXPECT_TRUE(drift.drifted());
   EXPECT_THROW(drift.observe(10, 11), std::invalid_argument);
 }
@@ -721,25 +718,6 @@ TEST(FleetTrainer, StartIncompatibleWithPinnedSchedule) {
   EXPECT_TRUE(trainer.pinned_schedule());
   EXPECT_THROW(trainer.start(), std::logic_error);
   EXPECT_FALSE(trainer.running());
-}
-
-// The degraded-decision fraction from the aggregator's ring series folds
-// into the drift score (outages and ladder fallbacks are drift the label
-// stream cannot see).
-TEST(TrainerAggregator, DegradedFractionFoldsIntoDriftScore) {
-  obs::Registry& reg = obs::Registry::global();
-  obs::Counter& degraded = reg.counter("controller.degraded_decisions");
-  obs::Counter& frames = reg.counter("fleet.link_frames");
-  obs::Aggregator agg;       // local_origin defaults to "controller"
-  agg.rollup_now();          // absorb whatever this process accumulated
-  degraded.inc(30);
-  frames.inc(100);
-  agg.rollup_now();
-
-  core::FleetTrainer trainer(small_trainer_cfg());
-  trainer.consume_aggregator(agg);
-  EXPECT_NEAR(trainer.drift_score(), 0.3, 1e-6);
-  EXPECT_TRUE(trainer.drift_score() >= trainer.config().drift.threshold);
 }
 
 // ---------- ModelPush loopback ----------
