@@ -114,9 +114,8 @@ int main() {
         ccfg.no_ack_ba_overhead_threshold_ms = v.overhead_threshold;
         core::LibraClassifier clf(ccfg);
         clf.train(wb.training, cfg, rng);
-        const sim::EventSimulator simulator(&clf);
-        sim::EventParams p;
-        p.ba_overhead_ms = ba;
+        const sim::EventSimulator simulator(cfg, &clf);
+        const sim::EventParams p;
         std::vector<double> gaps;
         for (const auto& rec : wb.testing.records) {
           const auto oracle =
@@ -145,9 +144,8 @@ int main() {
         ccfg.min_confidence = conf;
         core::LibraClassifier clf(ccfg);
         clf.train(wb.training, cfg, rng);
-        const sim::EventSimulator simulator(&clf);
-        sim::EventParams p;
-        p.ba_overhead_ms = ba;
+        const sim::EventSimulator simulator(cfg, &clf);
+        const sim::EventParams p;
         double gap_sum = 0.0;
         int n = 0;
         for (const auto& rec : wb.testing.records) {

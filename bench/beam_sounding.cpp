@@ -22,9 +22,8 @@ int main() {
   util::Rng rng(23);
   core::LibraClassifier classifier;
   classifier.train(wb.training, gt, rng);
-  const sim::EventSimulator simulator(&classifier);
-  sim::EventParams p;
-  p.ba_overhead_ms = 5.0;
+  const sim::EventSimulator simulator(gt, &classifier);
+  const sim::EventParams p;
 
   struct Bucket {
     const char* name;

@@ -28,7 +28,7 @@ int main() {
       util::Rng rng(123);
       core::LibraClassifier classifier;
       classifier.train(wb.training, gt, rng);
-      const sim::EventSimulator simulator(&classifier);
+      const sim::EventSimulator simulator(gt, &classifier);
 
       char title[128];
       std::snprintf(title, sizeof(title),
@@ -38,10 +38,7 @@ int main() {
       util::Table t = bench::cdf_table("algorithm (flow)");
 
       for (double flow_ms : {400.0, 1000.0}) {
-        sim::EventParams p;
-        p.fat_ms = fat;
-        p.ba_overhead_ms = ba;
-        p.flow_ms = flow_ms;
+        const sim::EventParams p{flow_ms};
         std::map<core::Strategy, std::vector<double>> gaps;
         std::map<core::Strategy, int> zero_gap;
         for (const trace::CaseRecord& rec : wb.testing.records) {

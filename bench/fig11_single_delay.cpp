@@ -28,12 +28,8 @@ int main() {
       util::Rng rng(321);
       core::LibraClassifier classifier;
       classifier.train(wb.training, gt, rng);
-      const sim::EventSimulator simulator(&classifier);
-
-      sim::EventParams p;
-      p.fat_ms = fat;
-      p.ba_overhead_ms = ba;
-      p.flow_ms = 1000.0;
+      const sim::EventSimulator simulator(gt, &classifier);
+      const sim::EventParams p{/*flow_ms=*/1000.0};
 
       char title[128];
       std::snprintf(title, sizeof(title), "BA overhead %.1f ms, FAT %.0f ms",

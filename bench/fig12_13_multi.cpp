@@ -49,10 +49,7 @@ int main() {
       util::Rng rng(777);
       core::LibraClassifier classifier;
       classifier.train(wb.training, gt, rng);
-      const sim::EventSimulator simulator(&classifier);
-      sim::EventParams params;
-      params.fat_ms = fat;
-      params.ba_overhead_ms = ba;
+      const sim::EventSimulator simulator(gt, &classifier);
 
       char title[128];
       std::snprintf(title, sizeof(title), "BA overhead %.1f ms, FAT %.0f ms",
@@ -72,16 +69,14 @@ int main() {
               sim::make_timeline(type, pools, tl_rng);
           util::Rng run_rng(1000 + i);
           const auto oracle_d = sim::run_timeline(
-              timeline, core::Strategy::kOracleData, simulator, params,
-              run_rng);
+              timeline, core::Strategy::kOracleData, simulator, run_rng);
           const auto oracle_t = sim::run_timeline(
-              timeline, core::Strategy::kOracleDelay, simulator, params,
-              run_rng);
+              timeline, core::Strategy::kOracleDelay, simulator, run_rng);
           for (core::Strategy s :
                {core::Strategy::kBaFirst, core::Strategy::kRaFirst,
                 core::Strategy::kLibra}) {
-            const auto r = sim::run_timeline(timeline, s, simulator, params,
-                                             run_rng);
+            const auto r =
+                sim::run_timeline(timeline, s, simulator, run_rng);
             const double ratio_v =
                 oracle_d.bytes_mb > 0 ? r.bytes_mb / oracle_d.bytes_mb : 1.0;
             const double dgap_v =

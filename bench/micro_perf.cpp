@@ -1006,8 +1006,8 @@ BENCHMARK(BM_CollectCase)->Unit(benchmark::kMicrosecond);
 
 void BM_SimulatedEvent(benchmark::State& state) {
   auto& f = Fixture::get();
-  const sim::EventSimulator simulator(&f.classifier);
-  sim::EventParams p;
+  const sim::EventSimulator simulator(f.gt, &f.classifier);
+  const sim::EventParams p;
   util::Rng rng(7);
   const trace::CaseRecord& rec = f.training.records.front();
   for (auto _ : state) {

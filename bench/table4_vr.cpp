@@ -22,14 +22,13 @@ int main() {
   std::printf("Table 4: VR stall duration (ms) / number of stalls\n");
   auto wb = bench::Workbench::collect(/*with_na=*/true);
   constexpr int kTimelines = 50;
-  const sim::VrConfig vr_cfg;
 
   // A VR player stays within a few meters of the AP: keep only mobility
   // cases whose link can sustain the stream when adapted correctly
   // (settled throughput above the demand after COTS scaling), so stalls
   // measure *adaptation* quality, not raw capacity.
   const double min_tput =
-      vr_cfg.bitrate_mbps / vr_cfg.cots_scale * 1.15;
+      sim::kVrBitrateMbps / sim::kVrCotsScale * 1.15;
   sim::RecordPools pools;
   for (const trace::CaseRecord& rec : wb.testing.records) {
     if (rec.impairment != trace::Impairment::kDisplacement) continue;
@@ -53,10 +52,7 @@ int main() {
       util::Rng rng(99);
       core::LibraClassifier classifier;
       classifier.train(wb.training, gt, rng);
-      const sim::EventSimulator simulator(&classifier);
-      sim::EventParams params;
-      params.fat_ms = fat;
-      params.ba_overhead_ms = ba;
+      const sim::EventSimulator simulator(gt, &classifier);
 
       std::vector<std::string> row;
       char label[64];
@@ -70,14 +66,14 @@ int main() {
           const auto timeline = sim::make_timeline(
               sim::ScenarioType::kMotion, pools, tl_rng);
           util::Rng run_rng(6000 + i);
-          const auto r = sim::run_timeline(timeline, s, simulator, params,
-                                           run_rng, /*record_series=*/true);
+          const auto r = sim::run_timeline(timeline, s, simulator, run_rng,
+                                           /*record_series=*/true);
           double duration_ms = 0.0;
           for (const auto& [tput, dur] : r.tput_segments) duration_ms += dur;
           util::Rng vr_rng(7000 + i);
           const auto frames =
-              sim::generate_frame_sizes_mb(vr_cfg, duration_ms, vr_rng);
-          const auto vr = sim::play_vr(frames, r.tput_segments, vr_cfg);
+              sim::generate_frame_sizes_mb(duration_ms, vr_rng);
+          const auto vr = sim::play_vr(frames, r.tput_segments);
           stall_ms_sum += vr.avg_stall_ms;
           stalls_sum += vr.stalls;
         }

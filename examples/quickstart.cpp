@@ -60,8 +60,8 @@ int main() {
       break;
     }
   }
-  sim::EventSimulator simulator(&classifier);
-  sim::EventParams params;
+  const sim::EventSimulator simulator(gt, &classifier);
+  const sim::EventParams params;
   std::printf("\nreplaying a collected blockage event (1 s flow):\n");
   for (core::Strategy s : core::kAllStrategies) {
     const sim::EventResult r =

@@ -29,30 +29,14 @@ MemoCounters& memo_counters() {
   return c;
 }
 
-// Throws std::invalid_argument naming the first field of `cfg` outside its
-// range.
 const LinkBudgetConfig& validated(const LinkBudgetConfig& cfg) {
-  const auto check = [](bool ok, const char* field, const char* range,
-                        double value) {
-    if (!ok) {
-      char got[32];
-      std::snprintf(got, sizeof got, "%g", value);
-      throw std::invalid_argument(std::string("LinkBudgetConfig: ") + field +
-                                  " must be " + range + ", got " + got);
-    }
-  };
-  check(std::isfinite(cfg.tx_power_dbm), "tx_power_dbm", "finite",
-        cfg.tx_power_dbm);
-  check(std::isfinite(cfg.frequency_hz) && cfg.frequency_hz > 0.0,
-        "frequency_hz", "finite and > 0", cfg.frequency_hz);
-  check(std::isfinite(cfg.bandwidth_hz) && cfg.bandwidth_hz > 0.0,
-        "bandwidth_hz", "finite and > 0", cfg.bandwidth_hz);
-  check(std::isfinite(cfg.noise_figure_db), "noise_figure_db", "finite",
-        cfg.noise_figure_db);
-  check(std::isfinite(cfg.oxygen_db_per_m) && cfg.oxygen_db_per_m >= 0.0,
-        "oxygen_db_per_m", "finite and >= 0", cfg.oxygen_db_per_m);
-  check(std::isfinite(cfg.implementation_loss_db), "implementation_loss_db",
-        "finite", cfg.implementation_loss_db);
+  if (!std::isfinite(cfg.tx_power_dbm)) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%g", cfg.tx_power_dbm);
+    throw std::invalid_argument(
+        std::string("LinkBudgetConfig: tx_power_dbm must be finite, got ") +
+        got);
+  }
   return cfg;
 }
 }  // namespace
@@ -63,7 +47,7 @@ Link::Link(const env::Environment* env, array::PhasedArray* tx,
       tx_(tx),
       rx_(rx),
       cfg_(validated(cfg)),
-      thermal_floor_dbm_(thermal_noise_floor_dbm(cfg)) {
+      thermal_floor_dbm_(thermal_noise_floor_dbm()) {
   if (!env_ || !tx_ || !rx_) throw std::invalid_argument("null link member");
   refresh();
 }
@@ -96,7 +80,7 @@ Link::PathTerms Link::path_terms(const Path& p) const {
   for (std::size_t i = 0; i + 1 < p.points.size(); ++i) {
     blockage_db += env_->blockage_loss_db(p.points[i], p.points[i + 1]);
   }
-  return {path_loss_db(cfg_, p.length_m), p.reflection_loss_db, blockage_db};
+  return {path_loss_db(p.length_m), p.reflection_loss_db, blockage_db};
 }
 
 double Link::total_power_dbm(double total_mw) const {
@@ -236,7 +220,7 @@ double Link::interference_power_dbm(array::BeamId rx_beam) const {
   for (const Path& p : interferer_paths_) {
     const double power = interferer_->eirp_dbm +
                          rx_->gain_dbi(rx_beam, p.aoa_deg) -
-                         path_loss_db(cfg_, p.length_m) - p.reflection_loss_db;
+                         path_loss_db(p.length_m) - p.reflection_loss_db;
     total_mw += libra::util::dbm_to_mw(power);
   }
   interference_memo_ = InterferenceEntry{

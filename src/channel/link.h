@@ -58,9 +58,7 @@ class Link {
 
  public:
   // Throws std::invalid_argument on a null environment or array, or on a
-  // budget field out of range: tx_power_dbm, noise_figure_db and
-  // implementation_loss_db finite; frequency_hz and bandwidth_hz finite and
-  // > 0; oxygen_db_per_m finite and >= 0.
+  // non-finite tx_power_dbm.
   Link(const env::Environment* env, array::PhasedArray* tx,
        array::PhasedArray* rx, LinkBudgetConfig cfg = {});
 

@@ -1,28 +1,6 @@
 #include "core/online.h"
 
-#include <stdexcept>
-#include <string>
-
 namespace libra::core {
-
-OnlineLibra::OnlineLibra(OnlineLibraConfig cfg)
-    : cfg_(cfg), classifier_(cfg.classifier) {
-  if (cfg_.window_size < 1) {
-    throw std::invalid_argument(
-        "OnlineLibraConfig: window_size must be >= 1, got " +
-        std::to_string(cfg_.window_size));
-  }
-  if (cfg_.retrain_every < 1) {
-    throw std::invalid_argument(
-        "OnlineLibraConfig: retrain_every must be >= 1, got " +
-        std::to_string(cfg_.retrain_every));
-  }
-  if (cfg_.local_weight < 1) {
-    throw std::invalid_argument(
-        "OnlineLibraConfig: local_weight must be >= 1, got " +
-        std::to_string(cfg_.local_weight));
-  }
-}
 
 void OnlineLibra::relabel_seed(const trace::GroundTruthConfig& gt) {
   seed_head_rows_ = ml::DataSet(trace::FeatureVector::kDim);
@@ -59,11 +37,11 @@ void OnlineLibra::observe(const trace::CaseRecord& record,
                           const trace::GroundTruthConfig& gt,
                           util::Rng& rng) {
   window_.push_back(record);
-  while (static_cast<int>(window_.size()) > cfg_.window_size) {
+  while (static_cast<int>(window_.size()) > kOnlineWindowEvents) {
     window_.pop_front();
   }
   ++observed_;
-  if (++since_retrain_ >= cfg_.retrain_every) {
+  if (++since_retrain_ >= kRetrainEvery) {
     since_retrain_ = 0;
     retrain(gt, rng);
   }
@@ -77,7 +55,7 @@ void OnlineLibra::retrain(const trace::GroundTruthConfig& gt, util::Rng& rng) {
   // legacy combined-dataset append, record by record.
   trace::Dataset win;
   for (const trace::CaseRecord& rec : window_) {
-    for (int w = 0; w < cfg_.local_weight; ++w) {
+    for (int w = 0; w < kLocalWeight; ++w) {
       (rec.forced_na ? win.na_records : win.records).push_back(rec);
     }
   }

@@ -8,7 +8,7 @@
 // classifier that keeps learning. Labeled events (available in hindsight,
 // once the chosen mechanism's outcome and the periodic beam refreshes
 // reveal what the right call was) enter a sliding window; the forest is
-// retrained every `retrain_every` new events on the seed dataset plus the
+// retrained every kRetrainEvery new events on the seed dataset plus the
 // window. Each retrain rides LibraClassifier::train_labeled -- the same
 // fit path the fleet-scale background trainer (core/trainer.h) uses for
 // its candidate models -- so the deployed model is re-frozen into its
@@ -24,19 +24,17 @@
 
 namespace libra::core {
 
-struct OnlineLibraConfig {
-  LibraClassifierConfig classifier{};
-  int window_size = 400;    // most recent in-deployment events kept
-  int retrain_every = 25;   // events between retrains
-  // Weight of in-deployment events: each is duplicated this many times so
-  // the (small) local window can counterbalance the (large) seed dataset.
-  int local_weight = 3;
-};
+inline constexpr int kOnlineWindowEvents = 400;  // most recent events kept
+inline constexpr int kRetrainEvery = 25;          // events between retrains
+// Weight of in-deployment events: each is duplicated this many times so
+// the (small) local window can counterbalance the (large) seed dataset.
+inline constexpr int kLocalWeight = 3;
+static_assert(kOnlineWindowEvents >= 1 && kRetrainEvery >= 1 &&
+              kLocalWeight >= 1);
 
+// The learner serves and retrains a LibraClassifierConfig{} forest.
 class OnlineLibra {
  public:
-  explicit OnlineLibra(OnlineLibraConfig cfg = {});
-
   // Offline pre-training on a seed campaign (kept for every retrain).
   void seed(const trace::Dataset& offline, const trace::GroundTruthConfig& gt,
             util::Rng& rng);
@@ -67,7 +65,6 @@ class OnlineLibra {
   // ground-truth parameterization.
   void relabel_seed(const trace::GroundTruthConfig& gt);
 
-  OnlineLibraConfig cfg_;
   LibraClassifier classifier_;
   trace::Dataset seed_;  // raw records, kept only for relabel_seed
   // Labeled seed rows split the way Dataset::labeled3 orders them

@@ -152,21 +152,6 @@ std::vector<std::vector<double>> SwapBackend::vote_batch(
 
 // ---- DriftDetector ----
 
-void DriftDetectorConfig::validate() const {
-  if (!(threshold > 0.0)) {
-    throw std::invalid_argument(
-        "DriftDetectorConfig: threshold must be > 0, got " +
-        std::to_string(threshold));
-  }
-  if (window_rows == 0) {
-    throw std::invalid_argument("DriftDetectorConfig: window_rows must be >= 1");
-  }
-}
-
-DriftDetector::DriftDetector(DriftDetectorConfig cfg) : cfg_(cfg) {
-  cfg_.validate();
-}
-
 void DriftDetector::observe(std::uint64_t rows, std::uint64_t mismatches) {
   if (rows == 0) return;
   if (mismatches > rows) {
@@ -177,9 +162,10 @@ void DriftDetector::observe(std::uint64_t rows, std::uint64_t mismatches) {
   chunks_.emplace_back(rows, mismatches);
   rows_ += rows;
   mismatches_ += mismatches;
-  // Slide: keep at least window_rows (whole chunks; a chunk straddling the
-  // boundary stays until the window can shed it entirely).
-  while (!chunks_.empty() && rows_ - chunks_.front().first >= cfg_.window_rows) {
+  // Slide: keep at least kDriftWindowRows (whole chunks; a chunk straddling
+  // the boundary stays until the window can shed it entirely).
+  while (!chunks_.empty() &&
+         rows_ - chunks_.front().first >= kDriftWindowRows) {
     rows_ -= chunks_.front().first;
     mismatches_ -= chunks_.front().second;
     chunks_.pop_front();
@@ -209,43 +195,11 @@ void FleetTrainerConfig::validate() const {
   if (ring_capacity == 0) {
     throw std::invalid_argument("FleetTrainerConfig: ring_capacity must be >= 1");
   }
-  if (min_fit_rows == 0) {
-    throw std::invalid_argument("FleetTrainerConfig: min_fit_rows must be >= 1");
-  }
-  if (window_rows < min_fit_rows) {
+  if (window_rows < kMinFitRows) {
     throw std::invalid_argument(
         "FleetTrainerConfig: window_rows (" + std::to_string(window_rows) +
-        ") must be >= min_fit_rows (" + std::to_string(min_fit_rows) + ")");
+        ") must be >= kMinFitRows (" + std::to_string(kMinFitRows) + ")");
   }
-  if (holdout_every < 2) {
-    throw std::invalid_argument(
-        "FleetTrainerConfig: holdout_every must be >= 2 (1 would starve the "
-        "training window), got " + std::to_string(holdout_every));
-  }
-  if (holdout_rows == 0) {
-    throw std::invalid_argument("FleetTrainerConfig: holdout_rows must be >= 1");
-  }
-  if (min_holdout_rows > holdout_rows) {
-    throw std::invalid_argument(
-        "FleetTrainerConfig: min_holdout_rows (" +
-        std::to_string(min_holdout_rows) + ") must be <= holdout_rows (" +
-        std::to_string(holdout_rows) + ")");
-  }
-  if (!(min_accuracy_gain >= 0.0 && min_accuracy_gain <= 1.0)) {
-    throw std::invalid_argument(
-        "FleetTrainerConfig: min_accuracy_gain must be in [0, 1], got " +
-        std::to_string(min_accuracy_gain));
-  }
-  if (!(train_period_ms > 0.0)) {
-    throw std::invalid_argument(
-        "FleetTrainerConfig: train_period_ms must be > 0, got " +
-        std::to_string(train_period_ms));
-  }
-  if (fit_every_rows == 0) {
-    throw std::invalid_argument(
-        "FleetTrainerConfig: fit_every_rows must be >= 1");
-  }
-  forest.validate();
   for (const std::int64_t t : swap_at_ticks) {
     if (t < 0) {
       throw std::invalid_argument(
@@ -253,13 +207,11 @@ void FleetTrainerConfig::validate() const {
           std::to_string(t));
     }
   }
-  drift.validate();
 }
 
 FleetTrainer::FleetTrainer(FleetTrainerConfig cfg)
     : cfg_(std::move(cfg)),
       swap_ticks_(cfg_.swap_at_ticks),
-      drift_(cfg_.drift),
       fit_rng_(cfg_.seed) {
   cfg_.validate();
   std::sort(swap_ticks_.begin(), swap_ticks_.end());
@@ -351,8 +303,8 @@ void FleetTrainer::stop() {
 bool FleetTrainer::running() const { return thread_.joinable(); }
 
 void FleetTrainer::thread_main() {
-  const auto period = std::chrono::duration<double, std::milli>(
-      cfg_.train_period_ms);
+  constexpr auto period =
+      std::chrono::duration<double, std::milli>(kTrainPeriodMs);
   while (true) {
     {
       std::unique_lock<std::mutex> lk(stop_mu_);
@@ -362,8 +314,7 @@ void FleetTrainer::thread_main() {
     }
     std::lock_guard<std::mutex> lk(mu_);
     ingest_locked();
-    if (rows_since_fit_ >= cfg_.fit_every_rows &&
-        window_.size() >= cfg_.min_fit_rows) {
+    if (rows_since_fit_ >= kFitEveryRows && window_.size() >= kMinFitRows) {
       train_once_locked(/*force=*/false);
     }
   }
@@ -409,9 +360,9 @@ std::size_t FleetTrainer::ingest_locked() {
     }
     const std::uint64_t n =
         rows_ingested_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (n % cfg_.holdout_every == 0) {
+    if (n % kHoldoutEvery == 0) {
       holdout_.push_back(std::move(row));
-      while (holdout_.size() > cfg_.holdout_rows) holdout_.pop_front();
+      while (holdout_.size() > kHoldoutRows) holdout_.pop_front();
     } else {
       window_.push_back(std::move(row));
       while (window_.size() > cfg_.window_rows) window_.pop_front();
@@ -448,10 +399,10 @@ FleetTrainer::FitOutcome FleetTrainer::train_once_locked(bool force) {
   FitOutcome outcome;
   outcome.drift_score = drift_.score();
   rows_since_fit_ = 0;
-  if (window_.size() < cfg_.min_fit_rows) {
+  if (window_.size() < kMinFitRows) {
     outcome.reason = "insufficient window rows (" +
                      std::to_string(window_.size()) + " < " +
-                     std::to_string(cfg_.min_fit_rows) + ")";
+                     std::to_string(kMinFitRows) + ")";
     return outcome;
   }
 
@@ -464,9 +415,7 @@ FleetTrainer::FitOutcome FleetTrainer::train_once_locked(bool force) {
   for (const TrainRow& row : window_) {
     rows.add(row.features.v, LibraClassifier::to_label(row.label));
   }
-  LibraClassifierConfig cand_cfg;
-  cand_cfg.forest = cfg_.forest;
-  LibraClassifier candidate(cand_cfg);
+  LibraClassifier candidate;
   util::Rng fit_stream = fit_rng_.fork();
   {
     const obs::StopWatch fit_watch;
@@ -479,7 +428,7 @@ FleetTrainer::FitOutcome FleetTrainer::train_once_locked(bool force) {
 
   const ml::CompiledForest& compiled = candidate.compiled();
   const std::shared_ptr<const ModelSlot::Model> incumbent = slot_.pin();
-  if (holdout_.size() >= cfg_.min_holdout_rows) {
+  if (holdout_.size() >= kMinHoldoutRows) {
     outcome.candidate_acc = holdout_accuracy(compiled, holdout_);
     outcome.incumbent_acc =
         incumbent ? holdout_accuracy(incumbent->forest, holdout_) : 0.0;
@@ -489,21 +438,21 @@ FleetTrainer::FitOutcome FleetTrainer::train_once_locked(bool force) {
 
   bool ship = force;
   if (!force) {
-    if (holdout_.size() < cfg_.min_holdout_rows) {
+    if (holdout_.size() < kMinHoldoutRows) {
       outcome.reason = "insufficient holdout rows (" +
                        std::to_string(holdout_.size()) + " < " +
-                       std::to_string(cfg_.min_holdout_rows) + ")";
+                       std::to_string(kMinHoldoutRows) + ")";
     } else if (!drift_.drifted()) {
       outcome.reason = "no drift (score " + std::to_string(outcome.drift_score) +
-                       " < threshold " +
-                       std::to_string(cfg_.drift.threshold) + ")";
+                       " < threshold " + std::to_string(kDriftThreshold) +
+                       ")";
     } else if (incumbent != nullptr &&
                outcome.candidate_acc <
-                   outcome.incumbent_acc + cfg_.min_accuracy_gain) {
+                   outcome.incumbent_acc + kMinAccuracyGain) {
       outcome.reason = "accuracy gate (candidate " +
                        std::to_string(outcome.candidate_acc) +
                        " < incumbent " + std::to_string(outcome.incumbent_acc) +
-                       " + " + std::to_string(cfg_.min_accuracy_gain) + ")";
+                       " + " + std::to_string(kMinAccuracyGain) + ")";
     } else {
       ship = true;
     }

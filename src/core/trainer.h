@@ -18,14 +18,15 @@
 //   background   FleetTrainer::start() spins a thread that periodically
 //   trainer      drains the rings into a sliding window (+ an every-k-th
 //                holdout slice the candidate never trains on), refits a
-//                candidate forest through LibraClassifier::train_labeled
+//                candidate LibraClassifierConfig{} forest through
+//                LibraClassifier::train_labeled
 //                -- the same fit path OnlineLibra's single-link retrain
 //                rides -- and compiles it off-path.
 //
 //   swap gates   A candidate ships only when the DriftDetector (windowed
 //                incumbent-vs-label mismatch rate) reports drift AND the
 //                candidate beats the incumbent on the holdout by
-//                min_accuracy_gain. Shipping installs the compiled
+//                kMinAccuracyGain. Shipping installs the compiled
 //                candidate into the generation-tagged ModelSlot --
 //                SwapBackend pins the slot once per vote_batch, so every
 //                batch is served wholly by one model generation and a
@@ -151,37 +152,51 @@ class SwapBackend final : public DecisionBackend {
   const ModelSlot* slot_;  // non-owning
 };
 
-struct DriftDetectorConfig {
-  // score() >= threshold counts as drift (a gate a candidate must pass).
-  // Values > 1 disable the gate permanently (score is a fraction).
-  double threshold = 0.25;
-  // Ingested rows folded into the windowed mismatch rate.
-  std::size_t window_rows = 2048;
-
-  void validate() const;  // throws std::invalid_argument
-};
+// score() >= kDriftThreshold counts as drift (a gate a candidate must
+// pass); the score is the mismatch fraction over the last kDriftWindowRows
+// ingested rows.
+inline constexpr double kDriftThreshold = 0.25;
+inline constexpr std::size_t kDriftWindowRows = 2048;
+static_assert(kDriftThreshold > 0.0 && kDriftWindowRows >= 1);
 
 // The drift score is the windowed fraction of ingested rows where the
 // incumbent's prediction disagrees with the hindsight label (fed by
 // observe()).
 class DriftDetector {
  public:
-  explicit DriftDetector(DriftDetectorConfig cfg = {});
-
   void observe(std::uint64_t rows, std::uint64_t mismatches);
 
   double score() const;
-  bool drifted() const { return score() >= cfg_.threshold; }
+  bool drifted() const { return score() >= kDriftThreshold; }
   // Forget everything (called after a shipped swap: the new incumbent
   // starts with a clean slate).
   void reset();
 
  private:
-  DriftDetectorConfig cfg_;
   std::deque<std::pair<std::uint64_t, std::uint64_t>> chunks_;
   std::uint64_t rows_ = 0;
   std::uint64_t mismatches_ = 0;
 };
+
+// Every kHoldoutEvery-th ingested row lands in the holdout slice instead
+// of the window; the candidate never trains on it. The holdout keeps the
+// newest kHoldoutRows.
+inline constexpr std::size_t kHoldoutEvery = 8;
+inline constexpr std::size_t kHoldoutRows = 512;
+// Fit preconditions: train_once() reports instead of fitting below these.
+inline constexpr std::size_t kMinFitRows = 64;
+inline constexpr std::size_t kMinHoldoutRows = 32;
+// Accuracy gate: candidate holdout accuracy must beat the incumbent's by
+// at least this margin to ship.
+inline constexpr double kMinAccuracyGain = 0.02;
+// Free-running cadence: the background thread ingests this often and fits
+// once kFitEveryRows new rows have arrived since the last fit.
+inline constexpr double kTrainPeriodMs = 250.0;
+inline constexpr std::size_t kFitEveryRows = 256;
+static_assert(kHoldoutEvery >= 2, "1 would starve the training window");
+static_assert(kMinFitRows >= 1 && kMinHoldoutRows <= kHoldoutRows);
+static_assert(kMinAccuracyGain >= 0.0 && kMinAccuracyGain <= 1.0);
+static_assert(kTrainPeriodMs > 0.0 && kFitEveryRows >= 1);
 
 struct FleetTrainerConfig {
   // Sampler + candidate-fit streams (fit f uses the f-th fork of Rng(seed)).
@@ -190,25 +205,9 @@ struct FleetTrainerConfig {
   double sample_rate = 0.05;
   // Per-producer (per-shard) ring capacity.
   std::size_t ring_capacity = 4096;
-  // Sliding training window, in rows (oldest rows fall off).
+  // Sliding training window, in rows (oldest rows fall off); at least
+  // kMinFitRows.
   std::size_t window_rows = 4096;
-  // Every holdout_every-th ingested row lands in the holdout slice instead
-  // of the window; the candidate never trains on it.
-  std::size_t holdout_every = 8;
-  std::size_t holdout_rows = 512;  // holdout bound (oldest rows fall off)
-  // Fit preconditions: train_once() reports instead of fitting below these.
-  std::size_t min_fit_rows = 64;
-  std::size_t min_holdout_rows = 32;
-  // Accuracy gate: candidate holdout accuracy must beat the incumbent's by
-  // at least this margin to ship.
-  double min_accuracy_gain = 0.02;
-  DriftDetectorConfig drift{};
-  // Candidate model family.
-  ml::RandomForestConfig forest{};
-  // Free-running cadence: the background thread ingests this often and fits
-  // once fit_every_rows new rows have arrived since the last fit.
-  double train_period_ms = 250.0;
-  std::size_t fit_every_rows = 256;
   // Pinned deterministic schedule (tests): non-empty disables start() and
   // makes run_fleet call on_tick() serially after every tick; the trainer
   // force-fits + swaps exactly after the listed ticks (0-based, sorted and
@@ -232,8 +231,6 @@ class FleetTrainer {
 
   FleetTrainer(const FleetTrainer&) = delete;
   FleetTrainer& operator=(const FleetTrainer&) = delete;
-
-  const FleetTrainerConfig& config() const { return cfg_; }
 
   // Install the incumbent from an already fitted forest (generation 1).
   // Throws std::invalid_argument / std::logic_error via CompiledForest when

@@ -17,21 +17,10 @@ namespace {
 // their own rounding; this covers any left in the mean-SNR formula.
 constexpr double kScoreSlackDb = 1e-6;
 
-double probes_to_ms(int probes, const BeamTrainerConfig& cfg) {
-  return static_cast<double>(probes) * cfg.probe_us / 1000.0;
-}
-
-const BeamTrainerConfig& validated(const BeamTrainerConfig& cfg) {
-  if (!(std::isfinite(cfg.probe_us) && cfg.probe_us > 0.0)) {
-    throw std::invalid_argument(
-        "BeamTrainerConfig: probe_us must be finite and > 0, got " +
-        std::to_string(cfg.probe_us));
-  }
-  return cfg;
+double probes_to_ms(int probes) {
+  return static_cast<double>(probes) * kProbeUs / 1000.0;
 }
 }  // namespace
-
-BeamTrainer::BeamTrainer(BeamTrainerConfig cfg) : cfg_(validated(cfg)) {}
 
 SweepResult BeamTrainer::exhaustive(const channel::Link& link,
                                     const phy::PhySampler& sampler,
@@ -126,7 +115,7 @@ SweepResult BeamTrainer::exhaustive_apart_from(
     }
   }
   best.measurements = probes;
-  best.duration_ms = probes_to_ms(best.measurements, cfg_);
+  best.duration_ms = probes_to_ms(best.measurements);
   pairs_counter.inc(static_cast<std::uint64_t>(probes));
   exact_counter.inc(static_cast<std::uint64_t>(exact));
   return best;
@@ -160,7 +149,7 @@ SweepResult BeamTrainer::sls_80211ad(const channel::Link& link,
     }
   }
   best.snr_db = best_rx_snr;
-  best.duration_ms = probes_to_ms(best.measurements, cfg_);
+  best.duration_ms = probes_to_ms(best.measurements);
   return best;
 }
 
@@ -178,7 +167,7 @@ SweepResult BeamTrainer::sls_tx_only(const channel::Link& link,
       best.tx_beam = tb;
     }
   }
-  best.duration_ms = probes_to_ms(best.measurements, cfg_);
+  best.duration_ms = probes_to_ms(best.measurements);
   return best;
 }
 
@@ -227,7 +216,7 @@ SweepResult BeamTrainer::coarse_fine(const channel::Link& link,
       }
     }
   }
-  best.duration_ms = probes_to_ms(best.measurements, cfg_);
+  best.duration_ms = probes_to_ms(best.measurements);
   return best;
 }
 

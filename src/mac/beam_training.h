@@ -31,17 +31,13 @@ struct SweepResult {
   double duration_ms = 0.0;
 };
 
-struct BeamTrainerConfig {
-  // Airtime per probe (one SSW frame + turnaround). 802.11ad SSW frames are
-  // ~15 us plus SBIFS; X60 uses one 100 us slot per measurement.
-  double probe_us = 20.0;
-};
+// Airtime per probe (one SSW frame + turnaround). 802.11ad SSW frames are
+// ~15 us plus SBIFS; X60 uses one 100 us slot per measurement.
+inline constexpr double kProbeUs = 20.0;
+static_assert(kProbeUs > 0.0);
 
 class BeamTrainer {
  public:
-  // Throws std::invalid_argument unless probe_us is finite and > 0.
-  explicit BeamTrainer(BeamTrainerConfig cfg = {});
-
   // Probes every pair in tb-major order, one PhySampler::measure_snr_db
   // each, and returns the first pair with the highest SNR (strict >). It
   // draws every probe's jitter up front, in that order, then evaluates
@@ -78,11 +74,6 @@ class BeamTrainer {
   SweepResult coarse_fine(const channel::Link& link,
                           const phy::PhySampler& sampler, util::Rng& rng,
                           int stride = 5, int radius = 2) const;
-
-  const BeamTrainerConfig& config() const { return cfg_; }
-
- private:
-  BeamTrainerConfig cfg_;
 };
 
 }  // namespace libra::mac

@@ -36,10 +36,6 @@ void DecisionTreeConfig::validate() const {
   if (max_depth < 0) {
     fail("max_depth must be >= 0, got " + std::to_string(max_depth));
   }
-  if (min_samples_split < 1) {
-    fail("min_samples_split must be >= 1, got " +
-         std::to_string(min_samples_split));
-  }
   if (max_features < 0) {
     fail("max_features must be >= 0, got " + std::to_string(max_features));
   }
@@ -178,7 +174,7 @@ int DecisionTree::build(Grower& g, std::size_t begin, std::size_t end,
       impurity_from_counts(counts, total, cfg_.impurity);
   const bool pure =
       std::count_if(counts.begin(), counts.end(), [](int c) { return c > 0; }) <= 1;
-  if (depth >= cfg_.max_depth || pure || total < cfg_.min_samples_split) {
+  if (depth >= cfg_.max_depth || pure || total < kMinSamplesSplit) {
     return node_id;
   }
 

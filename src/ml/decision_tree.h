@@ -20,16 +20,19 @@ namespace libra::ml {
 
 enum class Impurity { kGini, kEntropy };
 
+// A node with fewer samples than this is a leaf.
+inline constexpr int kMinSamplesSplit = 2;
+static_assert(kMinSamplesSplit >= 1);
+
 struct DecisionTreeConfig {
   Impurity impurity = Impurity::kGini;
   int max_depth = 8;
-  int min_samples_split = 2;
   // When positive, consider only this many randomly chosen features per
   // split (used by the random forest); 0 = all features.
   int max_features = 0;
 
-  // Throws std::invalid_argument unless max_depth >= 0,
-  // min_samples_split >= 1 and max_features >= 0.
+  // Throws std::invalid_argument unless max_depth >= 0 and
+  // max_features >= 0.
   void validate() const;
 };
 

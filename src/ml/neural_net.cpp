@@ -18,23 +18,10 @@ namespace {
 }  // namespace
 
 void NeuralNetConfig::validate() const {
-  for (std::size_t i = 0; i < hidden.size(); ++i) {
-    if (hidden[i] < 1) {
-      reject("hidden", ">= 1 in every layer",
-             std::to_string(hidden[i]) + " in layer " + std::to_string(i));
-    }
-  }
   if (!(dropout >= 0.0 && dropout < 1.0)) {
     reject("dropout", "in [0, 1)", std::to_string(dropout));
   }
-  if (!(std::isfinite(learning_rate) && learning_rate > 0.0)) {
-    reject("learning_rate", "finite and > 0", std::to_string(learning_rate));
-  }
   if (epochs < 0) reject("epochs", ">= 0", std::to_string(epochs));
-  if (batch_size < 1) reject("batch_size", ">= 1", std::to_string(batch_size));
-  if (!(std::isfinite(l2) && l2 >= 0.0)) {
-    reject("l2", "finite and >= 0", std::to_string(l2));
-  }
 }
 
 NeuralNet::NeuralNet(NeuralNetConfig cfg) : cfg_(std::move(cfg)) {
@@ -92,7 +79,7 @@ void NeuralNet::fit(const DataSet& train, util::Rng& rng) {
   // Build layers: hidden sizes then the class output.
   layers_.clear();
   int in_dim = static_cast<int>(x.num_features());
-  std::vector<int> sizes = cfg_.hidden;
+  std::vector<int> sizes(kNnHidden.begin(), kNnHidden.end());
   sizes.push_back(num_classes_);
   for (int out_dim : sizes) {
     Layer layer;
@@ -118,9 +105,9 @@ void NeuralNet::fit(const DataSet& train, util::Rng& rng) {
   for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
     rng.shuffle(order);
     for (std::size_t start = 0; start < order.size();
-         start += static_cast<std::size_t>(cfg_.batch_size)) {
+         start += static_cast<std::size_t>(kNnBatchSize)) {
       const std::size_t end = std::min(
-          order.size(), start + static_cast<std::size_t>(cfg_.batch_size));
+          order.size(), start + static_cast<std::size_t>(kNnBatchSize));
       // Gradient accumulators.
       std::vector<std::vector<double>> gw(layers_.size()), gb(layers_.size());
       for (std::size_t l = 0; l < layers_.size(); ++l) {
@@ -179,17 +166,17 @@ void NeuralNet::fit(const DataSet& train, util::Rng& rng) {
       for (std::size_t l = 0; l < layers_.size(); ++l) {
         Layer& layer = layers_[l];
         for (std::size_t i = 0; i < layer.w.size(); ++i) {
-          const double g = gw[l][i] / batch + cfg_.l2 * layer.w[i];
+          const double g = gw[l][i] / batch + kNnL2 * layer.w[i];
           layer.mw[i] = kBeta1 * layer.mw[i] + (1 - kBeta1) * g;
           layer.vw[i] = kBeta2 * layer.vw[i] + (1 - kBeta2) * g * g;
-          layer.w[i] -= cfg_.learning_rate * (layer.mw[i] / bc1) /
+          layer.w[i] -= kNnLearningRate * (layer.mw[i] / bc1) /
                         (std::sqrt(layer.vw[i] / bc2) + kEps);
         }
         for (std::size_t i = 0; i < layer.b.size(); ++i) {
           const double g = gb[l][i] / batch;
           layer.mb[i] = kBeta1 * layer.mb[i] + (1 - kBeta1) * g;
           layer.vb[i] = kBeta2 * layer.vb[i] + (1 - kBeta2) * g * g;
-          layer.b[i] -= cfg_.learning_rate * (layer.mb[i] / bc1) /
+          layer.b[i] -= kNnLearningRate * (layer.mb[i] / bc1) /
                         (std::sqrt(layer.vb[i] / bc2) + kEps);
         }
       }

@@ -4,23 +4,27 @@
 // cross-entropy. Features are standardized internally.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "ml/data.h"
 
 namespace libra::ml {
 
-struct NeuralNetConfig {
-  std::vector<int> hidden = {32, 24, 16};  // three hidden layers + output = 4
-  double dropout = 0.2;
-  double learning_rate = 5e-3;
-  int epochs = 220;
-  int batch_size = 16;
-  double l2 = 1e-4;
+// Three hidden layers + the output layer = 4 dense layers.
+inline constexpr std::array<int, 3> kNnHidden = {32, 24, 16};
+inline constexpr double kNnLearningRate = 5e-3;
+inline constexpr int kNnBatchSize = 16;
+inline constexpr double kNnL2 = 1e-4;
+static_assert(kNnHidden[0] >= 1 && kNnHidden[1] >= 1 && kNnHidden[2] >= 1);
+static_assert(kNnLearningRate > 0.0 && kNnBatchSize >= 1 && kNnL2 >= 0.0);
 
-  // Throws std::invalid_argument naming the field unless every hidden size
-  // is >= 1, dropout is in [0, 1), learning_rate is finite and > 0,
-  // epochs >= 0, batch_size >= 1 and l2 is finite and >= 0.
+struct NeuralNetConfig {
+  double dropout = 0.2;
+  int epochs = 220;
+
+  // Throws std::invalid_argument naming the field unless dropout is in
+  // [0, 1) and epochs >= 0.
   void validate() const;
 };
 

@@ -33,11 +33,6 @@ void RandomForestConfig::validate() const {
         "RandomForestConfig: num_trees must be >= 1, got " +
         std::to_string(num_trees));
   }
-  if (!(std::isfinite(bootstrap_fraction) && bootstrap_fraction > 0.0)) {
-    throw std::invalid_argument(
-        "RandomForestConfig: bootstrap_fraction must be finite and > 0, got " +
-        std::to_string(bootstrap_fraction));
-  }
   if (num_threads < 0) {
     throw std::invalid_argument(
         "RandomForestConfig: num_threads must be >= 0, got " +
@@ -68,12 +63,11 @@ void RandomForest::fit(const DataSet& train, util::Rng& rng) {
   }
   // The bag size is checked in double: node sizes are ints.
   const double sample = std::max<double>(
-      1.0, cfg_.bootstrap_fraction * static_cast<double>(train.size()));
+      1.0, kBootstrapFraction * static_cast<double>(train.size()));
   if (sample > static_cast<double>(std::numeric_limits<int>::max())) {
-    throw std::invalid_argument(
-        "RandomForest::fit: bootstrap_fraction " +
-        std::to_string(cfg_.bootstrap_fraction) + " of " +
-        std::to_string(train.size()) + " rows overflows the node counts");
+    throw std::invalid_argument("RandomForest::fit: " +
+                                std::to_string(train.size()) +
+                                " rows overflow the node counts");
   }
   const auto sample_size = static_cast<std::size_t>(sample);
   OBS_SPAN("forest.fit", &fit_latency_hist());

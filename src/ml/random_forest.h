@@ -23,17 +23,19 @@
 
 namespace libra::ml {
 
+// Fraction of the training set bootstrapped per tree.
+inline constexpr double kBootstrapFraction = 1.0;
+static_assert(kBootstrapFraction > 0.0);
+
 struct RandomForestConfig {
   int num_trees = 60;
   DecisionTreeConfig tree{};  // max_features is overridden below when 0
-  // Fraction of the training set bootstrapped per tree.
-  double bootstrap_fraction = 1.0;
   // Worker threads for fit()/batched inference: 0 = hardware_concurrency(),
   // 1 = serial legacy behavior (no pool is ever created).
   int num_threads = 0;
 
-  // Throws std::invalid_argument unless num_trees >= 1, bootstrap_fraction
-  // is finite and > 0, num_threads >= 0 and the tree config is valid.
+  // Throws std::invalid_argument unless num_trees >= 1, num_threads >= 0
+  // and the tree config is valid.
   void validate() const;
 };
 

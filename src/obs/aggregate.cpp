@@ -60,11 +60,15 @@ void append_ring(std::ostringstream& os, const std::deque<double>& pts) {
 }  // namespace
 
 Aggregator::Aggregator(AggregatorConfig cfg) : cfg_(std::move(cfg)) {
-  if (!(cfg_.rollup_period_ms > 0.0)) {
-    throw std::invalid_argument("obs: rollup_period_ms must be > 0");
+  if (!(cfg_.rollup_period_ms > 0.0 &&
+        cfg_.rollup_period_ms <= kMaxRollupPeriodMs)) {
+    throw std::invalid_argument(
+        "obs: rollup_period_ms must be in (0, " +
+        format_double(kMaxRollupPeriodMs) + "], got " +
+        format_double(cfg_.rollup_period_ms));
   }
-  if (cfg_.ring_capacity == 0) {
-    throw std::invalid_argument("obs: ring_capacity must be > 0");
+  if (cfg_.local_origin.empty()) {
+    throw std::invalid_argument("obs: local_origin must be non-empty");
   }
 }
 
@@ -161,7 +165,7 @@ void Aggregator::fold_locked(const std::string& origin,
 
   for (const auto& c : delta.counters) {
     CounterSeries& s = st.counters[c.name];
-    s.rate.push(static_cast<double>(c.value) / safe_dt, cfg_.ring_capacity);
+    s.rate.push(static_cast<double>(c.value) / safe_dt);
   }
   for (const auto& c : now_snap.counters) {
     st.counters[c.name].total = c.value;
@@ -169,15 +173,14 @@ void Aggregator::fold_locked(const std::string& origin,
   for (const auto& g : now_snap.gauges) {
     GaugeSeries& s = st.gauges[g.name];
     s.last = g.value;
-    s.values.push(g.value, cfg_.ring_capacity);
+    s.values.push(g.value);
   }
   for (const auto& h : delta.histograms) {
     HistSeries& s = st.histograms[h.name];
-    s.p50.push(h.data.quantile(0.50), cfg_.ring_capacity);
-    s.p95.push(h.data.quantile(0.95), cfg_.ring_capacity);
-    s.p99.push(h.data.quantile(0.99), cfg_.ring_capacity);
-    s.rate.push(static_cast<double>(h.data.count) / safe_dt,
-                cfg_.ring_capacity);
+    s.p50.push(h.data.quantile(0.50));
+    s.p95.push(h.data.quantile(0.95));
+    s.p99.push(h.data.quantile(0.99));
+    s.rate.push(static_cast<double>(h.data.count) / safe_dt);
   }
   for (const auto& h : now_snap.histograms) {
     st.histograms[h.name].count = h.data.count;

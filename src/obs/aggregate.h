@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -41,19 +42,29 @@
 
 namespace libra::obs {
 
+// Points kept per series; at the default 1 s period, ~2 minutes of history
+// per metric.
+inline constexpr std::size_t kSeriesCapacity = 128;
+static_assert(kSeriesCapacity >= 1);
+
+// The longest roll-up period: the roll-up thread's wait converts the period
+// to the steady clock's int64 nanoseconds and adds it to now(), so a period
+// past half that range could overflow (undefined, and in practice a wait
+// that returns at once, so the thread would spin).
+inline constexpr double kMaxRollupPeriodMs =
+    static_cast<double>(std::numeric_limits<std::int64_t>::max() / 2) / 1e6;
+
 struct AggregatorConfig {
-  // Background roll-up period. Tests and benches that want deterministic
-  // collection points call rollup_now() instead of start().
+  // Background roll-up period, in (0, kMaxRollupPeriodMs]. Tests and
+  // benches that want deterministic collection points call rollup_now()
+  // instead of start().
   double rollup_period_ms = 1000.0;
-  // Points kept per series; at the default 1 s period, ~2 minutes of
-  // history per metric.
-  std::size_t ring_capacity = 128;
-  // Origin label for the local process's global registry.
+  // Origin label for the local process's global registry; non-empty.
   std::string local_origin = "controller";
 };
 
 // A remote process's cumulative snapshot plus the origin label it reports
-// for itself (e.g. rpc::ServerConfig::stats_origin, via StatsAck).
+// for itself (e.g. rpc::kStatsOrigin, via StatsAck).
 struct LabeledSnapshot {
   std::string origin;
   MetricsSnapshot snapshot;
@@ -98,9 +109,9 @@ class Aggregator {
  private:
   struct Ring {
     std::deque<double> pts;
-    void push(double v, std::size_t cap) {
+    void push(double v) {
       pts.push_back(v);
-      while (pts.size() > cap) pts.pop_front();
+      while (pts.size() > kSeriesCapacity) pts.pop_front();
     }
   };
   struct CounterSeries {

@@ -79,9 +79,6 @@ ScrapeServer::ScrapeServer(const Aggregator& agg, ScrapeConfig cfg)
   if (cfg_.port < 0 || cfg_.port > 65535) {
     throw std::invalid_argument("ScrapeServer: port must be in [0, 65535]");
   }
-  if (cfg_.max_request_bytes == 0) {
-    throw std::invalid_argument("ScrapeServer: max_request_bytes must be > 0");
-  }
 }
 
 ScrapeServer::~ScrapeServer() { stop(); }
@@ -169,7 +166,7 @@ void ScrapeServer::serve_connection(int fd) {
   // a GET) is ignored.
   while (head.find("\r\n\r\n") == std::string::npos &&
          head.find('\n') == std::string::npos) {
-    if (head.size() > cfg_.max_request_bytes) {
+    if (head.size() > kMaxRequestBytes) {
       metrics.bad_requests.inc();
       send_all(fd, http_response(431, "Request Header Fields Too Large",
                                  "text/plain", "request too large\n"));

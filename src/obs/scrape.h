@@ -24,11 +24,12 @@ namespace libra::obs {
 
 class Aggregator;
 
+// Request head cap; longer request lines/headers get 431 and a close.
+inline constexpr std::size_t kMaxRequestBytes = 8192;
+
 struct ScrapeConfig {
-  std::string host = "127.0.0.1";
+  std::string host = "127.0.0.1";  // an IPv4 address; start() parses it
   int port = 0;  // 0 = ephemeral; the bound port is port() after start()
-  // Request head cap; longer request lines/headers get 431 and a close.
-  std::size_t max_request_bytes = 8192;
 };
 
 class ScrapeServer {

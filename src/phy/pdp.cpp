@@ -8,28 +8,21 @@
 
 namespace libra::phy {
 
-void validate(const PdpConfig& cfg, const char* prefix) {
-  if (cfg.num_taps <= 0) {
-    throw std::invalid_argument(std::string(prefix) +
-                                "num_taps must be > 0, got " +
-                                std::to_string(cfg.num_taps));
+namespace {
+void validate(const PdpConfig& cfg) {
+  if (!(std::isfinite(cfg.noise_floor_mw) && cfg.noise_floor_mw > 0.0)) {
+    throw std::invalid_argument(
+        "PdpConfig: noise_floor_mw must be finite and > 0, got " +
+        std::to_string(cfg.noise_floor_mw));
   }
-  const auto require_positive = [prefix](double v, const char* field) {
-    if (!(std::isfinite(v) && v > 0.0)) {
-      throw std::invalid_argument(std::string(prefix) + field +
-                                  " must be finite and > 0, got " +
-                                  std::to_string(v));
-    }
-  };
-  require_positive(cfg.tap_spacing_ns, "tap_spacing_ns");
-  require_positive(cfg.noise_floor_mw, "noise_floor_mw");
 }
+}  // namespace
 
 void synthesize_pdp(const channel::PairChannel& paths, const PdpConfig& cfg,
                     std::vector<double>& out) {
-  out.assign(static_cast<std::size_t>(cfg.num_taps), cfg.noise_floor_mw);
+  out.assign(static_cast<std::size_t>(kNumTaps), cfg.noise_floor_mw);
   for (std::size_t i = 0; i < paths.contributions.size(); ++i) {
-    if (const auto tap = tap_index(paths.contributions[i].delay_ns, cfg)) {
+    if (const auto tap = tap_index(paths.contributions[i].delay_ns)) {
       out[*tap] += paths.rx_power_mw[i];
     }
   }

@@ -24,25 +24,21 @@
 
 namespace libra::phy {
 
+// 2 GHz of bandwidth resolves sub-ns delays; 1 ns taps keep the vectors
+// small but preserve the multipath structure (0.3 m resolution).
+inline constexpr int kNumTaps = 256;
+inline constexpr double kTapSpacingNs = 1.0;
+static_assert(kNumTaps > 0 && kTapSpacingNs > 0.0);
+
 struct PdpConfig {
-  int num_taps = 256;
-  double tap_spacing_ns = 1.0;   // 2 GHz bandwidth -> sub-ns resolution;
-                                 // 1 ns keeps vectors small but preserves
-                                 // multipath structure (0.3 m resolution)
-  double noise_floor_mw = 1e-12; // per-tap measurement floor
+  double noise_floor_mw = 1e-12;  // per-tap measurement floor
 };
 
-// Throws std::invalid_argument naming the first bad field: num_taps must
-// be > 0, tap_spacing_ns and noise_floor_mw finite and > 0. `prefix` leads
-// the message (e.g. "SamplerConfig: pdp.").
-void validate(const PdpConfig& cfg, const char* prefix = "PdpConfig: ");
-
-// The tap a path delay lands on, or nullopt outside [0, num_taps): the
+// The tap a path delay lands on, or nullopt outside [0, kNumTaps): the
 // delay over the tap spacing, rounded half away from zero.
-inline std::optional<std::size_t> tap_index(double delay_ns,
-                                            const PdpConfig& cfg) {
-  const double tap = std::round(delay_ns / cfg.tap_spacing_ns);
-  if (!(tap >= 0.0 && tap < static_cast<double>(cfg.num_taps))) {
+inline std::optional<std::size_t> tap_index(double delay_ns) {
+  const double tap = std::round(delay_ns / kTapSpacingNs);
+  if (!(tap >= 0.0 && tap < static_cast<double>(kNumTaps))) {
     return std::nullopt;
   }
   return static_cast<std::size_t>(tap);
@@ -74,18 +70,18 @@ inline std::optional<double> tof_at_peak_ns(std::span<const double> pdp,
                                             std::size_t peak,
                                             const PdpConfig& cfg) {
   if (pdp[peak] < cfg.noise_floor_mw * 10.0) return std::nullopt;
-  return static_cast<double>(peak) * cfg.tap_spacing_ns;
+  return static_cast<double>(peak) * kTapSpacingNs;
 }
 
 // Synthesize a PDP (linear mW per tap) into `out`, reusing its capacity:
 // the noise floor on every tap plus each path's mW value at its
-// tap_index(). `cfg` must pass validate(); this form does not check it, so
-// a sampler validates its config once, not per observation.
+// tap_index(). This form, the sampler's, does not check `cfg`.
 void synthesize_pdp(const channel::PairChannel& paths, const PdpConfig& cfg,
                     std::vector<double>& out);
 
 // The same PDP from per-path contributions, converting each path's dBm to
-// mW. Validates cfg as validate() does.
+// mW. Throws std::invalid_argument unless cfg.noise_floor_mw is finite and
+// > 0.
 std::vector<double> synthesize_pdp(
     const std::vector<channel::PathContribution>& contributions,
     const PdpConfig& cfg = {});

@@ -55,7 +55,6 @@ PhySampler::PhySampler(const ErrorModel* error_model, SamplerConfig cfg)
   require_positive(cfg_.noise_jitter_db, "noise_jitter_db");
   require_positive(cfg_.pdp_tap_jitter, "pdp_tap_jitter");
   require_positive(cfg_.cdr_jitter, "cdr_jitter");
-  validate(cfg_.pdp, "SamplerConfig: pdp.");
 }
 
 PhyObservation PhySampler::observe(const channel::Link& link,
@@ -113,8 +112,7 @@ PhyObservation PhySampler::sample(const channel::Link& link,
   if (with_pdp) {
     // Taps are detectable only above the receiver's effective noise floor;
     // this is what makes X60 report ToF = infinity for very weak signals.
-    PdpConfig pdp_cfg = cfg_.pdp;
-    pdp_cfg.noise_floor_mw = libra::util::dbm_to_mw(beam_floor - 6.0);
+    const PdpConfig pdp_cfg{libra::util::dbm_to_mw(beam_floor - 6.0)};
     obs.pending = std::make_shared<const PendingPdp>(
         PendingPdp{link.pair_channel(tx_beam, rx_beam), pdp_cfg,
                    cfg_.pdp_tap_jitter, tap_key});

@@ -78,14 +78,12 @@ struct SamplerConfig {
                                    // even without interference (Sec. 6.2)
   double pdp_tap_jitter = 0.08;    // multiplicative per-tap jitter (sigma)
   double cdr_jitter = 0.015;       // residual frame-level CDR variation
-  PdpConfig pdp;
 };
 
 class PhySampler {
  public:
   // Throws std::invalid_argument on a null error model or an invalid
-  // config: every jitter must be finite and > 0, and cfg.pdp must pass
-  // validate(const PdpConfig&).
+  // config: every jitter must be finite and > 0.
   PhySampler(const ErrorModel* error_model, SamplerConfig cfg = {});
 
   // Full observation of the link through a beam pair at an MCS:
@@ -129,7 +127,6 @@ class PhySampler {
   }
 
   const ErrorModel& error_model() const { return *error_model_; }
-  const SamplerConfig& config() const { return cfg_; }
 
  private:
   // The one sampler body: observe_rate() skips the PDP, the CSI and the

@@ -91,6 +91,11 @@ DecisionServer::DecisionServer(ServerConfig cfg) : cfg_(std::move(cfg)) {
                                 std::to_string(sizeof(sockaddr_un{}.sun_path) - 1) +
                                 " bytes: " + cfg_.unix_socket);
   }
+  if (cfg_.num_workers < 0) {
+    throw std::invalid_argument(
+        "DecisionServer: num_workers must be >= 0, got " +
+        std::to_string(cfg_.num_workers));
+  }
 }
 
 DecisionServer::~DecisionServer() { stop(); }
@@ -292,8 +297,6 @@ Frame DecisionServer::handle(const Frame& request) {
   metrics.requests.inc();
   try {
     switch (request.type) {
-      case MsgType::kPing:
-        return {MsgType::kPong, {}};
       case MsgType::kHello: {
         // Validate the client's hello, answer with the serving shape.
         (void)HelloMsg::decode(request.payload);
@@ -313,12 +316,12 @@ Frame DecisionServer::handle(const Frame& request) {
         return handle_model_push(request);
       case MsgType::kStatsPush: {
         // A stats solicitation: validate it, answer with this process's
-        // cumulative registry snapshot under the configured origin label.
+        // cumulative registry snapshot under kStatsOrigin.
         const StatsMsg push = StatsMsg::decode(request.payload);
         metrics.stats_pulls.inc();
         StatsMsg reply;
         reply.request_id = push.request_id;
-        reply.origin = cfg_.stats_origin;
+        reply.origin = kStatsOrigin;
         reply.snapshot = obs::Registry::global().snapshot();
         return {MsgType::kStatsAck, reply.encode()};
       }

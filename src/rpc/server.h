@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -33,23 +34,26 @@
 
 namespace libra::rpc {
 
+// Origin label on StatsAck replies -- the label the daemon's metrics
+// appear under in the controller's merged scrape.
+inline constexpr std::string_view kStatsOrigin = "daemon";
+
 struct ServerConfig {
   // Non-empty: listen on this Unix-domain socket path (the file is
   // unlinked on bind and again on stop). Empty: TCP on host:port.
   std::string unix_socket;
-  std::string host = "127.0.0.1";
+  std::string host = "127.0.0.1";  // an IPv4 address; start() parses it
   int port = 0;  // TCP only; 0 picks an ephemeral port (see DecisionServer::port())
   // Connection-handler workers (a handler owns its connection until the
-  // peer disconnects). Follows the library knob convention, clamped to a
-  // minimum of 2 so one camped connection cannot starve the accept queue.
+  // peer disconnects): 0 = hardware_concurrency(), clamped to a minimum of
+  // 2 so one camped connection cannot starve the accept queue.
   int num_workers = 4;
-  // Origin label on StatsAck replies -- the label this daemon's metrics
-  // appear under in the controller's merged scrape.
-  std::string stats_origin = "daemon";
 };
 
 class DecisionServer {
  public:
+  // Throws std::invalid_argument on a TCP port outside [0, 65535], a Unix
+  // socket path too long for sockaddr_un, or a negative num_workers.
   explicit DecisionServer(ServerConfig cfg);
   ~DecisionServer();  // stop()s if still running
 

@@ -102,8 +102,9 @@ struct Reader {
 };
 
 bool known_type(std::uint16_t t) {
-  return t >= static_cast<std::uint16_t>(MsgType::kHello) &&
-         t <= static_cast<std::uint16_t>(MsgType::kStatsAck);
+  return t == static_cast<std::uint16_t>(MsgType::kHello) ||
+         (t >= static_cast<std::uint16_t>(MsgType::kClassifyRequest) &&
+          t <= static_cast<std::uint16_t>(MsgType::kStatsAck));
 }
 
 // Shared string codec for the stats messages: u16 length prefix, capped.
@@ -136,8 +137,6 @@ std::string get_string(Reader& r, const char* what) {
 std::string_view to_string(MsgType type) {
   switch (type) {
     case MsgType::kHello: return "Hello";
-    case MsgType::kPing: return "Ping";
-    case MsgType::kPong: return "Pong";
     case MsgType::kClassifyRequest: return "ClassifyRequest";
     case MsgType::kVerdictReply: return "VerdictReply";
     case MsgType::kModelPush: return "ModelPush";

@@ -22,7 +22,6 @@
 //   Hello           u16 version, u8 model_loaded, u8 pad, i32 num_classes,
 //                   u32 num_trees  (client sends its version, server echoes
 //                   the served model's shape)
-//   Ping / Pong     empty
 //   ClassifyRequest u64 request_id, u64 trace_id, u64 parent_span_id,
 //                   u32 num_rows, u32 row_dim,
 //                   f64[num_rows * row_dim] row-major feature rows
@@ -83,9 +82,11 @@ class WireError : public std::runtime_error {
 
 inline constexpr std::uint32_t kMagic = 0x4152424Cu;  // "LBRA" little-endian
 // v2: ClassifyRequest gained trace_id/parent_span_id and the
-// StatsPush/StatsAck pair joined the protocol. Both sides of this codebase
-// always speak the current version; a version skew is a hard WireError.
-inline constexpr std::uint16_t kVersion = 2;
+// StatsPush/StatsAck pair joined the protocol. v3: Ping/Pong (types 2 and
+// 3) left it; those type numbers are unknown now. Both sides of this
+// codebase always speak the current version; a version skew is a hard
+// WireError.
+inline constexpr std::uint16_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 24;
 
 // Hard caps on what a peer may claim. A classify batch of kMaxBatchRows *
@@ -103,8 +104,6 @@ inline constexpr std::uint64_t kMaxStatsNameBytes = 256;
 
 enum class MsgType : std::uint16_t {
   kHello = 1,
-  kPing = 2,
-  kPong = 3,
   kClassifyRequest = 4,
   kVerdictReply = 5,
   kModelPush = 6,
@@ -119,7 +118,7 @@ std::string_view to_string(MsgType type);
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
 
 struct Frame {
-  MsgType type = MsgType::kPing;
+  MsgType type = MsgType::kHello;
   std::vector<std::uint8_t> payload;
 };
 

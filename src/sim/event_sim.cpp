@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace libra::sim {
 
@@ -13,15 +14,16 @@ using trace::Action;
 // Shared frame-stepped accounting for one event.
 class Engine {
  public:
-  Engine(const trace::CaseRecord& rec, const EventParams& p, bool record)
-      : rec_(rec), p_(p), record_(record) {
-    // A non-positive frame or flow duration would march time backwards (or
-    // not at all) and spin the frame loops forever.
-    if (!(p.fat_ms > 0.0) || !(p.flow_ms > 0.0) ||
-        !(p.ba_overhead_ms >= 0.0)) {
+  // The FAT comes from a validated GroundTruthConfig (> 0).
+  Engine(const trace::CaseRecord& rec, double fat_ms, const EventParams& p,
+         bool record)
+      : rec_(rec), fat_ms_(fat_ms), p_(p), record_(record) {
+    // A non-positive or infinite flow would march time backwards (or not
+    // at all) or never end, and spin the frame loops forever.
+    if (!(std::isfinite(p.flow_ms) && p.flow_ms > 0.0)) {
       throw std::invalid_argument(
-          "EventParams: fat_ms and flow_ms must be > 0 and ba_overhead_ms "
-          ">= 0");
+          "EventParams: flow_ms must be finite and > 0, got " +
+          std::to_string(p.flow_ms));
     }
     result_.settled_mcs = rec.init_mcs;
   }
@@ -42,7 +44,7 @@ class Engine {
   // end. Returns false when the flow is over.
   bool frame(PairSel pair, phy::McsIndex mcs) {
     if (done()) return false;
-    const double dur = std::min(p_.fat_ms, p_.flow_ms - t_ms_);
+    const double dur = std::min(fat_ms_, p_.flow_ms - t_ms_);
     const double tput =
         trace_for(pair).throughput_mbps[static_cast<std::size_t>(mcs)];
     emit(tput, dur);
@@ -112,6 +114,7 @@ class Engine {
   }
 
   const trace::CaseRecord& rec_;
+  double fat_ms_;
   const EventParams& p_;
   bool record_;
   EventResult result_;
@@ -121,13 +124,16 @@ class Engine {
 
 }  // namespace
 
-EventSimulator::EventSimulator(const core::LibraClassifier* classifier)
-    : classifier_(classifier) {}
+EventSimulator::EventSimulator(const trace::GroundTruthConfig& gt,
+                               const core::LibraClassifier* classifier)
+    : gt_(gt), classifier_(classifier) {
+  trace::validate(gt_);
+}
 
 EventResult EventSimulator::play(const trace::CaseRecord& rec, Action action,
                                  int lead_frames, const EventParams& params,
                                  bool record_series) const {
-  Engine e(rec, params, record_series);
+  Engine e(rec, gt_.fat_ms, params, record_series);
   const phy::McsIndex m0 = rec.init_mcs;
   const bool init_working = rec.new_at_init_pair.works_at(m0);
 
@@ -151,7 +157,7 @@ EventResult EventSimulator::play(const trace::CaseRecord& rec, Action action,
         e.settle(PairSel::kInitPair, settled);
       } else {
         // RA exhausted all MCSs: BA, then RA again on the new best pair.
-        e.silence(params.ba_overhead_ms);
+        e.silence(gt_.ba_overhead_ms);
         const phy::McsIndex after = e.repair_walk(PairSel::kBestPair, m0);
         if (after >= 0) {
           e.settle(PairSel::kBestPair, after);
@@ -162,7 +168,7 @@ EventResult EventSimulator::play(const trace::CaseRecord& rec, Action action,
       break;
     }
     case Action::kBA: {
-      e.silence(params.ba_overhead_ms);
+      e.silence(gt_.ba_overhead_ms);
       const phy::McsIndex settled = e.repair_walk(PairSel::kBestPair, m0);
       if (settled >= 0) {
         e.settle(PairSel::kBestPair, settled);
@@ -191,7 +197,7 @@ EventResult EventSimulator::run_libra(const trace::CaseRecord& rec,
   // Missing ACK on the first impaired frame: the Tx has no PHY metrics, the
   // distilled rule fires immediately (Sec. 7, issue 3).
   if (!rng.bernoulli(p_ack)) {
-    const Action a = classifier_->no_ack_action(m0, params.ba_overhead_ms);
+    const Action a = classifier_->no_ack_action(m0, gt_.ba_overhead_ms);
     return play(rec, a, /*lead_frames=*/1, params, record_series);
   }
 
@@ -232,7 +238,7 @@ EventResult EventSimulator::run(const trace::CaseRecord& rec,
       if (init_working) {
         return play(rec, Action::kNA, kDetectFrames, params, record_series);
       }
-      Engine e(rec, params, record_series);
+      Engine e(rec, gt_.fat_ms, params, record_series);
       for (int i = 0; i < kDetectFrames && !e.done(); ++i) {
         e.frame(PairSel::kInitPair, rec.init_mcs);
       }
@@ -241,7 +247,7 @@ EventResult EventSimulator::run(const trace::CaseRecord& rec,
       if (settled >= 0) {
         e.settle(PairSel::kFailoverPair, settled);
       } else {
-        e.silence(params.ba_overhead_ms);
+        e.silence(gt_.ba_overhead_ms);
         const phy::McsIndex after =
             e.repair_walk(PairSel::kBestPair, rec.init_mcs);
         if (after >= 0) {

@@ -13,7 +13,9 @@
 //
 // Throughput during every frame comes from the collected traces (per pair
 // and per MCS); BA costs ba_overhead_ms of silence; each RA probe costs one
-// FAT at the probed MCS's trace throughput. After settling, all strategies
+// FAT at the probed MCS's trace throughput. FAT and BA overhead are the
+// simulator's GroundTruthConfig: the values the classifier was trained
+// under. After settling, all strategies
 // run the same periodic upward probing (Sec. 8.1 "all algorithms use the
 // same mechanism as LiBRA to probe higher rates").
 #pragma once
@@ -38,15 +40,7 @@ enum class PairSel { kInitPair, kBestPair, kFailoverPair };
 inline constexpr double kBeamRefreshIntervalMs = 100.0;
 
 struct EventParams {
-  double fat_ms = 10.0;
-  double ba_overhead_ms = 5.0;
-  double flow_ms = 1000.0;
-
-  // The refresh interval never drops below 4x the sweep cost, so expensive
-  // beam training is refreshed proportionally less often.
-  double effective_refresh_interval_ms() const {
-    return std::max(kBeamRefreshIntervalMs, 4.0 * ba_overhead_ms);
-  }
+  double flow_ms = 1000.0;  // finite and > 0
 };
 
 struct EventResult {
@@ -64,8 +58,18 @@ struct EventResult {
 
 class EventSimulator {
  public:
-  // The classifier is required only for Strategy::kLibra.
-  explicit EventSimulator(const core::LibraClassifier* classifier = nullptr);
+  // `gt` supplies fat_ms and ba_overhead_ms; throws std::invalid_argument
+  // as trace::validate(gt) does. The classifier is required only for
+  // Strategy::kLibra.
+  explicit EventSimulator(const trace::GroundTruthConfig& gt,
+                          const core::LibraClassifier* classifier = nullptr);
+
+  const trace::GroundTruthConfig& ground_truth() const { return gt_; }
+  // The refresh interval never drops below 4x the sweep cost, so expensive
+  // beam training is refreshed proportionally less often.
+  double effective_refresh_interval_ms() const {
+    return std::max(kBeamRefreshIntervalMs, 4.0 * gt_.ba_overhead_ms);
+  }
 
   EventResult run(const trace::CaseRecord& rec, core::Strategy strategy,
                   const EventParams& params, util::Rng& rng,
@@ -88,6 +92,7 @@ class EventSimulator {
   EventResult run_libra(const trace::CaseRecord& rec, const EventParams& params,
                         util::Rng& rng, bool record_series) const;
 
+  trace::GroundTruthConfig gt_;
   const core::LibraClassifier* classifier_;  // non-owning
 };
 

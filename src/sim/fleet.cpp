@@ -359,14 +359,11 @@ FleetResult run_fleet(std::span<const FleetLink> links,
   std::unique_ptr<obs::Aggregator> aggregator;
   std::unique_ptr<obs::ScrapeServer> scrape_server;
   if (cfg.scrape_port > 0) {
-    obs::AggregatorConfig agg_cfg;
-    agg_cfg.rollup_period_ms = cfg.scrape_rollup_ms;
-    agg_cfg.local_origin = "controller";
-    aggregator = std::make_unique<obs::Aggregator>(agg_cfg);
+    aggregator = std::make_unique<obs::Aggregator>();
     if (cfg.backend != nullptr) {
       core::DecisionBackend* backend = cfg.backend;
       // Peers are labeled by the origin the daemon itself reports
-      // (ServerConfig::stats_origin, default "daemon").
+      // (rpc::kStatsOrigin, "daemon").
       aggregator->add_source(
           [backend]() -> std::optional<obs::LabeledSnapshot> {
             std::optional<core::PeerStats> stats = backend->peer_stats();

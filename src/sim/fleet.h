@@ -101,15 +101,15 @@ struct FleetConfig {
   faults::FaultPlan faults{};
   // Live observability: > 0 mounts an obs::ScrapeServer on
   // 127.0.0.1:scrape_port for the duration of the run (GET /metrics,
-  // /healthz, /series.json), fed by an obs::Aggregator rolling up the
-  // controller's registry every scrape_rollup_ms -- plus the daemon's
+  // /healthz, /series.json), fed by an obs::Aggregator (its default
+  // AggregatorConfig: origin "controller", one roll-up a second) rolling
+  // up the controller's registry -- plus the daemon's
   // (StatsPush-merged, origin-labeled) when `backend` has a peer. 0 (the
   // default) runs without the aggregation tier. Aggregation is
   // observation-only: the digest is bit-identical either way (proven in
   // tests/rpc_test.cpp / tests/fleet_test.cpp). Throws
   // std::invalid_argument on a port outside [0, 65535].
   int scrape_port = 0;
-  double scrape_rollup_ms = 1000.0;
   // Online-learning row stream (core/trainer.h). Non-null attaches the
   // trainer as a row consumer: scatter samples each link's inference
   // decisions through the trainer's seeded hash (never the link Rng

@@ -108,10 +108,11 @@ namespace {
 // with the reflected (new best) pair the impairment barely affected it, so
 // its own trace applies. Upward probing recovers the MCS. Returns the bytes
 // delivered and updates `mcs` in place.
-double clear_segment_bytes(const trace::CaseRecord& record, PairSel pair,
+double clear_segment_bytes(const EventSimulator& simulator,
+                           const trace::CaseRecord& record, PairSel pair,
                            phy::McsIndex& mcs, double duration_ms,
-                           const EventParams& params,
                            std::vector<std::pair<double, double>>* series) {
+  const trace::GroundTruthConfig& gt = simulator.ground_truth();
   const auto trace_of = [&](PairSel p) -> const trace::PairTrace& {
     switch (p) {
       case PairSel::kInitPair: return record.init_best;
@@ -123,7 +124,7 @@ double clear_segment_bytes(const trace::CaseRecord& record, PairSel pair,
   core::UpProber prober(mcs);
   double bytes = 0.0;
   double t_ms = 0.0;
-  const double refresh_ms = params.effective_refresh_interval_ms();
+  const double refresh_ms = simulator.effective_refresh_interval_ms();
   double next_refresh_ms = refresh_ms;
   while (t_ms < duration_ms) {
     // Periodic beam refresh: re-train and hop back to the better pair for
@@ -139,7 +140,7 @@ double clear_segment_bytes(const trace::CaseRecord& record, PairSel pair,
                                      best_tput(PairSel::kBestPair)
                                  ? PairSel::kInitPair
                                  : PairSel::kBestPair;
-      const double sweep = std::min(params.ba_overhead_ms, duration_ms - t_ms);
+      const double sweep = std::min(gt.ba_overhead_ms, duration_ms - t_ms);
       if (series) series->emplace_back(0.0, sweep);
       t_ms += sweep;
       if (better != pair) {
@@ -149,7 +150,7 @@ double clear_segment_bytes(const trace::CaseRecord& record, PairSel pair,
       continue;
     }
     const trace::PairTrace& t = trace_of(pair);
-    const double dur = std::min(params.fat_ms, duration_ms - t_ms);
+    const double dur = std::min(gt.fat_ms, duration_ms - t_ms);
     const phy::McsIndex m = trace::up_probe_frame(prober, t);
     const double tput = t.throughput_mbps[static_cast<std::size_t>(m)];
     bytes += tput * dur / 8000.0;
@@ -178,8 +179,8 @@ EventResult oracle_episode(const EventSimulator& simulator,
     double episode_bytes = r.bytes_mb;
     if (clear_ms > 0.0) {
       phy::McsIndex mcs = r.settled_mcs;
-      episode_bytes += clear_segment_bytes(record, r.settled_pair, mcs,
-                                           clear_ms, params, nullptr);
+      episode_bytes += clear_segment_bytes(simulator, record, r.settled_pair,
+                                           mcs, clear_ms, nullptr);
     }
     const bool better =
         strategy == core::Strategy::kOracleData
@@ -201,8 +202,7 @@ EventResult oracle_episode(const EventSimulator& simulator,
 
 TimelineResult run_timeline(const std::vector<TimelineSegment>& timeline,
                             core::Strategy strategy,
-                            const EventSimulator& simulator,
-                            const EventParams& params, util::Rng& rng,
+                            const EventSimulator& simulator, util::Rng& rng,
                             bool record_series) {
   TimelineResult total;
   double delay_sum = 0.0;
@@ -217,8 +217,7 @@ TimelineResult run_timeline(const std::vector<TimelineSegment>& timeline,
   for (std::size_t i = 0; i < timeline.size(); ++i) {
     const TimelineSegment& seg = timeline[i];
     if (seg.impaired) {
-      EventParams p = params;
-      p.flow_ms = seg.duration_ms;
+      const EventParams p{seg.duration_ms};
       const double clear_ms =
           (i + 1 < timeline.size() && !timeline[i + 1].impaired)
               ? timeline[i + 1].duration_ms
@@ -245,7 +244,7 @@ TimelineResult run_timeline(const std::vector<TimelineSegment>& timeline,
       }
     } else {
       total.bytes_mb += clear_segment_bytes(
-          *current, pair, mcs, seg.duration_ms, params,
+          simulator, *current, pair, mcs, seg.duration_ms,
           record_series ? &total.tput_segments : nullptr);
     }
   }

@@ -57,10 +57,11 @@ struct TimelineResult {
   std::vector<std::pair<double, double>> tput_segments;  // when recorded
 };
 
+// Each impaired segment is one simulator event with the segment's duration
+// as its flow.
 TimelineResult run_timeline(const std::vector<TimelineSegment>& timeline,
                             core::Strategy strategy,
-                            const EventSimulator& simulator,
-                            const EventParams& params, util::Rng& rng,
+                            const EventSimulator& simulator, util::Rng& rng,
                             bool record_series = false);
 
 }  // namespace libra::sim

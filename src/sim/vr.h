@@ -19,26 +19,21 @@
 
 namespace libra::sim {
 
-struct VrConfig {
-  double fps = 60.0;
-  double bitrate_mbps = 1200.0;  // 8K VR demand (Sec. 8.4)
-  // Frame-size modulation: slow scene-motion swing and I-frame spikes.
-  double scene_swing = 0.25;     // +-25% slow modulation
-  double iframe_boost = 1.8;     // I-frames are ~1.8x the mean
-  int gop_frames = 30;
-  // COTS 802.11ad tops out around 2.4 Gbps; scale the trace throughputs.
-  double cots_scale = 2400.0 / 4750.0;
+inline constexpr double kVrFps = 60.0;
+inline constexpr double kVrBitrateMbps = 1200.0;  // 8K VR demand (Sec. 8.4)
+// Frame-size modulation: slow scene-motion swing and I-frame spikes.
+inline constexpr double kVrSceneSwing = 0.25;  // +-25% slow modulation
+inline constexpr double kVrIframeBoost = 1.8;  // I-frames are ~1.8x the mean
+inline constexpr int kVrGopFrames = 30;
+// COTS 802.11ad tops out around 2.4 Gbps; scale the trace throughputs.
+inline constexpr double kVrCotsScale = 2400.0 / 4750.0;
+static_assert(kVrFps > 0.0 && kVrBitrateMbps > 0.0 && kVrIframeBoost > 0.0 &&
+              kVrCotsScale > 0.0);
+static_assert(kVrSceneSwing >= 0.0 && kVrSceneSwing < 1.0);
+static_assert(kVrGopFrames >= 1);
 
-  // Throws std::invalid_argument naming the field unless fps,
-  // bitrate_mbps, iframe_boost and cots_scale are finite and > 0,
-  // scene_swing is finite and in [0, 1) and gop_frames >= 1.
-  void validate() const;
-};
-
-// Synthetic frame sizes (MB) for a scene of the given duration. Validates
-// the config.
-std::vector<double> generate_frame_sizes_mb(const VrConfig& cfg,
-                                            double duration_ms,
+// Synthetic frame sizes (MB) for a scene of the given duration.
+std::vector<double> generate_frame_sizes_mb(double duration_ms,
                                             util::Rng& rng);
 
 struct VrResult {
@@ -48,9 +43,7 @@ struct VrResult {
 };
 
 // Play the frame sequence over a piecewise-constant throughput timeline.
-// Validates the config.
 VrResult play_vr(const std::vector<double>& frame_sizes_mb,
-                 const std::vector<std::pair<double, double>>& tput_segments,
-                 const VrConfig& cfg);
+                 const std::vector<std::pair<double, double>>& tput_segments);
 
 }  // namespace libra::sim

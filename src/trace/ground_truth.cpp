@@ -29,8 +29,9 @@ constexpr double kNaTputFraction = 0.90;
 // measurement noise from creating unlearnable coin-flip labels.
 constexpr double kTieTolerance = 0.02;
 
-// Throws std::invalid_argument naming the first field of `cfg` outside its
-// range. Without it, fat_ms = ba_overhead_ms = 0 makes Dmax 0, every utility
+}  // namespace
+
+// Without it, fat_ms = ba_overhead_ms = 0 makes Dmax 0, every utility
 // 0/0 = NaN and every 2-class label silently BA.
 void validate(const GroundTruthConfig& cfg) {
   const auto check = [](bool ok, const char* field, const char* range,
@@ -49,6 +50,8 @@ void validate(const GroundTruthConfig& cfg) {
   check(std::isfinite(cfg.ba_overhead_ms) && cfg.ba_overhead_ms >= 0.0,
         "ba_overhead_ms", "finite and >= 0", cfg.ba_overhead_ms);
 }
+
+namespace {
 
 // Best throughput among MCSs <= start on this trace.
 double best_tput_upto(const PairTrace& t, phy::McsIndex start) {

@@ -63,8 +63,8 @@ struct RaDescent {
 };
 
 // The protocol parameterization a case is labeled under (the CLI's --alpha,
-// --fat and --ba). label_case() throws std::invalid_argument unless alpha is
-// in [0, 1], fat_ms is finite and > 0 and ba_overhead_ms is finite and >= 0.
+// --fat and --ba), and the FAT and BA overhead an event simulation replays
+// (sim::EventSimulator). label_case() validates it.
 struct GroundTruthConfig {
   double alpha = 1.0;           // Sec. 5/6 use alpha=1 (throughput only)
   double fat_ms = 10.0;         // frame aggregation time (one RA probe)
@@ -83,6 +83,10 @@ struct GroundTruth {
   double utility_ra = 0.0;
   double utility_ba = 0.0;
 };
+
+// Throws std::invalid_argument naming the first field outside its range:
+// alpha in [0, 1], fat_ms finite and > 0, ba_overhead_ms finite and >= 0.
+void validate(const GroundTruthConfig& cfg);
 
 GroundTruth label_case(const CaseRecord& rec, const GroundTruthConfig& cfg);
 

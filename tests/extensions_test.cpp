@@ -250,45 +250,29 @@ TEST(OnlineLibra, SeedBehavesLikeOffline) {
 }
 
 TEST(OnlineLibra, AdaptsToDeploymentDistribution) {
-  core::OnlineLibraConfig cfg;
-  cfg.retrain_every = 10;
-  cfg.local_weight = 4;
-  core::OnlineLibra online(cfg);
+  core::OnlineLibra online;
   util::Rng rng(2);
   online.seed(ra_biased_seed(), {}, rng);
-  for (int i = 0; i < 60; ++i) {
+  for (int i = 0; i < 6 * core::kRetrainEvery; ++i) {
     online.observe(drifted_ba_case(i), {}, rng);
   }
-  EXPECT_GE(online.retrains(), 5);
+  EXPECT_EQ(online.retrains(), 6);
   const trace::FeatureVector f =
       trace::extract_features(drifted_ba_case(999));
   EXPECT_EQ(online.classify(f, rng), trace::Action::kBA);
 }
 
-TEST(OnlineLibra, RejectsDegenerateConfig) {
-  core::OnlineLibraConfig cfg;
-  cfg.window_size = 0;
-  EXPECT_THROW(core::OnlineLibra{cfg}, std::invalid_argument);
-  cfg = {};
-  cfg.retrain_every = 0;
-  EXPECT_THROW(core::OnlineLibra{cfg}, std::invalid_argument);
-  cfg = {};
-  cfg.local_weight = -1;
-  EXPECT_THROW(core::OnlineLibra{cfg}, std::invalid_argument);
-  cfg = {};  // defaults are valid
-  EXPECT_NO_THROW(core::OnlineLibra{cfg});
-}
-
-TEST(OnlineLibra, WindowIsBounded) {
-  core::OnlineLibraConfig cfg;
-  cfg.window_size = 10;
-  cfg.retrain_every = 1000;  // never retrain during this test
-  core::OnlineLibra online(cfg);
+TEST(OnlineLibra, RetrainsEveryKthEvent) {
+  core::OnlineLibra online;
   util::Rng rng(3);
   online.seed(ra_biased_seed(), {}, rng);
-  for (int i = 0; i < 50; ++i) online.observe(drifted_ba_case(i), {}, rng);
-  EXPECT_EQ(online.observed_events(), 50);
+  for (int i = 0; i + 1 < core::kRetrainEvery; ++i) {
+    online.observe(drifted_ba_case(i), {}, rng);
+  }
+  EXPECT_EQ(online.observed_events(), core::kRetrainEvery - 1);
   EXPECT_EQ(online.retrains(), 0);
+  online.observe(drifted_ba_case(0), {}, rng);
+  EXPECT_EQ(online.retrains(), 1);
 }
 
 }  // namespace

@@ -113,10 +113,8 @@ TEST(Integration, LibraTracksOracleOnBytes) {
   util::Rng rng(4);
   core::LibraClassifier clf;
   clf.train(p.training, gt, rng);
-  const sim::EventSimulator simulator(&clf);
-  sim::EventParams ep;
-  ep.fat_ms = 2.0;
-  ep.ba_overhead_ms = 5.0;
+  const sim::EventSimulator simulator(gt, &clf);
+  const sim::EventParams ep;
 
   double oracle = 0.0, libra = 0.0, ra_first = 0.0;
   for (const auto& rec : p.testing.records) {
@@ -138,9 +136,8 @@ TEST(Integration, BaFirstDelayExplodesAtHighOverhead) {
   util::Rng rng(5);
   core::LibraClassifier clf;
   clf.train(p.training, gt, rng);
-  const sim::EventSimulator simulator(&clf);
-  sim::EventParams ep;
-  ep.ba_overhead_ms = 250.0;
+  const sim::EventSimulator simulator(gt, &clf);
+  const sim::EventParams ep;
 
   double ba_first_delay = 0.0, libra_delay = 0.0;
   int broken = 0;
@@ -161,8 +158,8 @@ TEST(Integration, BaFirstDelayExplodesAtHighOverhead) {
 TEST(Integration, EvaluationIsDeterministic) {
   const auto& p = Pipeline::get();
   trace::GroundTruthConfig gt;
-  const sim::EventSimulator simulator;
-  sim::EventParams ep;
+  const sim::EventSimulator simulator(gt);
+  const sim::EventParams ep;
   const auto& rec = p.testing.records.front();
   util::Rng rng1(9), rng2(9);
   const auto a = simulator.run(rec, core::Strategy::kRaFirst, ep, rng1);
@@ -194,16 +191,15 @@ TEST(Integration, TimelineEvaluationRuns) {
   util::Rng rng(7);
   core::LibraClassifier clf;
   clf.train(p.training, gt, rng);
-  const sim::EventSimulator simulator(&clf);
-  sim::EventParams ep;
+  const sim::EventSimulator simulator(gt, &clf);
   const sim::RecordPools pools = sim::RecordPools::from_dataset(p.testing);
   for (sim::ScenarioType type : sim::kAllScenarioTypes) {
     util::Rng tl_rng(100);
     const auto timeline = sim::make_timeline(type, pools, tl_rng);
     const auto oracle = sim::run_timeline(
-        timeline, core::Strategy::kOracleData, simulator, ep, rng);
+        timeline, core::Strategy::kOracleData, simulator, rng);
     const auto libra = sim::run_timeline(timeline, core::Strategy::kLibra,
-                                         simulator, ep, rng);
+                                         simulator, rng);
     EXPECT_GT(oracle.bytes_mb, 0.0);
     EXPECT_GE(oracle.bytes_mb + 1e-9, libra.bytes_mb * 0.0);  // sanity
     EXPECT_GT(libra.bytes_mb, 0.5 * oracle.bytes_mb);

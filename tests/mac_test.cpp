@@ -190,11 +190,12 @@ TEST_F(TrainerFixture, TxOnlySweepUsesQuasiOmni) {
 }
 
 TEST_F(TrainerFixture, SweepDurationsScaleWithProbes) {
-  const BeamTrainer trainer({20.0});
+  const BeamTrainer trainer;
   util::Rng rng(4);
   const auto exhaustive = trainer.exhaustive(link, sampler, rng);
   const auto sls = trainer.sls_80211ad(link, sampler, rng);
   const auto tx_only = trainer.sls_tx_only(link, sampler, rng);
+  static_assert(kProbeUs == 20.0);
   EXPECT_DOUBLE_EQ(exhaustive.duration_ms, 625 * 0.02);
   EXPECT_DOUBLE_EQ(sls.duration_ms, 50 * 0.02);
   EXPECT_DOUBLE_EQ(tx_only.duration_ms, 25 * 0.02);
@@ -261,21 +262,11 @@ TEST_F(TrainerFixture, CoarseFineRejectsBadGridBeforeProbing) {
   EXPECT_EQ(trainer.coarse_fine(link, sampler, rng, 1, 0).measurements, 625);
 }
 
-TEST(BeamTrainerConfigValidation, ProbeUsMustBeFiniteAndPositive) {
-  for (const double bad : {0.0, -20.0, std::nan(""),
-                           std::numeric_limits<double>::infinity()}) {
-    SCOPED_TRACE(bad);
-    EXPECT_THROW(BeamTrainer(BeamTrainerConfig{bad}), std::invalid_argument);
-  }
-  EXPECT_NO_THROW(BeamTrainer(BeamTrainerConfig{}));
-}
-
 // The sweep as specified: one measure_snr_db() per probed pair, tb-major,
 // strict >, over the Tx beams at least `min_tx_gap` from `primary_tx`. The
 // bound-pruned exhaustive() must equal it bit for bit, Rng state included.
 SweepResult reference_sweep(const channel::Link& link,
                             const phy::PhySampler& sampler, util::Rng& rng,
-                            const BeamTrainerConfig& cfg,
                             array::BeamId primary_tx = 0, int min_tx_gap = 0) {
   SweepResult best;
   best.snr_db = -1e9;
@@ -292,7 +283,7 @@ SweepResult reference_sweep(const channel::Link& link,
     }
   }
   best.duration_ms =
-      static_cast<double>(best.measurements) * cfg.probe_us / 1000.0;
+      static_cast<double>(best.measurements) * kProbeUs / 1000.0;
   return best;
 }
 
@@ -310,7 +301,7 @@ std::uint64_t expect_sweeps_identical(const channel::Link& link,
                                       std::uint64_t seed,
                                       array::BeamId primary_tx = 0,
                                       int min_tx_gap = 0) {
-  const BeamTrainer trainer({37.5});
+  const BeamTrainer trainer;
   util::Rng rng(seed);
   util::Rng oracle_rng(seed);
   const std::uint64_t exact_before = exact_pairs_counted();
@@ -321,7 +312,7 @@ std::uint64_t expect_sweeps_identical(const channel::Link& link,
                                           min_tx_gap);
   const std::uint64_t exact = exact_pairs_counted() - exact_before;
   const SweepResult want = reference_sweep(
-      link, sampler, oracle_rng, trainer.config(), primary_tx, min_tx_gap);
+      link, sampler, oracle_rng, primary_tx, min_tx_gap);
   EXPECT_EQ(got.tx_beam, want.tx_beam);
   EXPECT_EQ(got.rx_beam, want.rx_beam);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got.snr_db),

@@ -424,11 +424,6 @@ TEST(DecisionTree, BagThatOverflowsNodeCountsThrows) {
   EXPECT_THROW(dt.fit(sorted, empty_bag, rng), std::invalid_argument);
   const std::vector<std::uint32_t> short_bag{1u};
   EXPECT_THROW(dt.fit(sorted, short_bag, rng), std::invalid_argument);
-
-  RandomForestConfig cfg;
-  cfg.bootstrap_fraction = 2e9;
-  RandomForest rf(cfg);
-  EXPECT_THROW(rf.fit(d, rng), std::invalid_argument);
 }
 
 TEST(DecisionTreeConfigValidation, MaxDepthMustBeNonNegative) {
@@ -436,14 +431,6 @@ TEST(DecisionTreeConfigValidation, MaxDepthMustBeNonNegative) {
   cfg.max_depth = -1;
   EXPECT_THROW(DecisionTree{cfg}, std::invalid_argument);
   cfg.max_depth = 0;
-  EXPECT_NO_THROW(DecisionTree{cfg});
-}
-
-TEST(DecisionTreeConfigValidation, MinSamplesSplitMustBePositive) {
-  DecisionTreeConfig cfg;
-  cfg.min_samples_split = 0;
-  EXPECT_THROW(DecisionTree{cfg}, std::invalid_argument);
-  cfg.min_samples_split = 1;
   EXPECT_NO_THROW(DecisionTree{cfg});
 }
 
@@ -460,15 +447,6 @@ TEST(RandomForestConfigValidation, NumTreesMustBePositive) {
   for (const int bad : {0, -3}) {
     RandomForestConfig cfg;
     cfg.num_trees = bad;
-    EXPECT_THROW(RandomForest{cfg}, std::invalid_argument) << bad;
-  }
-}
-
-TEST(RandomForestConfigValidation, BootstrapFractionMustBeFiniteAndPositive) {
-  for (const double bad : {0.0, -0.5, std::nan(""),
-                           std::numeric_limits<double>::infinity()}) {
-    RandomForestConfig cfg;
-    cfg.bootstrap_fraction = bad;
     EXPECT_THROW(RandomForest{cfg}, std::invalid_argument) << bad;
   }
 }
@@ -526,7 +504,7 @@ int reference_build(const DataSet& data, std::vector<std::size_t>& indices,
       std::count_if(counts.begin(), counts.end(),
                     [](int c) { return c > 0; }) <= 1;
   if (depth >= cfg.max_depth || pure ||
-      static_cast<int>(indices.size()) < cfg.min_samples_split) {
+      static_cast<int>(indices.size()) < kMinSamplesSplit) {
     return node_id;
   }
   std::vector<std::size_t> features(data.num_features());
@@ -620,7 +598,7 @@ ReferenceForest reference_forest_fit(const DataSet& train,
   std::vector<util::Rng> streams;
   for (int t = 0; t < cfg.num_trees; ++t) streams.push_back(rng.fork());
   const auto sample_size = static_cast<std::size_t>(std::max<double>(
-      1.0, cfg.bootstrap_fraction * static_cast<double>(train.size())));
+      1.0, kBootstrapFraction * static_cast<double>(train.size())));
   ReferenceForest forest;
   for (util::Rng& tree_rng : streams) {
     std::vector<std::size_t> bootstrap(sample_size);
@@ -762,21 +740,17 @@ TEST(PresortEquivalence, TreeMatchesPerNodeSortFit) {
     for (const Impurity impurity : {Impurity::kGini, Impurity::kEntropy}) {
       for (const int max_features : {0, 1, d}) {
         for (const int max_depth : {0, 1, 8}) {
-          for (const int min_split : {1, 2, 50}) {
-            SCOPED_TRACE(testing::Message()
-                         << "set " << s << " max_features " << max_features
-                         << " max_depth " << max_depth << " min_split "
-                         << min_split << " entropy "
-                         << (impurity == Impurity::kEntropy));
-            const DecisionTreeConfig cfg{impurity, max_depth, min_split,
-                                         max_features};
-            util::Rng rng(77 + s), ref_rng(77 + s);
-            DecisionTree tree(cfg);
-            tree.fit(data, rng);
-            expect_same_tree(tree, reference_fit(data, cfg, ref_rng));
-            EXPECT_TRUE(rng.engine() == ref_rng.engine());
-            splits += static_cast<int>(tree.nodes().size()) - 1;
-          }
+          SCOPED_TRACE(testing::Message()
+                       << "set " << s << " max_features " << max_features
+                       << " max_depth " << max_depth << " entropy "
+                       << (impurity == Impurity::kEntropy));
+          const DecisionTreeConfig cfg{impurity, max_depth, max_features};
+          util::Rng rng(77 + s), ref_rng(77 + s);
+          DecisionTree tree(cfg);
+          tree.fit(data, rng);
+          expect_same_tree(tree, reference_fit(data, cfg, ref_rng));
+          EXPECT_TRUE(rng.engine() == ref_rng.engine());
+          splits += static_cast<int>(tree.nodes().size()) - 1;
         }
       }
     }
@@ -790,39 +764,30 @@ TEST(PresortEquivalence, ForestMatchesBaggedPerNodeSortFits) {
   for (std::size_t s = 0; s < sets.size(); ++s) {
     const DataSet& data = sets[s];
     const int d = static_cast<int>(data.num_features());
-    for (const double fraction : {0.3, 1.0, 2.5}) {
-      for (const int max_features : {0, 1, d}) {
-        for (const int max_depth : {0, 1, 8}) {
-          for (const int min_split : {1, 2, 50}) {
-            for (const Impurity impurity :
-                 {Impurity::kGini, Impurity::kEntropy}) {
-              SCOPED_TRACE(testing::Message()
-                           << "set " << s << " fraction " << fraction
-                           << " max_features " << max_features
-                           << " max_depth " << max_depth << " min_split "
-                           << min_split << " entropy "
-                           << (impurity == Impurity::kEntropy));
-              RandomForestConfig cfg;
-              cfg.num_trees = 4;
-              cfg.num_threads = 1;
-              cfg.bootstrap_fraction = fraction;
-              cfg.tree = {impurity, max_depth, min_split, max_features};
-              util::Rng rng(5 + s), ref_rng(5 + s);
-              RandomForest forest(cfg);
-              forest.fit(data, rng);
-              const ReferenceForest ref =
-                  reference_forest_fit(data, cfg, ref_rng);
-              EXPECT_TRUE(rng.engine() == ref_rng.engine());
-              EXPECT_EQ(bits_of(forest.feature_importances()),
-                        bits_of(ref.importances));
-              ASSERT_EQ(forest.trees().size(), ref.trees.size());
-              for (std::size_t t = 0; t < ref.trees.size(); ++t) {
-                SCOPED_TRACE(testing::Message() << "tree " << t);
-                expect_same_tree(forest.trees()[t], ref.trees[t]);
-                bags_missing_a_class +=
-                    forest.trees()[t].num_classes() < forest.num_classes();
-              }
-            }
+    for (const int max_features : {0, 1, d}) {
+      for (const int max_depth : {0, 1, 8}) {
+        for (const Impurity impurity : {Impurity::kGini, Impurity::kEntropy}) {
+          SCOPED_TRACE(testing::Message()
+                       << "set " << s << " max_features " << max_features
+                       << " max_depth " << max_depth << " entropy "
+                       << (impurity == Impurity::kEntropy));
+          RandomForestConfig cfg;
+          cfg.num_trees = 4;
+          cfg.num_threads = 1;
+          cfg.tree = {impurity, max_depth, max_features};
+          util::Rng rng(5 + s), ref_rng(5 + s);
+          RandomForest forest(cfg);
+          forest.fit(data, rng);
+          const ReferenceForest ref = reference_forest_fit(data, cfg, ref_rng);
+          EXPECT_TRUE(rng.engine() == ref_rng.engine());
+          EXPECT_EQ(bits_of(forest.feature_importances()),
+                    bits_of(ref.importances));
+          ASSERT_EQ(forest.trees().size(), ref.trees.size());
+          for (std::size_t t = 0; t < ref.trees.size(); ++t) {
+            SCOPED_TRACE(testing::Message() << "tree " << t);
+            expect_same_tree(forest.trees()[t], ref.trees[t]);
+            bags_missing_a_class +=
+                forest.trees()[t].num_classes() < forest.num_classes();
           }
         }
       }
@@ -834,24 +799,20 @@ TEST(PresortEquivalence, ForestMatchesBaggedPerNodeSortFits) {
 TEST(PresortEquivalence, ForestIsBitIdenticalAcrossThreadCounts) {
   const std::vector<DataSet> sets = equivalence_sets();
   for (std::size_t s = 0; s < sets.size(); ++s) {
-    for (const double fraction : {0.3, 1.0, 2.5}) {
-      SCOPED_TRACE(testing::Message() << "set " << s << " fraction "
-                                      << fraction);
-      RandomForestConfig cfg;
-      cfg.num_trees = 9;
-      cfg.bootstrap_fraction = fraction;
-      cfg.num_threads = 4;
-      util::Rng rng(9 + s), ref_rng(9 + s);
-      RandomForest parallel(cfg);
-      parallel.fit(sets[s], rng);
-      const ReferenceForest ref = reference_forest_fit(sets[s], cfg, ref_rng);
-      EXPECT_TRUE(rng.engine() == ref_rng.engine());
-      EXPECT_EQ(bits_of(parallel.feature_importances()),
-                bits_of(ref.importances));
-      ASSERT_EQ(parallel.trees().size(), ref.trees.size());
-      for (std::size_t t = 0; t < ref.trees.size(); ++t) {
-        expect_same_tree(parallel.trees()[t], ref.trees[t]);
-      }
+    SCOPED_TRACE(testing::Message() << "set " << s);
+    RandomForestConfig cfg;
+    cfg.num_trees = 9;
+    cfg.num_threads = 4;
+    util::Rng rng(9 + s), ref_rng(9 + s);
+    RandomForest parallel(cfg);
+    parallel.fit(sets[s], rng);
+    const ReferenceForest ref = reference_forest_fit(sets[s], cfg, ref_rng);
+    EXPECT_TRUE(rng.engine() == ref_rng.engine());
+    EXPECT_EQ(bits_of(parallel.feature_importances()),
+              bits_of(ref.importances));
+    ASSERT_EQ(parallel.trees().size(), ref.trees.size());
+    for (std::size_t t = 0; t < ref.trees.size(); ++t) {
+      expect_same_tree(parallel.trees()[t], ref.trees[t]);
     }
   }
 }
@@ -1260,8 +1221,7 @@ TEST(NeuralNet, MulticlassSoftmax) {
   EXPECT_EQ(nn.predict(std::vector<double>{8.0}), 2);
 }
 
-// One negative case per NeuralNetConfig field; the message names it. A
-// batch_size of 0 would never end fit's batch loop.
+// One negative case per NeuralNetConfig field; the message names it.
 void expect_nn_config_rejected(const NeuralNetConfig& cfg, const char* field) {
   try {
     NeuralNet nn(cfg);
@@ -1269,15 +1229,6 @@ void expect_nn_config_rejected(const NeuralNetConfig& cfg, const char* field) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
         << e.what();
-  }
-}
-
-TEST(NeuralNetConfigValidation, HiddenSizesMustBePositive) {
-  for (const std::vector<int>& bad :
-       {std::vector<int>{0}, std::vector<int>{32, -1, 16}}) {
-    NeuralNetConfig cfg;
-    cfg.hidden = bad;
-    expect_nn_config_rejected(cfg, "hidden");
   }
 }
 
@@ -1289,46 +1240,17 @@ TEST(NeuralNetConfigValidation, DropoutMustBeAFraction) {
   }
 }
 
-TEST(NeuralNetConfigValidation, LearningRateMustBeFiniteAndPositive) {
-  for (const double bad : {0.0, -5e-3, std::nan(""),
-                           std::numeric_limits<double>::infinity()}) {
-    NeuralNetConfig cfg;
-    cfg.learning_rate = bad;
-    expect_nn_config_rejected(cfg, "learning_rate");
-  }
-}
-
 TEST(NeuralNetConfigValidation, EpochsMustBeNonNegative) {
   NeuralNetConfig cfg;
   cfg.epochs = -1;
   expect_nn_config_rejected(cfg, "epochs");
 }
 
-TEST(NeuralNetConfigValidation, BatchSizeMustBePositive) {
-  for (const int bad : {0, -16}) {
-    NeuralNetConfig cfg;
-    cfg.batch_size = bad;
-    expect_nn_config_rejected(cfg, "batch_size");
-  }
-}
-
-TEST(NeuralNetConfigValidation, L2MustBeFiniteAndNonNegative) {
-  for (const double bad : {-1e-4, std::nan(""),
-                           std::numeric_limits<double>::infinity()}) {
-    NeuralNetConfig cfg;
-    cfg.l2 = bad;
-    expect_nn_config_rejected(cfg, "l2");
-  }
-}
-
 TEST(NeuralNetConfigValidation, DefaultsAndEdgesAreAccepted) {
   EXPECT_NO_THROW(NeuralNet{});
   NeuralNetConfig cfg;
-  cfg.hidden = {};
   cfg.dropout = 0.0;
   cfg.epochs = 0;
-  cfg.batch_size = 1;
-  cfg.l2 = 0.0;
   EXPECT_NO_THROW(NeuralNet{cfg});
 }
 

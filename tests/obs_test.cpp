@@ -12,9 +12,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -446,13 +448,37 @@ double rollups(const obs::Aggregator& agg) {
   return parse_json(agg.series_json()).find("rollups")->number;
 }
 
+// A period whose wait would overflow the clock's int64 nanoseconds (+inf,
+// 1e300) must throw: accepted, it made the roll-up thread's wait return
+// at once, so the thread spun.
 TEST(ObsAggregator, RejectsBadConfig) {
-  obs::AggregatorConfig bad_period;
-  bad_period.rollup_period_ms = 0.0;
-  EXPECT_THROW(obs::Aggregator{bad_period}, std::invalid_argument);
-  obs::AggregatorConfig bad_ring;
-  bad_ring.ring_capacity = 0;
-  EXPECT_THROW(obs::Aggregator{bad_ring}, std::invalid_argument);
+  for (const double bad :
+       {0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), 1e300,
+        std::nextafter(obs::kMaxRollupPeriodMs, 1e300)}) {
+    obs::AggregatorConfig cfg;
+    cfg.rollup_period_ms = bad;
+    EXPECT_THROW(obs::Aggregator{cfg}, std::invalid_argument) << bad;
+  }
+  obs::AggregatorConfig longest;
+  longest.rollup_period_ms = obs::kMaxRollupPeriodMs;
+  EXPECT_NO_THROW(obs::Aggregator{longest});
+
+  obs::AggregatorConfig no_origin;
+  no_origin.local_origin.clear();
+  EXPECT_THROW(obs::Aggregator{no_origin}, std::invalid_argument);
+}
+
+// The longest accepted period still parks the roll-up thread: nothing
+// rolls up until stop().
+TEST(ObsAggregator, LongestPeriodDoesNotSpin) {
+  obs::AggregatorConfig cfg;
+  cfg.rollup_period_ms = obs::kMaxRollupPeriodMs;
+  obs::Aggregator agg(cfg);
+  agg.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  agg.stop();
+  EXPECT_EQ(rollups(agg), 0.0);
 }
 
 TEST(ObsAggregator, RollupFoldsLocalRegistryIntoSeries) {
@@ -633,11 +659,25 @@ TEST(ObsScrape, ServesMetricsHealthzAndSeries) {
       obs::http_get("127.0.0.1", server.port(), "/healthz").has_value());
 }
 
+// One negative case per ScrapeConfig field: the port at construction, the
+// host when start() parses it.
+TEST(ObsScrape, RejectsBadConfig) {
+  obs::Aggregator agg;
+  for (const int bad : {-1, 65536}) {
+    obs::ScrapeConfig cfg;
+    cfg.port = bad;
+    EXPECT_THROW(obs::ScrapeServer(agg, cfg), std::invalid_argument) << bad;
+  }
+  obs::ScrapeConfig cfg;
+  cfg.host = "not-an-address";
+  obs::ScrapeServer server(agg, cfg);
+  EXPECT_THROW(server.start(), std::runtime_error);
+  EXPECT_FALSE(server.running());
+}
+
 TEST(ObsScrape, RejectsHostileRequests) {
   obs::Aggregator agg;
-  obs::ScrapeConfig cfg;
-  cfg.max_request_bytes = 1024;  // small cap so the oversized test is cheap
-  obs::ScrapeServer server(agg, cfg);
+  obs::ScrapeServer server(agg);
   server.start();
 
   // Non-GET methods are refused.
@@ -650,7 +690,8 @@ TEST(ObsScrape, RejectsHostileRequests) {
             std::string::npos);
   // A request head past the cap (no newline, so the server keeps reading)
   // is cut off with 431, not buffered without bound.
-  EXPECT_NE(raw_http_exchange(server.port(), std::string(4096, 'A'))
+  EXPECT_NE(raw_http_exchange(server.port(),
+                              std::string(2 * obs::kMaxRequestBytes, 'A'))
                 .find("431"),
             std::string::npos);
   // The server survives all of the above and still serves.

@@ -114,7 +114,7 @@ std::optional<double> oracle_tof(const std::vector<double>& pdp,
   if (pdp.empty()) return std::nullopt;
   const auto it = std::max_element(pdp.begin(), pdp.end());
   if (*it < cfg.noise_floor_mw * 10.0) return std::nullopt;
-  return static_cast<double>(it - pdp.begin()) * cfg.tap_spacing_ns;
+  return static_cast<double>(it - pdp.begin()) * phy::kTapSpacingNs;
 }
 
 struct OraclePdp {
@@ -127,11 +127,11 @@ OraclePdp oracle_fill_pdp(
     const std::vector<channel::PathContribution>& contributions,
     const phy::PdpConfig& cfg, double tap_jitter, std::uint64_t tap_key) {
   OraclePdp out;
-  out.pdp.assign(static_cast<std::size_t>(cfg.num_taps), cfg.noise_floor_mw);
+  out.pdp.assign(static_cast<std::size_t>(phy::kNumTaps), cfg.noise_floor_mw);
   for (const auto& c : contributions) {
     const int tap =
-        static_cast<int>(std::round(c.delay_ns / cfg.tap_spacing_ns));
-    if (tap < 0 || tap >= cfg.num_taps) continue;
+        static_cast<int>(std::round(c.delay_ns / phy::kTapSpacingNs));
+    if (tap < 0 || tap >= phy::kNumTaps) continue;
     out.pdp[static_cast<std::size_t>(tap)] +=
         util::dbm_to_mw(c.rx_power_dbm);
   }
@@ -329,9 +329,8 @@ TEST(PdpKernelEquivalence, StrongestTapIsMaxElement) {
 
 // ---------- materialize and the feature path ----------
 
-// A lobby link with a codebook, a sampler per tap count (non-powers of two
-// pad; 1 tap has an empty spectrum) and a controller whose baseline and
-// feature seam the tests drive directly.
+// A lobby link with a codebook, a sampler and a controller whose baseline
+// and feature seam the tests drive directly.
 class FeatureProbe : public core::LinkController {
  public:
   using core::LinkController::LinkController;
@@ -353,12 +352,7 @@ struct KernelWorld {
   array::PhasedArray rx{{10, 6}, 180.0, &codebook};
   channel::Link link{&environment, &tx, &rx};
   FeatureProbe probe{&link, &em};
-
-  static phy::PhySampler sampler(const phy::ErrorModel& em, int num_taps) {
-    phy::SamplerConfig cfg;
-    cfg.pdp.num_taps = num_taps;
-    return phy::PhySampler(&em, cfg);
-  }
+  phy::PhySampler sampler{&em};
   // A random beam pair, sometimes with a blocker, an interferer, a fade or
   // a turned receiver.
   std::pair<array::BeamId, array::BeamId> perturb(util::Rng& rng) {
@@ -396,26 +390,22 @@ void expect_matches_oracle(const phy::PhyObservation& got,
 TEST(PdpKernelEquivalence, MaterializeMatchesFillPdp) {
   KernelWorld w;
   util::Rng world_rng(41);
-  for (const int num_taps : {256, 1, 2, 33, 100, 1024, 256}) {
-    const phy::PhySampler sampler = KernelWorld::sampler(w.em, num_taps);
-    util::Rng rng(static_cast<std::uint64_t>(num_taps));
-    util::Rng eager_rng(static_cast<std::uint64_t>(num_taps));
-    for (int trial = 0; trial < 40; ++trial) {
-      SCOPED_TRACE("taps " + std::to_string(num_taps) + " trial " +
-                   std::to_string(trial));
-      const auto [tb, rb] = w.perturb(world_rng);
-      const phy::McsIndex mcs = trial % w.table.size();
-      phy::PhyObservation obs = sampler.observe_deferred(w.link, tb, rb, mcs,
-                                                         rng);
-      ASSERT_TRUE(obs.deferred());
-      const phy::PhyObservation want = oracle_materialize(obs);
-      obs.materialize();
-      expect_matches_oracle(obs, want);
-      // observe() is observe_deferred() then materialize().
-      expect_matches_oracle(sampler.observe(w.link, tb, rb, mcs, eager_rng),
-                            want);
-      EXPECT_TRUE(eager_rng.engine() == rng.engine());
-    }
+  util::Rng rng(256);
+  util::Rng eager_rng(256);
+  for (int trial = 0; trial < 280; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto [tb, rb] = w.perturb(world_rng);
+    const phy::McsIndex mcs = trial % w.table.size();
+    phy::PhyObservation obs =
+        w.sampler.observe_deferred(w.link, tb, rb, mcs, rng);
+    ASSERT_TRUE(obs.deferred());
+    const phy::PhyObservation want = oracle_materialize(obs);
+    obs.materialize();
+    expect_matches_oracle(obs, want);
+    // observe() is observe_deferred() then materialize().
+    expect_matches_oracle(w.sampler.observe(w.link, tb, rb, mcs, eager_rng),
+                          want);
+    EXPECT_TRUE(eager_rng.engine() == rng.engine());
   }
 }
 
@@ -424,7 +414,7 @@ TEST(PdpKernelEquivalence, MaterializeMatchesFillPdp) {
 // exactly as the oracle's max_element scans do.
 TEST(PdpKernelEquivalence, FeaturesMatchOracleAfterFaults) {
   KernelWorld w;
-  const phy::PhySampler sampler = KernelWorld::sampler(w.em, 256);
+  const phy::PhySampler& sampler = w.sampler;
   util::Rng world_rng(43);
   util::Rng rng(44);
   enum class Fault { kNone, kCorrupt, kTruncate };
@@ -535,7 +525,7 @@ TEST(PdpKernelEquivalence, ExtractFeaturesMatchesOracle) {
 // either: the similarity reads the truncated PDP's own first maximum.
 TEST(PdpKernelEquivalence, TruncatedBaselineReadsItsOwnPeak) {
   KernelWorld w;
-  const phy::PhySampler sampler = KernelWorld::sampler(w.em, 256);
+  const phy::PhySampler& sampler = w.sampler;
   util::Rng rng(47);
   for (int trial = 0; trial < 40; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
@@ -558,7 +548,7 @@ TEST(PdpKernelEquivalence, TruncatedBaselineReadsItsOwnPeak) {
 // peak indexes it: past the end, peak_tap() scans the shortened PDP.
 TEST(PdpKernelEquivalence, StoredPeakNeverIndexesPastThePdp) {
   KernelWorld w;
-  const phy::PhySampler sampler = KernelWorld::sampler(w.em, 256);
+  const phy::PhySampler& sampler = w.sampler;
   util::Rng rng(53);
   phy::PhyObservation obs = sampler.observe(w.link, 12, 12, 4, rng);
   const std::size_t peak = obs.peak_tap();
@@ -570,7 +560,7 @@ TEST(PdpKernelEquivalence, StoredPeakNeverIndexesPastThePdp) {
 // The live scrape counts materializations and channel-memo traffic.
 TEST(PdpKernelTelemetry, CountsMaterializationsAndMemoTraffic) {
   KernelWorld w;
-  const phy::PhySampler sampler = KernelWorld::sampler(w.em, 256);
+  const phy::PhySampler& sampler = w.sampler;
   const auto count = [](const char* name) -> std::uint64_t {
     const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
     const auto* c = snap.find_counter(name);

@@ -144,7 +144,7 @@ TEST(Pdp, TapsAtPathDelays) {
   };
   PdpConfig cfg;
   const auto pdp = synthesize_pdp(contributions, cfg);
-  ASSERT_EQ(static_cast<int>(pdp.size()), cfg.num_taps);
+  ASSERT_EQ(static_cast<int>(pdp.size()), kNumTaps);
   EXPECT_NEAR(pdp[20], util::dbm_to_mw(-50.0), util::dbm_to_mw(-50.0) * 0.01);
   EXPECT_NEAR(pdp[45], util::dbm_to_mw(-60.0), util::dbm_to_mw(-60.0) * 0.01);
   EXPECT_NEAR(pdp[100], cfg.noise_floor_mw, cfg.noise_floor_mw * 0.01);
@@ -187,9 +187,7 @@ TEST(Pdp, TofInfinityWhenNoSignal) {
   EXPECT_FALSE(tof_at_peak_ns(pdp, strongest_tap(pdp), cfg).has_value());
 }
 
-// The free PDP functions validate their config, one field at a time: a
-// negative tap count would ask for SIZE_MAX taps and a zero or NaN spacing
-// would cast round(inf or NaN) to int.
+// The free PDP functions validate their config.
 void expect_pdp_rejected(void (*set_field)(PdpConfig&), const char* field) {
   PdpConfig cfg;
   set_field(cfg);
@@ -204,20 +202,6 @@ void expect_pdp_rejected(void (*set_field)(PdpConfig&), const char* field) {
   } catch (const std::invalid_argument& e) {
     EXPECT_TRUE(names_field(e)) << e.what();
   }
-}
-
-TEST(Pdp, NegativeTapCountThrows) {
-  expect_pdp_rejected([](PdpConfig& c) { c.num_taps = -1; }, "num_taps");
-  expect_pdp_rejected([](PdpConfig& c) { c.num_taps = 0; }, "num_taps");
-}
-
-TEST(Pdp, ZeroTapSpacingThrows) {
-  expect_pdp_rejected([](PdpConfig& c) { c.tap_spacing_ns = 0.0; },
-                      "tap_spacing_ns");
-  expect_pdp_rejected([](PdpConfig& c) { c.tap_spacing_ns = std::nan(""); },
-                      "tap_spacing_ns");
-  expect_pdp_rejected([](PdpConfig& c) { c.tap_spacing_ns = -1.0; },
-                      "tap_spacing_ns");
 }
 
 TEST(Pdp, NonPositiveNoiseFloorThrows) {
@@ -400,8 +384,7 @@ TEST_F(SamplerFixture, RateObservationMatchesFullObservation) {
         EXPECT_TRUE(rate.pdp.empty());
         EXPECT_TRUE(rate.csi.empty());
         EXPECT_FALSE(rate.tof_ns.has_value());
-        EXPECT_EQ(full.pdp.size(),
-                  static_cast<std::size_t>(sampler.config().pdp.num_taps));
+        EXPECT_EQ(full.pdp.size(), static_cast<std::size_t>(kNumTaps));
       }
     }
   }
@@ -540,24 +523,6 @@ TEST_F(SamplerConfigValidation, PdpTapJitterMustBePositive) {
 
 TEST_F(SamplerConfigValidation, CdrJitterMustBePositive) {
   expect_rejected([](SamplerConfig& c, double v) { c.cdr_jitter = v; });
-}
-
-TEST_F(SamplerConfigValidation, NumTapsMustBePositive) {
-  for (const int bad : {0, -1, -256}) {
-    SamplerConfig cfg;
-    cfg.pdp.num_taps = bad;
-    EXPECT_THROW(PhySampler(&em, cfg), std::invalid_argument) << bad;
-  }
-}
-
-TEST_F(SamplerConfigValidation, TapSpacingMustBePositive) {
-  expect_rejected(
-      [](SamplerConfig& c, double v) { c.pdp.tap_spacing_ns = v; });
-}
-
-TEST_F(SamplerConfigValidation, TapNoiseFloorMustBePositive) {
-  expect_rejected(
-      [](SamplerConfig& c, double v) { c.pdp.noise_floor_mw = v; });
 }
 
 }  // namespace

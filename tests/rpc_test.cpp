@@ -142,9 +142,10 @@ ml::DataSet make_query_rows() {
 TEST(Wire, FrameRoundTripAllTypes) {
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
   for (const rpc::MsgType type :
-       {rpc::MsgType::kHello, rpc::MsgType::kPing, rpc::MsgType::kPong,
-        rpc::MsgType::kClassifyRequest, rpc::MsgType::kVerdictReply,
-        rpc::MsgType::kModelPush, rpc::MsgType::kAck}) {
+       {rpc::MsgType::kHello, rpc::MsgType::kClassifyRequest,
+        rpc::MsgType::kVerdictReply, rpc::MsgType::kModelPush,
+        rpc::MsgType::kAck, rpc::MsgType::kStatsPush,
+        rpc::MsgType::kStatsAck}) {
     const std::vector<std::uint8_t> bytes = rpc::encode_frame(type, payload);
     ASSERT_EQ(bytes.size(), rpc::kHeaderBytes + payload.size());
     std::size_t consumed = 0;
@@ -158,7 +159,7 @@ TEST(Wire, FrameRoundTripAllTypes) {
 
 TEST(Wire, PartialFrameAsksForMoreBytes) {
   const std::vector<std::uint8_t> bytes =
-      rpc::encode_frame(rpc::MsgType::kPing, std::vector<std::uint8_t>(8, 7));
+      rpc::encode_frame(rpc::MsgType::kAck, std::vector<std::uint8_t>(8, 7));
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::size_t consumed = 99;
     const std::optional<rpc::Frame> frame = rpc::decode_frame(
@@ -170,21 +171,21 @@ TEST(Wire, PartialFrameAsksForMoreBytes) {
 
 TEST(Wire, TwoFramesDecodeInSequence) {
   std::vector<std::uint8_t> stream =
-      rpc::encode_frame(rpc::MsgType::kPing, {});
+      rpc::encode_frame(rpc::MsgType::kHello, {});
   const std::vector<std::uint8_t> second =
-      rpc::encode_frame(rpc::MsgType::kPong, std::vector<std::uint8_t>{9});
+      rpc::encode_frame(rpc::MsgType::kAck, std::vector<std::uint8_t>{9});
   stream.insert(stream.end(), second.begin(), second.end());
 
   std::size_t consumed = 0;
   const std::optional<rpc::Frame> first = rpc::decode_frame(stream, consumed);
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->type, rpc::MsgType::kPing);
+  EXPECT_EQ(first->type, rpc::MsgType::kHello);
   const std::span<const std::uint8_t> rest(stream.data() + consumed,
                                            stream.size() - consumed);
   std::size_t consumed2 = 0;
   const std::optional<rpc::Frame> next = rpc::decode_frame(rest, consumed2);
   ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(next->type, rpc::MsgType::kPong);
+  EXPECT_EQ(next->type, rpc::MsgType::kAck);
   EXPECT_EQ(consumed + consumed2, stream.size());
 }
 
@@ -269,7 +270,7 @@ TEST(Wire, HelloModelPushAckRoundTrips) {
 
 TEST(Wire, RejectsBadMagicVersionReservedTypeChecksum) {
   const std::vector<std::uint8_t> good =
-      rpc::encode_frame(rpc::MsgType::kPing, std::vector<std::uint8_t>{1, 2});
+      rpc::encode_frame(rpc::MsgType::kAck, std::vector<std::uint8_t>{1, 2});
   std::size_t consumed = 0;
 
   auto corrupt = [&](std::size_t offset, std::uint8_t value) {
@@ -282,6 +283,13 @@ TEST(Wire, RejectsBadMagicVersionReservedTypeChecksum) {
   EXPECT_THROW(rpc::decode_frame(corrupt(0, 0xFF), consumed), rpc::WireError);
   EXPECT_THROW(rpc::decode_frame(corrupt(4, 0x7F), consumed), rpc::WireError);
   EXPECT_THROW(rpc::decode_frame(corrupt(6, 0x63), consumed), rpc::WireError);
+  // Types 2 and 3 were Ping and Pong before protocol v3; 0 never was one.
+  for (const int retired : {0, 2, 3}) {
+    EXPECT_THROW(rpc::decode_frame(
+                     corrupt(6, static_cast<std::uint8_t>(retired)), consumed),
+                 rpc::WireError)
+        << retired;
+  }
   EXPECT_THROW(rpc::decode_frame(corrupt(12, 1), consumed), rpc::WireError);
   EXPECT_THROW(rpc::decode_frame(corrupt(16, good[16] ^ 0x5A), consumed),
                rpc::WireError);
@@ -296,7 +304,7 @@ TEST(Wire, RejectsOversizedPayloadClaimBeforeAllocation) {
   // the length field itself -- BEFORE comparing against the buffer or
   // allocating -- so a 24-byte datagram cannot request a 4 GiB buffer.
   std::vector<std::uint8_t> header =
-      rpc::encode_frame(rpc::MsgType::kPing, {});
+      rpc::encode_frame(rpc::MsgType::kAck, {});
   const std::uint32_t huge = 0xFFFFFFF0u;  // ~4 GiB claim
   std::memcpy(header.data() + 8, &huge, sizeof(huge));
   std::size_t consumed = 0;
@@ -565,6 +573,35 @@ TEST(RpcLoopback, TcpEphemeralPortServes) {
   server.stop();
 }
 
+// One negative case per ServerConfig field: the socket path, port and
+// worker count at construction, the host when start() parses it. A
+// negative num_workers used to mean hardware_concurrency() silently.
+TEST(RpcServer, RejectsBadConfig) {
+  {
+    rpc::ServerConfig cfg;
+    cfg.unix_socket = std::string(200, 'x');
+    EXPECT_THROW(rpc::DecisionServer{cfg}, std::invalid_argument);
+  }
+  for (const int bad : {-1, 65536}) {
+    rpc::ServerConfig cfg;
+    cfg.port = bad;
+    EXPECT_THROW(rpc::DecisionServer{cfg}, std::invalid_argument) << bad;
+  }
+  for (const int bad : {-1, -4}) {
+    rpc::ServerConfig cfg;
+    cfg.num_workers = bad;
+    EXPECT_THROW(rpc::DecisionServer{cfg}, std::invalid_argument) << bad;
+  }
+  rpc::ServerConfig zero_workers;
+  zero_workers.num_workers = 0;  // hardware_concurrency()
+  EXPECT_NO_THROW(rpc::DecisionServer{zero_workers});
+  rpc::ServerConfig bad_host;
+  bad_host.host = "not-an-address";
+  rpc::DecisionServer server(bad_host);
+  EXPECT_THROW(server.start(), std::runtime_error);
+  EXPECT_FALSE(server.running());
+}
+
 TEST(RpcLoopback, ClassifyAgainstEmptyServerFailsSoft) {
   rpc::ServerConfig scfg;
   scfg.unix_socket = unique_socket_path();
@@ -706,14 +743,14 @@ TEST(RpcLoopback, ModelPushHotSwapNeverMixesForestsMidBatch) {
 
 // ---------- stats pull: loopback ----------
 
-// pull_stats() must return the snapshot labeled with the DAEMON's
-// configured origin -- the controller never invents a label for a peer
+// pull_stats() must return the snapshot labeled with the DAEMON's origin
+// (rpc::kStatsOrigin) -- the controller never invents a label for a peer
 // (the aggregator keys its delta chains on that string).
 TEST(RpcLoopback, PullStatsReturnsDaemonLabeledSnapshot) {
   const ml::RandomForest forest = make_small_forest(10);
   rpc::ServerConfig scfg;
   scfg.unix_socket = unique_socket_path();
-  rpc::DecisionServer server(scfg);  // default stats_origin "daemon"
+  rpc::DecisionServer server(scfg);
   server.set_forest(forest);
   server.start();
 
@@ -734,23 +771,13 @@ TEST(RpcLoopback, PullStatsReturnsDaemonLabeledSnapshot) {
       stats->snapshot.find_histogram("rpc.server.classify_us");
   ASSERT_NE(classify_us, nullptr);
   EXPECT_GT(classify_us->data.count, 0u);
-  server.stop();
 
-  // A custom stats_origin rides the same path, and RemoteBackend passes
-  // it through as core::PeerStats verbatim.
-  rpc::ServerConfig named;
-  named.unix_socket = unique_socket_path();
-  named.stats_origin = "daemon:rack12";
-  rpc::DecisionServer named_server(named);
-  named_server.set_forest(forest);
-  named_server.start();
-  rpc::ClientConfig ncfg;
-  ncfg.unix_socket = named.unix_socket;
-  rpc::RemoteBackend backend(ncfg);
+  // RemoteBackend passes the origin through as core::PeerStats verbatim.
+  rpc::RemoteBackend backend(ccfg);
   const std::optional<core::PeerStats> peer = backend.peer_stats();
   ASSERT_TRUE(peer.has_value());
-  EXPECT_EQ(peer->origin, "daemon:rack12");
-  named_server.stop();
+  EXPECT_EQ(peer->origin, rpc::kStatsOrigin);
+  server.stop();
 
   // Against a dead daemon the pull degrades to nullopt, never throws.
   EXPECT_FALSE(backend.peer_stats().has_value());
@@ -929,8 +956,7 @@ sim::FleetResult run_station_fleet(const core::LibraClassifier* clf,
                                    core::DecisionBackend* backend = nullptr,
                                    int shards = 0, int num_threads = 1,
                                    const faults::FaultPlan& plan = {},
-                                   int scrape_port = 0,
-                                   double scrape_rollup_ms = 1000.0) {
+                                   int scrape_port = 0) {
   const array::Codebook codebook;
   auto stations = build_stations(&codebook, clf);
   std::vector<sim::FleetLink> members;
@@ -945,7 +971,6 @@ sim::FleetResult run_station_fleet(const core::LibraClassifier* clf,
   cfg.num_threads = num_threads;
   cfg.faults = plan;
   cfg.scrape_port = scrape_port;
-  cfg.scrape_rollup_ms = scrape_rollup_ms;
   return sim::run_fleet(members, cfg);
 }
 
@@ -1223,8 +1248,7 @@ TEST(RpcFleet, ScrapeEndpointIsObservationOnly) {
 
   const sim::FleetResult plain = run_station_fleet(&clf, kSeed, &backend);
   const sim::FleetResult scraped =
-      run_station_fleet(&clf, kSeed, &backend, 0, 1, {}, free_tcp_port(),
-                        /*scrape_rollup_ms=*/5.0);
+      run_station_fleet(&clf, kSeed, &backend, 0, 1, {}, free_tcp_port());
   server.stop();
   expect_frame_logs_identical(plain, scraped);
 }
@@ -1285,8 +1309,7 @@ TEST(RpcFleet, MidRunScrapeServesMergedControllerAndDaemonSeries) {
 
   const int port = free_tcp_port();
   std::thread fleet([&] {
-    run_station_fleet(&clf, kSeed, &gated, 0, 1, {}, port,
-                      /*scrape_rollup_ms=*/5.0);
+    run_station_fleet(&clf, kSeed, &gated, 0, 1, {}, port);
   });
 
   // The run is parked on the gate; poll the live endpoint until one

@@ -100,16 +100,11 @@ core::FleetTrainerConfig small_trainer_cfg() {
   cfg.seed = 11;
   cfg.ring_capacity = 4096;
   cfg.window_rows = 1024;
-  cfg.holdout_every = 4;
-  cfg.holdout_rows = 128;
-  cfg.min_fit_rows = 32;
-  cfg.min_holdout_rows = 8;
-  cfg.min_accuracy_gain = 0.02;
-  cfg.drift.threshold = 0.25;
-  cfg.drift.window_rows = 256;
-  cfg.forest.num_trees = 15;
   return cfg;
 }
+
+// The tree count of every candidate the trainer fits.
+constexpr int kCandidateTrees = core::LibraClassifierConfig{}.forest.num_trees;
 
 // Offer `n` rows whose labels come from `label_of(cluster, i)`, advancing
 // the shared tick cursor so ingestion order stays canonical.
@@ -154,47 +149,14 @@ TEST(TrainerConfig, ValidationThrows) {
   }
   {
     core::FleetTrainerConfig cfg = small_trainer_cfg();
-    cfg.window_rows = 8;  // < min_fit_rows
+    cfg.window_rows = core::kMinFitRows - 1;
     EXPECT_THROW(core::FleetTrainer{cfg}, std::invalid_argument);
-  }
-  {
-    core::FleetTrainerConfig cfg = small_trainer_cfg();
-    cfg.holdout_every = 1;  // would starve the training window
-    EXPECT_THROW(core::FleetTrainer{cfg}, std::invalid_argument);
-  }
-  {
-    core::FleetTrainerConfig cfg = small_trainer_cfg();
-    cfg.min_holdout_rows = cfg.holdout_rows + 1;
-    EXPECT_THROW(core::FleetTrainer{cfg}, std::invalid_argument);
-  }
-  {
-    core::FleetTrainerConfig cfg = small_trainer_cfg();
-    cfg.min_accuracy_gain = -0.1;
-    EXPECT_THROW(core::FleetTrainer{cfg}, std::invalid_argument);
-  }
-  {
-    core::FleetTrainerConfig cfg = small_trainer_cfg();
-    cfg.train_period_ms = 0.0;
-    EXPECT_THROW(core::FleetTrainer{cfg}, std::invalid_argument);
-  }
-  {
-    core::FleetTrainerConfig cfg = small_trainer_cfg();
-    cfg.fit_every_rows = 0;
-    EXPECT_THROW(core::FleetTrainer{cfg}, std::invalid_argument);
+    cfg.window_rows = core::kMinFitRows;
+    EXPECT_NO_THROW(core::FleetTrainer{cfg});
   }
   {
     core::FleetTrainerConfig cfg = small_trainer_cfg();
     cfg.swap_at_ticks = {10, -1};
-    EXPECT_THROW(core::FleetTrainer{cfg}, std::invalid_argument);
-  }
-  {
-    core::FleetTrainerConfig cfg = small_trainer_cfg();
-    cfg.drift.threshold = 0.0;
-    EXPECT_THROW(core::FleetTrainer{cfg}, std::invalid_argument);
-  }
-  {
-    core::FleetTrainerConfig cfg = small_trainer_cfg();
-    cfg.drift.window_rows = 0;
     EXPECT_THROW(core::FleetTrainer{cfg}, std::invalid_argument);
   }
 }
@@ -454,7 +416,7 @@ TEST(SwapStress, LocalBatchesNeverMixGenerations) {
 TEST(SwapStress, TrainerForcedSwapsDuringConcurrentServing) {
   core::FleetTrainerConfig cfg = small_trainer_cfg();
   core::FleetTrainer trainer(cfg);
-  trainer.seed_model(make_cluster_forest(15));
+  trainer.seed_model(make_cluster_forest(kCandidateTrees));
   trainer.attach_producers(1);
   std::int64_t tick = 0;
   offer_consistent(trainer, 200, &tick);
@@ -482,9 +444,9 @@ TEST(SwapStress, TrainerForcedSwapsDuringConcurrentServing) {
       replies.fetch_add(1, std::memory_order_relaxed);
       for (const std::vector<double>& row : votes) {
         for (const double v : row) {
-          // Every candidate (and the seed) is a 15-tree forest: any other
-          // denominator means a torn batch.
-          if (!fits_denominator(v, 15)) {
+          // Every candidate (and the seed) has kCandidateTrees trees: any
+          // other denominator means a torn batch.
+          if (!fits_denominator(v, kCandidateTrees)) {
             violations.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -521,7 +483,8 @@ TEST(SwapStress, TrainerForcedSwapsDuringConcurrentServing) {
 // ---------- drift detector ----------
 
 TEST(DriftDetector, ScoreIsWindowedMismatchFraction) {
-  core::DriftDetector drift({/*threshold=*/0.25, /*window_rows=*/100});
+  constexpr std::uint64_t kWindow = core::kDriftWindowRows;
+  core::DriftDetector drift;
   EXPECT_EQ(drift.score(), 0.0);
   EXPECT_FALSE(drift.drifted());
 
@@ -529,7 +492,7 @@ TEST(DriftDetector, ScoreIsWindowedMismatchFraction) {
   EXPECT_NEAR(drift.score(), 0.1, 1e-12);
   EXPECT_FALSE(drift.drifted());
   drift.observe(100, 60);
-  EXPECT_NEAR(drift.score(), 0.6, 1e-12);
+  EXPECT_NEAR(drift.score(), 0.35, 1e-12);
   EXPECT_TRUE(drift.drifted());
 
   drift.reset();
@@ -537,9 +500,9 @@ TEST(DriftDetector, ScoreIsWindowedMismatchFraction) {
 
   // Sliding window: old clean chunks age out, so a fresh mismatch burst
   // dominates even after a long clean history.
-  for (int i = 0; i < 20; ++i) drift.observe(50, 0);
+  for (int i = 0; i < 20; ++i) drift.observe(kWindow / 4, 0);
   EXPECT_EQ(drift.score(), 0.0);
-  drift.observe(50, 50);
+  drift.observe(kWindow / 2, kWindow / 2);
   EXPECT_GE(drift.score(), 0.5);
   EXPECT_TRUE(drift.drifted());
   EXPECT_THROW(drift.observe(10, 11), std::invalid_argument);
@@ -563,7 +526,7 @@ TEST(DriftGate, StationaryWorkloadShipsNothing) {
   EXPECT_FALSE(outcome.shipped);
   EXPECT_NE(outcome.reason.find("no drift"), std::string::npos)
       << outcome.reason;
-  EXPECT_LT(outcome.drift_score, 0.25);
+  EXPECT_LT(outcome.drift_score, core::kDriftThreshold);
   EXPECT_EQ(trainer.swaps_shipped(), 0u);
   EXPECT_EQ(trainer.swaps_rejected(), 1u);
   EXPECT_EQ(trainer.generation(), 1u);  // still the seed
@@ -588,9 +551,9 @@ TEST(DriftGate, RegimeShiftShipsWithinBudget) {
     ASSERT_TRUE(outcome.fitted) << outcome.reason;
     if (outcome.shipped) {
       shipped = true;
-      EXPECT_GE(outcome.drift_score, 0.25);
+      EXPECT_GE(outcome.drift_score, core::kDriftThreshold);
       EXPECT_GE(outcome.candidate_acc,
-                outcome.incumbent_acc + trainer.config().min_accuracy_gain);
+                outcome.incumbent_acc + core::kMinAccuracyGain);
       EXPECT_EQ(outcome.generation, 2u);
     }
   }
@@ -605,28 +568,27 @@ TEST(DriftGate, RegimeShiftShipsWithinBudget) {
 TEST(DriftGate, CorruptedLabelCandidateRejectedByAccuracyGate) {
   const std::uint64_t rejected_before =
       counter_value("trainer.swaps_rejected");
-  core::FleetTrainerConfig cfg = small_trainer_cfg();
-  // A garbage-labeled candidate can land anywhere near chance; demand a
-  // solid gain so the gate decision is not a coin flip.
-  cfg.min_accuracy_gain = 0.2;
-  core::FleetTrainer trainer(cfg);
+  core::FleetTrainer trainer(small_trainer_cfg());
   trainer.seed_model(make_cluster_forest());
   trainer.attach_producers(1);
 
-  // Corrupted labels: cycled independently of the feature cluster, so no
-  // classifier (incumbent or candidate) can track them -- but the incumbent
-  // mismatch rate blows past the drift threshold, so only the accuracy
-  // gate stands between the garbage candidate and the fleet.
+  // Corrupted labels in the training window only: every row that lands in
+  // the holdout (each kHoldoutEvery-th ingested) keeps its true label, the
+  // rest are rotated. The incumbent mismatches the stream far past the
+  // drift threshold, so only the accuracy gate stands between the
+  // candidate, which learned the rotation, and the fleet.
   std::int64_t tick = 0;
-  offer_rows(trainer, 600, &tick, [](trace::Action, int i) {
-    return action_of(i / 3);
+  offer_rows(trainer, 600, &tick, [](trace::Action cluster, int i) {
+    const bool holdout = (i + 1) % core::kHoldoutEvery == 0;
+    return holdout ? cluster : rotate(cluster);
   });
   ASSERT_GT(trainer.ingest_now(), 0u);
 
   const core::FleetTrainer::FitOutcome outcome = trainer.train_once();
   EXPECT_TRUE(outcome.fitted);
   EXPECT_FALSE(outcome.shipped);
-  EXPECT_GE(outcome.drift_score, 0.25);  // drift DID fire
+  EXPECT_GE(outcome.drift_score, core::kDriftThreshold);  // drift DID fire
+  EXPECT_LT(outcome.candidate_acc, outcome.incumbent_acc);
   EXPECT_NE(outcome.reason.find("accuracy gate"), std::string::npos)
       << outcome.reason;
   EXPECT_EQ(trainer.swaps_shipped(), 0u);
@@ -680,17 +642,14 @@ TEST(DriftGate, InsufficientDataReportsReasonInsteadOfFitting) {
             std::string::npos);
   EXPECT_EQ(trainer.fits(), 0u);
 
-  // Enough window, not enough holdout: fits but reports the gate.
-  core::FleetTrainerConfig starved = small_trainer_cfg();
-  starved.holdout_every = 1000;  // holdout fills far too slowly
-  starved.min_holdout_rows = 64;
-  core::FleetTrainer trainer2(starved);
-  trainer2.seed_model(make_cluster_forest());
-  trainer2.attach_producers(1);
+  // Enough window, not enough holdout: fits but reports the gate. 100
+  // rows put 12 in the holdout and 88 in the window.
   std::int64_t tick = 0;
-  offer_consistent(trainer2, 100, &tick);
-  ASSERT_GT(trainer2.ingest_now(), 0u);
-  const core::FleetTrainer::FitOutcome starved_outcome = trainer2.train_once();
+  offer_consistent(trainer, 100, &tick);
+  ASSERT_GT(trainer.ingest_now(), 0u);
+  ASSERT_GE(trainer.window_size(), core::kMinFitRows);
+  ASSERT_LT(trainer.holdout_size(), core::kMinHoldoutRows);
+  const core::FleetTrainer::FitOutcome starved_outcome = trainer.train_once();
   EXPECT_TRUE(starved_outcome.fitted);
   EXPECT_FALSE(starved_outcome.shipped);
   EXPECT_NE(starved_outcome.reason.find("insufficient holdout rows"),
@@ -735,7 +694,8 @@ TEST(ModelPushLoopback, TrainerShipsToRemoteDaemonDuringServing) {
   rpc::ServerConfig scfg;
   scfg.unix_socket = unique_socket_path();
   rpc::DecisionServer server(scfg);
-  server.set_forest(make_cluster_forest(10));
+  // 7 trees: no vote fraction but 0 and 1 is also a k/kCandidateTrees.
+  server.set_forest(make_cluster_forest(7, /*seed=*/5));
   server.start();
   ASSERT_EQ(server.model_generation(), 1u);
 
@@ -770,16 +730,16 @@ TEST(ModelPushLoopback, TrainerShipsToRemoteDaemonDuringServing) {
           client.classify(rows);
       if (!votes.has_value()) continue;  // transient
       replies.fetch_add(1, std::memory_order_relaxed);
-      bool all_ten = true, all_fifteen = true;
+      bool all_seven = true, all_candidate = true;
       for (const std::vector<double>& row : *votes) {
         for (const double v : row) {
-          // 10-tree initial model or a 15-tree shipped candidate -- never
-          // a mix inside one reply.
-          if (!fits_denominator(v, 10)) all_ten = false;
-          if (!fits_denominator(v, 15)) all_fifteen = false;
+          // The 7-tree initial model or a shipped candidate -- never a mix
+          // inside one reply.
+          if (!fits_denominator(v, 7)) all_seven = false;
+          if (!fits_denominator(v, kCandidateTrees)) all_candidate = false;
         }
       }
-      if (!all_ten && !all_fifteen) {
+      if (!all_seven && !all_candidate) {
         violations.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -1029,11 +989,6 @@ TEST(PinnedReplay, ShardThreadGridBitIdentical) {
   tcfg.sample_rate = 1.0;  // every inference decision feeds the stream
   tcfg.ring_capacity = 65536;
   tcfg.window_rows = 65536;
-  tcfg.holdout_every = 64;  // keep nearly everything in the training window
-  tcfg.holdout_rows = 512;
-  tcfg.min_fit_rows = 8;
-  tcfg.min_holdout_rows = 1;
-  tcfg.forest.num_trees = 15;
   tcfg.swap_at_ticks = {probe.ticks / 3, (2 * probe.ticks) / 3};
 
   const TrainedFleetRun baseline =
@@ -1063,10 +1018,12 @@ TEST(PinnedReplay, ShardThreadGridBitIdentical) {
   }
 }
 
-// An attached trainer whose gates never fire is bit-identical to no
-// trainer at all -- even free-running (background ingest thread racing the
-// shard workers) and even serving THROUGH the trainer's backend (the
-// seeded slot serves the same compiled forest the classifier would).
+// An attached trainer that never ships is bit-identical to no trainer at
+// all -- even free-running, with ingestion racing the shard workers, and
+// even serving THROUGH the trainer's backend (the seeded slot serves the
+// same compiled forest the classifier would). The run samples fewer than
+// kFitEveryRows rows, so the background thread never fits; a second thread
+// drains the rings throughout, as the background thread's ingest would.
 TEST(PinnedReplay, NeverSwappingTrainerBitIdenticalToTrainerOff) {
   const array::Codebook codebook;
   const sim::FleetResult off = run_plain_fleet(&codebook, 3, 2);
@@ -1079,12 +1036,6 @@ TEST(PinnedReplay, NeverSwappingTrainerBitIdenticalToTrainerOff) {
   core::FleetTrainerConfig tcfg;
   tcfg.seed = 9;
   tcfg.sample_rate = 0.5;
-  tcfg.min_fit_rows = 8;
-  tcfg.min_holdout_rows = 1;
-  tcfg.fit_every_rows = 16;
-  tcfg.train_period_ms = 2.0;      // ingest aggressively during the run
-  tcfg.drift.threshold = 1.5;      // > 1: the drift gate can never open
-  tcfg.forest.num_trees = 15;
   core::FleetTrainer trainer(tcfg);
   trainer.seed_model(fleet_classifier().forest());
   trainer.start();
@@ -1096,13 +1047,24 @@ TEST(PinnedReplay, NeverSwappingTrainerBitIdenticalToTrainerOff) {
   cfg.num_threads = 2;
   cfg.trainer = &trainer;
   cfg.backend = trainer.backend();
+  std::atomic<bool> done{false};
+  std::thread ingester([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      trainer.ingest_now();
+      std::this_thread::yield();
+    }
+  });
   const sim::FleetResult on = sim::run_fleet(members, cfg);
+  done.store(true, std::memory_order_release);
+  ingester.join();
   trainer.stop();
 
+  EXPECT_GT(trainer.rows_sampled(), 0u);
+  EXPECT_LT(trainer.rows_sampled(), core::kFitEveryRows);
+  EXPECT_EQ(trainer.fits(), 0u);
   EXPECT_EQ(trainer.swaps_shipped(), 0u);
   EXPECT_EQ(trainer.generation(), 1u);  // still the seed
-  EXPECT_GT(trainer.rows_sampled(), 0u);
-  expect_links_identical(off.links, on.links, "gates-never-fire");
+  expect_links_identical(off.links, on.links, "never-ships");
 }
 
 }  // namespace

@@ -362,15 +362,12 @@ int cmd_simulate(const Args& args) {
   const trace::Dataset train = trace::load_dataset_file(args.positional[0]);
   const trace::Dataset eval = trace::load_dataset_file(args.positional[1]);
   const trace::GroundTruthConfig gt = ground_truth_from(args);
-  sim::EventParams params;
-  params.ba_overhead_ms = gt.ba_overhead_ms;
-  params.fat_ms = gt.fat_ms;
-  params.flow_ms = args.number("flow", 1000.0);
+  const sim::EventParams params{args.number("flow", 1000.0)};
 
   util::Rng rng(seed_arg(args, "seed"));
   core::LibraClassifier classifier;
   classifier.train(train, gt, rng);
-  const sim::EventSimulator simulator(&classifier);
+  const sim::EventSimulator simulator(gt, &classifier);
 
   util::Table t({"strategy", "total MB", "avg recovery ms", "restored"});
   for (core::Strategy s : core::kAllStrategies) {
@@ -510,7 +507,7 @@ int cmd_serve(const Args& args) {
   const int metrics_port = int_arg(args, "metrics-port", 0, 0, kMaxPort);
   if (args.flag("metrics-port")) {
     obs::AggregatorConfig agg_cfg;
-    agg_cfg.local_origin = cfg.stats_origin;
+    agg_cfg.local_origin = rpc::kStatsOrigin;
     aggregator = std::make_unique<obs::Aggregator>(agg_cfg);
     aggregator->rollup_now();
     aggregator->start();

@@ -27,6 +27,11 @@ must name a function the search still prints: a line whose function is
 gone or that a program now uses is stale and fails the run too, so the
 list only shrinks. Allowlist lines read `<demangled name>  # <reason>`.
 
+A constant leaves no symbol, so a second pass searches tokens instead: it
+fails on any constexpr variable declared in a src/ header whose name
+appears in no C++ file under src/, bench/, examples/, tools/, fleetbench/
+or tests/ except in its own declaration. Constants have no allowlist.
+
 Usage (from the repository root; needs cmake, a C++ toolchain, GTest,
 google-benchmark and binutils' nm):
     python3 tools/test_only_api.py                   # build-api/, -j 4
@@ -39,6 +44,7 @@ import argparse
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +57,13 @@ FLAGS = [
 ]
 PROGRAM_DIRS = ("bench", "examples", "tools", "fleetbench")
 TEST_DIR = "tests"
+CODE_SUFFIXES = (".h", ".cpp")
+
+# The name a constexpr variable declares: `constexpr T NAME =`, `NAME{` or
+# `NAME[N] =` on one line. A function has a `(` before any `=` or `{`.
+_CONSTEXPR = re.compile(r"\bconstexpr\b[^;(){}=]*?\b([A-Za-z_]\w*)\s*"
+                        r"(?:\[[^\]]*\]\s*)?[={]")
+_TOKEN = re.compile(r"[A-Za-z_]\w*")
 
 # Mangled names in namespace libra (members, free functions, templates).
 _LIBRA = re.compile(r"^_ZN[KVRO]*5libra")
@@ -166,6 +179,27 @@ def search(build_dir):
             if template_key(n) not in used_templates}, used
 
 
+def unread_constants():
+    """[(name, declaration sites)] for the constexpr variables of src/
+    headers that no C++ file names outside their declarations."""
+    declared = {}
+    for header in sorted((ROOT / "src").rglob("*.h")):
+        lines = header.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, start=1):
+            m = _CONSTEXPR.search(line)
+            if m:
+                declared.setdefault(m.group(1), []).append(
+                    f"{header.relative_to(ROOT)}:{number}")
+    tokens = Counter()
+    for directory in ("src",) + PROGRAM_DIRS + (TEST_DIR,):
+        for path in (ROOT / directory).rglob("*"):
+            if path.suffix in CODE_SUFFIXES and path.is_file():
+                tokens.update(_TOKEN.findall(
+                    path.read_text(encoding="utf-8", errors="replace")))
+    return sorted((name, sites) for name, sites in declared.items()
+                  if tokens[name] <= len(sites))
+
+
 def read_allowlist(path):
     """{name: reason}; exits on a line without a reason or a duplicate."""
     entries = {}
@@ -192,6 +226,7 @@ def main():
                         help="parallel compile jobs (default: 4)")
     args = parser.parse_args()
 
+    unread = unread_constants()
     build_dir = Path(args.build_dir).resolve()
     build(build_dir, args.jobs)
     found, used = search(build_dir)
@@ -210,9 +245,13 @@ def main():
                else "src/ no longer defines it")
         print(f"error: stale {ALLOWLIST.name} line '{name}': {why}",
               file=sys.stderr)
+    for name, sites in unread:
+        print(f"error: nothing reads constant {name} ({', '.join(sites)}); "
+              f"delete it", file=sys.stderr)
     print(f"{len(found)} test-only function(s), {len(allowed)} allowed, "
-          f"{len(unlisted)} unlisted, {len(stale)} stale")
-    return 1 if unlisted or stale else 0
+          f"{len(unlisted)} unlisted, {len(stale)} stale, "
+          f"{len(unread)} unread constant(s)")
+    return 1 if unlisted or stale or unread else 0
 
 
 if __name__ == "__main__":
