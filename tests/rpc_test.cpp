@@ -30,12 +30,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -1231,7 +1229,10 @@ int free_tcp_port() {
 // The observation-only contract: mounting the aggregator + scrape
 // endpoint on a run must not perturb a single frame or the digest, even
 // when the aggregator is concurrently pulling daemon stats over the SAME
-// client connection the fleet classifies through.
+// client connection the fleet classifies through. The scraped run holds
+// its middle batch in flight -- re-issuing it over the shared client --
+// until the aggregator's thread has rolled up at its 1 s period, on top of
+// the roll-up run_fleet takes before tick 0.
 TEST(RpcFleet, ScrapeEndpointIsObservationOnly) {
   constexpr std::uint64_t kSeed = 77;
   const core::LibraClassifier clf = make_classifier();
@@ -1246,48 +1247,29 @@ TEST(RpcFleet, ScrapeEndpointIsObservationOnly) {
   ccfg.deadline_ms = 5000.0;
   rpc::RemoteBackend backend(ccfg);
 
-  const sim::FleetResult plain = run_station_fleet(&clf, kSeed, &backend);
+  std::size_t batches = 0;
+  testing::HoldingBackend counting(&backend, [&](std::size_t) {
+    ++batches;  // num_threads = 1: batches arrive one at a time
+    return false;
+  });
+  const sim::FleetResult plain = run_station_fleet(&clf, kSeed, &counting);
+  ASSERT_GE(batches, 2u);
+
+  auto rollups = [] {
+    const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
+    const auto* c = snap.find_counter("obs.aggregator.rollups");
+    return c != nullptr ? c->value : 0;
+  };
+  const std::uint64_t rollups_before = rollups();
+  testing::HoldingBackend held(&backend, [&](std::size_t batch) {
+    return batch >= batches / 2 && rollups() < rollups_before + 2;
+  });
   const sim::FleetResult scraped =
-      run_station_fleet(&clf, kSeed, &backend, 0, 1, {}, free_tcp_port());
+      run_station_fleet(&clf, kSeed, &held, 0, 1, {}, free_tcp_port());
   server.stop();
+  EXPECT_GE(rollups(), rollups_before + 2);
   expect_frame_logs_identical(plain, scraped);
 }
-
-// Holds every classify until release() so a run stays "mid-flight" for
-// as long as the test needs to scrape it, then behaves like the wrapped
-// backend. The 30s cap keeps a broken test from deadlocking the suite.
-class GatedBackend final : public core::DecisionBackend {
- public:
-  explicit GatedBackend(core::DecisionBackend* inner) : inner_(inner) {}
-
-  std::string_view name() const override { return inner_->name(); }
-  bool local() const override { return inner_->local(); }
-  bool available() override { return inner_->available(); }
-  double deadline_ms() const override { return inner_->deadline_ms(); }
-  std::optional<core::PeerStats> peer_stats() override {
-    return inner_->peer_stats();
-  }
-  std::vector<std::vector<double>> vote_batch(
-      const ml::DataSet& rows) override {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, std::chrono::seconds(30), [&] { return released_; });
-    lock.unlock();
-    return inner_->vote_batch(rows);
-  }
-  void release() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      released_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  core::DecisionBackend* inner_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool released_ = false;
-};
 
 // The merged-scrape acceptance criterion: while a fleet run is in
 // flight, GET /metrics must return valid Prometheus text carrying
@@ -1305,16 +1287,18 @@ TEST(RpcFleet, MidRunScrapeServesMergedControllerAndDaemonSeries) {
   ccfg.unix_socket = scfg.unix_socket;
   ccfg.deadline_ms = 5000.0;
   rpc::RemoteBackend remote(ccfg);
-  GatedBackend gated(&remote);
+  std::atomic<bool> released{false};
+  testing::HoldingBackend held(&remote,
+                               [&](std::size_t) { return !released.load(); });
 
   const int port = free_tcp_port();
   std::thread fleet([&] {
-    run_station_fleet(&clf, kSeed, &gated, 0, 1, {}, port);
+    run_station_fleet(&clf, kSeed, &held, 0, 1, {}, port);
   });
 
-  // The run is parked on the gate; poll the live endpoint until one
+  // The run is held on its first batch; poll the live endpoint until one
   // scrape shows both origins (the aggregator needs a rollup or two to
-  // pull the daemon's first snapshot over the idle client).
+  // pull the daemon's first snapshot).
   std::string merged_body;
   for (int attempt = 0; attempt < 2000 && merged_body.empty(); ++attempt) {
     const std::optional<obs::HttpResponse> resp =
@@ -1327,7 +1311,7 @@ TEST(RpcFleet, MidRunScrapeServesMergedControllerAndDaemonSeries) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  gated.release();
+  released.store(true);
   fleet.join();
   server.stop();
 

@@ -1,10 +1,20 @@
 // Shared fixtures for the trace/core/sim tests: hand-built PairTraces and
 // CaseRecords with known ground truth, so labeling and simulation can be
-// checked against closed-form expectations.
+// checked against closed-form expectations, and a backend wrapper that
+// holds a fleet run part-way until a background thread has acted.
 #pragma once
 
+#include <atomic>
+#include <chrono>
+#include <cstddef>
+#include <functional>
+#include <optional>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/decision_backend.h"
 #include "trace/collector.h"
 
 namespace libra::testing {
@@ -58,5 +68,42 @@ inline trace::CaseRecord make_record(int init, int after_ra, int after_ba,
       make_trace(after_failover == -2 ? after_ba : after_failover);
   return rec;
 }
+
+// Serves through `inner`, but while hold(batch) is true for the batch-th
+// vote_batch call (0-based) it keeps re-issuing that batch to `inner` -- the
+// fleet's tick stays in flight and keeps using the backend -- and then
+// returns the last answer. Re-issuing is safe because a backend's votes for
+// the same rows are a pure function of its model. The 30 s cap keeps a
+// broken test from deadlocking the suite.
+class HoldingBackend final : public core::DecisionBackend {
+ public:
+  HoldingBackend(core::DecisionBackend* inner,
+                 std::function<bool(std::size_t batch)> hold)
+      : inner_(inner), hold_(std::move(hold)) {}
+
+  std::string_view name() const override { return inner_->name(); }
+  bool local() const override { return inner_->local(); }
+  bool available() override { return inner_->available(); }
+  double deadline_ms() const override { return inner_->deadline_ms(); }
+  std::optional<core::PeerStats> peer_stats() override {
+    return inner_->peer_stats();
+  }
+  std::vector<std::vector<double>> vote_batch(
+      const ml::DataSet& rows) override {
+    const std::size_t batch = batches_.fetch_add(1);
+    std::vector<std::vector<double>> votes = inner_->vote_batch(rows);
+    const auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (hold_(batch) && std::chrono::steady_clock::now() < cap) {
+      std::this_thread::yield();
+      votes = inner_->vote_batch(rows);
+    }
+    return votes;
+  }
+
+ private:
+  core::DecisionBackend* inner_;
+  std::function<bool(std::size_t)> hold_;
+  std::atomic<std::size_t> batches_{0};
+};
 
 }  // namespace libra::testing

@@ -856,37 +856,41 @@ struct Station {
 };
 
 // A 4-station mixed fleet: three LiBRA stations (one blocked, one walking)
-// plus one RA-first baseline, with an early finisher.
+// plus one RA-first baseline, with an early finisher; `copies` > 1 appends
+// that many more copies of the four (each link still draws its own streams).
 std::vector<std::unique_ptr<Station>> build_stations(
-    const array::Codebook* codebook) {
+    const array::Codebook* codebook, int copies = 1) {
   const core::LibraClassifier* clf = &fleet_classifier();
   std::vector<std::unique_ptr<Station>> stations;
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{10, 6}, clf));
-  stations[0]->script.duration_ms = 1500.0;
-  stations[0]->script.rx_trajectory =
-      sim::Trajectory::stationary({10, 6}, 180.0);
-  stations[0]->script.blockage.push_back({400.0, 1100.0, {{6, 6}, 0.3, 35.0}});
+  for (int c = 0; c < copies; ++c) {
+    stations.push_back(
+        std::make_unique<Station>(codebook, geom::Vec2{10, 6}, clf));
+    stations.back()->script.duration_ms = 1500.0;
+    stations.back()->script.rx_trajectory =
+        sim::Trajectory::stationary({10, 6}, 180.0);
+    stations.back()->script.blockage.push_back(
+        {400.0, 1100.0, {{6, 6}, 0.3, 35.0}});
 
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{12, 7}, clf));
-  stations[1]->script.duration_ms = 1500.0;
-  stations[1]->script.rx_trajectory =
-      sim::Trajectory::walk({12, 7}, {18, 8}, 1500.0, geom::Vec2{2, 6});
+    stations.push_back(
+        std::make_unique<Station>(codebook, geom::Vec2{12, 7}, clf));
+    stations.back()->script.duration_ms = 1500.0;
+    stations.back()->script.rx_trajectory =
+        sim::Trajectory::walk({12, 7}, {18, 8}, 1500.0, geom::Vec2{2, 6});
 
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{9, 5}, nullptr));
-  stations[2]->script.duration_ms = 1500.0;
-  stations[2]->script.rx_trajectory =
-      sim::Trajectory::stationary({9, 5}, 180.0);
-  stations[2]->script.interference.push_back(
-      {300.0, 1200.0, {{10, 1}, 50.0, 0.5}});
+    stations.push_back(
+        std::make_unique<Station>(codebook, geom::Vec2{9, 5}, nullptr));
+    stations.back()->script.duration_ms = 1500.0;
+    stations.back()->script.rx_trajectory =
+        sim::Trajectory::stationary({9, 5}, 180.0);
+    stations.back()->script.interference.push_back(
+        {300.0, 1200.0, {{10, 1}, 50.0, 0.5}});
 
-  stations.push_back(
-      std::make_unique<Station>(codebook, geom::Vec2{11, 6}, clf));
-  stations[3]->script.duration_ms = 600.0;  // early finisher
-  stations[3]->script.rx_trajectory =
-      sim::Trajectory::stationary({11, 6}, 180.0);
+    stations.push_back(
+        std::make_unique<Station>(codebook, geom::Vec2{11, 6}, clf));
+    stations.back()->script.duration_ms = 600.0;  // early finisher
+    stations.back()->script.rx_trajectory =
+        sim::Trajectory::stationary({11, 6}, 180.0);
+  }
   return stations;
 }
 
@@ -926,8 +930,8 @@ TrainedFleetRun run_trained_fleet(const array::Codebook* codebook,
 }
 
 sim::FleetResult run_plain_fleet(const array::Codebook* codebook, int shards,
-                                 int num_threads) {
-  auto stations = build_stations(codebook);
+                                 int num_threads, int copies = 1) {
+  auto stations = build_stations(codebook, copies);
   std::vector<sim::FleetLink> members;
   for (auto& s : stations) {
     members.push_back({&s->env, &s->link, s->controller.get(), s->script});
@@ -1019,50 +1023,55 @@ TEST(PinnedReplay, ShardThreadGridBitIdentical) {
 }
 
 // An attached trainer that never ships is bit-identical to no trainer at
-// all -- even free-running, with ingestion racing the shard workers, and
-// even serving THROUGH the trainer's backend (the seeded slot serves the
-// same compiled forest the classifier would). The run samples fewer than
-// kFitEveryRows rows, so the background thread never fits; a second thread
-// drains the rings throughout, as the background thread's ingest would.
+// all -- even free-running, with ingestion and candidate fits racing the
+// shard workers, and even serving THROUGH the trainer's backend (the seeded
+// slot serves the same compiled forest the classifier would). Once
+// kFitEveryRows rows have reached the rings the run is held on its next
+// batch until the background thread's next wake (every kTrainPeriodMs) has
+// ingested them and fitted a candidate; the seed model's low drift score
+// keeps the swap gates shut.
 TEST(PinnedReplay, NeverSwappingTrainerBitIdenticalToTrainerOff) {
   const array::Codebook codebook;
-  const sim::FleetResult off = run_plain_fleet(&codebook, 3, 2);
+  constexpr int kCopies = 3;  // enough decisions for a fit's worth of rows
+  const sim::FleetResult off = run_plain_fleet(&codebook, 3, 2, kCopies);
 
-  auto stations = build_stations(&codebook);
+  auto stations = build_stations(&codebook, kCopies);
   std::vector<sim::FleetLink> members;
   for (auto& s : stations) {
     members.push_back({&s->env, &s->link, s->controller.get(), s->script});
   }
   core::FleetTrainerConfig tcfg;
   tcfg.seed = 9;
-  tcfg.sample_rate = 0.5;
+  tcfg.sample_rate = 1.0;
   core::FleetTrainer trainer(tcfg);
   trainer.seed_model(fleet_classifier().forest());
   trainer.start();
 
+  std::atomic<bool> fitted_mid_run{false};
+  testing::HoldingBackend held(trainer.backend(), [&](std::size_t) {
+    if (trainer.fits() > 0) {
+      fitted_mid_run.store(true);
+      return false;
+    }
+    return trainer.rows_sampled() - trainer.rows_dropped() >=
+           core::kFitEveryRows;
+  });
   sim::FleetConfig cfg;
   cfg.seed = 77;
   cfg.keep_frame_logs = true;
   cfg.shards = 3;
   cfg.num_threads = 2;
   cfg.trainer = &trainer;
-  cfg.backend = trainer.backend();
-  std::atomic<bool> done{false};
-  std::thread ingester([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      trainer.ingest_now();
-      std::this_thread::yield();
-    }
-  });
+  cfg.backend = &held;
   const sim::FleetResult on = sim::run_fleet(members, cfg);
-  done.store(true, std::memory_order_release);
-  ingester.join();
   trainer.stop();
 
-  EXPECT_GT(trainer.rows_sampled(), 0u);
-  EXPECT_LT(trainer.rows_sampled(), core::kFitEveryRows);
-  EXPECT_EQ(trainer.fits(), 0u);
+  EXPECT_TRUE(fitted_mid_run.load());  // a batch in flight saw the fit
+  EXPECT_GE(trainer.rows_sampled(), core::kFitEveryRows);
+  EXPECT_GT(trainer.fits(), 0u);
   EXPECT_EQ(trainer.swaps_shipped(), 0u);
+  EXPECT_EQ(trainer.swaps_rejected(), trainer.fits());
+  EXPECT_LT(trainer.drift_score(), core::kDriftThreshold);  // the shut gate
   EXPECT_EQ(trainer.generation(), 1u);  // still the seed
   expect_links_identical(off.links, on.links, "never-ships");
 }

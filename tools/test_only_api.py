@@ -30,7 +30,9 @@ list only shrinks. Allowlist lines read `<demangled name>  # <reason>`.
 A constant leaves no symbol, so a second pass searches tokens instead: it
 fails on any constexpr variable declared in a src/ header whose name
 appears in no C++ file under src/, bench/, examples/, tools/, fleetbench/
-or tests/ except in its own declaration. Constants have no allowlist.
+or tests/ except in its own declaration. Comments, string literals and
+static_assert statements are blanked out first: naming a constant there
+does not read it. Constants have no allowlist.
 
 Usage (from the repository root; needs cmake, a C++ toolchain, GTest,
 google-benchmark and binutils' nm):
@@ -60,10 +62,17 @@ TEST_DIR = "tests"
 CODE_SUFFIXES = (".h", ".cpp")
 
 # The name a constexpr variable declares: `constexpr T NAME =`, `NAME{` or
-# `NAME[N] =` on one line. A function has a `(` before any `=` or `{`.
+# `NAME[N] =`, possibly across lines. A function has a `(` before any `=`
+# or `{`.
 _CONSTEXPR = re.compile(r"\bconstexpr\b[^;(){}=]*?\b([A-Za-z_]\w*)\s*"
                         r"(?:\[[^\]]*\]\s*)?[={]")
 _TOKEN = re.compile(r"[A-Za-z_]\w*")
+_STATIC_ASSERT = re.compile(r"\bstatic_assert\s*\(")
+# Comments, then raw, string and character literals; a quote right after an
+# identifier character or a digit is a digit separator (1'000), not a literal.
+_NOT_CODE = re.compile(r'//[^\n]*|/\*.*?\*/|\bR"([^()\\\s]{0,16})\(.*?\)\1"'
+                       r'|"(?:\\.|[^"\\\n])*"|(?<!\w)\'(?:\\.|[^\'\\\n])*\'',
+                       re.S)
 
 # Mangled names in namespace libra (members, free functions, templates).
 _LIBRA = re.compile(r"^_ZN[KVRO]*5libra")
@@ -179,23 +188,49 @@ def search(build_dir):
             if template_key(n) not in used_templates}, used
 
 
+def _blank(text):
+    """text with everything but newlines turned into spaces."""
+    return re.sub(r"[^\n]", " ", text)
+
+
+def code_only(text):
+    """C++ source with comments, string and character literals and
+    static_assert(...) statements blanked out, line numbers kept."""
+    code = _NOT_CODE.sub(lambda m: _blank(m.group(0)), text)
+    pieces, at = [], 0
+    for m in _STATIC_ASSERT.finditer(code):
+        if m.start() < at:
+            continue  # inside a statement already blanked
+        depth, end = 1, m.end()
+        while end < len(code) and depth:
+            depth += {"(": 1, ")": -1}.get(code[end], 0)
+            end += 1
+        if code[end:end + 1] == ";":
+            end += 1
+        pieces += [code[at:m.start()], _blank(code[m.start():end])]
+        at = end
+    return "".join(pieces) + code[at:]
+
+
 def unread_constants():
     """[(name, declaration sites)] for the constexpr variables of src/
-    headers that no C++ file names outside their declarations."""
+    headers that no C++ file names outside their declarations, comments,
+    string literals and static_asserts."""
     declared = {}
-    for header in sorted((ROOT / "src").rglob("*.h")):
-        lines = header.read_text(encoding="utf-8").splitlines()
-        for number, line in enumerate(lines, start=1):
-            m = _CONSTEXPR.search(line)
-            if m:
-                declared.setdefault(m.group(1), []).append(
-                    f"{header.relative_to(ROOT)}:{number}")
     tokens = Counter()
     for directory in ("src",) + PROGRAM_DIRS + (TEST_DIR,):
-        for path in (ROOT / directory).rglob("*"):
-            if path.suffix in CODE_SUFFIXES and path.is_file():
-                tokens.update(_TOKEN.findall(
-                    path.read_text(encoding="utf-8", errors="replace")))
+        for path in sorted((ROOT / directory).rglob("*")):
+            if path.suffix not in CODE_SUFFIXES or not path.is_file():
+                continue
+            code = code_only(path.read_text(encoding="utf-8",
+                                            errors="replace"))
+            tokens.update(_TOKEN.findall(code))
+            if directory != "src" or path.suffix != ".h":
+                continue
+            for m in _CONSTEXPR.finditer(code):
+                number = code.count("\n", 0, m.start(1)) + 1
+                declared.setdefault(m.group(1), []).append(
+                    f"{path.relative_to(ROOT)}:{number}")
     return sorted((name, sites) for name, sites in declared.items()
                   if tokens[name] <= len(sites))
 
